@@ -11,7 +11,7 @@ histograms for plotting.
 import argparse
 from pathlib import Path
 
-from middleway import (
+from middleway.rds import (
     GridSpec,
     default_sensors,
     error_stats,
@@ -19,8 +19,10 @@ from middleway import (
     static_field,
     synthetic_trajectory,
     wave_field,
+    write_error_report,
+    write_grid,
+    write_trajectory,
 )
-from middleway.rds import write_error_report, write_grid, write_trajectory
 
 
 def parse_args() -> argparse.Namespace:

@@ -1,164 +1,8 @@
-"""Cooperative speed-advisory driving stack and corridor simulation."""
+"""Cooperative speed-advisory driving stack and corridor simulation.
+
+The Python API lives in the submodules (``middleway.controller``,
+``middleway.simulation``, ``middleway.scenarios`` and so on); import from
+them directly.
+"""
 
 __version__ = "0.1.0"
-
-from .config import ConfigError, build_scenario, load_config
-from .controller import (
-    ControlInputs,
-    ControllerConfig,
-    ControllerOutput,
-    ControllerState,
-    Lead,
-    Mode,
-    cbf_limit,
-    classify_mode,
-    middleway,
-    nominal,
-    ramp,
-    select_setpoint,
-    step_controller,
-)
-from .infrastructure import (
-    CorridorMap,
-    Direction,
-    FeedClient,
-    FeedConfig,
-    Gantry,
-    VslConfig,
-    VslReading,
-    active_gantry,
-    vsl_algorithm,
-)
-from .perception import (
-    EstimatorConfig,
-    ObservedVehicle,
-    PrevailingSpeedEstimator,
-    RadarConfig,
-    RadarFrame,
-    lead_vehicle,
-    synthesize_radar,
-)
-from .rds import (
-    AllNeighborsMissing,
-    ErrorStats,
-    GridSpec,
-    RdsGrid,
-    TrajectoryPoint,
-    WaveFieldParams,
-    build_grid,
-    default_sensors,
-    error_stats,
-    grid_from_field,
-    ideal_speed,
-    realtime_speed,
-    static_field,
-    synthetic_trajectory,
-    wave_field,
-)
-from .scenarios import (
-    OffsetReplay,
-    canonical_scenario,
-    measurement_window,
-    offset_replay,
-    steady_v_des,
-    string_experiment,
-    string_scenario,
-    v_des_traces,
-)
-from .simulation import (
-    Bottleneck,
-    IdmParams,
-    PhantomStreamSpec,
-    RunLog,
-    RunReport,
-    ScenarioConfig,
-    SpeedPulse,
-    VehicleInit,
-    VehicleKind,
-    World,
-    build_report,
-    idm_accel,
-    idm_equilibrium_gap,
-    read_run_log,
-    run,
-    seed_wave,
-    write_events,
-    write_run_log,
-)
-
-__all__ = [
-    "AllNeighborsMissing",
-    "Bottleneck",
-    "ConfigError",
-    "ControlInputs",
-    "ControllerConfig",
-    "ControllerOutput",
-    "ControllerState",
-    "CorridorMap",
-    "Direction",
-    "ErrorStats",
-    "EstimatorConfig",
-    "FeedClient",
-    "FeedConfig",
-    "Gantry",
-    "GridSpec",
-    "IdmParams",
-    "Lead",
-    "Mode",
-    "ObservedVehicle",
-    "OffsetReplay",
-    "PhantomStreamSpec",
-    "PrevailingSpeedEstimator",
-    "RadarConfig",
-    "RadarFrame",
-    "RdsGrid",
-    "RunLog",
-    "RunReport",
-    "ScenarioConfig",
-    "SpeedPulse",
-    "TrajectoryPoint",
-    "VehicleInit",
-    "VehicleKind",
-    "VslConfig",
-    "VslReading",
-    "WaveFieldParams",
-    "World",
-    "active_gantry",
-    "build_grid",
-    "build_report",
-    "build_scenario",
-    "canonical_scenario",
-    "cbf_limit",
-    "classify_mode",
-    "default_sensors",
-    "error_stats",
-    "grid_from_field",
-    "ideal_speed",
-    "idm_accel",
-    "idm_equilibrium_gap",
-    "lead_vehicle",
-    "load_config",
-    "measurement_window",
-    "middleway",
-    "nominal",
-    "offset_replay",
-    "ramp",
-    "read_run_log",
-    "realtime_speed",
-    "run",
-    "seed_wave",
-    "select_setpoint",
-    "static_field",
-    "steady_v_des",
-    "step_controller",
-    "string_experiment",
-    "string_scenario",
-    "synthesize_radar",
-    "synthetic_trajectory",
-    "v_des_traces",
-    "vsl_algorithm",
-    "wave_field",
-    "write_events",
-    "write_run_log",
-    "__version__",
-]

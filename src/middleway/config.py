@@ -13,7 +13,15 @@ from __future__ import annotations
 import dataclasses
 import inspect
 from pathlib import Path
-from typing import Any, NamedTuple, Optional
+from typing import (
+    Any,
+    NamedTuple,
+    Optional,
+    Union,
+    get_args,
+    get_origin,
+    get_type_hints,
+)
 
 import yaml
 
@@ -43,6 +51,13 @@ GENERATORS = {
 }
 
 RUN_FIELDS = ("dt", "log_every", "entry_mm", "vsl_static_mph")
+
+# Python types a config value may have for each annotated field type.
+ACCEPTED_TYPES: dict[type, tuple[type, ...]] = {
+    bool: (bool,),
+    int: (int,),
+    float: (int, float),
+}
 
 
 class LoadedScenario(NamedTuple):
@@ -80,21 +95,17 @@ def apply_override(data: dict, spec: str) -> None:
         value = yaml.safe_load(raw)
     except yaml.YAMLError as exc:
         raise ConfigError(f"override '{spec}': unparseable value") from exc
-    node = data
-    parts = key.split(".")
-    for part in parts[:-1]:
-        nxt = node.setdefault(part, {})
-        if not isinstance(nxt, dict):
-            raise ConfigError(f"override '{spec}': {part} is not a section")
-        node = nxt
-    node[parts[-1]] = value
+    set_dotted(data, key, value)
 
 
 def set_dotted(data: dict, dotted: str, value: Any) -> None:
+    """Set ``a.b.c`` in a nested mapping, creating missing sections."""
     node = data
     parts = dotted.split(".")
     for part in parts[:-1]:
         node = node.setdefault(part, {})
+        if not isinstance(node, dict):
+            raise ConfigError(f"{dotted}: {part} is not a section")
     node[parts[-1]] = value
 
 
@@ -104,6 +115,19 @@ def _check_section(name: str, raw: Any) -> dict:
     if not isinstance(raw, dict):
         raise ConfigError(f"{name}: must be a mapping")
     return raw
+
+
+def _check_type(name: str, value: Any, hint: Any) -> None:
+    """Reject a value that does not fit its field's annotated type."""
+    if get_origin(hint) is Union:
+        members = get_args(hint)
+        if value is None and type(None) in members:
+            return
+        (hint,) = [m for m in members if m is not type(None)]
+    accepted = ACCEPTED_TYPES.get(hint, (hint,))
+    # bool is an int subclass, so it fits only a bool field.
+    if isinstance(value, bool) != (hint is bool) or not isinstance(value, accepted):
+        raise ConfigError(f"{name}: expected {hint.__name__}, got {value!r}")
 
 
 def build_scenario(data: dict) -> LoadedScenario:
@@ -120,12 +144,14 @@ def build_scenario(data: dict) -> LoadedScenario:
     generator = GENERATORS[kind]
     accepted = set(inspect.signature(generator).parameters)
 
+    run_hints = get_type_hints(ScenarioConfig)
     gen_args: dict[str, Any] = {}
     run_fields: dict[str, Any] = {}
     for field, value in scenario.items():
         if field in accepted:
             gen_args[field] = value
         elif field in RUN_FIELDS:
+            _check_type(f"scenario.{field}", value, run_hints[field])
             run_fields[field] = value
         else:
             raise ConfigError(f"scenario.{field}: unknown field")
@@ -140,10 +166,11 @@ def build_scenario(data: dict) -> LoadedScenario:
         raw = _check_section(section, data.get(section))
         if not raw:
             continue
-        names = {f.name for f in dataclasses.fields(cls)}
-        for field in raw:
-            if field not in names:
+        hints = get_type_hints(cls)
+        for field, value in raw.items():
+            if field not in hints:
                 raise ConfigError(f"{section}.{field}: unknown field")
+            _check_type(f"{section}.{field}", value, hints[field])
         try:
             replacements[section] = dataclasses.replace(
                 getattr(cfg, section), **raw

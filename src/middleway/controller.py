@@ -23,7 +23,7 @@ min(v_gr, v_des_max) because v_gr dominates the inner max.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 from typing import Optional
 
@@ -36,12 +36,6 @@ class Mode(str, Enum):
     VSL = "vsl"
     MIDDLEWAY = "middleway"
     CBF = "cbf"
-
-
-class SetpointSource(str, Enum):
-    CURRENT_SPEED = "current_speed"
-    DRIVER_SETPOINT = "driver_setpoint"
-    MIDDLEWAY = "middleway"
 
 
 @dataclass(frozen=True)
@@ -118,16 +112,14 @@ class ControllerOutput:
 def middleway(v_pr: float, v_gr: float, cfg: ControllerConfig) -> float:
     """Blend prevailing speed, posted speed, and the cap into a setpoint.
 
-    cfg.v_des_max must be set; a None cap is treated as unbounded here
-    (select_setpoint substitutes the driver setpoint before calling).
+    A None cap is unbounded here; select_setpoint then caps the blend at
+    the driver setpoint.
     """
     cap = cfg.v_des_max if cfg.v_des_max is not None else math.inf
     return min(max(v_pr - cfg.v_offset, v_gr), cap)
 
 
-def select_setpoint(
-    inputs: ControlInputs, cfg: ControllerConfig
-) -> tuple[float, SetpointSource]:
+def select_setpoint(inputs: ControlInputs, cfg: ControllerConfig) -> float:
     """Multiplex the desired speed.
 
     Disengaged tracks the current speed (no command). Engaged but outside
@@ -135,12 +127,13 @@ def select_setpoint(
     Engaged inside the corridor with a valid advisory runs the blend.
     """
     if not inputs.engaged:
-        return inputs.v, SetpointSource.CURRENT_SPEED
+        return inputs.v
     if not (inputs.in_corridor and inputs.vsl_valid):
-        return inputs.driver_setpoint, SetpointSource.DRIVER_SETPOINT
+        return inputs.driver_setpoint
+    v_des = middleway(inputs.v_pr, inputs.v_gr, cfg)
     if cfg.v_des_max is None:
-        cfg = replace(cfg, v_des_max=inputs.driver_setpoint)
-    return middleway(inputs.v_pr, inputs.v_gr, cfg), SetpointSource.MIDDLEWAY
+        return min(v_des, inputs.driver_setpoint)
+    return v_des
 
 
 def ramp(v_des: float, v_ramp_prev: float, cfg: ControllerConfig) -> float:
@@ -207,7 +200,7 @@ def step_controller(
     if not state.engaged_prev:
         state.v_ramp = inputs.v
 
-    v_des, _source = select_setpoint(inputs, cfg)
+    v_des = select_setpoint(inputs, cfg)
     v_ramp = ramp(v_des, state.v_ramp, cfg)
     u_nom = nominal(v_ramp, inputs.v, cfg)
 

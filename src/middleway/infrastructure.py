@@ -3,7 +3,7 @@
 Variable-speed gantries sit every half mile along a mile-marker corridor
 and post speeds in whole multiples of 5 mph between 30 and 70. A vehicle
 acquires the advisory of the nearest same-direction gantry once it comes
-within acquire_mi of it; the acquired reading then sticks until a new
+within acquire_mi of it; the acquisition then sticks until a new
 gantry is acquired or the vehicle leaves the corridor, which mirrors how
 a geofence lookup behaves between gantries. Advisory fetches happen on
 each new acquisition and every poll_period_s thereafter, and reach the
@@ -16,12 +16,12 @@ from __future__ import annotations
 import csv
 import math
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
 from typing import Optional, Sequence
 
-from .units import mph_to_mps, mps_to_mph, round_to_multiple
+from .units import mps_to_mph, round_to_multiple
 
 
 class Direction(str, Enum):
@@ -29,15 +29,13 @@ class Direction(str, Enum):
     WESTBOUND = "westbound"
 
 
-@dataclass
+@dataclass(frozen=True)
 class Gantry:
-    """A posted-speed gantry. posted_mph and last_update are runtime state."""
+    """A gantry's geometry; the posted speed is simulation state (World)."""
 
     gantry_id: str
     mile_marker: float
     direction: Direction
-    posted_mph: int = 70
-    last_update: float = -math.inf
 
 
 @dataclass
@@ -52,13 +50,9 @@ class CorridorMap:
         self.gantries.sort(key=lambda g: (g.mile_marker, g.gantry_id))
         if self.mm_lo >= self.mm_hi:
             raise ValueError("corridor: need mm_lo < mm_hi")
-        self._by_id = {g.gantry_id: g for g in self.gantries}
 
     def contains(self, mile_marker: float) -> bool:
         return self.mm_lo <= mile_marker <= self.mm_hi
-
-    def by_id(self, gantry_id: str) -> Gantry:
-        return self._by_id[gantry_id]
 
     @classmethod
     def build(
@@ -133,15 +127,11 @@ def infer_heading(
 
 @dataclass(frozen=True)
 class VslReading:
-    """An advisory as seen by the vehicle; invalid readings carry v_gr 0."""
+    """An advisory as fetched for the vehicle: gantry, posted speed (m/s), time."""
 
-    gantry_id: Optional[str]
+    gantry_id: str
     v_gr: float
-    valid: bool
     fetched_at: float
-
-
-INVALID_READING = VslReading(None, 0.0, False, -math.inf)
 
 
 def active_gantry(
@@ -149,32 +139,27 @@ def active_gantry(
     heading: Optional[Direction],
     corridor: CorridorMap,
     prior_id: Optional[str] = None,
-    now: float = 0.0,
     acquire_mi: float = 0.15,
-) -> VslReading:
+) -> Optional[str]:
     """Resolve which gantry's advisory applies at this position.
 
     A gantry is acquired when it is the nearest same-direction gantry and
-    lies within acquire_mi. Between acquisitions the prior gantry's
-    reading persists. Outside the corridor, or with an unknown heading,
-    the reading is invalid and any prior acquisition is forgotten by the
-    caller (see GantryTracker).
+    lies within acquire_mi. Between acquisitions the prior gantry persists.
+    Outside the corridor, or with an unknown heading, no gantry applies
+    (None) and any prior acquisition is forgotten by the caller (see
+    GantryTracker).
     """
     if heading is None or not corridor.contains(mile_marker):
-        return INVALID_READING
+        return None
     matching = [g for g in corridor.gantries if g.direction == heading]
     if not matching:
-        return INVALID_READING
+        return None
     nearest = min(
         matching, key=lambda g: (abs(g.mile_marker - mile_marker), g.gantry_id)
     )
     if abs(nearest.mile_marker - mile_marker) <= acquire_mi:
-        chosen = nearest
-    elif prior_id is not None:
-        chosen = corridor.by_id(prior_id)
-    else:
-        return INVALID_READING
-    return VslReading(chosen.gantry_id, mph_to_mps(chosen.posted_mph), True, now)
+        return nearest.gantry_id
+    return prior_id
 
 
 @dataclass
@@ -186,40 +171,21 @@ class GantryTracker:
     prior_id: Optional[str] = None
 
     def update(
-        self, mile_marker: float, heading: Optional[Direction], now: float
-    ) -> tuple[VslReading, bool]:
-        reading = active_gantry(
-            mile_marker, heading, self.corridor, self.prior_id, now, self.acquire_mi
+        self, mile_marker: float, heading: Optional[Direction]
+    ) -> tuple[Optional[str], bool]:
+        """Return the applicable gantry id (or None) and whether it is new."""
+        gantry_id = active_gantry(
+            mile_marker, heading, self.corridor, self.prior_id, self.acquire_mi
         )
-        if not reading.valid:
-            self.prior_id = None
-            return reading, False
-        newly_acquired = reading.gantry_id != self.prior_id
-        self.prior_id = reading.gantry_id
-        return reading, newly_acquired
-
-
-def poll_schedule(
-    entry_times: Sequence[float], until: float, period: float = 5.0
-) -> list[float]:
-    """Advisory fetch times: one on each bounds entry, then every period
-    seconds until the next entry resets the cadence."""
-    if period <= 0:
-        raise ValueError("period: must be positive")
-    entries = sorted(entry_times)
-    fetches: list[float] = []
-    for i, start in enumerate(entries):
-        stop = entries[i + 1] if i + 1 < len(entries) else math.inf
-        t = start
-        while t < stop and t <= until:
-            fetches.append(t)
-            t += period
-    return fetches
+        newly_acquired = gantry_id is not None and gantry_id != self.prior_id
+        self.prior_id = gantry_id
+        return gantry_id, newly_acquired
 
 
 @dataclass
 class PollTimer:
-    """Incremental form of poll_schedule for use inside the simulator."""
+    """Advisory fetch cadence: one fetch on each bounds entry, then every
+    period seconds until the next entry resets the cadence."""
 
     period: float = 5.0
     last_fetch: Optional[float] = None

@@ -72,6 +72,8 @@ RUN_LOG_COLUMNS = (
 )
 
 HUMAN_BRAKE_FLOOR = -8.0
+# Every gantry's posting before the first policy update.
+INITIAL_POSTED_MPH = 70
 
 
 class VehicleKind(str, Enum):
@@ -378,15 +380,16 @@ class World:
             if v.kind is VehicleKind.CONTROLLED
         }
         self.phantoms = [_PhantomStream(spec) for spec in cfg.phantoms]
-        self.pulses = list(cfg.pulses)
         self.collision: Optional[CollisionEvent] = None
         self.events: list[dict] = []
         self.min_h = math.inf
         self._next_vsl_update = 0.0
-        if cfg.vsl_static_mph is not None:
-            for g in cfg.corridor.gantries:
-                g.posted_mph = cfg.vsl_static_mph
-                g.last_update = 0.0
+        # Postings live here, not on the config's gantries, so running a
+        # config leaves it unchanged.
+        initial = (
+            INITIAL_POSTED_MPH if cfg.vsl_static_mph is None else cfg.vsl_static_mph
+        )
+        self.posted_mph = {g.gantry_id: initial for g in cfg.corridor.gantries}
 
     def mm_of(self, x: float) -> float:
         if self.cfg.direction is Direction.WESTBOUND:
@@ -424,23 +427,23 @@ class World:
                 seg = i - k if westbound else i + k - 1
                 if 0 <= seg < n_seg:
                     downstream.append(means[seg])
-            posted = vsl_algorithm(downstream, g.posted_mph, self.cfg.vsl)
-            if posted != g.posted_mph:
+            prev = self.posted_mph[g.gantry_id]
+            posted = vsl_algorithm(downstream, prev, self.cfg.vsl)
+            if posted != prev:
                 self.events.append(
                     {
                         "t": self.t,
                         "event": "vsl_update",
                         "gantry_id": g.gantry_id,
-                        "prev_mph": g.posted_mph,
+                        "prev_mph": prev,
                         "posted_mph": posted,
                     }
                 )
-                g.posted_mph = posted
-            g.last_update = self.t
+                self.posted_mph[g.gantry_id] = posted
 
     def _pulse_command(self, veh: VehicleState) -> Optional[float]:
         dt = self.cfg.dt
-        for pulse in self.pulses:
+        for pulse in self.cfg.pulses:
             if pulse.vehicle_id != veh.vehicle_id:
                 continue
             if pulse.t_start <= self.t < pulse.t_start + pulse.duration:
@@ -522,8 +525,8 @@ class World:
             del agent.mm_history[:128]
         heading = infer_heading(agent.mm_history)
 
-        reading, newly_acquired = agent.tracker.update(mm, heading, now)
-        if reading.valid:
+        gantry_id, newly_acquired = agent.tracker.update(mm, heading)
+        if gantry_id is not None:
             if newly_acquired:
                 agent.poll_timer.on_entry(now)
                 fetch = True
@@ -532,21 +535,16 @@ class World:
                         "t": now,
                         "event": "acquisition",
                         "vehicle_id": veh.vehicle_id,
-                        "gantry_id": reading.gantry_id,
+                        "gantry_id": gantry_id,
                     }
                 )
             else:
                 fetch = agent.poll_timer.due(now)
             if fetch:
-                gantry = cfg.corridor.by_id(reading.gantry_id)
-                agent.feed.publish(
-                    VslReading(
-                        gantry.gantry_id, mph_to_mps(gantry.posted_mph), True, now
-                    ),
-                    now,
-                )
+                v_posted = mph_to_mps(self.posted_mph[gantry_id])
+                agent.feed.publish(VslReading(gantry_id, v_posted, now), now)
         delivered = agent.feed.poll(now)
-        vsl_valid = reading.valid and delivered is not None and delivered.valid
+        vsl_valid = gantry_id is not None and delivered is not None
         v_gr = delivered.v_gr if vsl_valid else 0.0
         in_corridor = cfg.corridor.contains(mm)
 
@@ -650,11 +648,6 @@ class World:
                         }
                     )
                     return
-
-
-def seed_wave(world: World, pulse: SpeedPulse) -> None:
-    """Register a scripted deceleration pulse on a built world."""
-    world.pulses.append(pulse)
 
 
 def run(cfg: ScenarioConfig) -> RunLog:

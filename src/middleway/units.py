@@ -19,14 +19,6 @@ def mps_to_mph(mps: float) -> float:
     return mps / MPS_PER_MPH
 
 
-def miles_to_m(miles: float) -> float:
-    return miles * M_PER_MILE
-
-
-def m_to_miles(m: float) -> float:
-    return m / M_PER_MILE
-
-
 def round_to_multiple(value: float, base: float) -> float:
     """Round to the nearest multiple of ``base`` (half rounds up)."""
     if base <= 0:

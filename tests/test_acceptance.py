@@ -195,9 +195,13 @@ def test_03_canonical_mode_mix(canonical):
     for mode in ("cbf", "vsl", "middleway"):
         assert occupancy.get(mode, 0.0) > 0.05, (mode, occupancy)
     assert max(occupancy, key=occupancy.get) == "cbf", occupancy
-    assert canonical.report.min_h_m is not None
-    assert canonical.report.min_h_m >= -0.1
-    assert not canonical.report.collision
+    # The barrier margin holds across seeds, not only on seed 0.
+    reports = [canonical.report]
+    reports += [build_report(run(canonical_scenario(seed=s))) for s in (1, 2)]
+    for seed, report in enumerate(reports):
+        assert report.min_h_m is not None, seed
+        assert report.min_h_m >= -0.1, (seed, report.min_h_m)
+        assert not report.collision, seed
     _passed(
         3,
         "canonical mode mix",

@@ -62,8 +62,16 @@ class TestConfig:
             build_scenario({"scenario": {"wavelength": 4}})
 
     def test_subconfig_validation_wrapped(self):
-        with pytest.raises(ConfigError, match="controller.k_p"):
-            build_scenario({"controller": {"k_p": -1.0}})
+        bad = [
+            ("controller", "k_p", -1.0),
+            ("controller", "k_p", "abc"),
+            ("radar", "max_targets", 1.5),
+            ("controller", "v_offset", [1]),
+            ("scenario", "log_every", 1.5),
+        ]
+        for section, field, value in bad:
+            with pytest.raises(ConfigError, match=f"{section}.{field}"):
+                build_scenario({section: {field: value}})
 
     def test_generator_validation_wrapped(self):
         with pytest.raises(ConfigError, match="scenario"):
@@ -178,6 +186,15 @@ class TestCli:
         )
         assert code == 2
         assert "section.field" in capsys.readouterr().err
+
+    def test_sweep_parameter_under_scalar_exits_2(self, tmp_path, capsys):
+        code = main(
+            ["sweep", "--override", "controller.v_offset=4",
+             "--parameter", "controller.v_offset.x", "--values", "1",
+             "--out", str(tmp_path)]
+        )
+        assert code == 2
+        assert "v_offset is not a section" in capsys.readouterr().err
 
     def test_string_sweep_convergence_table(self, tmp_path):
         out = tmp_path / "sweep"

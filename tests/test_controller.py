@@ -12,7 +12,6 @@ from middleway.controller import (
     ControllerState,
     Lead,
     Mode,
-    SetpointSource,
     cbf_limit,
     classify_mode,
     middleway,
@@ -154,9 +153,8 @@ class TestSelectSetpoint:
             v_gr=13.4,
             v_pr=25.0,
         )
-        v_des, source = select_setpoint(inputs, cfg_with())
+        v_des = select_setpoint(inputs, cfg_with())
         assert v_des == 20.0
-        assert source is SetpointSource.CURRENT_SPEED
 
     def test_out_of_corridor_uses_driver_setpoint(self):
         inputs = ControlInputs(
@@ -168,9 +166,8 @@ class TestSelectSetpoint:
             v_gr=13.4,
             v_pr=25.0,
         )
-        v_des, source = select_setpoint(inputs, cfg_with())
+        v_des = select_setpoint(inputs, cfg_with())
         assert v_des == 33.5
-        assert source is SetpointSource.DRIVER_SETPOINT
 
     def test_invalid_advisory_uses_driver_setpoint(self):
         inputs = ControlInputs(
@@ -182,9 +179,8 @@ class TestSelectSetpoint:
             v_gr=0.0,
             v_pr=25.0,
         )
-        v_des, source = select_setpoint(inputs, cfg_with())
+        v_des = select_setpoint(inputs, cfg_with())
         assert v_des == 31.3
-        assert source is SetpointSource.DRIVER_SETPOINT
 
     def test_engaged_in_corridor_blends(self):
         inputs = ControlInputs(
@@ -196,9 +192,8 @@ class TestSelectSetpoint:
             v_gr=13.4,
             v_pr=25.0,
         )
-        v_des, source = select_setpoint(inputs, cfg_with(v_offset=2.0))
+        v_des = select_setpoint(inputs, cfg_with(v_offset=2.0))
         assert v_des == pytest.approx(23.0, abs=1e-12)
-        assert source is SetpointSource.MIDDLEWAY
 
     def test_driver_setpoint_caps_blend_when_no_explicit_cap(self):
         """With v_des_max unset the blend never exceeds the HUD setpoint."""
@@ -211,7 +206,7 @@ class TestSelectSetpoint:
             v_gr=13.4,
             v_pr=35.0,
         )
-        v_des, _ = select_setpoint(inputs, cfg_with(v_des_max=None))
+        v_des = select_setpoint(inputs, cfg_with(v_des_max=None))
         assert v_des == 24.0
 
 

@@ -19,10 +19,25 @@ from middleway.infrastructure import (
     VslReading,
     active_gantry,
     infer_heading,
-    poll_schedule,
     vsl_algorithm,
 )
 from middleway.units import mph_to_mps
+
+
+def poll_schedule(
+    entry_times: list[float], until: float, period: float = 5.0
+) -> list[float]:
+    """Reference fetch times for PollTimer: one on each bounds entry, then
+    every period seconds until the next entry resets the cadence."""
+    entries = sorted(entry_times)
+    fetches: list[float] = []
+    for i, start in enumerate(entries):
+        stop = entries[i + 1] if i + 1 < len(entries) else math.inf
+        t = start
+        while t < stop and t <= until:
+            fetches.append(t)
+            t += period
+    return fetches
 
 
 @pytest.fixture
@@ -56,52 +71,39 @@ class TestCorridorMap:
 
 class TestActiveGantry:
     def test_acquires_within_bound(self, corridor):
-        corridor.by_id("wb_060.00").posted_mph = 45
-        reading = active_gantry(59.95, Direction.WESTBOUND, corridor, now=12.0)
-        assert reading.valid
-        assert reading.gantry_id == "wb_060.00"
-        assert reading.v_gr == pytest.approx(mph_to_mps(45))
-        assert reading.fetched_at == 12.0
+        assert active_gantry(59.95, Direction.WESTBOUND, corridor) == "wb_060.00"
 
     def test_no_acquisition_without_prior_is_invalid(self, corridor):
-        reading = active_gantry(60.30, Direction.WESTBOUND, corridor)
-        assert not reading.valid
-        assert reading.v_gr == 0.0
+        assert active_gantry(60.30, Direction.WESTBOUND, corridor) is None
 
     def test_prior_acquisition_persists_between_gantries(self, corridor):
-        reading = active_gantry(
+        gantry_id = active_gantry(
             59.80, Direction.WESTBOUND, corridor, prior_id="wb_060.00"
         )
-        assert reading.valid
-        assert reading.gantry_id == "wb_060.00"
+        assert gantry_id == "wb_060.00"
 
     def test_outside_corridor_is_invalid_even_with_prior(self, corridor):
-        reading = active_gantry(
+        gantry_id = active_gantry(
             52.0, Direction.WESTBOUND, corridor, prior_id="wb_053.00"
         )
-        assert not reading.valid
+        assert gantry_id is None
 
     def test_wrong_direction_gantries_ignored(self):
         gantries = [Gantry("eb_060.00", 60.0, Direction.EASTBOUND)]
         corridor = CorridorMap(gantries, 53.0, 70.0)
-        reading = active_gantry(60.0, Direction.WESTBOUND, corridor)
-        assert not reading.valid
+        assert active_gantry(60.0, Direction.WESTBOUND, corridor) is None
 
     def test_unknown_heading_is_invalid(self, corridor):
-        assert not active_gantry(60.0, None, corridor).valid
+        assert active_gantry(60.0, None, corridor) is None
 
 
 class TestGantryTracker:
     def test_acquisition_hold_and_reset(self, corridor):
         tracker = GantryTracker(corridor)
-        reading, new = tracker.update(60.05, Direction.WESTBOUND, 0.0)
-        assert reading.gantry_id == "wb_060.00" and new
-        reading, new = tracker.update(59.80, Direction.WESTBOUND, 1.0)
-        assert reading.gantry_id == "wb_060.00" and not new
-        reading, new = tracker.update(59.60, Direction.WESTBOUND, 2.0)
-        assert reading.gantry_id == "wb_059.50" and new
-        reading, new = tracker.update(52.5, Direction.WESTBOUND, 3.0)
-        assert not reading.valid
+        assert tracker.update(60.05, Direction.WESTBOUND) == ("wb_060.00", True)
+        assert tracker.update(59.80, Direction.WESTBOUND) == ("wb_060.00", False)
+        assert tracker.update(59.60, Direction.WESTBOUND) == ("wb_059.50", True)
+        assert tracker.update(52.5, Direction.WESTBOUND) == (None, False)
         assert tracker.prior_id is None
 
 
@@ -177,7 +179,7 @@ class TestVslAlgorithm:
 class TestFeedClient:
     def test_latency_delays_delivery(self):
         feed = FeedClient(FeedConfig(latency_s=60.0))
-        reading = VslReading("g", mph_to_mps(50), True, 100.0)
+        reading = VslReading("g", mph_to_mps(50), 100.0)
         feed.publish(reading, now=100.0)
         assert feed.poll(159.95) is None
         delivered = feed.poll(160.0)
@@ -185,18 +187,18 @@ class TestFeedClient:
 
     def test_total_dropout_goes_stale_after_bound(self):
         feed = FeedClient(FeedConfig(dropout=0.0, staleness_s=60.0))
-        good = VslReading("g", 20.0, True, 0.0)
+        good = VslReading("g", 20.0, 0.0)
         feed.publish(good, now=0.0)
         assert feed.poll(0.0) == good
         blackout = FeedConfig(dropout=1.0, staleness_s=60.0)
         feed.cfg = blackout
         for t in range(1, 91, 5):
-            feed.publish(VslReading("g", 20.0, True, float(t)), now=float(t))
+            feed.publish(VslReading("g", 20.0, float(t)), now=float(t))
         assert feed.poll(60.0) == good
         assert feed.poll(60.1) is None
 
     def test_dropout_is_seeded(self):
-        readings = [VslReading("g", 20.0, True, float(t)) for t in range(40)]
+        readings = [VslReading("g", 20.0, float(t)) for t in range(40)]
 
         def run(seed):
             feed = FeedClient(FeedConfig(dropout=0.5), random.Random(seed))

@@ -1,5 +1,6 @@
 """Engine tests: car-following model, integration, waves, logs, determinism."""
 
+import copy
 import math
 
 import pytest
@@ -20,6 +21,7 @@ from middleway.simulation import (
     run,
     write_run_log,
 )
+from middleway.units import mph_to_mps
 
 
 def probe(vid, x0, v0, profile=None):
@@ -256,6 +258,30 @@ class TestDeterminism:
         write_run_log(run(canonical_scenario(seed=0, duration_s=30.0)), a)
         write_run_log(run(canonical_scenario(seed=1, duration_s=30.0)), b)
         assert a.read_bytes() != b.read_bytes()
+
+
+class TestRunPurity:
+    def test_same_config_twice_same_log_and_config_unchanged(self):
+        cfg = canonical_scenario(duration_s=200.0)
+        before = copy.deepcopy(cfg)
+        first = run(cfg)
+        second = run(cfg)
+        assert first.rows == second.rows
+        assert first.events == second.events
+        assert cfg == before
+
+    def test_static_posting_reaches_logged_v_gr(self):
+        cfg = ScenarioConfig(
+            duration_s=5.0,
+            vsl_static_mph=45,
+            vehicles=[VehicleInit("c0", VehicleKind.CONTROLLED, 0.0, 30.0)],
+        )
+        world = World(cfg)
+        log = RunLog(dt=cfg.dt, seed=cfg.seed)
+        for _ in range(100):
+            world.step(log)
+        v_gr = [row[8] for row in log.rows if row[8] is not None]
+        assert v_gr and set(v_gr) == {mph_to_mps(45)}
 
 
 class TestTimestepRefinement:
