@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import dataclasses
 import inspect
+import math
 from pathlib import Path
 from typing import (
     Any,
@@ -118,7 +119,8 @@ def _check_section(name: str, raw: Any) -> dict:
 
 
 def _check_type(name: str, value: Any, hint: Any) -> None:
-    """Reject a value that does not fit its field's annotated type."""
+    """Reject a value that does not fit its field's annotated type, and any
+    non-finite float."""
     if get_origin(hint) is Union:
         members = get_args(hint)
         if value is None and type(None) in members:
@@ -128,6 +130,8 @@ def _check_type(name: str, value: Any, hint: Any) -> None:
     # bool is an int subclass, so it fits only a bool field.
     if isinstance(value, bool) != (hint is bool) or not isinstance(value, accepted):
         raise ConfigError(f"{name}: expected {hint.__name__}, got {value!r}")
+    if isinstance(value, float) and not math.isfinite(value):
+        raise ConfigError(f"{name}: must be finite, got {value!r}")
 
 
 def build_scenario(data: dict) -> LoadedScenario:
@@ -139,16 +143,18 @@ def build_scenario(data: dict) -> LoadedScenario:
 
     scenario = dict(_check_section("scenario", data.get("scenario")))
     kind = scenario.pop("kind", "canonical")
-    if kind not in GENERATORS:
-        raise ConfigError(f"scenario.kind: unknown kind '{kind}'")
+    if not isinstance(kind, str) or kind not in GENERATORS:
+        raise ConfigError(f"scenario.kind: unknown kind {kind!r}")
     generator = GENERATORS[kind]
     accepted = set(inspect.signature(generator).parameters)
+    gen_hints = get_type_hints(generator)
 
     run_hints = get_type_hints(ScenarioConfig)
     gen_args: dict[str, Any] = {}
     run_fields: dict[str, Any] = {}
     for field, value in scenario.items():
         if field in accepted:
+            _check_type(f"scenario.{field}", value, gen_hints[field])
             gen_args[field] = value
         elif field in RUN_FIELDS:
             _check_type(f"scenario.{field}", value, run_hints[field])

@@ -13,10 +13,12 @@ staleness bound after which the held reading is no longer trusted.
 
 from __future__ import annotations
 
+import bisect
 import csv
 import math
 import random
 from dataclasses import dataclass
+from functools import cached_property
 from enum import Enum
 from pathlib import Path
 from typing import Optional, Sequence
@@ -53,6 +55,39 @@ class CorridorMap:
 
     def contains(self, mile_marker: float) -> bool:
         return self.mm_lo <= mile_marker <= self.mm_hi
+
+    @cached_property
+    def _by_direction(self) -> dict[Direction, tuple[list[float], list[Gantry]]]:
+        """Per direction: its mile markers and its gantries, both sorted by
+        mile marker as self.gantries is.
+
+        Built on first use, so the gantry list must not change after that.
+        """
+        index = {}
+        for heading in Direction:
+            matching = [g for g in self.gantries if g.direction == heading]
+            index[heading] = ([g.mile_marker for g in matching], matching)
+        return index
+
+    def nearest(self, mile_marker: float, heading: Direction) -> Optional[Gantry]:
+        """The heading's gantry minimising (distance, gantry_id), or None.
+
+        Distances only grow moving away from mile_marker on either side, so
+        every gantry tied for the smallest distance (duplicate markers, or
+        equal rounded distances) sits in one run around the bisect point.
+        """
+        mms, gantries = self._by_direction[heading]
+        if not gantries:
+            return None
+        i = bisect.bisect_left(mms, mile_marker)
+        best = min(abs(mms[j] - mile_marker) for j in (i - 1, i) if 0 <= j < len(mms))
+        lo = i
+        while lo > 0 and abs(mms[lo - 1] - mile_marker) == best:
+            lo -= 1
+        hi = i
+        while hi < len(mms) and abs(mms[hi] - mile_marker) == best:
+            hi += 1
+        return min(gantries[lo:hi], key=lambda g: g.gantry_id)
 
     @classmethod
     def build(
@@ -151,12 +186,9 @@ def active_gantry(
     """
     if heading is None or not corridor.contains(mile_marker):
         return None
-    matching = [g for g in corridor.gantries if g.direction == heading]
-    if not matching:
+    nearest = corridor.nearest(mile_marker, heading)
+    if nearest is None:
         return None
-    nearest = min(
-        matching, key=lambda g: (abs(g.mile_marker - mile_marker), g.gantry_id)
-    )
     if abs(nearest.mile_marker - mile_marker) <= acquire_mi:
         return nearest.gantry_id
     return prior_id
@@ -221,6 +253,8 @@ class VslConfig:
             raise ValueError("update_period_s: must be at least 30 s")
         if self.min_mph >= self.max_mph:
             raise ValueError("min_mph/max_mph: need min < max")
+        if self.round_mph < 1:
+            raise ValueError("round_mph: must be at least 1")
         if self.lookahead_segments < 1:
             raise ValueError("lookahead_segments: must be at least 1")
 

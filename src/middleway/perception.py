@@ -14,6 +14,7 @@ from __future__ import annotations
 import random
 from collections import deque
 from dataclasses import dataclass, field
+from operator import itemgetter
 from typing import Iterable, NamedTuple, Optional
 
 from .controller import Lead
@@ -107,6 +108,9 @@ def lead_vehicle(frame: RadarFrame, v_ego: float) -> Optional[Lead]:
     return None
 
 
+_SPEED = itemgetter(1)
+
+
 @dataclass(frozen=True)
 class EstimatorConfig:
     window_s: float = 5.0
@@ -144,4 +148,6 @@ class PrevailingSpeedEstimator:
             self.samples.popleft()
         if len(self.samples) < self.cfg.min_count:
             return 0.0
-        return sum(speed for _, speed in self.samples) / len(self.samples)
+        # Summed in window order, as a generator would; a running sum would
+        # round differently and change the logged v_pr.
+        return sum(map(_SPEED, self.samples)) / len(self.samples)

@@ -70,6 +70,8 @@ def canonical_scenario(
     phantom_mirror_bias_mps: float = 2.0,
     bottleneck_cap_mps: float = 2.5,
 ) -> ScenarioConfig:
+    if phantom_period_s <= 0:
+        raise ValueError("phantom_period_s: must be positive")
     rng = random.Random(seed)
     vehicles: list[VehicleInit] = []
     x = platoon_x0

@@ -362,6 +362,12 @@ class World:
             for v in cfg.vehicles
         ]
         self._init_by_id = {v.vehicle_id: v for v in cfg.vehicles}
+        # Log-row kind strings, in self.vehicles order.
+        self._kind_names = [v.kind.value for v in self.vehicles]
+        self._humans = [v for v in self.vehicles if v.kind is VehicleKind.HUMAN]
+        self._pulses: dict[str, list[SpeedPulse]] = {}
+        for pulse in cfg.pulses:
+            self._pulses.setdefault(pulse.vehicle_id, []).append(pulse)
         self.lanes: dict[int, list[VehicleState]] = {}
         for veh in self.vehicles:
             self.lanes.setdefault(veh.lane, []).append(veh)
@@ -395,9 +401,6 @@ class World:
         if self.cfg.direction is Direction.WESTBOUND:
             return self.cfg.entry_mm - x / M_PER_MILE
         return self.cfg.entry_mm + x / M_PER_MILE
-
-    def lead_of(self, veh: VehicleState) -> Optional[VehicleState]:
-        return self._lead_map[veh.vehicle_id]
 
     def _segment_means(self) -> dict[int, Optional[float]]:
         """Mean vehicle speed per inter-gantry segment, by lower-mm index."""
@@ -441,41 +444,6 @@ class World:
                 )
                 self.posted_mph[g.gantry_id] = posted
 
-    def _pulse_command(self, veh: VehicleState) -> Optional[float]:
-        dt = self.cfg.dt
-        for pulse in self.cfg.pulses:
-            if pulse.vehicle_id != veh.vehicle_id:
-                continue
-            if pulse.t_start <= self.t < pulse.t_start + pulse.duration:
-                v_next = max(pulse.target_speed, veh.velocity - pulse.decel * dt)
-                return (v_next - veh.velocity) / dt
-        return None
-
-    def _bottleneck_command(self, veh: VehicleState) -> Optional[float]:
-        dt = self.cfg.dt
-        for bn in self.cfg.bottlenecks:
-            if not (bn.t_start <= self.t < bn.t_end):
-                continue
-            if bn.x_start <= veh.position <= bn.x_end:
-                v_next = max(bn.speed_cap, veh.velocity - bn.decel * dt)
-                return (v_next - veh.velocity) / dt
-        return None
-
-    def _human_accel(self, veh: VehicleState) -> float:
-        lead = self.lead_of(veh)
-        if lead is None:
-            u = idm_accel(veh.velocity, None, None, self.cfg.human)
-        else:
-            gap = lead.position - veh.position
-            u = idm_accel(veh.velocity, gap, lead.velocity, self.cfg.human)
-        pulse_u = self._pulse_command(veh)
-        if pulse_u is not None:
-            u = min(u, pulse_u)
-        bn_u = self._bottleneck_command(veh)
-        if bn_u is not None:
-            u = min(u, bn_u)
-        return min(max(u, HUMAN_BRAKE_FLOOR), self.cfg.human.a)
-
     def _probe_accel(self, veh: VehicleState) -> float:
         init = self._init_by_id[veh.vehicle_id]
         if init.profile is None:
@@ -497,7 +465,9 @@ class World:
             out.extend(stream.targets_between(x_lo, x_hi))
         return out
 
-    def _controlled_accel(self, veh: VehicleState) -> tuple[float, dict]:
+    def _controlled_accel(self, veh: VehicleState) -> tuple[float, tuple]:
+        """Run the vehicle's control stack; returns u and its log fields
+        (mode, v_des, v_gr, v_pr)."""
         agent = self.agents[veh.vehicle_id]
         cfg = self.cfg
         now = self.t
@@ -565,32 +535,54 @@ class World:
             if h < self.min_h:
                 self.min_h = h
 
-        log_fields = {
-            "mode": out.mode.value,
-            "v_des": out.v_des,
-            "v_gr": v_gr if vsl_valid else None,
-            "v_pr": v_pr,
-        }
-        return out.u, log_fields
+        return out.u, (out.mode.value, out.v_des, v_gr if vsl_valid else None, v_pr)
 
     def step(self, log: Optional[RunLog] = None) -> None:
         """Advance one dt; optionally append this step's rows to log."""
         if self.collision is not None:
             return
         cfg = self.cfg
-        if cfg.vsl_static_mph is None and self.t >= self._next_vsl_update:
+        t = self.t
+        dt = cfg.dt
+        if cfg.vsl_static_mph is None and t >= self._next_vsl_update:
             self._update_vsl()
             self._next_vsl_update += cfg.vsl.update_period_s
 
-        mainline = [v.velocity for v in self.vehicles if v.kind is VehicleKind.HUMAN]
+        mainline = [v.velocity for v in self._humans]
         mainline_mean = sum(mainline) / len(mainline) if mainline else None
         for stream in self.phantoms:
-            stream.update_speed(self.t, mainline_mean)
+            stream.update_speed(t, mainline_mean)
 
-        commands: list[tuple[VehicleState, float, Optional[dict]]] = []
+        human = cfg.human
+        lead_of = self._lead_map
+        pulses_of = self._pulses
+        bottlenecks = [bn for bn in cfg.bottlenecks if bn.t_start <= t < bn.t_end]
+        commands: list[tuple[VehicleState, float, Optional[tuple]]] = []
         for veh in self.vehicles:
             if veh.kind is VehicleKind.HUMAN:
-                commands.append((veh, self._human_accel(veh), None))
+                # IDM, capped by the vehicle's first live pulse and by the
+                # first active bottleneck whose zone holds it.
+                v = veh.velocity
+                lead = lead_of[veh.vehicle_id]
+                if lead is None:
+                    u = idm_accel(v, None, None, human)
+                else:
+                    u = idm_accel(v, lead.position - veh.position, lead.velocity, human)
+                for pulse in pulses_of.get(veh.vehicle_id, ()):
+                    if pulse.t_start <= t < pulse.t_start + pulse.duration:
+                        v_next = max(pulse.target_speed, v - pulse.decel * dt)
+                        u = min(u, (v_next - v) / dt)
+                        break
+                for bn in bottlenecks:
+                    if bn.x_start <= veh.position <= bn.x_end:
+                        v_next = max(bn.speed_cap, v - bn.decel * dt)
+                        u = min(u, (v_next - v) / dt)
+                        break
+                if u < HUMAN_BRAKE_FLOOR:
+                    u = HUMAN_BRAKE_FLOOR
+                elif u > human.a:
+                    u = human.a
+                commands.append((veh, u, None))
             elif veh.kind is VehicleKind.PROBE:
                 commands.append((veh, self._probe_accel(veh), None))
             else:
@@ -598,34 +590,26 @@ class World:
                 commands.append((veh, u, fields))
 
         if log is not None and self.step_index % cfg.log_every == 0:
-            for veh, u, fields in commands:
+            append = log.rows.append
+            mm_of = self.mm_of
+            for (veh, u, fields), kind in zip(commands, self._kind_names):
+                x = veh.position
                 if fields is None:
                     mode = v_des = v_gr = v_pr = None
                 else:
-                    mode = fields["mode"]
-                    v_des = fields["v_des"]
-                    v_gr = fields["v_gr"]
-                    v_pr = fields["v_pr"]
-                log.rows.append(
-                    (
-                        self.t,
-                        veh.vehicle_id,
-                        veh.kind.value,
-                        veh.position,
-                        self.mm_of(veh.position),
-                        veh.velocity,
-                        mode,
-                        v_des,
-                        v_gr,
-                        v_pr,
-                        u,
-                    )
+                    mode, v_des, v_gr, v_pr = fields
+                append(
+                    (t, veh.vehicle_id, kind, x, mm_of(x), veh.velocity,
+                     mode, v_des, v_gr, v_pr, u)
                 )
 
-        dt = cfg.dt
         for veh, u, _ in commands:
-            veh.velocity = max(0.0, veh.velocity + u * dt)
-            veh.position += veh.velocity * dt
+            # As max(0.0, v), which also maps -0.0 and NaN to 0.0.
+            v = veh.velocity + u * dt
+            if not v > 0.0:
+                v = 0.0
+            veh.velocity = v
+            veh.position += v * dt
         for stream in self.phantoms:
             stream.advance(dt)
 
@@ -698,32 +682,48 @@ def config_echo(cfg: ScenarioConfig) -> dict:
     return echo
 
 
-def _fmt(value, precision: int = 6) -> str:
-    if value is None:
-        return ""
-    return f"{value:.{precision}f}"
+class _CsvCells(dict):
+    """Text cells as csv.writer writes them: None is empty, and a value with
+    a comma, quote or line break is quoted. Each distinct value is
+    formatted once."""
+
+    def __missing__(self, value: Optional[str]) -> str:
+        if value is None:
+            cell = ""
+        elif any(c in value for c in ',"\r\n'):
+            cell = '"' + value.replace('"', '""') + '"'
+        else:
+            cell = value
+        self[value] = cell
+        return cell
+
+
+def _run_log_lines(rows: Sequence[tuple]):
+    """One CSV line per row, ending in CRLF as csv.writer's lines do. t,
+    position, mile marker, velocity and u must be numbers; the four
+    controller fields may each be None."""
+    cells = _CsvCells()
+    for t, vid, kind, x, mm, v, mode, v_des, v_gr, v_pr, u in rows:
+        if mode is None and v_des is None and v_gr is None and v_pr is None:
+            yield (
+                f"{t:.3f},{cells[vid]},{cells[kind]},{x:.6f},{mm:.6f},{v:.6f},"
+                f",,,,{u:.6f}\r\n"
+            )
+        else:
+            v_des_cell = "" if v_des is None else f"{v_des:.6f}"
+            v_gr_cell = "" if v_gr is None else f"{v_gr:.6f}"
+            v_pr_cell = "" if v_pr is None else f"{v_pr:.6f}"
+            yield (
+                f"{t:.3f},{cells[vid]},{cells[kind]},{x:.6f},{mm:.6f},{v:.6f},"
+                f"{cells[mode]},{v_des_cell},{v_gr_cell},{v_pr_cell},{u:.6f}\r\n"
+            )
 
 
 def write_run_log(log: RunLog, path: str | Path) -> None:
+    """Write the rows as CSV, streamed line by line (never one big string)."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(RUN_LOG_COLUMNS)
-        for t, vid, kind, x, mm, v, mode, v_des, v_gr, v_pr, u in log.rows:
-            writer.writerow(
-                (
-                    f"{t:.3f}",
-                    vid,
-                    kind,
-                    _fmt(x),
-                    _fmt(mm),
-                    _fmt(v),
-                    "" if mode is None else mode,
-                    _fmt(v_des),
-                    _fmt(v_gr),
-                    _fmt(v_pr),
-                    _fmt(u),
-                )
-            )
+        fh.write(",".join(RUN_LOG_COLUMNS) + "\r\n")
+        fh.writelines(_run_log_lines(log.rows))
 
 
 def read_run_log(path: str | Path) -> RunLog:
@@ -777,16 +777,18 @@ def build_report(log: RunLog, duration_s: Optional[float] = None) -> RunReport:
     transitions: dict[str, int] = {}
     last_mode: dict[str, str] = {}
     t_max = 0.0
+    controlled = VehicleKind.CONTROLLED.value
+    disengaged = Mode.DISENGAGED.value
     for row in log.rows:
         t, vid, kind, mode = row[0], row[1], row[2], row[6]
         t_max = max(t_max, t)
-        if kind != VehicleKind.CONTROLLED.value or mode is None:
+        if kind != controlled or mode is None:
             continue
         prev = last_mode.get(vid)
         if mode != prev:
             transitions[mode] = transitions.get(mode, 0) + 1
             last_mode[vid] = mode
-        if mode == Mode.DISENGAGED.value:
+        if mode == disengaged:
             continue
         engaged_rows += 1
         occupancy[mode] = occupancy.get(mode, 0) + 1

@@ -1,16 +1,27 @@
 """Config mapping and command-line harness tests."""
 
 import csv
+import inspect
 import json
+import math
+import tempfile
+from typing import get_type_hints
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from middleway.cli import main
 from middleway.config import (
+    GENERATORS,
+    RUN_FIELDS,
+    SECTION_TYPES,
     ConfigError,
+    LoadedScenario,
     apply_override,
     build_scenario,
     load_config,
+    set_dotted,
 )
 from middleway.scenarios import canonical_scenario
 from middleway.simulation import read_run_log, run, write_run_log
@@ -68,6 +79,9 @@ class TestConfig:
             ("radar", "max_targets", 1.5),
             ("controller", "v_offset", [1]),
             ("scenario", "log_every", 1.5),
+            ("scenario", "duration_s", math.nan),
+            ("controller", "k_p", math.inf),
+            ("vsl", "round_mph", 0),
         ]
         for section, field, value in bad:
             with pytest.raises(ConfigError, match=f"{section}.{field}"):
@@ -76,6 +90,8 @@ class TestConfig:
     def test_generator_validation_wrapped(self):
         with pytest.raises(ConfigError, match="scenario"):
             build_scenario({"scenario": {"kind": "string", "gap0_m": 100.0}})
+        with pytest.raises(ConfigError, match="phantom_period_s"):
+            build_scenario({"scenario": {"phantom_period_s": 0.0}})
 
     def test_override_parses_yaml_values(self):
         data = {}
@@ -262,3 +278,67 @@ class TestCli:
         )
         assert code == 2
         assert "g.csv" in capsys.readouterr().err
+
+
+# Every known dotted key, plus a few unknown or malformed ones.
+OVERRIDE_KEYS = sorted(
+    {f"{section}.{name}" for section, cls in SECTION_TYPES.items()
+     for name in get_type_hints(cls)}
+    | {f"scenario.{name}" for gen in GENERATORS.values()
+       for name in inspect.signature(gen).parameters}
+    | {f"scenario.{name}" for name in RUN_FIELDS}
+    | {"scenario.kind", "scenario.bogus", "bogus.field", "scenario", "radar"}
+)
+# Sizes stay small (counts up to 60, durations up to 90 s at steps of at
+# least 0.01 s), so every accepted config is cheap to build and to run.
+OVERRIDE_VALUES = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(-3, 60),
+    st.sampled_from(
+        [0.0, -0.0, -1.0, 0.01, 0.05, 0.5, 2.5, 30.0, 90.0,
+         math.nan, math.inf, -math.inf]
+    ),
+    st.sampled_from(["canonical", "string", "abc", ""]),
+    st.lists(st.integers(0, 3), max_size=2),
+    st.dictionaries(st.sampled_from(["a", "k_p"]), st.integers(0, 3), max_size=2),
+)
+OVERRIDE_TEXT = [
+    "0", "-1", "0.01", "2.5", "30", ".nan", ".inf", "-.inf", "true", "null",
+    "abc", "string", "[1]", "{a: 1}", "",
+]
+
+
+class TestOverrideFuzz:
+    """Any override mapping builds a scenario or raises ConfigError, and the
+    CLI exits 0, 1 or 2: never a traceback."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.dictionaries(st.sampled_from(OVERRIDE_KEYS), OVERRIDE_VALUES, max_size=4))
+    def test_build_scenario(self, overrides):
+        data: dict = {}
+        try:
+            for key, value in overrides.items():
+                set_dotted(data, key, value)
+            loaded = build_scenario(data)
+        except ConfigError:
+            return
+        assert isinstance(loaded, LoadedScenario)
+
+    @settings(
+        max_examples=12,
+        deadline=None,
+        suppress_health_check=[HealthCheck.too_slow],
+    )
+    @given(
+        key=st.sampled_from(OVERRIDE_KEYS),
+        text=st.sampled_from(OVERRIDE_TEXT),
+        duration=st.sampled_from(["0", "0.5", "2"]),
+    )
+    def test_cli_run(self, key, text, duration):
+        with tempfile.TemporaryDirectory() as out:
+            code = main(
+                ["run", "--out", out, "--override", f"{key}={text}",
+                 "--override", f"scenario.duration_s={duration}"]
+            )
+        assert code in (0, 1, 2)

@@ -40,9 +40,51 @@ def poll_schedule(
     return fetches
 
 
+def active_gantry_scan(mile_marker, heading, corridor, prior_id=None, acquire_mi=0.15):
+    """Reference for active_gantry: a linear scan over every gantry."""
+    if heading is None or not corridor.contains(mile_marker):
+        return None
+    matching = [g for g in corridor.gantries if g.direction == heading]
+    if not matching:
+        return None
+    nearest = min(
+        matching, key=lambda g: (abs(g.mile_marker - mile_marker), g.gantry_id)
+    )
+    if abs(nearest.mile_marker - mile_marker) <= acquire_mi:
+        return nearest.gantry_id
+    return prior_id
+
+
 @pytest.fixture
 def corridor():
     return CorridorMap.build(mm_lo=53.0, mm_hi=70.0, spacing_mi=0.5)
+
+
+# Both headings, shared and duplicate mile markers, ids out of marker order.
+MIXED_CORRIDOR_CSV = """gantry_id,mile_marker,direction
+wb_b,60.0,westbound
+wb_a,60.0,westbound
+eb_60,60.0,eastbound
+wb_60_3,60.3,westbound
+eb_60_2,60.2,eastbound
+eb_60_2x,60.2,eastbound
+wb_z,60.5,westbound
+wb_y,61.1,westbound
+eb_61,61.0,eastbound
+eb_62,62.0,eastbound
+"""
+
+
+@pytest.fixture(scope="module")
+def mixed_corridor(tmp_path_factory):
+    path = tmp_path_factory.mktemp("corridor") / "mixed.csv"
+    path.write_text(MIXED_CORRIDOR_CSV, encoding="utf-8")
+    return CorridorMap.load(path)
+
+
+def _midpoints(corridor):
+    mms = sorted({g.mile_marker for g in corridor.gantries})
+    return [(a + b) / 2.0 for a, b in zip(mms, mms[1:])] + mms
 
 
 class TestCorridorMap:
@@ -95,6 +137,59 @@ class TestActiveGantry:
 
     def test_unknown_heading_is_invalid(self, corridor):
         assert active_gantry(60.0, None, corridor) is None
+
+
+class TestActiveGantryMatchesScan:
+    """Bisect lookup against the linear scan, ties and duplicates included."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        data=st.data(),
+        heading=st.sampled_from([Direction.WESTBOUND, Direction.EASTBOUND, None]),
+        prior_id=st.sampled_from([None, "wb_a", "eb_61"]),
+        acquire_mi=st.sampled_from([0.0, 0.1, 0.15, 0.25, 1.0]),
+    )
+    def test_mixed_corridor(self, mixed_corridor, data, heading, prior_id, acquire_mi):
+        mm = data.draw(
+            st.one_of(
+                st.sampled_from(_midpoints(mixed_corridor)),
+                st.floats(59.5, 62.5, allow_nan=False),
+            )
+        )
+        assert active_gantry(
+            mm, heading, mixed_corridor, prior_id, acquire_mi
+        ) == active_gantry_scan(mm, heading, mixed_corridor, prior_id, acquire_mi)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        markers=st.lists(
+            st.tuples(
+                st.one_of(
+                    st.sampled_from([0.0, 0.5, 1.0, 1e-300, 5e-324, 1e16]),
+                    st.floats(-10.0, 10.0, allow_nan=False),
+                ),
+                st.sampled_from(list(Direction)),
+                st.text("abc", min_size=1, max_size=3),
+            ),
+            min_size=1,
+            max_size=12,
+            unique_by=lambda m: m[2],
+        ),
+        data=st.data(),
+        heading=st.sampled_from(list(Direction)),
+    )
+    def test_generated_corridor(self, markers, data, heading):
+        gantries = [Gantry(gid, mm, d) for mm, d, gid in markers]
+        corridor = CorridorMap(gantries, -20.0, 2e16)
+        mm = data.draw(
+            st.one_of(
+                st.sampled_from(_midpoints(corridor)),
+                st.floats(corridor.mm_lo, corridor.mm_hi, allow_nan=False),
+            )
+        )
+        assert active_gantry(mm, heading, corridor, None, 1e300) == active_gantry_scan(
+            mm, heading, corridor, None, 1e300
+        )
 
 
 class TestGantryTracker:

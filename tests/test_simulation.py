@@ -1,12 +1,15 @@
 """Engine tests: car-following model, integration, waves, logs, determinism."""
 
 import copy
+import csv
+import hashlib
 import math
 
 import pytest
 
-from middleway.scenarios import canonical_scenario
+from middleway.scenarios import canonical_scenario, string_scenario
 from middleway.simulation import (
+    RUN_LOG_COLUMNS,
     IdmParams,
     RunLog,
     ScenarioConfig,
@@ -22,6 +25,35 @@ from middleway.simulation import (
     write_run_log,
 )
 from middleway.units import mph_to_mps
+
+
+def _fmt(value, precision: int = 6) -> str:
+    if value is None:
+        return ""
+    return f"{value:.{precision}f}"
+
+
+def write_run_log_csv(log, path) -> None:
+    """Reference run-log writer: csv.writer with one formatted cell per field."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(RUN_LOG_COLUMNS)
+        for t, vid, kind, x, mm, v, mode, v_des, v_gr, v_pr, u in log.rows:
+            writer.writerow(
+                (
+                    f"{t:.3f}",
+                    vid,
+                    kind,
+                    _fmt(x),
+                    _fmt(mm),
+                    _fmt(v),
+                    "" if mode is None else mode,
+                    _fmt(v_des),
+                    _fmt(v_gr),
+                    _fmt(v_pr),
+                    _fmt(u),
+                )
+            )
 
 
 def probe(vid, x0, v0, profile=None):
@@ -244,6 +276,68 @@ class TestRunLogSerialization:
                 assert cells[6] != ""
                 saw_controlled = True
         assert saw_human and saw_controlled
+
+
+class TestRunLogWriterOracle:
+    """write_run_log writes the bytes the csv.writer reference writes."""
+
+    @staticmethod
+    def assert_same_bytes(log, tmp_path):
+        fast, ref = tmp_path / "fast.csv", tmp_path / "ref.csv"
+        write_run_log(log, fast)
+        write_run_log_csv(log, ref)
+        assert fast.read_bytes() == ref.read_bytes()
+        return fast
+
+    def test_canonical_run(self, tmp_path):
+        self.assert_same_bytes(run(canonical_scenario(duration_s=30.0)), tmp_path)
+
+    def test_hand_built_rows(self, tmp_path):
+        log = RunLog(dt=0.05, seed=0)
+        log.rows = [
+            (0.0, "h000", "human", 12.5, 69.992233, 15.25, None, None, None, None, -0.0),
+            (0.05, "cav", "controlled", -3.0, 70.001864, 0.0,
+             "vsl", 13.411200, None, 0.0, -2.75),
+            (0.1, "cav", "controlled", 1.0, 69.999379, 16.5,
+             "cbf", 13.4112, 13.4112, 18.0, -3.0),
+        ]
+        path = self.assert_same_bytes(log, tmp_path)
+        assert read_run_log(path).rows == log.rows
+
+    def test_ids_needing_quotes(self, tmp_path):
+        log = RunLog(dt=0.05, seed=0)
+        log.rows = [
+            (0.0, 'truck,"big"', "human", 1.0, 70.0, 2.0, None, None, None, None, 0.5),
+            (0.0, 'say "hi"', "human", 1.5, 70.0, 2.0, None, None, None, None, 0.5),
+            (0.0, "plain", "controlled", 3.0, 70.0, 2.0, "normal", 2.0, None, 0.0, 0.25),
+            (0.05, 'truck,"big"', "human", 1.1, 70.0, 2.0, None, None, None, None, 0.5),
+        ]
+        path = self.assert_same_bytes(log, tmp_path)
+        assert read_run_log(path).rows == log.rows
+
+
+# sha256 of run_log.csv, recorded with the csv.writer writer before the
+# streamed writer replaced it. The simulation sums float windows with the
+# builtin sum, whose rounding Python 3.12 changed, so these hold on 3.10
+# and 3.11.
+GOLDEN_SHA256 = {
+    "canonical_seed0_30s": "e9fe906e5e60714e3f4f82369368f5888fb67e86eb8a65fde83b71230cb61bd2",
+    "string_n6": "e8886a9e375f329c37820e1f371e7a907c5872380cb80b9e4284a629075540ff",
+}
+
+
+GOLDEN_SCENARIOS = {
+    "canonical_seed0_30s": lambda: canonical_scenario(seed=0, duration_s=30.0),
+    "string_n6": lambda: string_scenario(n_controlled=6),
+}
+
+
+class TestRunLogGoldens:
+    @pytest.mark.parametrize("name", sorted(GOLDEN_SHA256))
+    def test_run_log_bytes(self, tmp_path, name):
+        path = tmp_path / "run_log.csv"
+        write_run_log(run(GOLDEN_SCENARIOS[name]()), path)
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == GOLDEN_SHA256[name]
 
 
 class TestDeterminism:
