@@ -150,7 +150,9 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         if loaded.kind == "string":
             n = int(loaded.generator_args.get("n_controlled", 12))
             steady = steady_v_des(
-                v_des_traces(log, n), loaded.cfg.dt, measurement_window(n)
+                v_des_traces(log, n),
+                loaded.cfg.dt * loaded.cfg.log_every,
+                measurement_window(n),
             )
             for vid in sorted(steady):
                 string_rows.append((value, vid, steady[vid]))
@@ -214,7 +216,8 @@ def cmd_string(args: argparse.Namespace) -> int:
     n = int(loaded.generator_args.get("n_controlled", 12))
     traces = v_des_traces(log, n)
     window = measurement_window(n)
-    steady = steady_v_des(traces, loaded.cfg.dt, window)
+    row_dt = loaded.cfg.dt * loaded.cfg.log_every
+    steady = steady_v_des(traces, row_dt, window)
 
     ids = sorted(traces)
     dest = out / "string_traces.csv"
@@ -223,7 +226,7 @@ def cmd_string(args: argparse.Namespace) -> int:
         writer = csv.writer(fh)
         writer.writerow(["t", *ids])
         for i in range(n_rows):
-            t = i * loaded.cfg.dt * loaded.cfg.log_every
+            t = i * row_dt
             cells = []
             for vid in ids:
                 trace = traces[vid]

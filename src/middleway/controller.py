@@ -25,7 +25,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Optional
+from typing import NamedTuple, Optional
 
 
 class Mode(str, Enum):
@@ -71,16 +71,14 @@ class ControllerConfig:
             raise ValueError("u_min/u_max: need u_min < 0 < u_max")
 
 
-@dataclass(frozen=True)
-class Lead:
+class Lead(NamedTuple):
     """Radar-derived lead vehicle: bumper gap (m) and absolute speed (m/s)."""
 
     gap: float
     speed: float
 
 
-@dataclass(frozen=True)
-class ControlInputs:
+class ControlInputs(NamedTuple):
     engaged: bool
     in_corridor: bool
     vsl_valid: bool
@@ -99,8 +97,7 @@ class ControllerState:
     engaged_prev: bool = False
 
 
-@dataclass(frozen=True)
-class ControllerOutput:
+class ControllerOutput(NamedTuple):
     u: float
     mode: Mode
     v_des: float
@@ -188,14 +185,7 @@ def step_controller(
     if not inputs.engaged:
         state.v_ramp = inputs.v
         state.engaged_prev = False
-        return ControllerOutput(
-            u=0.0,
-            mode=Mode.DISENGAGED,
-            v_des=inputs.v,
-            v_ramp=inputs.v,
-            u_nom=0.0,
-            u_safe=None,
-        )
+        return ControllerOutput(0.0, Mode.DISENGAGED, inputs.v, inputs.v, 0.0, None)
 
     if not state.engaged_prev:
         state.v_ramp = inputs.v
@@ -218,6 +208,4 @@ def step_controller(
 
     state.v_ramp = v_ramp
     state.engaged_prev = True
-    return ControllerOutput(
-        u=u, mode=mode, v_des=v_des, v_ramp=v_ramp, u_nom=u_nom, u_safe=u_safe
-    )
+    return ControllerOutput(u, mode, v_des, v_ramp, u_nom, u_safe)

@@ -77,16 +77,24 @@ class CorridorMap:
         equal rounded distances) sits in one run around the bisect point.
         """
         mms, gantries = self._by_direction[heading]
-        if not gantries:
+        n = len(mms)
+        if not n:
             return None
         i = bisect.bisect_left(mms, mile_marker)
-        best = min(abs(mms[j] - mile_marker) for j in (i - 1, i) if 0 <= j < len(mms))
+        if i == 0:
+            best = abs(mms[0] - mile_marker)
+        elif i == n:
+            best = abs(mms[-1] - mile_marker)
+        else:
+            best = min(abs(mms[i - 1] - mile_marker), abs(mms[i] - mile_marker))
         lo = i
         while lo > 0 and abs(mms[lo - 1] - mile_marker) == best:
             lo -= 1
         hi = i
-        while hi < len(mms) and abs(mms[hi] - mile_marker) == best:
+        while hi < n and abs(mms[hi] - mile_marker) == best:
             hi += 1
+        if hi - lo == 1:
+            return gantries[lo]
         return min(gantries[lo:hi], key=lambda g: g.gantry_id)
 
     @classmethod
@@ -133,7 +141,7 @@ class CorridorMap:
 def infer_heading(
     mm_history: Sequence[tuple[float, float]], window_s: float = 2.0
 ) -> Optional[Direction]:
-    """Infer travel direction from (time, mile_marker) samples.
+    """Infer travel direction from (time, mile_marker) samples in time order.
 
     Uses the sign of the mile-marker change across the last window_s of
     history. Returns None until the history spans the window or while the
@@ -145,14 +153,11 @@ def infer_heading(
     t_last, mm_last = mm_history[-1]
     if t_last - mm_history[0][0] < window_s:
         return None
-    mm_then = None
-    for t, mm in reversed(mm_history):
-        if t_last - t >= window_s:
-            mm_then = mm
-            break
-    if mm_then is None:
-        return None
-    delta = mm_last - mm_then
+    # The newest sample with t_last - t >= window_s. Its key, t - t_last,
+    # never falls as t rises and is exactly -(t_last - t), so bisect applies
+    # the same float test; the check above makes the first sample pass it.
+    i = bisect.bisect_right(mm_history, -window_s, key=lambda s: s[0] - t_last)
+    delta = mm_last - mm_history[i - 1][1]
     if delta > 1e-9:
         return Direction.EASTBOUND
     if delta < -1e-9:

@@ -29,16 +29,14 @@ class ObservedVehicle(NamedTuple):
     lane: int
 
 
-@dataclass(frozen=True)
-class RadarTarget:
+class RadarTarget(NamedTuple):
     rel_position: float
     rel_speed: float
     lane_offset: int
     timestamp: float
 
 
-@dataclass(frozen=True)
-class RadarFrame:
+class RadarFrame(NamedTuple):
     timestamp: float
     targets: tuple[RadarTarget, ...]
 
@@ -84,27 +82,21 @@ def synthesize_radar(
         candidates.append((rel, veh))
     candidates.sort(key=lambda item: (item[0], item[1].vehicle_id))
 
+    noisy = rng is not None and cfg.noise_sigma > 0.0
     targets = []
     for rel, veh in candidates[: cfg.max_targets]:
         rel_speed = veh.speed - ego.speed
-        if rng is not None and cfg.noise_sigma > 0.0:
+        if noisy:
             rel_speed += rng.gauss(0.0, cfg.noise_sigma)
-        targets.append(
-            RadarTarget(
-                rel_position=rel,
-                rel_speed=rel_speed,
-                lane_offset=veh.lane - ego.lane,
-                timestamp=now,
-            )
-        )
-    return RadarFrame(timestamp=now, targets=tuple(targets))
+        targets.append(RadarTarget(rel, rel_speed, veh.lane - ego.lane, now))
+    return RadarFrame(now, tuple(targets))
 
 
 def lead_vehicle(frame: RadarFrame, v_ego: float) -> Optional[Lead]:
     """Nearest ego-lane target, as an absolute-speed Lead, or None."""
     for target in frame.targets:
         if target.lane_offset == 0:
-            return Lead(gap=target.rel_position, speed=v_ego + target.rel_speed)
+            return Lead(target.rel_position, v_ego + target.rel_speed)
     return None
 
 

@@ -380,6 +380,7 @@ class World:
             for rear, front in zip(lane, lane[1:]):
                 self._lead_map[rear.vehicle_id] = front
             self._lead_map[lane[-1].vehicle_id] = None
+        self._index_lane_positions()
         self.agents = {
             v.vehicle_id: _ControlledAgent(self._init_by_id[v.vehicle_id], cfg, self.rng)
             for v in self.vehicles
@@ -396,6 +397,16 @@ class World:
             INITIAL_POSTED_MPH if cfg.vsl_static_mph is None else cfg.vsl_static_mph
         )
         self.posted_mph = {g.gantry_id: initial for g in cfg.corridor.gantries}
+
+    def _index_lane_positions(self) -> None:
+        """Each lane's positions, in lane order, for the radar's bisect.
+
+        Built at the start of every step that has a controlled vehicle, so
+        it holds the positions that step's radar frames are taken at.
+        """
+        self._lane_positions = {
+            lane: [v.position for v in vehs] for lane, vehs in self.lanes.items()
+        }
 
     def mm_of(self, x: float) -> float:
         if self.cfg.direction is Direction.WESTBOUND:
@@ -452,15 +463,19 @@ class World:
         return (v_next - veh.velocity) / self.cfg.dt
 
     def _radar_candidates(self, veh: VehicleState) -> list[ObservedVehicle]:
+        """Vehicles within one lane of veh with x_lo < position <= x_hi,
+        then the phantom targets in that range."""
         x_lo = veh.position
         x_hi = veh.position + self.cfg.radar.max_range
-        out = [
-            ObservedVehicle(o.vehicle_id, o.position, o.velocity, o.lane)
-            for o in self.vehicles
-            if o is not veh
-            and x_lo < o.position <= x_hi
-            and abs(o.lane - veh.lane) <= 1
-        ]
+        out = []
+        for lane in (veh.lane - 1, veh.lane, veh.lane + 1):
+            xs = self._lane_positions.get(lane)
+            if xs is None:
+                continue
+            vehs = self.lanes[lane]
+            for i in range(bisect.bisect_right(xs, x_lo), bisect.bisect_right(xs, x_hi)):
+                o = vehs[i]
+                out.append(ObservedVehicle(o.vehicle_id, o.position, o.velocity, lane))
         for stream in self.phantoms:
             out.extend(stream.targets_between(x_lo, x_hi))
         return out
@@ -519,14 +534,8 @@ class World:
         in_corridor = cfg.corridor.contains(mm)
 
         inputs = ControlInputs(
-            engaged=engaged,
-            in_corridor=in_corridor,
-            vsl_valid=vsl_valid,
-            driver_setpoint=agent.driver_setpoint,
-            v=veh.velocity,
-            v_gr=v_gr,
-            v_pr=v_pr,
-            lead=lead,
+            engaged, in_corridor, vsl_valid, agent.driver_setpoint,
+            veh.velocity, v_gr, v_pr, lead,
         )
         out = step_controller(inputs, agent.ctrl_state, self.ctrl_cfg)
 
@@ -553,6 +562,8 @@ class World:
         for stream in self.phantoms:
             stream.update_speed(t, mainline_mean)
 
+        if self.agents:
+            self._index_lane_positions()
         human = cfg.human
         lead_of = self._lead_map
         pulses_of = self._pulses

@@ -242,6 +242,38 @@ class TestCli:
         assert steady["cav02"] == pytest.approx(26.0, abs=0.05)
         assert steady["cav03"] == pytest.approx(24.0, abs=0.05)
 
+    def test_string_command_steady_v_des_with_log_every(self, tmp_path):
+        steady = {}
+        for every in (1, 10):
+            out = tmp_path / f"every{every}"
+            code = main(
+                ["string", "--out", str(out),
+                 "--override", "scenario.n_controlled=3",
+                 "--override", f"scenario.log_every={every}"]
+            )
+            assert code == 0
+            with open(out / "string_summary.csv", newline="") as fh:
+                steady[every] = {r["vehicle_id"]: float(r["steady_v_des_mps"])
+                                 for r in csv.DictReader(fh)}
+        assert sorted(steady[10]) == ["cav01", "cav02", "cav03"]
+        for vid, v in steady[10].items():
+            assert math.isfinite(v)
+            assert v == pytest.approx(steady[1][vid], abs=0.05)
+
+    def test_string_sweep_steady_v_des_with_log_every(self, tmp_path):
+        code = main(
+            ["sweep", "--parameter", "scenario.log_every", "--values", "1,10",
+             "--override", "scenario.kind=string",
+             "--override", "scenario.n_controlled=3", "--out", str(tmp_path)]
+        )
+        assert code == 0
+        with open(tmp_path / "string_convergence.csv", newline="") as fh:
+            steady = {(r["value"], r["vehicle_id"]): float(r["steady_v_des_mps"])
+                      for r in csv.DictReader(fh)}
+        for vid in ("cav01", "cav02", "cav03"):
+            assert math.isfinite(steady[("10", vid)])
+            assert steady[("10", vid)] == pytest.approx(steady[("1", vid)], abs=0.05)
+
     def test_rds_static_grid_zero_stats(self, tmp_path):
         from middleway.rds import (
             GridSpec,

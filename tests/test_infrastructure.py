@@ -55,6 +55,28 @@ def active_gantry_scan(mile_marker, heading, corridor, prior_id=None, acquire_mi
     return prior_id
 
 
+def infer_heading_scan(mm_history, window_s=2.0):
+    """Reference for infer_heading: scan back from the newest sample."""
+    if len(mm_history) < 2:
+        return None
+    t_last, mm_last = mm_history[-1]
+    if t_last - mm_history[0][0] < window_s:
+        return None
+    mm_then = None
+    for t, mm in reversed(mm_history):
+        if t_last - t >= window_s:
+            mm_then = mm
+            break
+    if mm_then is None:
+        return None
+    delta = mm_last - mm_then
+    if delta > 1e-9:
+        return Direction.EASTBOUND
+    if delta < -1e-9:
+        return Direction.WESTBOUND
+    return None
+
+
 @pytest.fixture
 def corridor():
     return CorridorMap.build(mm_lo=53.0, mm_hi=70.0, spacing_mi=0.5)
@@ -323,3 +345,46 @@ class TestInferHeading:
     def test_stationary_is_unknown(self):
         hist = [(t * 0.5, 60.0) for t in range(10)]
         assert infer_heading(hist) is None
+
+
+class TestInferHeadingMatchesScan:
+    """Bisect against the backward scan on histories stamped as World stamps
+    them, t = round(t + dt, 9), and trimmed as the controlled tick trims them
+    (past 256 samples, drop the oldest 128)."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        dt=st.one_of(st.sampled_from([0.05, 0.1, 0.01]), st.floats(0.001, 0.1)),
+        t0=st.sampled_from([0.0, 0.05, 12.3, 599.95]),
+        moves=st.lists(
+            st.one_of(
+                st.sampled_from([-1e-3, -1e-9, 0.0, 1e-9, 2e-9, 1e-3]),
+                st.floats(-1e-3, 1e-3),
+            ),
+            min_size=1,
+            max_size=600,
+        ),
+        window=st.one_of(
+            st.sampled_from([2.0, 0.0]),
+            st.floats(0.0, 30.0),
+            # Back this many samples from the newest: the history then spans
+            # exactly window_s when it starts there.
+            st.integers(0, 300),
+        ),
+    )
+    def test_same_heading_as_scan(self, dt, t0, moves, window):
+        history = []
+        t, mm = t0, 60.0
+        for move in moves:
+            history.append((t, mm))
+            if len(history) > 256:
+                del history[:128]
+            if isinstance(window, int):
+                window_s = history[-1][0] - history[max(0, len(history) - 1 - window)][0]
+            else:
+                window_s = window
+            assert infer_heading(history, window_s) is infer_heading_scan(
+                history, window_s
+            )
+            t = round(t + dt, 9)
+            mm += move

@@ -2,15 +2,20 @@
 
 import copy
 import csv
+import dataclasses
 import hashlib
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from middleway.perception import ObservedVehicle, RadarConfig
 from middleway.scenarios import canonical_scenario, string_scenario
 from middleway.simulation import (
     RUN_LOG_COLUMNS,
     IdmParams,
+    PhantomStreamSpec,
     RunLog,
     ScenarioConfig,
     SpeedPulse,
@@ -54,6 +59,22 @@ def write_run_log_csv(log, path) -> None:
                     _fmt(u),
                 )
             )
+
+
+def radar_candidates_scan(world, veh):
+    """Reference for World._radar_candidates: a scan over every vehicle."""
+    x_lo = veh.position
+    x_hi = veh.position + world.cfg.radar.max_range
+    out = [
+        ObservedVehicle(o.vehicle_id, o.position, o.velocity, o.lane)
+        for o in world.vehicles
+        if o is not veh
+        and x_lo < o.position <= x_hi
+        and abs(o.lane - veh.lane) <= 1
+    ]
+    for stream in world.phantoms:
+        out.extend(stream.targets_between(x_lo, x_hi))
+    return out
 
 
 def probe(vid, x0, v0, profile=None):
@@ -316,19 +337,43 @@ class TestRunLogWriterOracle:
         assert read_run_log(path).rows == log.rows
 
 
-# sha256 of run_log.csv, recorded with the csv.writer writer before the
-# streamed writer replaced it. The simulation sums float windows with the
-# builtin sum, whose rounding Python 3.12 changed, so these hold on 3.10
-# and 3.11.
+def multilane_noisy_scenario():
+    """Canonical seed 0 for 120 s with the humans spread over lanes -2..2,
+    three more controlled vehicles in lanes -1, 1 and 2, and radar noise, so
+    the adjacent-lane filter and the order of the noise draws show in the log."""
+    base = canonical_scenario(seed=0, duration_s=120.0)
+    humans = [v for v in base.vehicles if v.kind is VehicleKind.HUMAN]
+    (cav,) = [v for v in base.vehicles if v.kind is VehicleKind.CONTROLLED]
+    spread = [dataclasses.replace(v, lane=i % 5 - 2) for i, v in enumerate(humans)]
+    extra = [
+        dataclasses.replace(cav, vehicle_id=f"cav_{lane:+d}", lane=lane, x0=cav.x0 + dx)
+        for lane, dx in ((-1, 60.0), (1, 30.0), (2, 90.0))
+    ]
+    return dataclasses.replace(
+        base,
+        vehicles=spread + [cav] + extra,
+        radar=RadarConfig(noise_sigma=0.3),
+    )
+
+
+# sha256 of run_log.csv, each recorded on the source before the change it
+# guards: the first two before the streamed writer replaced csv.writer, the
+# multi-lane one before the radar lookup moved to per-lane bisect. The
+# simulation sums float windows with the builtin sum, whose rounding Python
+# 3.12 changed, so these hold on 3.10 and 3.11.
 GOLDEN_SHA256 = {
     "canonical_seed0_30s": "e9fe906e5e60714e3f4f82369368f5888fb67e86eb8a65fde83b71230cb61bd2",
     "string_n6": "e8886a9e375f329c37820e1f371e7a907c5872380cb80b9e4284a629075540ff",
+    "multilane_noisy_seed0_120s": (
+        "17db70628e488f385d9b392d785f0fe0c0df02cf59be0f842c672d8b8a3d16f3"
+    ),
 }
 
 
 GOLDEN_SCENARIOS = {
     "canonical_seed0_30s": lambda: canonical_scenario(seed=0, duration_s=30.0),
     "string_n6": lambda: string_scenario(n_controlled=6),
+    "multilane_noisy_seed0_120s": multilane_noisy_scenario,
 }
 
 
@@ -338,6 +383,84 @@ class TestRunLogGoldens:
         path = tmp_path / "run_log.csv"
         write_run_log(run(GOLDEN_SCENARIOS[name]()), path)
         assert hashlib.sha256(path.read_bytes()).hexdigest() == GOLDEN_SHA256[name]
+
+
+@st.composite
+def multilane_worlds(draw):
+    """Vehicles in lanes -2..2, some placed exactly at another vehicle's
+    position (x_lo) or at that position plus the radar range (x_hi).
+
+    The vehicles that are not controlled are probes holding their speed:
+    the radar filter ignores the kind, and IDM humans at arbitrary gaps
+    would test car following instead."""
+    max_range = draw(st.sampled_from([50.0, 120.0]))
+    anchors = draw(st.lists(st.floats(-500.0, 500.0), min_size=1, max_size=4))
+    position = st.one_of(
+        st.sampled_from(anchors),
+        st.sampled_from([a + max_range for a in anchors]),
+        st.floats(-600.0, 700.0),
+    )
+    slots = draw(
+        st.lists(
+            st.tuples(st.integers(-2, 2), position),
+            min_size=1,
+            max_size=14,
+            unique=True,
+        )
+    )
+    controlled = draw(st.lists(st.booleans(), min_size=len(slots), max_size=len(slots)))
+    controlled[0] = True
+    vehicles = [
+        VehicleInit(
+            f"v{i:02d}",
+            VehicleKind.CONTROLLED if is_cav else VehicleKind.PROBE,
+            x,
+            draw(st.sampled_from([0.0, 10.0, 25.0])),
+            lane=lane,
+        )
+        for i, ((lane, x), is_cav) in enumerate(zip(slots, controlled))
+    ]
+    phantoms = draw(
+        st.lists(
+            st.builds(
+                PhantomStreamSpec,
+                lane=st.integers(-3, 3),
+                spacing_m=st.sampled_from([15.0, 45.0]),
+                phase_m=st.floats(-50.0, 50.0),
+            ),
+            max_size=2,
+        )
+    )
+    return ScenarioConfig(
+        duration_s=1.0,
+        radar=RadarConfig(max_range=max_range),
+        vehicles=vehicles,
+        phantoms=phantoms,
+    )
+
+
+class TestRadarCandidatesMatchScan:
+    """Per-lane bisect against the scan over every vehicle, on every
+    controlled vehicle's tick."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(cfg=multilane_worlds(), steps=st.integers(1, 4))
+    def test_same_candidates_every_tick(self, cfg, steps):
+        world = World(cfg)
+        bisected = world._radar_candidates
+        checked = []
+
+        def compare(veh):
+            got = bisected(veh)
+            assert isinstance(got, list)
+            assert sorted(got) == sorted(radar_candidates_scan(world, veh))
+            checked.append(veh.vehicle_id)
+            return got
+
+        world._radar_candidates = compare
+        for _ in range(steps):
+            world.step()
+        assert checked
 
 
 class TestDeterminism:
