@@ -17,6 +17,7 @@ import copy
 import csv
 import dataclasses
 import json
+import math
 import sys
 from pathlib import Path
 from typing import Optional, Sequence
@@ -76,6 +77,16 @@ def _parse_values(raw: str) -> list:
     return values
 
 
+def _finite_floats(values: list, name: str) -> list[float]:
+    try:
+        floats = [float(v) for v in values]
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{name}: {exc}") from exc
+    if not all(map(math.isfinite, floats)):
+        raise ConfigError(f"{name}: values must be finite")
+    return floats
+
+
 def _run_one(data: dict, out: Path):
     loaded = build_scenario(data)
     log = run(loaded.cfg)
@@ -100,12 +111,19 @@ def cmd_run(args: argparse.Namespace) -> int:
     return 1 if report.collision else 0
 
 
+def _read_input(reader, path):
+    """reader(path), with a malformed or unreadable file as a ConfigError."""
+    try:
+        return reader(path)
+    except OSError as exc:
+        raise ConfigError(f"{path}: {exc.strerror or exc}") from exc
+    except ValueError as exc:
+        raise ConfigError(f"{path}: {exc}") from exc
+
+
 def _sweep_replay(args: argparse.Namespace, values: list, out: Path) -> int:
-    path = Path(args.replay)
-    if not path.exists():
-        raise ConfigError(f"{path}: no such run log")
-    offsets = [float(v) for v in values]
-    replay = offset_replay(read_run_log(path), offsets)
+    offsets = _finite_floats(values, "values")
+    replay = offset_replay(_read_input(read_run_log, args.replay), offsets)
     dest = out / "replay_v_des.csv"
     with open(dest, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
@@ -192,12 +210,11 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 def cmd_rds(args: argparse.Namespace) -> int:
     out = _out_dir(args)
-    for path in (args.grid, args.trajectory):
-        if not Path(path).exists():
-            raise ConfigError(f"{path}: no such file")
-    grid = read_grid(args.grid)
-    trajectory = read_trajectory(args.trajectory)
-    latencies = [float(v) for v in _parse_values(args.latencies)]
+    grid = _read_input(read_grid, args.grid)
+    trajectory = _read_input(read_trajectory, args.trajectory)
+    latencies = _finite_floats(_parse_values(args.latencies), "latencies")
+    if not (math.isfinite(args.bin_width_mph) and args.bin_width_mph > 0):
+        raise ConfigError("bin-width-mph: must be positive and finite")
     stats = error_stats(trajectory, grid, latencies, args.bin_width_mph)
     write_error_report(stats, out / "error_stats.csv", out / "error_hist.csv")
     for latency in latencies:

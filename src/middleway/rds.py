@@ -22,8 +22,9 @@ import bisect
 import csv
 import math
 from dataclasses import dataclass, field
+from itertools import chain, islice
 from pathlib import Path
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -75,8 +76,7 @@ class RdsGrid:
         return self.spec.origin_s + k * self.spec.cell_duration_s
 
 
-@dataclass(frozen=True)
-class TrajectoryPoint:
+class TrajectoryPoint(NamedTuple):
     t: float
     mile_marker: float
     speed_mps: float
@@ -103,17 +103,39 @@ def _report_index(spec: GridSpec, t: float) -> int:
     return int(math.floor((t - spec.origin_s) / spec.cell_duration_s))
 
 
+# Samples per build_grid block: large enough for numpy to pay off, small
+# enough that a block's floats stay a few MiB.
+_BLOCK = 1 << 15
+
+
 def build_grid(samples: Iterable[TrajectoryPoint], spec: GridSpec) -> RdsGrid:
-    """Aggregate point samples into per-cell mean speeds (NaN when empty)."""
-    sums = np.zeros((len(spec.sensor_mm), spec.n_reports))
+    """Aggregate point samples into per-cell mean speeds (NaN when empty).
+
+    Samples are read in blocks of _BLOCK. Each cell's sum accumulates in
+    input order (np.add.at), so every mean is bit-identical to adding the
+    samples one at a time. A non-finite report index raises ValueError.
+    """
+    n_reports = spec.n_reports
+    sums = np.zeros(len(spec.sensor_mm) * n_reports)
     counts = np.zeros_like(sums)
-    sensors = spec.sensor_mm
-    for p in samples:
-        i = bisect.bisect_right(sensors, p.mile_marker) - 1
-        k = _report_index(spec, p.t)
-        if 0 <= i < len(sensors) and 0 <= k < spec.n_reports:
-            sums[i, k] += p.speed_mps
-            counts[i, k] += 1
+    sensors = np.asarray(spec.sensor_mm, dtype=float)
+    it = iter(samples)
+    while True:
+        block = np.fromiter(chain.from_iterable(islice(it, _BLOCK)), float)
+        if not block.size:
+            break
+        t, mm, v = block.reshape(-1, 3).T
+        i = np.searchsorted(sensors, mm, side="right") - 1
+        with np.errstate(over="ignore", invalid="ignore"):
+            k = np.floor((t - spec.origin_s) / spec.cell_duration_s)
+        if not np.isfinite(k).all():
+            raise ValueError("t: report index must be finite")
+        keep = (i >= 0) & (k >= 0) & (k < n_reports)
+        cell = i[keep] * n_reports + k[keep].astype(np.intp)
+        np.add.at(sums, cell, v[keep])
+        counts += np.bincount(cell, minlength=counts.size)
+    sums = sums.reshape(len(spec.sensor_mm), n_reports)
+    counts = counts.reshape(sums.shape)
     with np.errstate(invalid="ignore"):
         speeds = np.where(counts > 0, sums / np.maximum(counts, 1), np.nan)
     return RdsGrid(spec, speeds)
@@ -179,12 +201,19 @@ def error_stats(
     Histogram bins are indexed by floor(error_mph / bin_width); a point
     contributes to a latency only when both estimates exist there.
     """
+    # The ideal estimate does not depend on latency: a point without one
+    # is skipped at every latency.
+    ideals = []
+    for p in trajectory:
+        try:
+            ideals.append((p, ideal_speed(p, grid)))
+        except AllNeighborsMissing:
+            continue
     out: dict[float, ErrorStats] = {}
     for latency in latencies:
         errors = []
-        for p in trajectory:
+        for p, ideal in ideals:
             try:
-                ideal = ideal_speed(p, grid)
                 realtime = realtime_speed(p, grid, latency)
             except AllNeighborsMissing:
                 continue
@@ -311,11 +340,13 @@ def read_grid(path: str | Path) -> RdsGrid:
     rows = []
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
-        header = next(reader)
+        header = next(reader, None)
         if header != ["sensor_mm", "report_start_s", "mean_speed_mps"]:
             raise ValueError(f"unexpected grid header: {header}")
         for mm, start, v in reader:
             rows.append((float(mm), float(start), float(v) if v else math.nan))
+    if not rows:
+        raise ValueError("grid has no rows")
     sensors = tuple(sorted({mm for mm, _, _ in rows}))
     starts = sorted({start for _, start, _ in rows})
     if len(starts) > 1:
@@ -348,11 +379,14 @@ def read_trajectory(path: str | Path) -> list[TrajectoryPoint]:
     points = []
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
-        header = next(reader)
+        header = next(reader, None)
         if header != ["t_s", "mile_marker", "speed_mps"]:
             raise ValueError(f"unexpected trajectory header: {header}")
         for t, mm, v in reader:
-            points.append(TrajectoryPoint(float(t), float(mm), float(v)))
+            point = TrajectoryPoint(float(t), float(mm), float(v))
+            if not all(map(math.isfinite, point)):
+                raise ValueError(f"non-finite trajectory value: {point}")
+            points.append(point)
     return points
 
 

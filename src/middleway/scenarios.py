@@ -245,28 +245,21 @@ def offset_replay(log: RunLog, offsets: Sequence[float]) -> OffsetReplay:
     """
     if not offsets:
         raise ValueError("offsets: must be non-empty")
-    ts: list[float] = []
-    vids: list[str] = []
-    v_prs: list[float] = []
-    v_grs: list[float] = []
-    for row in log.rows:
-        t, vid, kind, v_gr, v_pr = row[0], row[1], row[2], row[8], row[9]
-        if kind != VehicleKind.CONTROLLED.value:
-            continue
-        if v_gr is None or v_pr is None:
-            continue
-        ts.append(t)
-        vids.append(vid)
-        v_prs.append(v_pr)
-        v_grs.append(v_gr)
-    v_pr_arr = np.asarray(v_prs)
-    v_gr_arr = np.asarray(v_grs)
+    controlled = VehicleKind.CONTROLLED.value
+    picked = [
+        (row[0], row[1], row[9], row[8])
+        for row in log.rows
+        if row[2] == controlled and row[8] is not None and row[9] is not None
+    ]
+    ts, vids, v_prs, v_grs = zip(*picked) if picked else ((), (), (), ())
+    v_pr_arr = np.asarray(v_prs, dtype=float)
+    v_gr_arr = np.asarray(v_grs, dtype=float)
     traces = {
         float(k): np.maximum(v_pr_arr - float(k), v_gr_arr) for k in offsets
     }
     return OffsetReplay(
-        t=np.asarray(ts),
-        vehicle_id=tuple(vids),
+        t=np.asarray(ts, dtype=float),
+        vehicle_id=vids,
         v_pr=v_pr_arr,
         v_gr=v_gr_arr,
         v_des=traces,

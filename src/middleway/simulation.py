@@ -107,7 +107,11 @@ def idm_accel(
     if gap is None:
         return free
     s_star = p.s0 + max(0.0, v * p.T + v * (v - v_lead) / (2.0 * math.sqrt(p.a * p.b)))
-    return free - p.a * (s_star / gap) ** 2
+    try:
+        return free - p.a * (s_star / gap) ** 2
+    except OverflowError:
+        # A gap below about 1e-150 m: brake as hard as the caller allows.
+        return -math.inf
 
 
 def idm_equilibrium_gap(v: float, p: IdmParams) -> float:
@@ -742,7 +746,7 @@ def read_run_log(path: str | Path) -> RunLog:
     rows = []
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
-        header = next(reader)
+        header = next(reader, ())
         if tuple(header) != RUN_LOG_COLUMNS:
             raise ValueError(f"unexpected run log header: {header}")
         for raw in reader:

@@ -118,6 +118,21 @@ def short_log(tmp_path_factory):
     return path
 
 
+TRAJECTORY_HEADER = "t_s,mile_marker,speed_mps\n"
+
+
+def rds_args(tmp_path, trajectory_text):
+    """Write a static 20 m/s grid and the given trajectory CSV; return the
+    `middleway rds` arguments that read them."""
+    from middleway.rds import GridSpec, grid_from_field, static_field, write_grid
+
+    spec = GridSpec(sensor_mm=(60.0, 60.5, 61.0), duration_s=300.0)
+    write_grid(grid_from_field(static_field(20.0), spec), tmp_path / "grid.csv")
+    (tmp_path / "traj.csv").write_text(trajectory_text)
+    return ["rds", "--grid", str(tmp_path / "grid.csv"),
+            "--trajectory", str(tmp_path / "traj.csv"), "--out", str(tmp_path / "rds")]
+
+
 class TestCli:
     def test_run_writes_outputs(self, tmp_path, capsys):
         out = tmp_path / "run"
@@ -302,6 +317,62 @@ class TestCli:
         for row in rows:
             assert float(row["mean_err_mps"]) == 0.0
             assert float(row["std_err_mps"]) == 0.0
+
+    @pytest.mark.parametrize(
+        "row", ["120.000,60.200000", "nan,60.200000,20.000000", "inf,60.200000,20.000000"]
+    )
+    def test_rds_malformed_trajectory_exits_2(self, tmp_path, capsys, row):
+        code = main(
+            rds_args(tmp_path, f"{TRAJECTORY_HEADER}130.000,60.200000,20.000000\n{row}\n")
+        )
+        assert code == 2
+        assert "traj.csv" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "grid_text", ["", "sensor_mm,report_start_s,mean_speed_mps\n", "a,b\n"]
+    )
+    def test_rds_malformed_grid_exits_2(self, tmp_path, capsys, grid_text):
+        args = rds_args(tmp_path, TRAJECTORY_HEADER)
+        (tmp_path / "grid.csv").write_text(grid_text)
+        code = main(args)
+        assert code == 2
+        assert "grid.csv" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "flag, value", [("--latencies", "abc"), ("--latencies", ".nan"),
+                        ("--bin-width-mph", "0"), ("--bin-width-mph", "nan")]
+    )
+    def test_rds_bad_numbers_exit_2(self, tmp_path, capsys, flag, value):
+        traj = f"{TRAJECTORY_HEADER}130.000,60.200000,21.000000\n"
+        code = main([*rds_args(tmp_path, traj), flag, value])
+        assert code == 2
+        assert flag.lstrip("-") in capsys.readouterr().err
+
+    @pytest.mark.parametrize("log_text", ["t,vehicle_id\n0.000,a\n", ""])
+    def test_replay_wrong_header_exits_2(self, tmp_path, capsys, log_text):
+        log = tmp_path / "bad_log.csv"
+        log.write_text(log_text)
+        code = main(
+            ["sweep", "--values", "2,4", "--replay", str(log), "--out", str(tmp_path / "s")]
+        )
+        assert code == 2
+        assert "bad_log.csv" in capsys.readouterr().err
+
+    def test_replay_directory_exits_2(self, tmp_path, capsys):
+        code = main(
+            ["sweep", "--values", "2", "--replay", str(tmp_path), "--out", str(tmp_path / "s")]
+        )
+        assert code == 2
+        assert "directory" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("values", ["abc", "2,.inf", "[1]"])
+    def test_replay_bad_values_exit_2(self, short_log, tmp_path, capsys, values):
+        code = main(
+            ["sweep", "--values", values, "--replay", str(short_log),
+             "--out", str(tmp_path / "s")]
+        )
+        assert code == 2
+        assert "values" in capsys.readouterr().err
 
     def test_rds_missing_grid_exits_2(self, tmp_path, capsys):
         code = main(

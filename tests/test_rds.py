@@ -1,13 +1,17 @@
 """Sensor-grid estimate tests: aggregation, bracketing rules, latency errors."""
 
+import bisect
+import hashlib
 import math
+import random
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from middleway.rds import (
     AllNeighborsMissing,
+    ErrorStats,
     GridSpec,
     RdsGrid,
     TrajectoryPoint,
@@ -26,6 +30,72 @@ from middleway.rds import (
     write_grid,
     write_trajectory,
 )
+from middleway.scenarios import OffsetReplay, canonical_scenario, offset_replay
+from middleway.simulation import RunLog, VehicleKind, read_run_log, run, write_run_log
+from middleway.units import MPS_PER_MPH
+
+
+def build_grid_loop(samples, spec):
+    """Reference for build_grid: one sample at a time, in input order."""
+    sums = np.zeros((len(spec.sensor_mm), spec.n_reports))
+    counts = np.zeros_like(sums)
+    sensors = spec.sensor_mm
+    for p in samples:
+        i = bisect.bisect_right(sensors, p.mile_marker) - 1
+        k = int(math.floor((p.t - spec.origin_s) / spec.cell_duration_s))
+        if 0 <= i < len(sensors) and 0 <= k < spec.n_reports:
+            sums[i, k] += p.speed_mps
+            counts[i, k] += 1
+    with np.errstate(invalid="ignore"):
+        speeds = np.where(counts > 0, sums / np.maximum(counts, 1), np.nan)
+    return RdsGrid(spec, speeds)
+
+
+def error_stats_per_latency(trajectory, grid, latencies, bin_width_mph=1.0):
+    """Reference for error_stats: both estimates per point per latency."""
+    out = {}
+    for latency in latencies:
+        errors = []
+        for p in trajectory:
+            try:
+                ideal = ideal_speed(p, grid)
+                realtime = realtime_speed(p, grid, latency)
+            except AllNeighborsMissing:
+                continue
+            errors.append(realtime - ideal)
+        arr = np.asarray(errors)
+        hist = {}
+        for err in errors:
+            idx = int(math.floor(err / MPS_PER_MPH / bin_width_mph))
+            hist[idx] = hist.get(idx, 0) + 1
+        out[latency] = ErrorStats(
+            latency_s=latency,
+            n=len(errors),
+            mean_mps=float(arr.mean()) if len(errors) else 0.0,
+            std_mps=float(arr.std()) if len(errors) else 0.0,
+            histogram=dict(sorted(hist.items())),
+            bin_width_mph=bin_width_mph,
+        )
+    return out
+
+
+def offset_replay_loop(log, offsets):
+    """Reference for offset_replay: a row loop into four lists."""
+    ts, vids, v_prs, v_grs = [], [], [], []
+    for row in log.rows:
+        t, vid, kind, v_gr, v_pr = row[0], row[1], row[2], row[8], row[9]
+        if kind != VehicleKind.CONTROLLED.value:
+            continue
+        if v_gr is None or v_pr is None:
+            continue
+        ts.append(t)
+        vids.append(vid)
+        v_prs.append(v_pr)
+        v_grs.append(v_gr)
+    v_pr_arr = np.asarray(v_prs)
+    v_gr_arr = np.asarray(v_grs)
+    traces = {float(k): np.maximum(v_pr_arr - float(k), v_gr_arr) for k in offsets}
+    return OffsetReplay(np.asarray(ts), tuple(vids), v_pr_arr, v_gr_arr, traces)
 
 
 def small_spec(duration_s=120.0):
@@ -88,6 +158,74 @@ class TestBuildGrid:
         ]
         grid = build_grid(samples, small_spec())
         assert np.isnan(grid.speeds).all()
+
+
+@st.composite
+def grid_cases(draw):
+    """A small grid and samples on sensor markers, on lattice nodes, outside
+    both kinds of coverage, and repeated."""
+    sensors = tuple(sorted(draw(st.sets(
+        st.sampled_from([59.5, 60.0, 60.25, 60.5, 61.0, 62.0]), min_size=2, max_size=4
+    ))))
+    spec = GridSpec(
+        sensor_mm=sensors,
+        origin_s=draw(st.sampled_from([0.0, -15.0, 7.5])),
+        cell_duration_s=draw(st.sampled_from([30.0, 7.0, 0.1])),
+        duration_s=draw(st.sampled_from([0.05, 60.0, 120.0])),
+    )
+    cell, t_lo = spec.cell_duration_s, spec.origin_s
+    t_hi = t_lo + spec.n_reports * cell
+    t = st.one_of(
+        st.sampled_from([t_lo + k * cell for k in range(-1, spec.n_reports + 2)]),
+        st.floats(t_lo - 2.0 * cell, t_hi + 2.0 * cell),
+    )
+    mm = st.one_of(
+        st.sampled_from(sensors),
+        st.floats(sensors[0] - 1.0, sensors[-1] + 1.0),
+        st.sampled_from([-math.inf, math.inf]),
+    )
+    speed = st.one_of(st.floats(0.0, 40.0), st.sampled_from([0.1, 0.2, 0.7]))
+    samples = draw(st.lists(st.builds(TrajectoryPoint, t, mm, speed), max_size=40))
+    if samples:
+        samples += draw(st.lists(st.sampled_from(samples), max_size=20))
+        samples = draw(st.permutations(samples))
+    return spec, samples
+
+
+class TestBuildGridMatchesLoop:
+    @settings(max_examples=200, deadline=None)
+    @given(case=grid_cases(), as_iterator=st.booleans())
+    def test_bit_identical(self, case, as_iterator):
+        spec, samples = case
+        grid = build_grid(iter(samples) if as_iterator else samples, spec)
+        assert np.array_equal(
+            grid.speeds, build_grid_loop(samples, spec).speeds, equal_nan=True
+        )
+
+    def test_crosses_blocks(self):
+        # More than two 32,768-sample blocks, with every cell filled from
+        # each block, so cell sums run across block boundaries.
+        rng = random.Random(0)
+        samples = [
+            TrajectoryPoint(
+                rng.uniform(-10.0, 130.0), rng.uniform(59.8, 61.2), rng.uniform(0.0, 35.0)
+            )
+            for _ in range(70_001)
+        ]
+        spec = small_spec()
+        grid = build_grid(samples, spec)
+        assert not np.isnan(grid.speeds[:, :4]).any()
+        assert np.array_equal(
+            grid.speeds, build_grid_loop(samples, spec).speeds, equal_nan=True
+        )
+
+    @pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("at", [0, 40_000])
+    def test_non_finite_t_raises(self, t, at):
+        samples = [TrajectoryPoint(10.0, 60.2, 20.0)] * 40_001
+        samples[at] = TrajectoryPoint(t, 60.2, 20.0)
+        with pytest.raises(ValueError):
+            build_grid(samples, small_spec())
 
 
 class TestIdealSpeed:
@@ -237,6 +375,124 @@ class TestErrorStats:
         stats = error_stats(traj, grid, [60.0])
         s = stats[60.0]
         assert sum(s.histogram.values()) == s.n > 0
+
+
+class TestErrorStatsMatchesPerLatency:
+    @settings(max_examples=25, deadline=None)
+    @given(
+        seed=st.integers(0, 2**16),
+        holes=st.sampled_from([0.0, 0.1, 0.4, 0.9]),
+        t_start=st.sampled_from([0.0, 20.0, 330.0]),
+        mm_start=st.sampled_from([69.4, 70.3, 53.2]),
+        westbound=st.booleans(),
+        latencies=st.lists(
+            st.sampled_from([0.0, 15.0, 30.0, 60.0, 120.0, 300.0, 2000.0]),
+            min_size=1, max_size=4, unique=True,
+        ),
+        bin_width=st.sampled_from([0.5, 1.0, 3.0]),
+    )
+    def test_equal_stats(self, seed, holes, t_start, mm_start, westbound, latencies,
+                         bin_width):
+        spec = GridSpec(sensor_mm=default_sensors(), duration_s=1260.0)
+        field = wave_field()
+        grid = grid_from_field(field, spec)
+        rng = np.random.default_rng(seed)
+        grid.speeds[rng.random(grid.speeds.shape) < holes] = np.nan
+        traj = synthetic_trajectory(
+            field, t_start, t_start + 600.0, mm_start, westbound=westbound
+        )
+        got = error_stats(traj, grid, latencies, bin_width)
+        assert got == error_stats_per_latency(traj, grid, latencies, bin_width)
+
+
+def _log(rows):
+    log = RunLog(dt=0.05, seed=0)
+    log.rows = rows
+    return log
+
+
+class TestOffsetReplayMatchesLoop:
+    def assert_same(self, log, offsets):
+        got = offset_replay(log, offsets)
+        want = offset_replay_loop(log, offsets)
+        assert got.vehicle_id == want.vehicle_id
+        for a, b in [(got.t, want.t), (got.v_pr, want.v_pr), (got.v_gr, want.v_gr)]:
+            assert a.dtype == b.dtype == np.float64
+            assert np.array_equal(a, b)
+        assert list(got.v_des) == list(want.v_des)
+        for k in want.v_des:
+            assert got.v_des[k].dtype == np.float64
+            assert np.array_equal(got.v_des[k], want.v_des[k])
+
+    def test_canonical_log(self, tmp_path):
+        path = tmp_path / "run_log.csv"
+        write_run_log(run(canonical_scenario(duration_s=30.0)), path)
+        self.assert_same(read_run_log(path), [0.0, 2.0, 4.0, 8.0])
+
+    def test_rows_without_advisory_or_estimate_skipped(self):
+        rows = [
+            (0.0, "c", "controlled", 0.0, 70.0, 20.0, "normal", 21.0, 26.8, 25.0, 0.1),
+            (0.0, "h", "human", 5.0, 70.0, 20.0, None, None, None, None, 0.0),
+            (0.05, "c", "controlled", 1.0, 70.0, 20.0, "normal", 21.0, None, 25.0, 0.1),
+            (0.05, "c", "controlled", 1.0, 70.0, 20.0, "normal", 21.0, 26.8, None, 0.1),
+            (0.1, "d", "controlled", 2.0, 70.0, 20.0, "vsl", 21.0, 20.0, 30.0, -0.0),
+        ]
+        self.assert_same(_log(rows), [1.5, 4.0])
+
+    def test_no_controlled_rows(self):
+        rows = [(0.0, "h", "human", 5.0, 70.0, 20.0, None, None, None, None, 0.0)]
+        self.assert_same(_log(rows), [2.0])
+        self.assert_same(_log([]), [2.0])
+
+
+# Recorded before build_grid, error_stats and offset_replay were vectorised:
+# a 30 s canonical seed-0 log written, read back, replayed at four offsets,
+# gridded in 2 s reports (30 s reports would leave one report column and
+# score nothing) and scored at six latencies. A 30 s log has no report 30 s
+# or more before any point, so those latencies score nothing.
+GOLDEN_GRID_SHA256 = "1285cac96ae241bea2cd9fbf6987e85346cf45810991b0280b191a67d2b9560e"
+GOLDEN_REPLAY_SHA256 = {
+    "t": "f331206495aec55ba630722ad5de863d57f9da9e70b04f1bfa54c6a2b7379ad5",
+    "v_pr": "41287e7fffa567bf6aa39c95b773c6b59a4801da3a15cdb993b6352e4091f22f",
+    0.0: "fcdcce86b9bd7db2cab1d787cb457ed8d41986bd1330775b7156524e556d01af",
+    2.0: "23c7a7fa4dccb725531bdb3efe6da1ce5b5e5ff755cb7c6905335f16e7217004",
+    4.0: "23c7a7fa4dccb725531bdb3efe6da1ce5b5e5ff755cb7c6905335f16e7217004",
+    8.0: "23c7a7fa4dccb725531bdb3efe6da1ce5b5e5ff755cb7c6905335f16e7217004",
+}
+GOLDEN_STATS = {
+    0.0: (248, "0.5007822995295712", "0.5165232073270772"),
+    4.0: (248, "2.427890685013443", "2.03802403860126"),
+    10.0: (248, "1.6427155019489277", "5.521561681033869"),
+    30.0: (0, "0.0", "0.0"),
+    60.0: (0, "0.0", "0.0"),
+    120.0: (0, "0.0", "0.0"),
+}
+
+
+def _sha256(arr):
+    return hashlib.sha256(arr.tobytes()).hexdigest()
+
+
+class TestReadSideGolden:
+    def test_canonical_seed0_30s(self, tmp_path):
+        path = tmp_path / "run_log.csv"
+        write_run_log(run(canonical_scenario(seed=0, duration_s=30.0)), path)
+        log = read_run_log(path)
+        replay = offset_replay(log, [0.0, 2.0, 4.0, 8.0])
+        assert _sha256(replay.t) == GOLDEN_REPLAY_SHA256["t"]
+        assert _sha256(replay.v_pr) == GOLDEN_REPLAY_SHA256["v_pr"]
+        for k, v_des in replay.v_des.items():
+            assert _sha256(v_des) == GOLDEN_REPLAY_SHA256[k]
+
+        spec = GridSpec(sensor_mm=default_sensors(), cell_duration_s=2.0, duration_s=30.0)
+        samples = [TrajectoryPoint(r[0], r[4], r[5]) for r in log.rows]
+        grid = build_grid(samples, spec)
+        assert _sha256(grid.speeds) == GOLDEN_GRID_SHA256
+
+        trajectory = [p for p, r in zip(samples, log.rows) if r[2] == "controlled"]
+        stats = error_stats(trajectory, grid, sorted(GOLDEN_STATS))
+        got = {lat: (s.n, repr(s.mean_mps), repr(s.std_mps)) for lat, s in stats.items()}
+        assert got == GOLDEN_STATS
 
 
 class TestSerialization:

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from middleway.perception import ObservedVehicle, RadarConfig
 from middleway.scenarios import canonical_scenario, string_scenario
 from middleway.simulation import (
+    HUMAN_BRAKE_FLOOR,
     RUN_LOG_COLUMNS,
     IdmParams,
     PhantomStreamSpec,
@@ -116,6 +117,23 @@ class TestIdm:
             IdmParams(delta=0.5)
         with pytest.raises(ValueError):
             IdmParams(T=-1.0)
+
+    def test_tiny_gap_returns_minus_inf(self):
+        # (s_star / gap) ** 2 overflows below a gap of about 1e-150 m.
+        assert idm_accel(0.0, 1e-200, 0.0, IdmParams()) == -math.inf
+
+    def test_tiny_gap_run_brakes_at_floor(self):
+        cfg = ScenarioConfig(
+            duration_s=1.0,
+            vehicles=[
+                VehicleInit("a", VehicleKind.HUMAN, 0.0, 0.0),
+                VehicleInit("b", VehicleKind.HUMAN, 1e-200, 0.0),
+            ],
+        )
+        log = run(cfg)
+        follower = [row for row in log.rows if row[1] == "a"]
+        assert len(follower) == 20
+        assert all(row[10] == HUMAN_BRAKE_FLOOR for row in follower)
 
 
 class TestIntegration:
