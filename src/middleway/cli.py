@@ -40,6 +40,9 @@ from .scenarios import (
     v_des_traces,
 )
 from .simulation import (
+    RunLog,
+    ScenarioConfig,
+    VehicleKind,
     build_report,
     read_run_log,
     run,
@@ -121,8 +124,18 @@ def _read_input(reader, path):
         raise ConfigError(f"{path}: {exc}") from exc
 
 
-def _sweep_replay(args: argparse.Namespace, values: list, out: Path) -> int:
-    offsets = _finite_floats(values, "values")
+def _sweep_replay(args: argparse.Namespace) -> int:
+    # The replay reads only the log and the offsets.
+    ignored = [flag for flag, is_set in (
+        ("--config", args.config is not None),
+        ("--override", args.override),
+        ("--seed", args.seed is not None),
+        ("--parameter", args.parameter != "controller.v_offset"),
+    ) if is_set]
+    if ignored:
+        raise ConfigError(f"sweep --replay: does not read {', '.join(ignored)}")
+    offsets = _finite_floats(_parse_values(args.values), "values")
+    out = _out_dir(args)
     replay = offset_replay(_read_input(read_run_log, args.replay), offsets)
     dest = out / "replay_v_des.csv"
     with open(dest, "w", newline="", encoding="utf-8") as fh:
@@ -143,11 +156,20 @@ def _sweep_replay(args: argparse.Namespace, values: list, out: Path) -> int:
     return 0
 
 
+def _string_readout(cfg: ScenarioConfig, log: RunLog):
+    """A string-study log's v_des traces, row spacing, window and steady v_des."""
+    n = sum(v.kind is VehicleKind.CONTROLLED for v in cfg.vehicles)
+    traces = v_des_traces(log, n)
+    row_dt = cfg.dt * cfg.log_every
+    window = measurement_window(n)
+    return traces, row_dt, window, steady_v_des(traces, row_dt, window)
+
+
 def cmd_sweep(args: argparse.Namespace) -> int:
+    if args.replay is not None:
+        return _sweep_replay(args)
     out = _out_dir(args)
     values = _parse_values(args.values)
-    if args.replay is not None:
-        return _sweep_replay(args, values, out)
 
     parameter = args.parameter
     if "." not in parameter:
@@ -166,12 +188,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         collided = collided or bool(report.collision)
         summaries.append((value, report))
         if loaded.kind == "string":
-            n = int(loaded.generator_args.get("n_controlled", 12))
-            steady = steady_v_des(
-                v_des_traces(log, n),
-                loaded.cfg.dt * loaded.cfg.log_every,
-                measurement_window(n),
-            )
+            steady = _string_readout(loaded.cfg, log)[-1]
             for vid in sorted(steady):
                 string_rows.append((value, vid, steady[vid]))
         print(f"{parameter}={value}: engaged {report.engaged_time_s:.1f} s, "
@@ -230,11 +247,7 @@ def cmd_string(args: argparse.Namespace) -> int:
     data = _load_data(args)
     set_dotted(data, "scenario.kind", "string")
     loaded, log, _ = _run_one(data, out)
-    n = int(loaded.generator_args.get("n_controlled", 12))
-    traces = v_des_traces(log, n)
-    window = measurement_window(n)
-    row_dt = loaded.cfg.dt * loaded.cfg.log_every
-    steady = steady_v_des(traces, row_dt, window)
+    traces, row_dt, window, steady = _string_readout(loaded.cfg, log)
 
     ids = sorted(traces)
     dest = out / "string_traces.csv"

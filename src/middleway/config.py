@@ -64,7 +64,6 @@ ACCEPTED_TYPES: dict[type, tuple[type, ...]] = {
 class LoadedScenario(NamedTuple):
     cfg: ScenarioConfig
     kind: str
-    generator_args: dict[str, Any]
 
 
 def load_config(path: Optional[str | Path]) -> dict:
@@ -190,4 +189,4 @@ def build_scenario(data: dict) -> LoadedScenario:
         cfg.validate()
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    return LoadedScenario(cfg=cfg, kind=kind, generator_args=gen_args)
+    return LoadedScenario(cfg=cfg, kind=kind)

@@ -55,10 +55,9 @@ class ControllerConfig:
     ramp_rate: float = 1.5
     u_min: float = -3.0
     u_max: float = 2.0
-    dt: float = 0.05
 
     def __post_init__(self) -> None:
-        for name in ("k_p", "k_cbf", "t_min", "ramp_rate", "dt"):
+        for name in ("k_p", "k_cbf", "t_min", "ramp_rate"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name}: must be positive")
         if self.s_min < 0:
@@ -133,9 +132,9 @@ def select_setpoint(inputs: ControlInputs, cfg: ControllerConfig) -> float:
     return v_des
 
 
-def ramp(v_des: float, v_ramp_prev: float, cfg: ControllerConfig) -> float:
+def ramp(v_des: float, v_ramp_prev: float, cfg: ControllerConfig, dt: float) -> float:
     """Move the ramp speed toward v_des, at most ramp_rate * dt per tick."""
-    step = cfg.ramp_rate * cfg.dt
+    step = cfg.ramp_rate * dt
     return v_ramp_prev + min(max(v_des - v_ramp_prev, -step), step)
 
 
@@ -173,9 +172,10 @@ def classify_mode(
 
 
 def step_controller(
-    inputs: ControlInputs, state: ControllerState, cfg: ControllerConfig
+    inputs: ControlInputs, state: ControllerState, cfg: ControllerConfig, dt: float
 ) -> ControllerOutput:
-    """Run one controller tick; mutates state (ramp speed, engagement edge).
+    """Run one controller tick of dt seconds; mutates state (ramp speed,
+    engagement edge).
 
     Disengaged ticks command u = 0 and re-seed the ramp at the current
     speed so an engagement never starts from a stale ramp value. The
@@ -191,7 +191,7 @@ def step_controller(
         state.v_ramp = inputs.v
 
     v_des = select_setpoint(inputs, cfg)
-    v_ramp = ramp(v_des, state.v_ramp, cfg)
+    v_ramp = ramp(v_des, state.v_ramp, cfg, dt)
     u_nom = nominal(v_ramp, inputs.v, cfg)
 
     if inputs.lead is not None:

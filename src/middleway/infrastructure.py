@@ -14,13 +14,11 @@ staleness bound after which the held reading is no longer trusted.
 from __future__ import annotations
 
 import bisect
-import csv
 import math
 import random
 from dataclasses import dataclass
 from functools import cached_property
 from enum import Enum
-from pathlib import Path
 from typing import Optional, Sequence
 
 from .units import mps_to_mph, round_to_multiple
@@ -113,33 +111,13 @@ class CorridorMap:
             gantries.append(Gantry(f"{prefix}_{mm:06.2f}", mm, direction))
         return cls(gantries, mm_lo, mm_hi)
 
-    def save(self, path: str | Path) -> None:
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["gantry_id", "mile_marker", "direction"])
-            for g in self.gantries:
-                writer.writerow([g.gantry_id, f"{g.mile_marker:.4f}", g.direction.value])
 
-    @classmethod
-    def load(cls, path: str | Path) -> "CorridorMap":
-        gantries = []
-        with open(path, newline="", encoding="utf-8") as fh:
-            for row in csv.DictReader(fh):
-                gantries.append(
-                    Gantry(
-                        row["gantry_id"],
-                        float(row["mile_marker"]),
-                        Direction(row["direction"]),
-                    )
-                )
-        if not gantries:
-            raise ValueError(f"corridor file {path}: no gantries")
-        mms = [g.mile_marker for g in gantries]
-        return cls(gantries, min(mms), max(mms))
+# Seconds of mile-marker history a heading is read across.
+HEADING_WINDOW_S = 2.0
 
 
 def infer_heading(
-    mm_history: Sequence[tuple[float, float]], window_s: float = 2.0
+    mm_history: Sequence[tuple[float, float]], window_s: float = HEADING_WINDOW_S
 ) -> Optional[Direction]:
     """Infer travel direction from (time, mile_marker) samples in time order.
 
@@ -204,16 +182,13 @@ class GantryTracker:
     """Holds the sticky acquisition across calls and flags new acquisitions."""
 
     corridor: CorridorMap
-    acquire_mi: float = 0.15
     prior_id: Optional[str] = None
 
     def update(
         self, mile_marker: float, heading: Optional[Direction]
     ) -> tuple[Optional[str], bool]:
         """Return the applicable gantry id (or None) and whether it is new."""
-        gantry_id = active_gantry(
-            mile_marker, heading, self.corridor, self.prior_id, self.acquire_mi
-        )
+        gantry_id = active_gantry(mile_marker, heading, self.corridor, self.prior_id)
         newly_acquired = gantry_id is not None and gantry_id != self.prior_id
         self.prior_id = gantry_id
         return gantry_id, newly_acquired
@@ -227,9 +202,8 @@ class PollTimer:
     period: float = 5.0
     last_fetch: Optional[float] = None
 
-    def on_entry(self, now: float) -> bool:
+    def on_entry(self, now: float) -> None:
         self.last_fetch = now
-        return True
 
     def due(self, now: float) -> bool:
         if self.last_fetch is None:

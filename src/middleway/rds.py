@@ -141,38 +141,19 @@ def build_grid(samples: Iterable[TrajectoryPoint], spec: GridSpec) -> RdsGrid:
     return RdsGrid(spec, speeds)
 
 
-def ideal_speed(p: TrajectoryPoint, grid: RdsGrid, bilinear: bool = False) -> float:
-    """Average of the four cells bracketing the point in space and time.
-
-    With bilinear=True the four cells are distance-weighted instead of
-    averaged uniformly; missing cells are dropped either way and the
-    weights renormalized.
-    """
+def ideal_speed(p: TrajectoryPoint, grid: RdsGrid) -> float:
+    """Mean of the four cells bracketing the point in space and time;
+    missing cells are dropped from the mean."""
     spec = grid.spec
     i_lo, i_hi = _spatial_pair(spec, p.mile_marker)
     k = _report_index(spec, p.t)
     if k < 0 or k + 1 >= spec.n_reports:
         raise AllNeighborsMissing(f"time {p.t} outside report coverage")
-    cells = []
-    for i in (i_lo, i_hi):
-        for col in (k, k + 1):
-            value = grid.speeds[i, col]
-            if not math.isnan(value):
-                if bilinear:
-                    wx = (p.mile_marker - spec.sensor_mm[i_lo]) / (
-                        spec.sensor_mm[i_hi] - spec.sensor_mm[i_lo]
-                    )
-                    wt = (p.t - grid.report_start(k)) / spec.cell_duration_s
-                    w = (wx if i == i_hi else 1.0 - wx) * (
-                        wt if col == k + 1 else 1.0 - wt
-                    )
-                else:
-                    w = 1.0
-                cells.append((value, w))
-    total = sum(w for _, w in cells)
-    if not cells or total == 0.0:
+    cells = [grid.speeds[i, col] for i in (i_lo, i_hi) for col in (k, k + 1)]
+    cells = [v for v in cells if not math.isnan(v)]
+    if not cells:
         raise AllNeighborsMissing(f"all four cells missing at ({p.t}, {p.mile_marker})")
-    return sum(v * w for v, w in cells) / total
+    return sum(cells) / len(cells)
 
 
 def realtime_speed(p: TrajectoryPoint, grid: RdsGrid, latency_s: float = 0.0) -> float:

@@ -33,7 +33,6 @@ from .simulation import (
     ScenarioConfig,
     VehicleInit,
     VehicleKind,
-    run,
 )
 from .units import mph_to_mps
 
@@ -141,7 +140,7 @@ def string_scenario(
     Spacing is chosen so only the immediate leader is in radar range
     (gap0 > range / 2), which keeps the prevailing-speed estimate of each
     vehicle pinned to its leader and the cascade decrement equal to the
-    offset. The default measurement window (see string_experiment) sits
+    offset. The default measurement window (see measurement_window) sits
     after the cascade settles and before the leading links outrun radar
     range.
     """
@@ -200,17 +199,6 @@ def v_des_traces(log: RunLog, n_controlled: int) -> dict[str, np.ndarray]:
         if kind == VehicleKind.CONTROLLED.value and vid in traces:
             traces[vid].append(v_des if v_des is not None else float("nan"))
     return {vid: np.asarray(vals) for vid, vals in traces.items()}
-
-
-def string_experiment(
-    cfg: ScenarioConfig, n_controlled: int
-) -> dict[str, np.ndarray]:
-    """Run the string scenario and return per-vehicle v_des traces.
-
-    The helper steady_v_des reduces traces to the windowed steady-state
-    values.
-    """
-    return v_des_traces(run(cfg), n_controlled)
 
 
 def steady_v_des(

@@ -23,7 +23,7 @@ import csv
 import json
 import math
 import random
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field
 from enum import Enum
 from pathlib import Path
 from typing import Optional, Sequence
@@ -36,6 +36,7 @@ from .controller import (
     step_controller,
 )
 from .infrastructure import (
+    HEADING_WINDOW_S,
     CorridorMap,
     Direction,
     FeedClient,
@@ -112,13 +113,6 @@ def idm_accel(
     except OverflowError:
         # A gap below about 1e-150 m: brake as hard as the caller allows.
         return -math.inf
-
-
-def idm_equilibrium_gap(v: float, p: IdmParams) -> float:
-    """Gap at which a follower at steady speed v has zero acceleration."""
-    if v >= p.v0:
-        raise ValueError("no equilibrium at or above the free-flow speed")
-    return (p.s0 + v * p.T) / math.sqrt(1.0 - (v / p.v0) ** p.delta)
 
 
 @dataclass
@@ -354,10 +348,6 @@ class World:
     def __init__(self, cfg: ScenarioConfig):
         cfg.validate()
         self.cfg = cfg
-        if cfg.controller.dt != cfg.dt:
-            self.ctrl_cfg = replace(cfg.controller, dt=cfg.dt)
-        else:
-            self.ctrl_cfg = cfg.controller
         self.rng = random.Random(cfg.seed)
         self.t = 0.0
         self.step_index = 0
@@ -486,7 +476,7 @@ class World:
 
     def _controlled_accel(self, veh: VehicleState) -> tuple[float, tuple]:
         """Run the vehicle's control stack; returns u and its log fields
-        (mode, v_des, v_gr, v_pr)."""
+        (mile marker, mode, v_des, v_gr, v_pr)."""
         agent = self.agents[veh.vehicle_id]
         cfg = self.cfg
         now = self.t
@@ -509,10 +499,13 @@ class World:
         lead = lead_vehicle(frame, veh.velocity)
 
         mm = self.mm_of(veh.position)
-        agent.mm_history.append((now, mm))
-        if len(agent.mm_history) > 256:
-            del agent.mm_history[:128]
-        heading = infer_heading(agent.mm_history)
+        history = agent.mm_history
+        history.append((now, mm))
+        # infer_heading reads nothing older than the newest sample that is
+        # at least the window old, so that sample is the oldest kept.
+        while len(history) > 2 and now - history[1][0] >= HEADING_WINDOW_S:
+            del history[0]
+        heading = infer_heading(history)
 
         gantry_id, newly_acquired = agent.tracker.update(mm, heading)
         if gantry_id is not None:
@@ -541,14 +534,14 @@ class World:
             engaged, in_corridor, vsl_valid, agent.driver_setpoint,
             veh.velocity, v_gr, v_pr, lead,
         )
-        out = step_controller(inputs, agent.ctrl_state, self.ctrl_cfg)
+        out = step_controller(inputs, agent.ctrl_state, cfg.controller, cfg.dt)
 
         if lead is not None:
-            h = lead.gap - (self.ctrl_cfg.t_min * veh.velocity + self.ctrl_cfg.s_min)
+            h = lead.gap - (cfg.controller.t_min * veh.velocity + cfg.controller.s_min)
             if h < self.min_h:
                 self.min_h = h
 
-        return out.u, (out.mode.value, out.v_des, v_gr if vsl_valid else None, v_pr)
+        return out.u, (mm, out.mode.value, out.v_des, v_gr if vsl_valid else None, v_pr)
 
     def step(self, log: Optional[RunLog] = None) -> None:
         """Advance one dt; optionally append this step's rows to log."""
@@ -610,11 +603,12 @@ class World:
             for (veh, u, fields), kind in zip(commands, self._kind_names):
                 x = veh.position
                 if fields is None:
+                    mm = mm_of(x)
                     mode = v_des = v_gr = v_pr = None
                 else:
-                    mode, v_des, v_gr, v_pr = fields
+                    mm, mode, v_des, v_gr, v_pr = fields
                 append(
-                    (t, veh.vehicle_id, kind, x, mm_of(x), veh.velocity,
+                    (t, veh.vehicle_id, kind, x, mm, veh.velocity,
                      mode, v_des, v_gr, v_pr, u)
                 )
 

@@ -43,8 +43,8 @@ from middleway.scenarios import (
     measurement_window,
     offset_replay,
     steady_v_des,
-    string_experiment,
     string_scenario,
+    v_des_traces,
 )
 from middleway.simulation import build_report, run, write_run_log
 from middleway.units import mph_to_mps
@@ -184,6 +184,7 @@ def test_02_safety_filter_invariance():
             ),
             ControllerState(v_ramp=target, engaged_prev=True),
             cfg,
+            dt,
         )
         assert out.u == expected
     _passed(2, "safety filter invariance", time.monotonic() - t0, 30.0)
@@ -229,7 +230,7 @@ def test_05_string_cascade_convergence():
     cfg = string_scenario(n_controlled=n, traffic_speed_mps=30.0,
                           posted_mph=30, v_offset=2.0)
     v_gr = mph_to_mps(30)
-    traces = string_experiment(cfg, n)
+    traces = v_des_traces(run(cfg), n)
     steady = steady_v_des(traces, cfg.dt, measurement_window(n))
     values = [steady[f"cav{k:02d}"] for k in range(1, n + 1)]
     for upstream, downstream in zip(values[1:], values):

@@ -56,7 +56,6 @@ class TestConfig:
             {"scenario": {"kind": "string", "n_controlled": 8}}
         )
         assert loaded.kind == "string"
-        assert loaded.generator_args == {"n_controlled": 8}
         cavs = [v for v in loaded.cfg.vehicles if v.vehicle_id.startswith("cav")]
         assert len(cavs) == 8
 
@@ -82,6 +81,8 @@ class TestConfig:
             ("scenario", "duration_s", math.nan),
             ("controller", "k_p", math.inf),
             ("vsl", "round_mph", 0),
+            # scenario.dt is the only time step.
+            ("controller", "dt", 0.1),
         ]
         for section, field, value in bad:
             with pytest.raises(ConfigError, match=f"{section}.{field}"):
@@ -373,6 +374,21 @@ class TestCli:
         )
         assert code == 2
         assert "values" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "extra",
+        [["--config", "cfg.yaml"], ["--override", "controller.k_p=abc"],
+         ["--seed", "3"], ["--parameter", "controller.k_p"]],
+    )
+    def test_replay_rejects_flags_it_ignores(self, short_log, tmp_path, capsys, extra):
+        out = tmp_path / "s"
+        code = main(
+            ["sweep", "--values", "2", "--replay", str(short_log),
+             "--out", str(out), *extra]
+        )
+        assert code == 2
+        assert extra[0] in capsys.readouterr().err
+        assert not out.exists()
 
     def test_rds_missing_grid_exits_2(self, tmp_path, capsys):
         code = main(

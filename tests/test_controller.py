@@ -22,6 +22,10 @@ from middleway.controller import (
 )
 
 
+# The controller tick of the default scenario.
+DT = 0.05
+
+
 def cfg_with(**kw) -> ControllerConfig:
     return ControllerConfig(**kw)
 
@@ -74,20 +78,20 @@ class TestMiddleway:
 
 class TestRamp:
     def test_limits_rise(self):
-        cfg = cfg_with(ramp_rate=1.5, dt=0.1)
-        assert ramp(30.0, 20.0, cfg) == pytest.approx(20.15, abs=1e-12)
+        cfg = cfg_with(ramp_rate=1.5)
+        assert ramp(30.0, 20.0, cfg, 0.1) == pytest.approx(20.15, abs=1e-12)
 
     def test_limits_fall(self):
-        cfg = cfg_with(ramp_rate=1.5, dt=0.1)
-        assert ramp(10.0, 20.0, cfg) == pytest.approx(19.85, abs=1e-12)
+        cfg = cfg_with(ramp_rate=1.5)
+        assert ramp(10.0, 20.0, cfg, 0.1) == pytest.approx(19.85, abs=1e-12)
 
     def test_fixed_point(self):
-        cfg = cfg_with(ramp_rate=1.5, dt=0.1)
-        assert ramp(20.0, 20.0, cfg) == 20.0
+        cfg = cfg_with(ramp_rate=1.5)
+        assert ramp(20.0, 20.0, cfg, 0.1) == 20.0
 
     def test_small_gap_lands_exactly(self):
-        cfg = cfg_with(ramp_rate=1.5, dt=0.1)
-        assert ramp(20.1, 20.0, cfg) == pytest.approx(20.1, abs=1e-12)
+        cfg = cfg_with(ramp_rate=1.5)
+        assert ramp(20.1, 20.0, cfg, 0.1) == pytest.approx(20.1, abs=1e-12)
 
     @given(
         v_des=speeds,
@@ -96,8 +100,8 @@ class TestRamp:
         dt=st.floats(min_value=0.01, max_value=0.1),
     )
     def test_rate_limit_and_direction(self, v_des, v_prev, rate, dt):
-        cfg = cfg_with(ramp_rate=rate, dt=dt)
-        out = ramp(v_des, v_prev, cfg)
+        cfg = cfg_with(ramp_rate=rate)
+        out = ramp(v_des, v_prev, cfg, dt)
         # 1e-12 slack: the v_des - v_prev subtraction can round across the
         # target when the magnitudes are wildly mismatched.
         assert abs(out - v_prev) <= rate * dt + 1e-12
@@ -228,7 +232,7 @@ class TestClassifyModeAndStep:
     def test_steady_vsl_tick(self):
         cfg = cfg_with()
         state = ControllerState(v_ramp=13.4, engaged_prev=True)
-        out = step_controller(self.make_inputs(), state, cfg)
+        out = step_controller(self.make_inputs(), state, cfg, DT)
         assert out.u == pytest.approx(0.0, abs=1e-12)
         assert out.mode is Mode.VSL
         assert out.v_des == pytest.approx(13.4)
@@ -239,7 +243,7 @@ class TestClassifyModeAndStep:
         inputs = self.make_inputs(
             v=10.0, v_gr=12.0, lead=Lead(gap=20.0, speed=12.0)
         )
-        out = step_controller(inputs, state, cfg)
+        out = step_controller(inputs, state, cfg, DT)
         assert out.u_nom == pytest.approx(1.6, abs=1e-12)
         assert out.u_safe == pytest.approx(0.25, abs=1e-12)
         assert out.u == pytest.approx(0.25, abs=1e-12)
@@ -248,7 +252,7 @@ class TestClassifyModeAndStep:
     def test_disengaged_tick(self):
         cfg = cfg_with()
         state = ControllerState(v_ramp=31.0, engaged_prev=True)
-        out = step_controller(self.make_inputs(engaged=False, v=20.0), state, cfg)
+        out = step_controller(self.make_inputs(engaged=False, v=20.0), state, cfg, DT)
         assert out.u == 0.0
         assert out.mode is Mode.DISENGAGED
         assert out.v_des == 20.0
@@ -257,34 +261,34 @@ class TestClassifyModeAndStep:
     def test_traffic_speedup_moves_vsl_to_middleway(self):
         cfg = cfg_with()
         state = ControllerState(v_ramp=13.4, engaged_prev=True)
-        out = step_controller(self.make_inputs(v_pr=0.0), state, cfg)
+        out = step_controller(self.make_inputs(v_pr=0.0), state, cfg, DT)
         assert out.mode is Mode.VSL
-        out = step_controller(self.make_inputs(v_pr=20.0), state, cfg)
+        out = step_controller(self.make_inputs(v_pr=20.0), state, cfg, DT)
         assert out.mode is Mode.MIDDLEWAY
 
     def test_normal_mode_outside_corridor_even_with_advisory_speed(self):
         cfg = cfg_with()
         state = ControllerState(v_ramp=30.0, engaged_prev=True)
         out = step_controller(
-            self.make_inputs(in_corridor=False, v=30.0, v_pr=25.0), state, cfg
+            self.make_inputs(in_corridor=False, v=30.0, v_pr=25.0), state, cfg, DT
         )
         assert out.mode is Mode.NORMAL
 
     def test_engagement_reseeds_ramp_from_current_speed(self):
         cfg = cfg_with()
         state = ControllerState(v_ramp=0.0, engaged_prev=False)
-        out = step_controller(self.make_inputs(v=22.0, v_pr=30.0), state, cfg)
-        assert abs(out.v_ramp - 22.0) <= cfg.ramp_rate * cfg.dt + 1e-12
-        assert abs(out.u_nom) <= cfg.k_p * cfg.ramp_rate * cfg.dt + 1e-12
+        out = step_controller(self.make_inputs(v=22.0, v_pr=30.0), state, cfg, DT)
+        assert abs(out.v_ramp - 22.0) <= cfg.ramp_rate * DT + 1e-12
+        assert abs(out.u_nom) <= cfg.k_p * cfg.ramp_rate * DT + 1e-12
 
     def test_output_clamped_to_actuation_envelope(self):
         cfg = cfg_with()
         state = ControllerState(v_ramp=35.0, engaged_prev=True)
-        out = step_controller(self.make_inputs(v=5.0, v_pr=40.0), state, cfg)
+        out = step_controller(self.make_inputs(v=5.0, v_pr=40.0), state, cfg, DT)
         assert out.u == cfg.u_max
         state = ControllerState(v_ramp=5.0, engaged_prev=True)
         out = step_controller(
-            self.make_inputs(v=35.0, v_pr=0.0, driver_setpoint=5.0), state, cfg
+            self.make_inputs(v=35.0, v_pr=0.0, driver_setpoint=5.0), state, cfg, DT
         )
         assert out.u == cfg.u_min
 
@@ -322,7 +326,7 @@ class TestClassifyModeAndStep:
             lead=lead,
         )
         state = ControllerState(v_ramp=ramp0, engaged_prev=True)
-        out = step_controller(inputs, state, cfg)
+        out = step_controller(inputs, state, cfg, DT)
 
         assert cfg.u_min <= out.u <= cfg.u_max
         assert (out.mode is Mode.DISENGAGED) == (not engaged)

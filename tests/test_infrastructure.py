@@ -83,25 +83,24 @@ def corridor():
 
 
 # Both headings, shared and duplicate mile markers, ids out of marker order.
-MIXED_CORRIDOR_CSV = """gantry_id,mile_marker,direction
-wb_b,60.0,westbound
-wb_a,60.0,westbound
-eb_60,60.0,eastbound
-wb_60_3,60.3,westbound
-eb_60_2,60.2,eastbound
-eb_60_2x,60.2,eastbound
-wb_z,60.5,westbound
-wb_y,61.1,westbound
-eb_61,61.0,eastbound
-eb_62,62.0,eastbound
-"""
+MIXED_CORRIDOR_ROWS = (
+    ("wb_b", 60.0, "westbound"),
+    ("wb_a", 60.0, "westbound"),
+    ("eb_60", 60.0, "eastbound"),
+    ("wb_60_3", 60.3, "westbound"),
+    ("eb_60_2", 60.2, "eastbound"),
+    ("eb_60_2x", 60.2, "eastbound"),
+    ("wb_z", 60.5, "westbound"),
+    ("wb_y", 61.1, "westbound"),
+    ("eb_61", 61.0, "eastbound"),
+    ("eb_62", 62.0, "eastbound"),
+)
 
 
 @pytest.fixture(scope="module")
-def mixed_corridor(tmp_path_factory):
-    path = tmp_path_factory.mktemp("corridor") / "mixed.csv"
-    path.write_text(MIXED_CORRIDOR_CSV, encoding="utf-8")
-    return CorridorMap.load(path)
+def mixed_corridor():
+    gantries = [Gantry(gid, mm, Direction(d)) for gid, mm, d in MIXED_CORRIDOR_ROWS]
+    return CorridorMap(gantries, 60.0, 62.0)
 
 
 def _midpoints(corridor):
@@ -116,20 +115,6 @@ class TestCorridorMap:
         assert mms[0] == 53.0 and mms[-1] == 70.0
         assert all(
             b - a == pytest.approx(0.5) for a, b in zip(mms, mms[1:])
-        )
-
-    def test_csv_round_trip(self, corridor, tmp_path):
-        path = tmp_path / "corridor.csv"
-        corridor.save(path)
-        loaded = CorridorMap.load(path)
-        assert [g.gantry_id for g in loaded.gantries] == [
-            g.gantry_id for g in corridor.gantries
-        ]
-        assert loaded.mm_lo == corridor.mm_lo
-        assert loaded.mm_hi == corridor.mm_hi
-        assert all(
-            a.mile_marker == b.mile_marker and a.direction == b.direction
-            for a, b in zip(loaded.gantries, corridor.gantries)
         )
 
 

@@ -270,13 +270,6 @@ class TestIdealSpeed:
         with pytest.raises(AllNeighborsMissing):
             ideal_speed(TrajectoryPoint(119.0, 60.25, 0.0), grid)
 
-    def test_bilinear_weighting_interpolates(self):
-        grid = grid_with({(0, 0): 20.0, (0, 1): 20.0, (1, 0): 30.0, (1, 1): 30.0})
-        near_lo = ideal_speed(TrajectoryPoint(15.0, 60.1, 0.0), grid, bilinear=True)
-        near_hi = ideal_speed(TrajectoryPoint(15.0, 60.4, 0.0), grid, bilinear=True)
-        assert near_lo == pytest.approx(22.0, abs=1e-12)
-        assert near_hi == pytest.approx(28.0, abs=1e-12)
-
 
 class TestRealtimeSpeed:
     def test_zero_latency_steady_field(self):

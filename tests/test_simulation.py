@@ -25,7 +25,6 @@ from middleway.simulation import (
     World,
     build_report,
     idm_accel,
-    idm_equilibrium_gap,
     read_run_log,
     run,
     write_run_log,
@@ -84,6 +83,13 @@ def probe(vid, x0, v0, profile=None):
 
 def human(vid, x0, v0):
     return VehicleInit(vid, VehicleKind.HUMAN, x0, v0)
+
+
+def idm_equilibrium_gap(v: float, p: IdmParams) -> float:
+    """Gap at which a follower at steady speed v has zero acceleration."""
+    if v >= p.v0:
+        raise ValueError("no equilibrium at or above the free-flow speed")
+    return (p.s0 + v * p.T) / math.sqrt(1.0 - (v / p.v0) ** p.delta)
 
 
 class TestIdm:
@@ -544,6 +550,17 @@ class TestTimestepRefinement:
                 assert row[5] == pytest.approx(fine_v[key], abs=0.05)
                 checked += 1
         assert checked > 100
+
+    def test_small_dt_canonical_run_keeps_its_margin(self):
+        # The heading needs 2 s of mile-marker history. A history trimmed
+        # by sample count lost it for part of every cycle below dt = 2/127 s,
+        # and this run then collided at t = 92.19 s.
+        cfg = dataclasses.replace(
+            canonical_scenario(seed=0, duration_s=100.0), dt=0.0125
+        )
+        log = run(cfg)
+        assert log.collision is None
+        assert log.min_h > 0.0
 
 
 class TestRunReport:
