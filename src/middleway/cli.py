@@ -136,7 +136,8 @@ def _sweep_replay(args: argparse.Namespace) -> int:
         raise ConfigError(f"sweep --replay: does not read {', '.join(ignored)}")
     offsets = _finite_floats(_parse_values(args.values), "values")
     out = _out_dir(args)
-    replay = offset_replay(_read_input(read_run_log, args.replay), offsets)
+    replay = _read_input(lambda path: offset_replay(read_run_log(path), offsets),
+                         args.replay)
     dest = out / "replay_v_des.csv"
     with open(dest, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)

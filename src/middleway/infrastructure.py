@@ -131,10 +131,13 @@ def infer_heading(
     t_last, mm_last = mm_history[-1]
     if t_last - mm_history[0][0] < window_s:
         return None
-    # The newest sample with t_last - t >= window_s. Its key, t - t_last,
-    # never falls as t rises and is exactly -(t_last - t), so bisect applies
-    # the same float test; the check above makes the first sample pass it.
-    i = bisect.bisect_right(mm_history, -window_s, key=lambda s: s[0] - t_last)
+    # The newest sample with t_last - t >= window_s: the first, when the
+    # history is trimmed to the window as the world keeps it. Else bisect;
+    # its key, t - t_last, is exactly -(t_last - t): the same float test.
+    if t_last - mm_history[1][0] < window_s:
+        i = 1
+    else:
+        i = bisect.bisect_right(mm_history, -window_s, key=lambda s: s[0] - t_last)
     delta = mm_last - mm_history[i - 1][1]
     if delta > 1e-9:
         return Direction.EASTBOUND

@@ -13,12 +13,11 @@ sensor interval [sensor_mm[i], sensor_mm[i+1]) and report window
 [origin + k*T, origin + (k+1)*T). A point exactly on a lattice node
 belongs to the cell beginning there. Missing cells are dropped from
 averages and the remaining cells reweighted; a point with no surviving
-neighbor raises AllNeighborsMissing.
+neighbor is not scored.
 """
 
 from __future__ import annotations
 
-import bisect
 import csv
 import math
 from dataclasses import dataclass, field
@@ -29,10 +28,6 @@ from typing import Iterable, NamedTuple, Optional, Sequence
 import numpy as np
 
 from .units import MPS_PER_MPH, M_PER_MILE, mph_to_mps
-
-
-class AllNeighborsMissing(Exception):
-    """No grid data supports the requested point."""
 
 
 @dataclass(frozen=True)
@@ -92,15 +87,13 @@ class ErrorStats:
     bin_width_mph: float = 1.0
 
 
-def _spatial_pair(spec: GridSpec, mm: float) -> tuple[int, int]:
-    i = bisect.bisect_right(spec.sensor_mm, mm) - 1
-    if i < 0 or i + 1 >= len(spec.sensor_mm):
-        raise AllNeighborsMissing(f"mile marker {mm} outside sensor coverage")
-    return i, i + 1
-
-
-def _report_index(spec: GridSpec, t: float) -> int:
-    return int(math.floor((t - spec.origin_s) / spec.cell_duration_s))
+def _report_column(spec: GridSpec, t: np.ndarray) -> np.ndarray:
+    """floor((t - origin) / cell_duration) as floats; non-finite raises."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        k = np.floor((t - spec.origin_s) / spec.cell_duration_s)
+    if not np.isfinite(k).all():
+        raise ValueError("t: report index must be finite")
+    return k
 
 
 # Samples per build_grid block: large enough for numpy to pay off, small
@@ -126,10 +119,7 @@ def build_grid(samples: Iterable[TrajectoryPoint], spec: GridSpec) -> RdsGrid:
             break
         t, mm, v = block.reshape(-1, 3).T
         i = np.searchsorted(sensors, mm, side="right") - 1
-        with np.errstate(over="ignore", invalid="ignore"):
-            k = np.floor((t - spec.origin_s) / spec.cell_duration_s)
-        if not np.isfinite(k).all():
-            raise ValueError("t: report index must be finite")
+        k = _report_column(spec, t)
         keep = (i >= 0) & (k >= 0) & (k < n_reports)
         cell = i[keep] * n_reports + k[keep].astype(np.intp)
         np.add.at(sums, cell, v[keep])
@@ -141,34 +131,17 @@ def build_grid(samples: Iterable[TrajectoryPoint], spec: GridSpec) -> RdsGrid:
     return RdsGrid(spec, speeds)
 
 
-def ideal_speed(p: TrajectoryPoint, grid: RdsGrid) -> float:
-    """Mean of the four cells bracketing the point in space and time;
-    missing cells are dropped from the mean."""
-    spec = grid.spec
-    i_lo, i_hi = _spatial_pair(spec, p.mile_marker)
-    k = _report_index(spec, p.t)
-    if k < 0 or k + 1 >= spec.n_reports:
-        raise AllNeighborsMissing(f"time {p.t} outside report coverage")
-    cells = [grid.speeds[i, col] for i in (i_lo, i_hi) for col in (k, k + 1)]
-    cells = [v for v in cells if not math.isnan(v)]
-    if not cells:
-        raise AllNeighborsMissing(f"all four cells missing at ({p.t}, {p.mile_marker})")
-    return sum(cells) / len(cells)
-
-
-def realtime_speed(p: TrajectoryPoint, grid: RdsGrid, latency_s: float = 0.0) -> float:
-    """Average of the two spatial neighbors' freshest reports at t - latency."""
-    spec = grid.spec
-    i_lo, i_hi = _spatial_pair(spec, p.mile_marker)
-    j = _report_index(spec, p.t - latency_s)
-    if j < 0:
-        raise AllNeighborsMissing(f"no reports available {latency_s} s before {p.t}")
-    j = min(j, spec.n_reports - 1)
-    values = [grid.speeds[i, j] for i in (i_lo, i_hi)]
-    values = [v for v in values if not math.isnan(v)]
-    if not values:
-        raise AllNeighborsMissing(f"both neighbors missing at ({p.t}, {p.mile_marker})")
-    return float(sum(values) / len(values))
+def _mean_present(*cells: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per-point mean of the non-NaN cells, added in argument order as a
+    one-at-a-time sum would; also whether any cell was present."""
+    total = np.zeros(len(cells[0]))
+    count = np.zeros(len(cells[0]))
+    for cell in cells:
+        present = ~np.isnan(cell)
+        total = np.where(present, total + cell, total)
+        count += present
+    has = count > 0
+    return total[has] / count[has], has
 
 
 def error_stats(
@@ -179,37 +152,42 @@ def error_stats(
 ) -> dict[float, ErrorStats]:
     """Per-latency mean/std/histogram of (realtime - ideal), m/s.
 
-    Histogram bins are indexed by floor(error_mph / bin_width); a point
-    contributes to a latency only when both estimates exist there.
+    The ideal estimate averages the four cells bracketing a point in space
+    and time; the realtime one averages the two spatial neighbours'
+    freshest reports at t - latency. A point contributes to a latency only
+    when both estimates exist there. Histogram bins are indexed by
+    floor(error_mph / bin_width). A non-finite t raises ValueError.
     """
+    spec, speeds, n_reports = grid.spec, grid.speeds, grid.spec.n_reports
+    pts = np.fromiter(chain.from_iterable(trajectory), float).reshape(-1, 3)
+    t, mm = pts[:, 0], pts[:, 1]
+    i = np.searchsorted(np.asarray(spec.sensor_mm, dtype=float), mm, side="right") - 1
+    k = _report_column(spec, t)
+    keep = (i >= 0) & (i + 1 < len(spec.sensor_mm)) & (k >= 0) & (k + 1 < n_reports)
+    t, i, k = t[keep], i[keep], k[keep].astype(np.intp)
     # The ideal estimate does not depend on latency: a point without one
     # is skipped at every latency.
-    ideals = []
-    for p in trajectory:
-        try:
-            ideals.append((p, ideal_speed(p, grid)))
-        except AllNeighborsMissing:
-            continue
+    ideal, has = _mean_present(
+        speeds[i, k], speeds[i, k + 1], speeds[i + 1, k], speeds[i + 1, k + 1]
+    )
+    t, i = t[has], i[has]
     out: dict[float, ErrorStats] = {}
     for latency in latencies:
-        errors = []
-        for p, ideal in ideals:
-            try:
-                realtime = realtime_speed(p, grid, latency)
-            except AllNeighborsMissing:
-                continue
-            errors.append(realtime - ideal)
-        arr = np.asarray(errors)
-        hist: dict[int, int] = {}
-        for err in errors:
-            idx = int(math.floor(err / MPS_PER_MPH / bin_width_mph))
-            hist[idx] = hist.get(idx, 0) + 1
+        j = _report_column(spec, t - latency)
+        fresh = j >= 0
+        col = np.minimum(j[fresh], n_reports - 1).astype(np.intp)
+        at = i[fresh]
+        realtime, has = _mean_present(speeds[at, col], speeds[at + 1, col])
+        errors = realtime - ideal[fresh][has]
+        bins, counts = np.unique(
+            np.floor(errors / MPS_PER_MPH / bin_width_mph), return_counts=True
+        )
         out[latency] = ErrorStats(
             latency_s=latency,
             n=len(errors),
-            mean_mps=float(arr.mean()) if len(errors) else 0.0,
-            std_mps=float(arr.std()) if len(errors) else 0.0,
-            histogram=dict(sorted(hist.items())),
+            mean_mps=float(errors.mean()) if len(errors) else 0.0,
+            std_mps=float(errors.std()) if len(errors) else 0.0,
+            histogram={int(b): int(c) for b, c in zip(bins, counts)},
             bin_width_mph=bin_width_mph,
         )
     return out

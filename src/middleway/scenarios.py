@@ -229,7 +229,8 @@ def offset_replay(log: RunLog, offsets: Sequence[float]) -> OffsetReplay:
     Open-loop projection: each controlled-vehicle row that recorded both a
     prevailing-speed estimate and a posted advisory is re-evaluated under
     every offset, with no feedback into the trajectory and no desired-speed
-    cap, so differences between traces are due to the offset alone.
+    cap, so differences between traces are due to the offset alone. A
+    non-finite t, v_pr or v_gr in a replayed row raises ValueError.
     """
     if not offsets:
         raise ValueError("offsets: must be non-empty")
@@ -240,13 +241,16 @@ def offset_replay(log: RunLog, offsets: Sequence[float]) -> OffsetReplay:
         if row[2] == controlled and row[8] is not None and row[9] is not None
     ]
     ts, vids, v_prs, v_grs = zip(*picked) if picked else ((), (), (), ())
+    t_arr = np.asarray(ts, dtype=float)
     v_pr_arr = np.asarray(v_prs, dtype=float)
     v_gr_arr = np.asarray(v_grs, dtype=float)
+    if not np.isfinite((t_arr, v_pr_arr, v_gr_arr)).all():
+        raise ValueError("run log: non-finite t, v_pr or v_gr in a replayed row")
     traces = {
         float(k): np.maximum(v_pr_arr - float(k), v_gr_arr) for k in offsets
     }
     return OffsetReplay(
-        t=np.asarray(ts, dtype=float),
+        t=t_arr,
         vehicle_id=vids,
         v_pr=v_pr_arr,
         v_gr=v_gr_arr,

@@ -25,6 +25,7 @@ import math
 import random
 from dataclasses import asdict, dataclass, field
 from enum import Enum
+from itertools import chain
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -736,30 +737,28 @@ def write_run_log(log: RunLog, path: str | Path) -> None:
 
 
 def read_run_log(path: str | Path) -> RunLog:
-    """Parse a run-log CSV back into rows; re-writing reproduces the file."""
+    """Parse a run-log CSV back into rows; re-writing reproduces the file.
+    Only a line holding a quote goes through csv.reader, which also pulls
+    the further lines of a quoted cell that spans lines."""
     rows = []
+    append = rows.append
     with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, ())
+        header = next(csv.reader(fh), ())
         if tuple(header) != RUN_LOG_COLUMNS:
             raise ValueError(f"unexpected run log header: {header}")
-        for raw in reader:
-            t, vid, kind, x, mm, v, mode, v_des, v_gr, v_pr, u = raw
-            rows.append(
-                (
-                    float(t),
-                    vid,
-                    kind,
-                    float(x),
-                    float(mm),
-                    float(v),
-                    mode if mode else None,
-                    float(v_des) if v_des else None,
-                    float(v_gr) if v_gr else None,
-                    float(v_pr) if v_pr else None,
-                    float(u),
-                )
-            )
+        for line in fh:
+            if '"' in line:
+                cells = next(csv.reader(chain((line,), fh)))
+            else:
+                cells = line.rstrip("\r\n").split(",")
+            t, vid, kind, x, mm, v, mode, v_des, v_gr, v_pr, u = cells
+            if mode or v_des or v_gr or v_pr:
+                append((float(t), vid, kind, float(x), float(mm), float(v), mode or None,
+                        float(v_des) if v_des else None, float(v_gr) if v_gr else None,
+                        float(v_pr) if v_pr else None, float(u)))
+            else:
+                append((float(t), vid, kind, float(x), float(mm), float(v),
+                        None, None, None, None, float(u)))
     times = sorted({r[0] for r in rows})
     dt = times[1] - times[0] if len(times) > 1 else 0.05
     log = RunLog(dt=dt, seed=-1)

@@ -5,6 +5,7 @@ One test per acceptance property; each prints a single
 stated tolerance and runtime budget.
 """
 
+import dataclasses
 import random
 import time
 from collections import deque
@@ -200,15 +201,30 @@ def test_03_canonical_mode_mix(canonical):
     reports = [canonical.report]
     reports += [build_report(run(canonical_scenario(seed=s))) for s in (1, 2)]
     for seed, report in enumerate(reports):
-        assert report.min_h_m is not None, seed
-        assert report.min_h_m >= -0.1, (seed, report.min_h_m)
-        assert not report.collision, seed
+        _assert_barrier_margin(report, seed, canonical.cfg.dt)
     _passed(
         3,
         "canonical mode mix",
         canonical.elapsed + time.monotonic() - t0,
         120.0,
     )
+
+
+def _assert_barrier_margin(report, seed, dt):
+    # The filter acts once per step, so h may dip below zero by a fraction
+    # of a step: about -0.48 dt m on seeds 0-2 at every dt measured.
+    assert not report.collision, (seed, dt)
+    assert report.min_h_m is not None, (seed, dt)
+    assert report.min_h_m >= -0.5 * dt, (seed, dt, report.min_h_m)
+
+
+@pytest.mark.parametrize("seed, dt", [(0, 0.1), (1, 0.1), (2, 0.025), (1, 0.0125)])
+def test_03_barrier_margin_across_dt(seed, dt):
+    # The full canonical run: at dt 0.05 the minimum falls at t = 288 s.
+    t0 = time.monotonic()
+    cfg = dataclasses.replace(canonical_scenario(seed=seed), dt=dt)
+    _assert_barrier_margin(build_report(run(cfg)), seed, dt)
+    _passed(3, f"barrier margin seed {seed} dt {dt}", time.monotonic() - t0, 120.0)
 
 
 def test_04_offset_dominance(canonical):

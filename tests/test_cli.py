@@ -359,6 +359,22 @@ class TestCli:
         assert code == 2
         assert "bad_log.csv" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("cells", ["nan,inf,3.0", "1,2,inf", "1,-inf,3.0"])
+    def test_replay_non_finite_log_exits_2(self, tmp_path, capsys, cells):
+        # cells: v_des, v_gr, v_pr of the first row; nothing non-finite may
+        # reach replay_v_des.csv as an inf or nan column.
+        log = tmp_path / "bad_log.csv"
+        log.write_text(
+            "t,vehicle_id,kind,position_m,mile_marker,velocity_mps,mode,v_des,v_gr,v_pr,u\n"
+            f"0.000,a,controlled,1.0,70.0,2.0,normal,{cells},0.5\n"
+            "0.05,a,controlled,1.0,70.0,2.0,normal,1,2,3.0,0.5\n"
+        )
+        out = tmp_path / "s"
+        code = main(["sweep", "--values", "2", "--replay", str(log), "--out", str(out)])
+        assert code == 2
+        assert "bad_log.csv" in capsys.readouterr().err
+        assert not (out / "replay_v_des.csv").exists()
+
     def test_replay_directory_exits_2(self, tmp_path, capsys):
         code = main(
             ["sweep", "--values", "2", "--replay", str(tmp_path), "--out", str(tmp_path / "s")]

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from middleway.infrastructure import (
+    HEADING_WINDOW_S,
     CorridorMap,
     Direction,
     FeedClient,
@@ -333,9 +334,10 @@ class TestInferHeading:
 
 
 class TestInferHeadingMatchesScan:
-    """Bisect against the backward scan on histories stamped as World stamps
-    them, t = round(t + dt, 9), and trimmed as the controlled tick trims them
-    (past 256 samples, drop the oldest 128)."""
+    """infer_heading against the backward scan on histories stamped as World
+    stamps them, t = round(t + dt, 9), and trimmed either by count (past 256
+    samples, drop the oldest 128) or by time as the controlled tick trims
+    them, so both the first-sample shortcut and the bisect are taken."""
 
     @settings(max_examples=200, deadline=None)
     @given(
@@ -356,13 +358,17 @@ class TestInferHeadingMatchesScan:
             # exactly window_s when it starts there.
             st.integers(0, 300),
         ),
+        trim_by_time=st.booleans(),
     )
-    def test_same_heading_as_scan(self, dt, t0, moves, window):
+    def test_same_heading_as_scan(self, dt, t0, moves, window, trim_by_time):
         history = []
         t, mm = t0, 60.0
         for move in moves:
             history.append((t, mm))
-            if len(history) > 256:
+            if trim_by_time:
+                while len(history) > 2 and t - history[1][0] >= HEADING_WINDOW_S:
+                    del history[0]
+            elif len(history) > 256:
                 del history[:128]
             if isinstance(window, int):
                 window_s = history[-1][0] - history[max(0, len(history) - 1 - window)][0]

@@ -10,7 +10,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from middleway.rds import (
-    AllNeighborsMissing,
     ErrorStats,
     GridSpec,
     RdsGrid,
@@ -19,10 +18,8 @@ from middleway.rds import (
     default_sensors,
     error_stats,
     grid_from_field,
-    ideal_speed,
     read_grid,
     read_trajectory,
-    realtime_speed,
     static_field,
     synthetic_trajectory,
     wave_field,
@@ -49,6 +46,52 @@ def build_grid_loop(samples, spec):
     with np.errstate(invalid="ignore"):
         speeds = np.where(counts > 0, sums / np.maximum(counts, 1), np.nan)
     return RdsGrid(spec, speeds)
+
+
+class AllNeighborsMissing(Exception):
+    """No grid data supports the requested point."""
+
+
+def _spatial_pair(spec, mm):
+    i = bisect.bisect_right(spec.sensor_mm, mm) - 1
+    if i < 0 or i + 1 >= len(spec.sensor_mm):
+        raise AllNeighborsMissing(f"mile marker {mm} outside sensor coverage")
+    return i, i + 1
+
+
+def _report_index(spec, t):
+    return int(math.floor((t - spec.origin_s) / spec.cell_duration_s))
+
+
+def ideal_speed(p, grid):
+    """Reference ideal estimate: mean of the four cells bracketing the point
+    in space and time; missing cells are dropped from the mean."""
+    spec = grid.spec
+    i_lo, i_hi = _spatial_pair(spec, p.mile_marker)
+    k = _report_index(spec, p.t)
+    if k < 0 or k + 1 >= spec.n_reports:
+        raise AllNeighborsMissing(f"time {p.t} outside report coverage")
+    cells = [grid.speeds[i, col] for i in (i_lo, i_hi) for col in (k, k + 1)]
+    cells = [v for v in cells if not math.isnan(v)]
+    if not cells:
+        raise AllNeighborsMissing(f"all four cells missing at ({p.t}, {p.mile_marker})")
+    return sum(cells) / len(cells)
+
+
+def realtime_speed(p, grid, latency_s=0.0):
+    """Reference realtime estimate: average of the two spatial neighbors'
+    freshest reports at t - latency."""
+    spec = grid.spec
+    i_lo, i_hi = _spatial_pair(spec, p.mile_marker)
+    j = _report_index(spec, p.t - latency_s)
+    if j < 0:
+        raise AllNeighborsMissing(f"no reports available {latency_s} s before {p.t}")
+    j = min(j, spec.n_reports - 1)
+    values = [grid.speeds[i, j] for i in (i_lo, i_hi)]
+    values = [v for v in values if not math.isnan(v)]
+    if not values:
+        raise AllNeighborsMissing(f"both neighbors missing at ({p.t}, {p.mile_marker})")
+    return float(sum(values) / len(values))
 
 
 def error_stats_per_latency(trajectory, grid, latencies, bin_width_mph=1.0):
@@ -396,6 +439,40 @@ class TestErrorStatsMatchesPerLatency:
         )
         got = error_stats(traj, grid, latencies, bin_width)
         assert got == error_stats_per_latency(traj, grid, latencies, bin_width)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        values=st.lists(
+            st.one_of(st.none(), st.floats(-40.0, 40.0)), min_size=12, max_size=12
+        ),
+        points=st.lists(
+            st.tuples(
+                st.one_of(st.sampled_from([-30.0, 0.0, 30.0, 60.0, 90.0, 120.0]),
+                          st.floats(-40.0, 130.0)),
+                st.one_of(st.sampled_from([59.9, 60.0, 60.5, 61.0, 61.1]),
+                          st.floats(59.8, 61.2)),
+            ),
+            max_size=30,
+        ),
+        latencies=st.lists(st.floats(0.0, 150.0), min_size=1, max_size=3, unique=True),
+        bin_width=st.sampled_from([0.25, 1.0]),
+    )
+    def test_equal_stats_on_lattice_edges_and_holes(self, values, points, latencies,
+                                                    bin_width):
+        # Points on sensor and report boundaries, outside coverage, and over
+        # holes and negative zeros: every mean must be bit-identical.
+        speeds = np.array([math.nan if v is None else v for v in values]).reshape(3, 4)
+        grid = RdsGrid(small_spec(), speeds)
+        traj = [TrajectoryPoint(t, mm, 0.0) for t, mm in points]
+        got = error_stats(traj, grid, latencies, bin_width)
+        assert got == error_stats_per_latency(traj, grid, latencies, bin_width)
+
+    @pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf])
+    def test_non_finite_t_raises(self, t):
+        grid = grid_from_field(static_field(20.0), small_spec())
+        traj = [TrajectoryPoint(40.0, 60.25, 20.0), TrajectoryPoint(t, 60.25, 20.0)]
+        with pytest.raises(ValueError, match="finite"):
+            error_stats(traj, grid, [0.0])
 
 
 def _log(rows):

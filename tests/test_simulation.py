@@ -61,6 +61,34 @@ def write_run_log_csv(log, path) -> None:
             )
 
 
+def read_run_log_csv(path) -> list:
+    """Reference run-log reader: csv.reader on every line."""
+    rows = []
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        header = next(reader, ())
+        if tuple(header) != RUN_LOG_COLUMNS:
+            raise ValueError(f"unexpected run log header: {header}")
+        for raw in reader:
+            t, vid, kind, x, mm, v, mode, v_des, v_gr, v_pr, u = raw
+            rows.append(
+                (
+                    float(t),
+                    vid,
+                    kind,
+                    float(x),
+                    float(mm),
+                    float(v),
+                    mode if mode else None,
+                    float(v_des) if v_des else None,
+                    float(v_gr) if v_gr else None,
+                    float(v_pr) if v_pr else None,
+                    float(u),
+                )
+            )
+    return rows
+
+
 def radar_candidates_scan(world, veh):
     """Reference for World._radar_candidates: a scan over every vehicle."""
     x_lo = veh.position
@@ -359,6 +387,62 @@ class TestRunLogWriterOracle:
         ]
         path = self.assert_same_bytes(log, tmp_path)
         assert read_run_log(path).rows == log.rows
+
+
+# Cell text with every character the writer quotes for, plus line
+# separators that str.splitlines would split on but a file does not.
+_CELL_TEXT = st.text(st.sampled_from(list('ab7,"\r\n \x85\u2028')), max_size=6)
+_NUMBER = st.floats(allow_nan=False, width=32)
+
+
+@st.composite
+def run_log_rows(draw):
+    optional = lambda s: st.one_of(st.none(), s)  # noqa: E731
+    return (
+        draw(_NUMBER), draw(_CELL_TEXT),
+        draw(st.one_of(st.sampled_from(["human", "controlled"]), _CELL_TEXT)),
+        draw(_NUMBER), draw(_NUMBER), draw(_NUMBER),
+        draw(optional(st.one_of(st.sampled_from(["normal", "cbf"]), _CELL_TEXT))),
+        draw(optional(_NUMBER)), draw(optional(_NUMBER)), draw(optional(_NUMBER)),
+        draw(_NUMBER),
+    )
+
+
+class TestRunLogReaderOracle:
+    """read_run_log reads the rows the csv.reader reference reads."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(rows=st.lists(run_log_rows(), max_size=8))
+    def test_same_rows_as_csv_reader(self, tmp_path_factory, rows):
+        path = tmp_path_factory.mktemp("log") / "run_log.csv"
+        log = RunLog(dt=0.05, seed=0)
+        log.rows = rows
+        write_run_log(log, path)
+        assert read_run_log(path).rows == read_run_log_csv(path)
+
+    def test_canonical_run(self, tmp_path):
+        path = tmp_path / "run_log.csv"
+        write_run_log(run(canonical_scenario(duration_s=30.0)), path)
+        assert read_run_log(path).rows == read_run_log_csv(path)
+
+    @pytest.mark.parametrize(
+        "body",
+        [
+            "0.000,a,human,1.0,70.0,2.0,,,,\r\n",
+            "0.000,a,human,1.0,70.0,2.0,,,,,0.5,9\r\n",
+            "0.000,a,human,1.0,70.0,2.0,,,,,0.5\r\n\r\n",
+            "0.000,a,human,fast,70.0,2.0,,,,,0.5\r\n",
+            '0.000,"a,b",controlled,1.0,70.0,2.0,cbf,x,,,0.5\r\n',
+        ],
+        ids=["short", "extra", "blank", "non_numeric", "quoted_non_numeric"],
+    )
+    def test_malformed_rows_raise_in_both(self, tmp_path, body):
+        path = tmp_path / "bad.csv"
+        path.write_text(",".join(RUN_LOG_COLUMNS) + "\r\n" + body, newline="")
+        with pytest.raises(ValueError):
+            read_run_log(path)
+        with pytest.raises(ValueError):
+            read_run_log_csv(path)
 
 
 def multilane_noisy_scenario():
