@@ -1,14 +1,15 @@
 """Roadside infrastructure: gantries, advisory acquisition, and the feed.
 
 Variable-speed gantries sit every half mile along a mile-marker corridor
-and post speeds in whole multiples of 5 mph between 30 and 70. A vehicle
-acquires the advisory of the nearest same-direction gantry once it comes
-within acquire_mi of it; the acquisition then sticks until a new
-gantry is acquired or the vehicle leaves the corridor, which mirrors how
-a geofence lookup behaves between gantries. Advisory fetches happen on
-each new acquisition and every poll_period_s thereafter, and reach the
-vehicle through a feed with scalar latency, random dropout, and a
-staleness bound after which the held reading is no longer trusted.
+and post speeds in whole multiples of 5 mph between 30 and 70. Each
+controlled vehicle's GantryTracker acquires the advisory of the nearest
+same-direction gantry once it comes within ACQUIRE_MI of it; the
+acquisition then sticks until a new gantry is acquired or the vehicle
+leaves the corridor, which mirrors how a geofence lookup behaves between
+gantries. The tracker also paces fetches: one on each new acquisition and
+one every poll_period_s thereafter. Fetched speeds reach the vehicle
+through a feed with scalar latency, random dropout, and a staleness bound
+after which the held reading is no longer trusted.
 """
 
 from __future__ import annotations
@@ -146,75 +147,59 @@ def infer_heading(
     return None
 
 
-@dataclass(frozen=True)
-class VslReading:
-    """An advisory as fetched for the vehicle: gantry, posted speed (m/s), time."""
-
-    gantry_id: str
-    v_gr: float
-    fetched_at: float
+# Distance (mi) within which the nearest same-direction gantry is acquired.
+ACQUIRE_MI = 0.15
 
 
-def active_gantry(
-    mile_marker: float,
-    heading: Optional[Direction],
-    corridor: CorridorMap,
-    prior_id: Optional[str] = None,
-    acquire_mi: float = 0.15,
-) -> Optional[str]:
-    """Resolve which gantry's advisory applies at this position.
-
-    A gantry is acquired when it is the nearest same-direction gantry and
-    lies within acquire_mi. Between acquisitions the prior gantry persists.
-    Outside the corridor, or with an unknown heading, no gantry applies
-    (None) and any prior acquisition is forgotten by the caller (see
-    GantryTracker).
-    """
-    if heading is None or not corridor.contains(mile_marker):
-        return None
-    nearest = corridor.nearest(mile_marker, heading)
-    if nearest is None:
-        return None
-    if abs(nearest.mile_marker - mile_marker) <= acquire_mi:
-        return nearest.gantry_id
-    return prior_id
-
-
-@dataclass
 class GantryTracker:
-    """Holds the sticky acquisition across calls and flags new acquisitions."""
+    """One vehicle's advisory source: heading, acquisition and fetch cadence.
 
-    corridor: CorridorMap
-    prior_id: Optional[str] = None
+    Keeps the vehicle's (time, mile marker) history, reads the heading off
+    it, and acquires the nearest same-direction gantry once it lies within
+    ACQUIRE_MI. The acquisition sticks until another gantry is acquired,
+    and is dropped outside the corridor or while the heading is unknown.
+    Fetches happen on each acquisition and every poll_period_s thereafter.
+    """
+
+    def __init__(self, corridor: CorridorMap, poll_period_s: float):
+        self.corridor = corridor
+        self.poll_period_s = poll_period_s
+        self.gantry_id: Optional[str] = None
+        # Set on each acquisition, before any poll-cadence test reads it.
+        self.last_fetch = 0.0
+        self.mm_history: list[tuple[float, float]] = []
 
     def update(
-        self, mile_marker: float, heading: Optional[Direction]
-    ) -> tuple[Optional[str], bool]:
-        """Return the applicable gantry id (or None) and whether it is new."""
-        gantry_id = active_gantry(mile_marker, heading, self.corridor, self.prior_id)
-        newly_acquired = gantry_id is not None and gantry_id != self.prior_id
-        self.prior_id = gantry_id
-        return gantry_id, newly_acquired
+        self, mile_marker: float, now: float
+    ) -> tuple[Optional[str], bool, bool]:
+        """Record the position; return (gantry id or None, acquired, fetch)."""
+        history = self.mm_history
+        history.append((now, mile_marker))
+        # infer_heading reads nothing older than the newest sample that is
+        # at least the window old, so that sample is the oldest kept.
+        while len(history) > 2 and now - history[1][0] >= HEADING_WINDOW_S:
+            del history[0]
+        heading = infer_heading(history)
 
+        prior_id = self.gantry_id
+        nearest = None
+        if heading is not None and self.corridor.contains(mile_marker):
+            nearest = self.corridor.nearest(mile_marker, heading)
+        if nearest is None:
+            gantry_id = None
+        elif abs(nearest.mile_marker - mile_marker) <= ACQUIRE_MI:
+            gantry_id = nearest.gantry_id
+        else:
+            gantry_id = prior_id
+        self.gantry_id = gantry_id
 
-@dataclass
-class PollTimer:
-    """Advisory fetch cadence: one fetch on each bounds entry, then every
-    period seconds until the next entry resets the cadence."""
-
-    period: float = 5.0
-    last_fetch: Optional[float] = None
-
-    def on_entry(self, now: float) -> None:
-        self.last_fetch = now
-
-    def due(self, now: float) -> bool:
-        if self.last_fetch is None:
-            return False
-        if now - self.last_fetch >= self.period:
+        acquired = gantry_id is not None and gantry_id != prior_id
+        fetch = acquired or (
+            gantry_id is not None and now - self.last_fetch >= self.poll_period_s
+        )
+        if fetch:
             self.last_fetch = now
-            return True
-        return False
+        return gantry_id, acquired, fetch
 
 
 @dataclass(frozen=True)
@@ -299,19 +284,21 @@ class FeedClient:
     def __init__(self, cfg: FeedConfig, rng: Optional[random.Random] = None):
         self.cfg = cfg
         self.rng = rng if rng is not None else random.Random(0)
-        self._in_flight: list[tuple[float, VslReading]] = []
-        self._held: Optional[VslReading] = None
+        self._in_flight: list[tuple[float, float]] = []
+        self._held: Optional[float] = None
         self._held_since = -math.inf
 
-    def publish(self, reading: VslReading, now: float) -> None:
+    def publish(self, v_gr: float, now: float) -> None:
+        """Send a posted speed (m/s) fetched at now."""
         if self.cfg.dropout > 0.0 and self.rng.random() < self.cfg.dropout:
             return
-        self._in_flight.append((now + self.cfg.latency_s, reading))
+        self._in_flight.append((now + self.cfg.latency_s, v_gr))
 
-    def poll(self, now: float) -> Optional[VslReading]:
+    def poll(self, now: float) -> Optional[float]:
+        """The held posted speed (m/s), or None when nothing fresh arrived."""
         while self._in_flight and self._in_flight[0][0] <= now:
-            arrival, reading = self._in_flight.pop(0)
-            self._held = reading
+            arrival, v_gr = self._in_flight.pop(0)
+            self._held = v_gr
             self._held_since = arrival
         if self._held is None:
             return None

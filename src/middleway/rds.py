@@ -303,7 +303,11 @@ def read_grid(path: str | Path) -> RdsGrid:
         if header != ["sensor_mm", "report_start_s", "mean_speed_mps"]:
             raise ValueError(f"unexpected grid header: {header}")
         for mm, start, v in reader:
-            rows.append((float(mm), float(start), float(v) if v else math.nan))
+            row = (float(mm), float(start), float(v) if v else math.nan)
+            # An empty speed cell is a missing report; every number is finite.
+            if not all(map(math.isfinite, row if v else row[:2])):
+                raise ValueError(f"non-finite grid value: {row}")
+            rows.append(row)
     if not rows:
         raise ValueError("grid has no rows")
     sensors = tuple(sorted({mm for mm, _, _ in rows}))

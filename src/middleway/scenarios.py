@@ -144,6 +144,8 @@ def string_scenario(
     after the cascade settles and before the leading links outrun radar
     range.
     """
+    if n_controlled < 1:
+        raise ValueError("n_controlled: must be at least 1")
     if gap0_m <= radar_range_m / 2.0:
         raise ValueError("gap0_m: must exceed half the radar range")
     v_gr = mph_to_mps(posted_mph)

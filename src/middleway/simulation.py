@@ -3,11 +3,11 @@
 The world holds point vehicles on a straight corridor, positions measured
 in meters along the travel direction from the corridor entry and mapped
 affinely to mile markers. Human vehicles follow the intelligent-driver
-model, probe vehicles track scripted speed profiles exactly, and
-controlled vehicles run the full perception / infrastructure / control
-pipeline off synthesized radar frames and gantry advisories. Adjacent
-lanes carry phantom target streams that feed radar only and never
-interact with the mainline.
+model, probe vehicles hold their initial speed, and controlled vehicles
+run the full perception / infrastructure / control pipeline off
+synthesized radar frames and gantry advisories. Adjacent lanes carry
+phantom target streams that feed radar only and never interact with the
+mainline.
 
 Integration is semi-implicit Euler at a fixed step: v += u * dt first,
 then x += v * dt with the updated velocity, velocities floored at zero.
@@ -37,16 +37,12 @@ from .controller import (
     step_controller,
 )
 from .infrastructure import (
-    HEADING_WINDOW_S,
     CorridorMap,
     Direction,
     FeedClient,
     FeedConfig,
     GantryTracker,
-    PollTimer,
     VslConfig,
-    VslReading,
-    infer_heading,
     vsl_algorithm,
 )
 from .perception import (
@@ -135,18 +131,6 @@ class VehicleInit:
     lane: int = 0
     engage_at: Optional[float] = 0.0
     driver_setpoint: float = 33.5
-    profile: Optional[tuple[tuple[float, float], ...]] = None
-
-
-@dataclass(frozen=True)
-class SpeedPulse:
-    """Scripted deceleration applied to one vehicle for a fixed window."""
-
-    vehicle_id: str
-    t_start: float
-    duration: float
-    target_speed: float
-    decel: float = 2.0
 
 
 @dataclass(frozen=True)
@@ -191,14 +175,6 @@ def interp_profile(profile: Sequence[tuple[float, float]], t: float) -> float:
     return profile[-1][1]
 
 
-def max_profile_decel(profile: Sequence[tuple[float, float]]) -> float:
-    worst = 0.0
-    for (t0, v0), (t1, v1) in zip(profile, profile[1:]):
-        if t1 > t0:
-            worst = min(worst, (v1 - v0) / (t1 - t0))
-    return -worst
-
-
 @dataclass
 class ScenarioConfig:
     duration_s: float = 600.0
@@ -215,7 +191,6 @@ class ScenarioConfig:
     feed: FeedConfig = field(default_factory=FeedConfig)
     human: IdmParams = field(default_factory=IdmParams)
     vehicles: list[VehicleInit] = field(default_factory=list)
-    pulses: list[SpeedPulse] = field(default_factory=list)
     bottlenecks: list[Bottleneck] = field(default_factory=list)
     phantoms: list[PhantomStreamSpec] = field(default_factory=list)
     vsl_static_mph: Optional[int] = None
@@ -239,25 +214,6 @@ class ScenarioConfig:
             xs = sorted(v.x0 for v in vehs)
             if any(b - a <= 0.0 for a, b in zip(xs, xs[1:])):
                 raise ValueError(f"vehicles: overlapping positions in lane {lane}")
-        brake_limit = -self.controller.u_min + 1e-9
-        for v in self.vehicles:
-            if v.profile is not None:
-                if not v.profile:
-                    raise ValueError(
-                        f"vehicles: profile of {v.vehicle_id} has no points"
-                    )
-                if max_profile_decel(v.profile) > brake_limit:
-                    raise ValueError(
-                        f"vehicles: profile of {v.vehicle_id} brakes harder than |u_min|"
-                    )
-                v_start = interp_profile(v.profile, 0.0)
-                if abs(v_start - v.v0) > 1e-6:
-                    raise ValueError(
-                        f"vehicles: {v.vehicle_id} v0 does not match its profile start"
-                    )
-        for pulse in self.pulses:
-            if pulse.decel > brake_limit:
-                raise ValueError("pulses: decel exceeds |u_min|")
         if self.vsl_static_mph is not None:
             if not (self.vsl.min_mph <= self.vsl_static_mph <= self.vsl.max_mph):
                 raise ValueError("vsl_static_mph: outside posting range")
@@ -336,11 +292,9 @@ class _ControlledAgent:
         self.engage_at = init.engage_at
         self.driver_setpoint = init.driver_setpoint
         self.estimator = PrevailingSpeedEstimator(cfg.estimator)
-        self.tracker = GantryTracker(cfg.corridor)
-        self.poll_timer = PollTimer(cfg.feed.poll_period_s)
+        self.tracker = GantryTracker(cfg.corridor, cfg.feed.poll_period_s)
         self.feed = FeedClient(cfg.feed, rng)
         self.ctrl_state = ControllerState()
-        self.mm_history: list[tuple[float, float]] = []
 
 
 class World:
@@ -356,13 +310,9 @@ class World:
             VehicleState(v.vehicle_id, v.kind, v.x0, v.v0, v.lane)
             for v in cfg.vehicles
         ]
-        self._init_by_id = {v.vehicle_id: v for v in cfg.vehicles}
         # Log-row kind strings, in self.vehicles order.
         self._kind_names = [v.kind.value for v in self.vehicles]
         self._humans = [v for v in self.vehicles if v.kind is VehicleKind.HUMAN]
-        self._pulses: dict[str, list[SpeedPulse]] = {}
-        for pulse in cfg.pulses:
-            self._pulses.setdefault(pulse.vehicle_id, []).append(pulse)
         self.lanes: dict[int, list[VehicleState]] = {}
         for veh in self.vehicles:
             self.lanes.setdefault(veh.lane, []).append(veh)
@@ -377,8 +327,8 @@ class World:
             self._lead_map[lane[-1].vehicle_id] = None
         self._index_lane_positions()
         self.agents = {
-            v.vehicle_id: _ControlledAgent(self._init_by_id[v.vehicle_id], cfg, self.rng)
-            for v in self.vehicles
+            v.vehicle_id: _ControlledAgent(v, cfg, self.rng)
+            for v in cfg.vehicles
             if v.kind is VehicleKind.CONTROLLED
         }
         self.phantoms = [_PhantomStream(spec) for spec in cfg.phantoms]
@@ -450,13 +400,6 @@ class World:
                 )
                 self.posted_mph[g.gantry_id] = posted
 
-    def _probe_accel(self, veh: VehicleState) -> float:
-        init = self._init_by_id[veh.vehicle_id]
-        if init.profile is None:
-            return 0.0
-        v_next = interp_profile(init.profile, self.t + self.cfg.dt)
-        return (v_next - veh.velocity) / self.cfg.dt
-
     def _radar_candidates(self, veh: VehicleState) -> list[ObservedVehicle]:
         """Vehicles within one lane of veh with x_lo < position <= x_hi,
         then the phantom targets in that range."""
@@ -500,35 +443,21 @@ class World:
         lead = lead_vehicle(frame, veh.velocity)
 
         mm = self.mm_of(veh.position)
-        history = agent.mm_history
-        history.append((now, mm))
-        # infer_heading reads nothing older than the newest sample that is
-        # at least the window old, so that sample is the oldest kept.
-        while len(history) > 2 and now - history[1][0] >= HEADING_WINDOW_S:
-            del history[0]
-        heading = infer_heading(history)
-
-        gantry_id, newly_acquired = agent.tracker.update(mm, heading)
-        if gantry_id is not None:
-            if newly_acquired:
-                agent.poll_timer.on_entry(now)
-                fetch = True
-                self.events.append(
-                    {
-                        "t": now,
-                        "event": "acquisition",
-                        "vehicle_id": veh.vehicle_id,
-                        "gantry_id": gantry_id,
-                    }
-                )
-            else:
-                fetch = agent.poll_timer.due(now)
-            if fetch:
-                v_posted = mph_to_mps(self.posted_mph[gantry_id])
-                agent.feed.publish(VslReading(gantry_id, v_posted, now), now)
+        gantry_id, acquired, fetch = agent.tracker.update(mm, now)
+        if acquired:
+            self.events.append(
+                {
+                    "t": now,
+                    "event": "acquisition",
+                    "vehicle_id": veh.vehicle_id,
+                    "gantry_id": gantry_id,
+                }
+            )
+        if fetch:
+            agent.feed.publish(mph_to_mps(self.posted_mph[gantry_id]), now)
         delivered = agent.feed.poll(now)
         vsl_valid = gantry_id is not None and delivered is not None
-        v_gr = delivered.v_gr if vsl_valid else 0.0
+        v_gr = delivered if vsl_valid else 0.0
         in_corridor = cfg.corridor.contains(mm)
 
         inputs = ControlInputs(
@@ -564,24 +493,18 @@ class World:
             self._index_lane_positions()
         human = cfg.human
         lead_of = self._lead_map
-        pulses_of = self._pulses
         bottlenecks = [bn for bn in cfg.bottlenecks if bn.t_start <= t < bn.t_end]
         commands: list[tuple[VehicleState, float, Optional[tuple]]] = []
         for veh in self.vehicles:
             if veh.kind is VehicleKind.HUMAN:
-                # IDM, capped by the vehicle's first live pulse and by the
-                # first active bottleneck whose zone holds it.
+                # IDM, capped by the first active bottleneck whose zone
+                # holds the vehicle.
                 v = veh.velocity
                 lead = lead_of[veh.vehicle_id]
                 if lead is None:
                     u = idm_accel(v, None, None, human)
                 else:
                     u = idm_accel(v, lead.position - veh.position, lead.velocity, human)
-                for pulse in pulses_of.get(veh.vehicle_id, ()):
-                    if pulse.t_start <= t < pulse.t_start + pulse.duration:
-                        v_next = max(pulse.target_speed, v - pulse.decel * dt)
-                        u = min(u, (v_next - v) / dt)
-                        break
                 for bn in bottlenecks:
                     if bn.x_start <= veh.position <= bn.x_end:
                         v_next = max(bn.speed_cap, v - bn.decel * dt)
@@ -593,7 +516,7 @@ class World:
                     u = human.a
                 commands.append((veh, u, None))
             elif veh.kind is VehicleKind.PROBE:
-                commands.append((veh, self._probe_accel(veh), None))
+                commands.append((veh, 0.0, None))
             else:
                 u, fields = self._controlled_accel(veh)
                 commands.append((veh, u, fields))
@@ -684,7 +607,6 @@ def config_echo(cfg: ScenarioConfig) -> dict:
         "feed": asdict(cfg.feed),
         "human": asdict(cfg.human),
         "vehicles": len(cfg.vehicles),
-        "pulses": len(cfg.pulses),
         "bottlenecks": len(cfg.bottlenecks),
         "phantoms": len(cfg.phantoms),
         "vsl_static_mph": cfg.vsl_static_mph,
@@ -773,7 +695,7 @@ def write_events(log: RunLog, path: str | Path) -> None:
             fh.write("\n")
 
 
-def build_report(log: RunLog, duration_s: Optional[float] = None) -> RunReport:
+def build_report(log: RunLog) -> RunReport:
     """Aggregate controlled-vehicle rows into occupancy and transitions.
 
     Occupancy fractions are over engaged time only (disengaged rows are
@@ -808,7 +730,7 @@ def build_report(log: RunLog, duration_s: Optional[float] = None) -> RunReport:
     )
     return RunReport(
         seed=log.seed,
-        duration_s=duration_s if duration_s is not None else t_max + dt_row,
+        duration_s=t_max + dt_row,
         engaged_time_s=engaged_time,
         mode_occupancy=fractions,
         mode_transitions=dict(sorted(transitions.items())),

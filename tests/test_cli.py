@@ -258,6 +258,14 @@ class TestCli:
         assert steady["cav02"] == pytest.approx(26.0, abs=0.05)
         assert steady["cav03"] == pytest.approx(24.0, abs=0.05)
 
+    @pytest.mark.parametrize("n", ["0", "-1"])
+    def test_string_without_controlled_vehicles_exits_2(self, tmp_path, capsys, n):
+        code = main(
+            ["string", "--out", str(tmp_path), "--override", f"scenario.n_controlled={n}"]
+        )
+        assert code == 2
+        assert "n_controlled" in capsys.readouterr().err
+
     def test_string_command_steady_v_des_with_log_every(self, tmp_path):
         steady = {}
         for every in (1, 10):
@@ -330,10 +338,18 @@ class TestCli:
         assert "traj.csv" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
-        "grid_text", ["", "sensor_mm,report_start_s,mean_speed_mps\n", "a,b\n"]
+        "grid_text",
+        ["", "sensor_mm,report_start_s,mean_speed_mps\n", "a,b\n"]
+        + [f"sensor_mm,report_start_s,mean_speed_mps\n{rows}\n" for rows in (
+            "60.000,0.0,inf\n60.500,0.0,20.0",
+            "60.000,0.0,nan\n60.500,0.0,20.0",
+            "inf,0.0,20.0\n60.500,0.0,20.0",
+            "60.000,nan,20.0\n60.500,nan,20.0",
+            "60.000,inf,20.0\n60.500,inf,20.0",
+        )],
     )
     def test_rds_malformed_grid_exits_2(self, tmp_path, capsys, grid_text):
-        args = rds_args(tmp_path, TRAJECTORY_HEADER)
+        args = rds_args(tmp_path, f"{TRAJECTORY_HEADER}10.000,60.200000,21.000000\n")
         (tmp_path / "grid.csv").write_text(grid_text)
         code = main(args)
         assert code == 2

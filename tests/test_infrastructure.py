@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from middleway.infrastructure import (
+    ACQUIRE_MI,
     HEADING_WINDOW_S,
     CorridorMap,
     Direction,
@@ -15,10 +16,7 @@ from middleway.infrastructure import (
     FeedConfig,
     Gantry,
     GantryTracker,
-    PollTimer,
     VslConfig,
-    VslReading,
-    active_gantry,
     infer_heading,
     vsl_algorithm,
 )
@@ -28,8 +26,8 @@ from middleway.units import mph_to_mps
 def poll_schedule(
     entry_times: list[float], until: float, period: float = 5.0
 ) -> list[float]:
-    """Reference fetch times for PollTimer: one on each bounds entry, then
-    every period seconds until the next entry resets the cadence."""
+    """Reference fetch times: one on each acquisition, then every period
+    seconds until the next acquisition resets the cadence."""
     entries = sorted(entry_times)
     fetches: list[float] = []
     for i, start in enumerate(entries):
@@ -41,17 +39,26 @@ def poll_schedule(
     return fetches
 
 
-def active_gantry_scan(mile_marker, heading, corridor, prior_id=None, acquire_mi=0.15):
-    """Reference for active_gantry: a linear scan over every gantry."""
-    if heading is None or not corridor.contains(mile_marker):
-        return None
+def nearest_scan(corridor, mile_marker, heading):
+    """Reference for CorridorMap.nearest: a linear scan over every gantry."""
     matching = [g for g in corridor.gantries if g.direction == heading]
     if not matching:
         return None
-    nearest = min(
+    return min(
         matching, key=lambda g: (abs(g.mile_marker - mile_marker), g.gantry_id)
     )
-    if abs(nearest.mile_marker - mile_marker) <= acquire_mi:
+
+
+def active_gantry_scan(mile_marker, heading, corridor, prior_id=None):
+    """Reference for the tracker's acquisition: the nearest same-direction
+    gantry within ACQUIRE_MI, else the prior one; None outside the corridor
+    or with an unknown heading."""
+    if heading is None or not corridor.contains(mile_marker):
+        return None
+    nearest = nearest_scan(corridor, mile_marker, heading)
+    if nearest is None:
+        return None
+    if abs(nearest.mile_marker - mile_marker) <= ACQUIRE_MI:
         return nearest.gantry_id
     return prior_id
 
@@ -119,54 +126,70 @@ class TestCorridorMap:
         )
 
 
+def gantry_after_approach(corridor, mile_marker, heading, prior_id=None):
+    """The tracker's gantry at mile_marker, reached over one heading window
+    in the given heading (None: standing still), with prior_id held."""
+    step = {Direction.WESTBOUND: 1e-3, Direction.EASTBOUND: -1e-3, None: 0.0}
+    tracker = GantryTracker(corridor, poll_period_s=5.0)
+    tracker.update(mile_marker + step[heading], 0.0)
+    tracker.gantry_id = prior_id
+    return tracker.update(mile_marker, HEADING_WINDOW_S)[0]
+
+
 class TestActiveGantry:
     def test_acquires_within_bound(self, corridor):
-        assert active_gantry(59.95, Direction.WESTBOUND, corridor) == "wb_060.00"
+        gantry_id = gantry_after_approach(corridor, 59.95, Direction.WESTBOUND)
+        assert gantry_id == "wb_060.00"
+
+    def test_acquires_at_exactly_acquire_mi(self):
+        corridor = CorridorMap([Gantry("g", 0.0, Direction.WESTBOUND)], -1.0, 1.0)
+        assert gantry_after_approach(corridor, ACQUIRE_MI, Direction.WESTBOUND) == "g"
 
     def test_no_acquisition_without_prior_is_invalid(self, corridor):
-        assert active_gantry(60.30, Direction.WESTBOUND, corridor) is None
+        assert gantry_after_approach(corridor, 60.30, Direction.WESTBOUND) is None
 
     def test_prior_acquisition_persists_between_gantries(self, corridor):
-        gantry_id = active_gantry(
-            59.80, Direction.WESTBOUND, corridor, prior_id="wb_060.00"
+        gantry_id = gantry_after_approach(
+            corridor, 59.80, Direction.WESTBOUND, prior_id="wb_060.00"
         )
         assert gantry_id == "wb_060.00"
 
     def test_outside_corridor_is_invalid_even_with_prior(self, corridor):
-        gantry_id = active_gantry(
-            52.0, Direction.WESTBOUND, corridor, prior_id="wb_053.00"
+        gantry_id = gantry_after_approach(
+            corridor, 52.0, Direction.WESTBOUND, prior_id="wb_053.00"
         )
         assert gantry_id is None
 
     def test_wrong_direction_gantries_ignored(self):
         gantries = [Gantry("eb_060.00", 60.0, Direction.EASTBOUND)]
         corridor = CorridorMap(gantries, 53.0, 70.0)
-        assert active_gantry(60.0, Direction.WESTBOUND, corridor) is None
+        assert gantry_after_approach(corridor, 60.0, Direction.WESTBOUND) is None
 
     def test_unknown_heading_is_invalid(self, corridor):
-        assert active_gantry(60.0, None, corridor) is None
+        assert gantry_after_approach(
+            corridor, 60.0, None, prior_id="wb_060.00"
+        ) is None
 
 
 class TestActiveGantryMatchesScan:
-    """Bisect lookup against the linear scan, ties and duplicates included."""
+    """CorridorMap.nearest's bisect lookup against the linear scan, ties and
+    duplicates included."""
 
     @settings(max_examples=300, deadline=None)
     @given(
         data=st.data(),
-        heading=st.sampled_from([Direction.WESTBOUND, Direction.EASTBOUND, None]),
-        prior_id=st.sampled_from([None, "wb_a", "eb_61"]),
-        acquire_mi=st.sampled_from([0.0, 0.1, 0.15, 0.25, 1.0]),
+        heading=st.sampled_from(list(Direction)),
     )
-    def test_mixed_corridor(self, mixed_corridor, data, heading, prior_id, acquire_mi):
+    def test_mixed_corridor(self, mixed_corridor, data, heading):
         mm = data.draw(
             st.one_of(
                 st.sampled_from(_midpoints(mixed_corridor)),
                 st.floats(59.5, 62.5, allow_nan=False),
             )
         )
-        assert active_gantry(
-            mm, heading, mixed_corridor, prior_id, acquire_mi
-        ) == active_gantry_scan(mm, heading, mixed_corridor, prior_id, acquire_mi)
+        assert mixed_corridor.nearest(mm, heading) == nearest_scan(
+            mixed_corridor, mm, heading
+        )
 
     @settings(max_examples=300, deadline=None)
     @given(
@@ -195,19 +218,78 @@ class TestActiveGantryMatchesScan:
                 st.floats(corridor.mm_lo, corridor.mm_hi, allow_nan=False),
             )
         )
-        assert active_gantry(mm, heading, corridor, None, 1e300) == active_gantry_scan(
-            mm, heading, corridor, None, 1e300
-        )
+        assert corridor.nearest(mm, heading) == nearest_scan(corridor, mm, heading)
+
+
+class PollTimerRef:
+    """Reference fetch cadence: one fetch on each acquisition, then one at
+    the first tick at least period seconds after the last fetch."""
+
+    def __init__(self, period):
+        self.period = period
+        self.last_fetch = None
+
+    def fetch(self, gantry_id, acquired, now):
+        if acquired:
+            self.last_fetch = now
+            return True
+        if gantry_id is None or now - self.last_fetch < self.period:
+            return False
+        self.last_fetch = now
+        return True
 
 
 class TestGantryTracker:
     def test_acquisition_hold_and_reset(self, corridor):
-        tracker = GantryTracker(corridor)
-        assert tracker.update(60.05, Direction.WESTBOUND) == ("wb_060.00", True)
-        assert tracker.update(59.80, Direction.WESTBOUND) == ("wb_060.00", False)
-        assert tracker.update(59.60, Direction.WESTBOUND) == ("wb_059.50", True)
-        assert tracker.update(52.5, Direction.WESTBOUND) == (None, False)
-        assert tracker.prior_id is None
+        tracker = GantryTracker(corridor, poll_period_s=5.0)
+        assert tracker.update(60.25, 0.0) == (None, False, False)
+        assert tracker.update(60.05, 2.0) == ("wb_060.00", True, True)
+        assert tracker.update(59.80, 4.0) == ("wb_060.00", False, False)
+        assert tracker.update(59.70, 7.0) == ("wb_060.00", False, True)
+        assert tracker.update(59.60, 8.0) == ("wb_059.50", True, True)
+        assert tracker.update(52.5, 10.0) == (None, False, False)
+        assert tracker.gantry_id is None
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        use_mixed=st.booleans(),
+        dt=st.sampled_from([0.05, 0.1, 0.3, 1.0]),
+        period=st.sampled_from([0.05, 1.0, 2.5, 5.0]),
+        start=st.floats(0.0, 1.0),
+        moves=st.lists(
+            st.one_of(
+                # Drives, stops (heading unknown) and jumps out of and back
+                # into the corridor.
+                st.sampled_from([0.0, -1e-3, 1e-3, -0.02, 0.02, -5.0, 5.0]),
+                st.floats(-0.05, 0.05),
+            ),
+            min_size=1,
+            max_size=300,
+        ),
+    )
+    def test_same_events_as_oracle(
+        self, mixed_corridor, use_mixed, dt, period, start, moves
+    ):
+        """Per tick, update gives what the scan oracles and the reference
+        cadence give on the untrimmed history."""
+        cmap = mixed_corridor if use_mixed else CorridorMap.build()
+        tracker = GantryTracker(cmap, period)
+        timer = PollTimerRef(period)
+        history = []
+        prior_id = None
+        t = 0.0
+        mm = cmap.mm_lo + start * (cmap.mm_hi - cmap.mm_lo)
+        for move in moves:
+            history.append((t, mm))
+            gantry_id = active_gantry_scan(
+                mm, infer_heading_scan(history), cmap, prior_id
+            )
+            acquired = gantry_id is not None and gantry_id != prior_id
+            expected = (gantry_id, acquired, timer.fetch(gantry_id, acquired, t))
+            assert tracker.update(mm, t) == expected
+            prior_id = gantry_id
+            t = round(t + dt, 9)
+            mm += move
 
 
 class TestPollSchedule:
@@ -226,15 +308,16 @@ class TestPollSchedule:
         assert poll_schedule([], until=1000.0) == []
 
     def test_poll_timer_matches_schedule(self):
-        timer = PollTimer(period=5.0)
+        # One westbound gantry, reached (within ACQUIRE_MI) at t = 10 s.
+        gantries = [Gantry("g", 60.0, Direction.WESTBOUND)]
+        tracker = GantryTracker(CorridorMap(gantries, 50.0, 70.0), poll_period_s=5.0)
         fetches = []
         dt = 0.05
         for i in range(int(120.0 / dt)):
             now = round(i * dt, 3)
-            if now == 10.0:
-                timer.on_entry(now)
-                fetches.append(now)
-            elif timer.due(now):
+            _, acquired, fetch = tracker.update(60.15 + 1e-3 * (10.0 - now), now)
+            assert acquired == (now == 10.0)
+            if fetch:
                 fetches.append(now)
         assert fetches == poll_schedule([10.0], until=119.95)
 
@@ -282,34 +365,29 @@ class TestVslAlgorithm:
 class TestFeedClient:
     def test_latency_delays_delivery(self):
         feed = FeedClient(FeedConfig(latency_s=60.0))
-        reading = VslReading("g", mph_to_mps(50), 100.0)
-        feed.publish(reading, now=100.0)
+        feed.publish(mph_to_mps(50), now=100.0)
         assert feed.poll(159.95) is None
-        delivered = feed.poll(160.0)
-        assert delivered == reading
+        assert feed.poll(160.0) == mph_to_mps(50)
 
     def test_total_dropout_goes_stale_after_bound(self):
         feed = FeedClient(FeedConfig(dropout=0.0, staleness_s=60.0))
-        good = VslReading("g", 20.0, 0.0)
-        feed.publish(good, now=0.0)
-        assert feed.poll(0.0) == good
+        feed.publish(20.0, now=0.0)
+        assert feed.poll(0.0) == 20.0
         blackout = FeedConfig(dropout=1.0, staleness_s=60.0)
         feed.cfg = blackout
         for t in range(1, 91, 5):
-            feed.publish(VslReading("g", 20.0, float(t)), now=float(t))
-        assert feed.poll(60.0) == good
+            feed.publish(25.0, now=float(t))
+        assert feed.poll(60.0) == 20.0
         assert feed.poll(60.1) is None
 
     def test_dropout_is_seeded(self):
-        readings = [VslReading("g", 20.0, float(t)) for t in range(40)]
-
         def run(seed):
+            # Each posted speed is its publish time, so a delivery names it.
             feed = FeedClient(FeedConfig(dropout=0.5), random.Random(seed))
             out = []
-            for r in readings:
-                feed.publish(r, now=r.fetched_at)
-                delivered = feed.poll(r.fetched_at)
-                out.append(None if delivered is None else delivered.fetched_at)
+            for t in range(40):
+                feed.publish(float(t), now=float(t))
+                out.append(feed.poll(float(t)))
             return out
 
         assert run(3) == run(3)

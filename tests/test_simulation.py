@@ -15,11 +15,11 @@ from middleway.scenarios import canonical_scenario, string_scenario
 from middleway.simulation import (
     HUMAN_BRAKE_FLOOR,
     RUN_LOG_COLUMNS,
+    Bottleneck,
     IdmParams,
     PhantomStreamSpec,
     RunLog,
     ScenarioConfig,
-    SpeedPulse,
     VehicleInit,
     VehicleKind,
     World,
@@ -105,8 +105,8 @@ def radar_candidates_scan(world, veh):
     return out
 
 
-def probe(vid, x0, v0, profile=None):
-    return VehicleInit(vid, VehicleKind.PROBE, x0, v0, profile=profile)
+def probe(vid, x0, v0):
+    return VehicleInit(vid, VehicleKind.PROBE, x0, v0)
 
 
 def human(vid, x0, v0):
@@ -181,15 +181,13 @@ class TestIntegration:
         assert last[3] == pytest.approx(12.0 * (1.0 - cfg.dt), abs=1e-9)
 
     def test_one_step_semi_implicit_euler(self):
-        cfg = ScenarioConfig(
-            duration_s=0.05,
-            vehicles=[probe("p", 0.0, 10.0, profile=((0.0, 10.0), (1.0, 11.0)))],
-        )
+        cfg = ScenarioConfig(duration_s=0.05, vehicles=[human("h", 0.0, 10.0)])
         world = World(cfg)
         world.step()
         veh = world.vehicles[0]
-        assert veh.velocity == pytest.approx(10.05, abs=1e-12)
-        assert veh.position == pytest.approx(10.05 * 0.05, abs=1e-12)
+        v_next = 10.0 + idm_accel(10.0, None, None, cfg.human) * 0.05
+        assert veh.velocity == v_next
+        assert veh.position == v_next * 0.05
 
     def test_follower_at_equilibrium_gap_is_steady(self):
         p = IdmParams()
@@ -205,9 +203,8 @@ class TestIntegration:
     def test_velocity_floored_at_zero(self):
         cfg = ScenarioConfig(
             duration_s=10.0,
-            vehicles=[
-                probe("p", 0.0, 5.0, profile=((0.0, 5.0), (2.0, 0.0), (10.0, 0.0)))
-            ],
+            vehicles=[human("h", 0.0, 5.0)],
+            bottlenecks=[Bottleneck(0.0, 1e6, 0.0, 10.0, speed_cap=0.0)],
         )
         log = run(cfg)
         assert all(row[5] >= 0.0 for row in log.rows)
@@ -238,20 +235,6 @@ class TestScenarioValidation:
         with pytest.raises(ValueError, match="unique"):
             cfg.validate()
 
-    def test_profile_brake_limit_enforced(self):
-        cfg = ScenarioConfig(
-            vehicles=[probe("p", 0.0, 20.0, profile=((0.0, 20.0), (1.0, 10.0)))]
-        )
-        with pytest.raises(ValueError, match="brakes harder"):
-            cfg.validate()
-
-    def test_profile_must_match_initial_speed(self):
-        cfg = ScenarioConfig(
-            vehicles=[probe("p", 0.0, 15.0, profile=((0.0, 20.0), (10.0, 20.0)))]
-        )
-        with pytest.raises(ValueError, match="profile start"):
-            cfg.validate()
-
     def test_dt_range_enforced(self):
         cfg = ScenarioConfig(dt=0.2, vehicles=[human("a", 0.0, 10.0)])
         with pytest.raises(ValueError, match="dt"):
@@ -263,7 +246,7 @@ class TestCollision:
         cfg = ScenarioConfig(
             duration_s=30.0,
             vehicles=[
-                probe("ram", 0.0, 30.0, profile=((0.0, 30.0), (30.0, 30.0))),
+                probe("ram", 0.0, 30.0),
                 probe("wall", 40.0, 0.0),
             ],
         )
@@ -276,11 +259,14 @@ class TestCollision:
 
 
 class TestWaveSeeding:
+    """Waves seeded by a bottleneck that starts at the leader and brakes the
+    humans inside it toward 2 m/s from 5 s to 25 s."""
+
     def test_pulse_brakes_at_bounded_rate(self):
         cfg = ScenarioConfig(
             duration_s=1.0,
             vehicles=[human("solo", 0.0, 16.0)],
-            pulses=[SpeedPulse("solo", 0.0, 5.0, 2.0, decel=2.0)],
+            bottlenecks=[Bottleneck(0.0, 1e6, 0.0, 5.0, speed_cap=2.0, decel=2.0)],
         )
         world = World(cfg)
         world.step()
@@ -293,7 +279,7 @@ class TestWaveSeeding:
         cfg = ScenarioConfig(
             duration_s=120.0,
             vehicles=vehicles,
-            pulses=[SpeedPulse("h11", 5.0, 20.0, 2.0)],
+            bottlenecks=[Bottleneck(11 * gap, 1e6, 5.0, 25.0, speed_cap=2.0)],
         )
         log = run(cfg)
         assert log.collision is None
@@ -306,7 +292,7 @@ class TestWaveSeeding:
         cfg = ScenarioConfig(
             duration_s=60.0,
             vehicles=[human("follower", 0.0, 16.0), human("leader", 500.0, 16.0)],
-            pulses=[SpeedPulse("leader", 5.0, 20.0, 2.0)],
+            bottlenecks=[Bottleneck(500.0, 1e6, 5.0, 25.0, speed_cap=2.0)],
         )
         log = run(cfg)
         follower = [row[5] for row in log.rows if row[1] == "follower"]
