@@ -258,10 +258,26 @@ class TestCollision:
         assert any(e["event"] == "collision" for e in log.events)
 
 
-class TestWaveSeeding:
-    """Waves seeded by a bottleneck that starts at the leader and brakes the
-    humans inside it toward 2 m/s from 5 s to 25 s."""
+def run_slowing_leader(cfg, leader_id, t_start, t_end, speed_cap):
+    """Run cfg with a wave seeded at one vehicle only.
 
+    Before every step a zero-width bottleneck is pinned to the leader's
+    position, so the bottleneck braking law acts on the leader alone. Every
+    other vehicle is asserted to stay behind the zone's start.
+    """
+    world = World(cfg)
+    log = RunLog(dt=cfg.dt, seed=cfg.seed, log_every=cfg.log_every)
+    leader = next(v for v in world.vehicles if v.vehicle_id == leader_id)
+    for _ in range(int(round(cfg.duration_s / cfg.dt))):
+        x = leader.position
+        cfg.bottlenecks[:] = [Bottleneck(x, x, t_start, t_end, speed_cap)]
+        assert all(v.position < x for v in world.vehicles if v is not leader)
+        world.step(log)
+        assert world.collision is None
+    return log
+
+
+class TestWaveSeeding:
     def test_pulse_brakes_at_bounded_rate(self):
         cfg = ScenarioConfig(
             duration_s=1.0,
@@ -276,25 +292,20 @@ class TestWaveSeeding:
         p = IdmParams()
         gap = idm_equilibrium_gap(16.0, p) + 5.0
         vehicles = [human(f"h{i:02d}", i * gap, 16.0) for i in range(12)]
-        cfg = ScenarioConfig(
-            duration_s=120.0,
-            vehicles=vehicles,
-            bottlenecks=[Bottleneck(11 * gap, 1e6, 5.0, 25.0, speed_cap=2.0)],
-        )
-        log = run(cfg)
-        assert log.collision is None
+        cfg = ScenarioConfig(duration_s=120.0, vehicles=vehicles)
+        log = run_slowing_leader(cfg, "h11", 5.0, 25.0, speed_cap=2.0)
         upstream_after = [
             row[5] for row in log.rows if row[0] > 25.0 and row[1] != "h11"
         ]
         assert min(upstream_after) < 5.0
+        assert min(row[5] for row in log.rows if row[1] == "h00") < 5.0
 
     def test_sparse_road_wave_dissipates(self):
         cfg = ScenarioConfig(
             duration_s=60.0,
             vehicles=[human("follower", 0.0, 16.0), human("leader", 500.0, 16.0)],
-            bottlenecks=[Bottleneck(500.0, 1e6, 5.0, 25.0, speed_cap=2.0)],
         )
-        log = run(cfg)
+        log = run_slowing_leader(cfg, "leader", 5.0, 25.0, speed_cap=2.0)
         follower = [row[5] for row in log.rows if row[1] == "follower"]
         assert min(follower) >= 0.9 * 16.0
 
