@@ -17,6 +17,7 @@ readout samples.
 
 from __future__ import annotations
 
+import math
 import random
 from typing import NamedTuple, Optional, Sequence
 
@@ -196,9 +197,10 @@ def v_des_traces(log: RunLog, n_controlled: int) -> dict[str, np.ndarray]:
     traces: dict[str, list[float]] = {
         f"cav{k:02d}": [] for k in range(1, n_controlled + 1)
     }
+    controlled = VehicleKind.CONTROLLED.value
     for row in log.rows:
         vid, kind, v_des = row[1], row[2], row[7]
-        if kind == VehicleKind.CONTROLLED.value and vid in traces:
+        if kind == controlled and vid in traces:
             traces[vid].append(v_des if v_des is not None else float("nan"))
     return {vid: np.asarray(vals) for vid, vals in traces.items()}
 
@@ -208,13 +210,12 @@ def steady_v_des(
     dt: float,
     window: tuple[float, float],
 ) -> dict[str, float]:
+    """Mean of each trace over the rows at i·dt in [lo, hi). A time within
+    float noise of an edge counts as on it (12 / 0.15 is 79.99999999999999)."""
     lo, hi = window
-    out = {}
-    for vid, trace in traces.items():
-        i_lo = int(lo / dt)
-        i_hi = min(int(hi / dt), len(trace))
-        out[vid] = float(np.mean(trace[i_lo:i_hi]))
-    return out
+    i_lo = math.ceil(lo / dt - 1e-9)
+    i_hi = math.ceil(hi / dt - 1e-9)
+    return {vid: float(np.mean(trace[i_lo:i_hi])) for vid, trace in traces.items()}
 
 
 class OffsetReplay(NamedTuple):

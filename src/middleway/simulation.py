@@ -25,7 +25,9 @@ import math
 import random
 from dataclasses import asdict, dataclass, field
 from enum import Enum
+from functools import cached_property
 from itertools import chain
+from operator import itemgetter
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -96,6 +98,11 @@ class IdmParams:
         if self.delta < 1.0:
             raise ValueError("delta: must be at least 1")
 
+    @cached_property
+    def two_sqrt_ab(self) -> float:
+        """2·sqrt(a·b); a property, not a field, so config_echo omits it."""
+        return 2.0 * math.sqrt(self.a * self.b)
+
 
 def idm_accel(
     v: float, gap: Optional[float], v_lead: Optional[float], p: IdmParams
@@ -104,7 +111,9 @@ def idm_accel(
     free = p.a * (1.0 - (v / p.v0) ** p.delta)
     if gap is None:
         return free
-    s_star = p.s0 + max(0.0, v * p.T + v * (v - v_lead) / (2.0 * math.sqrt(p.a * p.b)))
+    dyn = v * p.T + v * (v - v_lead) / p.two_sqrt_ab
+    # As max(0.0, dyn), which also maps -0.0 and NaN to 0.0.
+    s_star = p.s0 + (dyn if dyn > 0.0 else 0.0)
     try:
         return free - p.a * (s_star / gap) ** 2
     except OverflowError:
@@ -163,16 +172,16 @@ class PhantomStreamSpec:
 
 
 def interp_profile(profile: Sequence[tuple[float, float]], t: float) -> float:
-    """Piecewise-linear lookup, clamped to the profile's endpoints."""
+    """Piecewise-linear lookup, clamped to the profile's endpoints. Knot
+    times must not decrease; t interpolates toward the first knot at or
+    after it, so t0 < t <= t1."""
     if t <= profile[0][0]:
         return profile[0][1]
-    for (t0, v0), (t1, v1) in zip(profile, profile[1:]):
-        if t <= t1:
-            if t1 == t0:
-                return v1
-            w = (t - t0) / (t1 - t0)
-            return v0 + w * (v1 - v0)
-    return profile[-1][1]
+    i = bisect.bisect_left(profile, t, lo=1, key=itemgetter(0))
+    if i == len(profile):
+        return profile[-1][1]
+    (t0, v0), (t1, v1) = profile[i - 1], profile[i]
+    return v0 + (t - t0) / (t1 - t0) * (v1 - v0)
 
 
 @dataclass
@@ -214,6 +223,10 @@ class ScenarioConfig:
             xs = sorted(v.x0 for v in vehs)
             if any(b - a <= 0.0 for a, b in zip(xs, xs[1:])):
                 raise ValueError(f"vehicles: overlapping positions in lane {lane}")
+        for spec in self.phantoms:
+            times = [knot[0] for knot in spec.speed_profile or ()]
+            if times != sorted(times):
+                raise ValueError("phantoms: speed_profile times must not decrease")
         if self.vsl_static_mph is not None:
             if not (self.vsl.min_mph <= self.vsl_static_mph <= self.vsl.max_mph):
                 raise ValueError("vsl_static_mph: outside posting range")
@@ -326,6 +339,8 @@ class World:
                 self._lead_map[rear.vehicle_id] = front
             self._lead_map[lane[-1].vehicle_id] = None
         self._index_lane_positions()
+        # entry_mm + (-1.0 * d) is exactly entry_mm - d in IEEE arithmetic.
+        self._mm_sign = -1.0 if cfg.direction is Direction.WESTBOUND else 1.0
         self.agents = {
             v.vehicle_id: _ControlledAgent(v, cfg, self.rng)
             for v in cfg.vehicles
@@ -354,9 +369,7 @@ class World:
         }
 
     def mm_of(self, x: float) -> float:
-        if self.cfg.direction is Direction.WESTBOUND:
-            return self.cfg.entry_mm - x / M_PER_MILE
-        return self.cfg.entry_mm + x / M_PER_MILE
+        return self.cfg.entry_mm + self._mm_sign * (x / M_PER_MILE)
 
     def _segment_means(self) -> dict[int, Optional[float]]:
         """Mean vehicle speed per inter-gantry segment, by lower-mm index."""
@@ -494,19 +507,24 @@ class World:
         human = cfg.human
         lead_of = self._lead_map
         bottlenecks = [bn for bn in cfg.bottlenecks if bn.t_start <= t < bn.t_end]
-        commands: list[tuple[VehicleState, float, Optional[tuple]]] = []
-        for veh in self.vehicles:
-            if veh.kind is VehicleKind.HUMAN:
+        logged = log is not None and self.step_index % cfg.log_every == 0
+        append = log.rows.append if logged else None
+        entry_mm, mm_sign = cfg.entry_mm, self._mm_sign
+        accels: list[float] = []
+        push = accels.append
+        human_kind, probe_kind = VehicleKind.HUMAN, VehicleKind.PROBE
+        for veh, kind in zip(self.vehicles, self._kind_names):
+            x, v = veh.position, veh.velocity
+            if veh.kind is human_kind:
                 # IDM, capped by the first active bottleneck whose zone
                 # holds the vehicle.
-                v = veh.velocity
                 lead = lead_of[veh.vehicle_id]
                 if lead is None:
                     u = idm_accel(v, None, None, human)
                 else:
-                    u = idm_accel(v, lead.position - veh.position, lead.velocity, human)
+                    u = idm_accel(v, lead.position - x, lead.velocity, human)
                 for bn in bottlenecks:
-                    if bn.x_start <= veh.position <= bn.x_end:
+                    if bn.x_start <= x <= bn.x_end:
                         v_next = max(bn.speed_cap, v - bn.decel * dt)
                         u = min(u, (v_next - v) / dt)
                         break
@@ -514,29 +532,20 @@ class World:
                     u = HUMAN_BRAKE_FLOOR
                 elif u > human.a:
                     u = human.a
-                commands.append((veh, u, None))
-            elif veh.kind is VehicleKind.PROBE:
-                commands.append((veh, 0.0, None))
+            elif veh.kind is probe_kind:
+                u = 0.0
             else:
-                u, fields = self._controlled_accel(veh)
-                commands.append((veh, u, fields))
+                u, (mm, mode, v_des, v_gr, v_pr) = self._controlled_accel(veh)
+                push(u)
+                if logged:
+                    append((t, veh.vehicle_id, kind, x, mm, v, mode, v_des, v_gr, v_pr, u))
+                continue
+            push(u)
+            if logged:
+                append((t, veh.vehicle_id, kind, x, entry_mm + mm_sign * (x / M_PER_MILE),
+                        v, None, None, None, None, u))
 
-        if log is not None and self.step_index % cfg.log_every == 0:
-            append = log.rows.append
-            mm_of = self.mm_of
-            for (veh, u, fields), kind in zip(commands, self._kind_names):
-                x = veh.position
-                if fields is None:
-                    mm = mm_of(x)
-                    mode = v_des = v_gr = v_pr = None
-                else:
-                    mm, mode, v_des, v_gr, v_pr = fields
-                append(
-                    (t, veh.vehicle_id, kind, x, mm, veh.velocity,
-                     mode, v_des, v_gr, v_pr, u)
-                )
-
-        for veh, u, _ in commands:
+        for veh, u in zip(self.vehicles, accels):
             # As max(0.0, v), which also maps -0.0 and NaN to 0.0.
             v = veh.velocity + u * dt
             if not v > 0.0:
@@ -633,20 +642,30 @@ class _CsvCells(dict):
 def _run_log_lines(rows: Sequence[tuple]):
     """One CSV line per row, ending in CRLF as csv.writer's lines do. t,
     position, mile marker, velocity and u must be numbers; the four
-    controller fields may each be None."""
+    controller fields may each be None.
+
+    Rows without controller fields go through one % template per (vehicle,
+    kind). t is formatted once per float object, since World logs one per
+    step; an identity test keeps -0.0 and 0.0 apart."""
     cells = _CsvCells()
+    templates: dict[tuple, str] = {}
+    t_prev, t_cell = object(), ""
     for t, vid, kind, x, mm, v, mode, v_des, v_gr, v_pr, u in rows:
+        if t is not t_prev:
+            t_prev, t_cell = t, f"{t:.3f}"
         if mode is None and v_des is None and v_gr is None and v_pr is None:
-            yield (
-                f"{t:.3f},{cells[vid]},{cells[kind]},{x:.6f},{mm:.6f},{v:.6f},"
-                f",,,,{u:.6f}\r\n"
-            )
+            try:
+                template = templates[vid, kind]
+            except KeyError:
+                ids = f"{cells[vid]},{cells[kind]}".replace("%", "%%")
+                template = templates[vid, kind] = f"%s,{ids},%.6f,%.6f,%.6f,,,,,%.6f\r\n"
+            yield template % (t_cell, x, mm, v, u)
         else:
             v_des_cell = "" if v_des is None else f"{v_des:.6f}"
             v_gr_cell = "" if v_gr is None else f"{v_gr:.6f}"
             v_pr_cell = "" if v_pr is None else f"{v_pr:.6f}"
             yield (
-                f"{t:.3f},{cells[vid]},{cells[kind]},{x:.6f},{mm:.6f},{v:.6f},"
+                f"{t_cell},{cells[vid]},{cells[kind]},{x:.6f},{mm:.6f},{v:.6f},"
                 f"{cells[mode]},{v_des_cell},{v_gr_cell},{v_pr_cell},{u:.6f}\r\n"
             )
 
@@ -706,14 +725,12 @@ def build_report(log: RunLog) -> RunReport:
     occupancy: dict[str, int] = {}
     transitions: dict[str, int] = {}
     last_mode: dict[str, str] = {}
-    t_max = 0.0
+    rows = log.rows
+    t_max = max(chain((0.0,), map(itemgetter(0), rows)))
     controlled = VehicleKind.CONTROLLED.value
     disengaged = Mode.DISENGAGED.value
-    for row in log.rows:
-        t, vid, kind, mode = row[0], row[1], row[2], row[6]
-        t_max = max(t_max, t)
-        if kind != controlled or mode is None:
-            continue
+    for row in [r for r in rows if r[2] == controlled and r[6] is not None]:
+        vid, mode = row[1], row[6]
         prev = last_mode.get(vid)
         if mode != prev:
             transitions[mode] = transitions.get(mode, 0) + 1

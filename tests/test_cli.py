@@ -284,6 +284,28 @@ class TestCli:
             assert math.isfinite(v)
             assert v == pytest.approx(steady[1][vid], abs=0.05)
 
+    def test_string_command_window_at_log_every_3(self, tmp_path):
+        # Rows are 0.15 s apart and 12 / 0.15 is 79.99999999999999, so a
+        # window index taken with int() started one row before the window.
+        code = main(
+            ["string", "--out", str(tmp_path),
+             "--override", "scenario.n_controlled=3",
+             "--override", "scenario.log_every=3"]
+        )
+        assert code == 0
+        with open(tmp_path / "string_traces.csv", newline="") as fh:
+            traces = list(csv.DictReader(fh))
+        with open(tmp_path / "string_summary.csv", newline="") as fh:
+            summary = list(csv.DictReader(fh))
+        for r in summary:
+            lo, hi = float(r["window_lo_s"]), float(r["window_hi_s"])
+            inside = [float(row[r["vehicle_id"]]) for row in traces
+                      if lo <= float(row["t"]) < hi]
+            assert len(inside) == 80
+            assert float(r["steady_v_des_mps"]) == pytest.approx(
+                sum(inside) / len(inside), abs=1e-6
+            )
+
     def test_string_sweep_steady_v_des_with_log_every(self, tmp_path):
         code = main(
             ["sweep", "--parameter", "scenario.log_every", "--values", "1,10",

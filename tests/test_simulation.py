@@ -6,12 +6,20 @@ import dataclasses
 import hashlib
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from middleway.controller import Mode
+from middleway.infrastructure import Direction
 from middleway.perception import ObservedVehicle, RadarConfig
-from middleway.scenarios import canonical_scenario, string_scenario
+from middleway.scenarios import (
+    canonical_scenario,
+    steady_v_des,
+    string_scenario,
+    v_des_traces,
+)
 from middleway.simulation import (
     HUMAN_BRAKE_FLOOR,
     RUN_LOG_COLUMNS,
@@ -25,11 +33,12 @@ from middleway.simulation import (
     World,
     build_report,
     idm_accel,
+    interp_profile,
     read_run_log,
     run,
     write_run_log,
 )
-from middleway.units import mph_to_mps
+from middleway.units import M_PER_MILE, mph_to_mps
 
 
 def _fmt(value, precision: int = 6) -> str:
@@ -151,6 +160,22 @@ class TestIdm:
             IdmParams(delta=0.5)
         with pytest.raises(ValueError):
             IdmParams(T=-1.0)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        v=st.floats(0.0, 40.0),
+        gap=st.floats(1e-3, 500.0),
+        v_lead=st.floats(0.0, 40.0),
+        a=st.floats(0.5, 3.0),
+        b=st.floats(0.5, 4.0),
+        T=st.floats(0.5, 2.0),
+    )
+    def test_matches_textbook_formula(self, v, gap, v_lead, a, b, T):
+        # The same arithmetic, operation for operation, so equal bit for bit.
+        p = IdmParams(a=a, b=b, T=T)
+        s_star = p.s0 + max(0.0, v * T + v * (v - v_lead) / (2.0 * math.sqrt(a * b)))
+        expected = a * (1.0 - (v / p.v0) ** p.delta) - a * (s_star / gap) ** 2
+        assert idm_accel(v, gap, v_lead, p) == expected
 
     def test_tiny_gap_returns_minus_inf(self):
         # (s_star / gap) ** 2 overflows below a gap of about 1e-150 m.
@@ -348,6 +373,38 @@ class TestRunLogSerialization:
         assert saw_human and saw_controlled
 
 
+# Cell text with every character the writer quotes for, the writer's own
+# template character, and line separators that str.splitlines would split
+# on but a file does not.
+_CELL_TEXT = st.text(st.sampled_from(list('ab7,"%\r\n \x85\u2028')), max_size=6)
+_KIND = st.one_of(st.sampled_from(["human", "controlled"]), _CELL_TEXT)
+_NUMBER = st.floats(allow_nan=False, width=32)
+
+
+@st.composite
+def run_log_rows(draw):
+    optional = lambda s: st.one_of(st.none(), s)  # noqa: E731
+    return (
+        draw(_NUMBER), draw(_CELL_TEXT), draw(_KIND),
+        draw(_NUMBER), draw(_NUMBER), draw(_NUMBER),
+        draw(optional(st.one_of(st.sampled_from(["normal", "cbf"]), _CELL_TEXT))),
+        draw(optional(_NUMBER)), draw(optional(_NUMBER)), draw(optional(_NUMBER)),
+        draw(_NUMBER),
+    )
+
+
+@st.composite
+def world_run_log_rows(draw):
+    """Rows as World logs them: the same vehicles in every step, and each
+    step's rows sharing one t object."""
+    vehicles = draw(st.lists(st.tuples(_CELL_TEXT, _KIND), min_size=1, max_size=3))
+    rows = []
+    for t in draw(st.lists(_NUMBER, max_size=4)):
+        for vid, kind in vehicles:
+            rows.append((t, vid, kind, *draw(run_log_rows())[3:]))
+    return rows
+
+
 class TestRunLogWriterOracle:
     """write_run_log writes the bytes the csv.writer reference writes."""
 
@@ -385,24 +442,28 @@ class TestRunLogWriterOracle:
         path = self.assert_same_bytes(log, tmp_path)
         assert read_run_log(path).rows == log.rows
 
+    def test_signed_zero_times_and_percent_ids(self, tmp_path):
+        # Equal t values in distinct float objects, and -0.0 next to 0.0,
+        # which compare equal but format differently.
+        log = RunLog(dt=0.05, seed=0)
+        log.rows = [
+            (-0.0, "50%", "human", 1.0, 70.0, 2.0, None, None, None, None, 0.5),
+            (0.0, "50%", "human", 1.0, 70.0, 2.0, None, None, None, None, 0.5),
+            (-0.0, "%s%%", "%d", -0.0, -0.0, 0.0, None, None, None, None, -0.0),
+            (float("0.05"), "50%", "human", 1.1, 70.0, 2.0, None, None, None, None, 0.5),
+            (float("0.05"), "cav", "controlled", 3.0, 70.0, 2.0,
+             "normal%", 2.0, None, 0.0, 0.25),
+        ]
+        path = self.assert_same_bytes(log, tmp_path)
+        assert b"\r\n-0.000,%s%%,%d,-0.000000," in path.read_bytes()
+        assert read_run_log(path).rows == log.rows
 
-# Cell text with every character the writer quotes for, plus line
-# separators that str.splitlines would split on but a file does not.
-_CELL_TEXT = st.text(st.sampled_from(list('ab7,"\r\n \x85\u2028')), max_size=6)
-_NUMBER = st.floats(allow_nan=False, width=32)
-
-
-@st.composite
-def run_log_rows(draw):
-    optional = lambda s: st.one_of(st.none(), s)  # noqa: E731
-    return (
-        draw(_NUMBER), draw(_CELL_TEXT),
-        draw(st.one_of(st.sampled_from(["human", "controlled"]), _CELL_TEXT)),
-        draw(_NUMBER), draw(_NUMBER), draw(_NUMBER),
-        draw(optional(st.one_of(st.sampled_from(["normal", "cbf"]), _CELL_TEXT))),
-        draw(optional(_NUMBER)), draw(optional(_NUMBER)), draw(optional(_NUMBER)),
-        draw(_NUMBER),
-    )
+    @settings(max_examples=200, deadline=None)
+    @given(rows=st.one_of(world_run_log_rows(), st.lists(run_log_rows(), max_size=8)))
+    def test_same_bytes_as_csv_writer(self, tmp_path_factory, rows):
+        log = RunLog(dt=0.05, seed=0)
+        log.rows = rows
+        self.assert_same_bytes(log, tmp_path_factory.mktemp("log"))
 
 
 class TestRunLogReaderOracle:
@@ -670,3 +731,177 @@ class TestRunReport:
         assert rep.mode_occupancy == {}
         assert rep.engaged_time_s == 0.0
         assert rep.min_h_m is None
+
+
+def build_report_rows(log):
+    """Reference for build_report's aggregation: one pass over every row.
+    Returns the fields build_report derives from the rows."""
+    dt_row = log.dt * log.log_every
+    engaged_rows = 0
+    occupancy, transitions, last_mode = {}, {}, {}
+    t_max = 0.0
+    for row in log.rows:
+        t, vid, kind, mode = row[0], row[1], row[2], row[6]
+        t_max = max(t_max, t)
+        if kind != "controlled" or mode is None:
+            continue
+        if mode != last_mode.get(vid):
+            transitions[mode] = transitions.get(mode, 0) + 1
+            last_mode[vid] = mode
+        if mode == Mode.DISENGAGED.value:
+            continue
+        engaged_rows += 1
+        occupancy[mode] = occupancy.get(mode, 0) + 1
+    fractions = {
+        mode: count / engaged_rows for mode, count in sorted(occupancy.items())
+    } if engaged_rows else {}
+    return (t_max + dt_row, engaged_rows * dt_row, fractions,
+            dict(sorted(transitions.items())))
+
+
+def v_des_traces_rows(log, n_controlled):
+    """Reference for v_des_traces: the enum value looked up on every row."""
+    traces = {f"cav{k:02d}": [] for k in range(1, n_controlled + 1)}
+    for row in log.rows:
+        vid, kind, v_des = row[1], row[2], row[7]
+        if kind == VehicleKind.CONTROLLED.value and vid in traces:
+            traces[vid].append(v_des if v_des is not None else float("nan"))
+    return {vid: np.asarray(vals) for vid, vals in traces.items()}
+
+
+def _hand_built_log(rows, log_every=1):
+    log = RunLog(dt=0.05, seed=3, log_every=log_every)
+    log.rows = rows
+    return log
+
+
+def _row(t, vid, kind, mode=None, v_des=None):
+    return (t, vid, kind, 1.0, 70.0, 2.0, mode, v_des, None, None, 0.0)
+
+
+# (log, n_controlled) builders for the whole-log consumers' oracles.
+CONSUMER_LOGS = {
+    "canonical_30s": lambda: (run(canonical_scenario(duration_s=30.0)), 1),
+    "string_n6": lambda: (run(string_scenario(n_controlled=6)), 6),
+    "string_n6_every10": lambda: (
+        run(dataclasses.replace(string_scenario(n_controlled=6), log_every=10)), 6
+    ),
+    "empty": lambda: (_hand_built_log([]), 2),
+    "all_disengaged": lambda: (_hand_built_log([
+        _row(0.0, "h000", "human"),
+        _row(0.0, "cav01", "controlled", "disengaged", 9.0),
+        _row(0.05, "cav01", "controlled", "disengaged", 9.5),
+        _row(0.05, "cav02", "controlled", "disengaged"),
+    ], log_every=3), 2),
+    "mode_none": lambda: (_hand_built_log([
+        _row(-1.0, "cav01", "controlled", "normal", 9.0),
+        _row(-0.5, "cav01", "controlled", None, 9.5),
+        _row(-0.5, "cav02", "controlled", None),
+        _row(-0.25, "cav01", "controlled", "cbf", 8.0),
+        _row(-0.25, "cav01", "human", "vsl", 7.0),
+        _row(-0.25, "cav02", "controlled", "cbf"),
+    ]), 2),
+}
+
+
+class TestWholeLogConsumersMatchRowLoops:
+    @pytest.mark.parametrize("name", sorted(CONSUMER_LOGS))
+    def test_build_report(self, name):
+        log, _ = CONSUMER_LOGS[name]()
+        rep, ref = build_report(log), build_report_rows(log)
+        assert (rep.duration_s, rep.engaged_time_s, rep.mode_occupancy,
+                rep.mode_transitions) == ref
+        assert list(rep.mode_occupancy) == list(ref[2])
+
+    @pytest.mark.parametrize("name", sorted(CONSUMER_LOGS))
+    def test_v_des_traces(self, name):
+        log, n = CONSUMER_LOGS[name]()
+        fast, ref = v_des_traces(log, n), v_des_traces_rows(log, n)
+        assert list(fast) == list(ref)
+        for vid in ref:
+            np.testing.assert_array_equal(fast[vid], ref[vid])
+
+    def test_string_logs_hold_engaged_rows(self):
+        log, n = CONSUMER_LOGS["string_n6_every10"]()
+        assert build_report(log).engaged_time_s > 0.0
+        assert all(len(trace) for trace in v_des_traces(log, n).values())
+
+
+def interp_profile_scan(profile, t):
+    """Reference for interp_profile: a linear scan over the knot pairs."""
+    if t <= profile[0][0]:
+        return profile[0][1]
+    for (t0, v0), (t1, v1) in zip(profile, profile[1:]):
+        if t <= t1:
+            if t1 == t0:
+                return v1
+            w = (t - t0) / (t1 - t0)
+            return v0 + w * (v1 - v0)
+    return profile[-1][1]
+
+
+_KNOT_TIME = st.sampled_from([0.0, 1.5, 2.0, 7.25, 30.0])
+
+
+class TestInterpProfile:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        times=st.lists(_KNOT_TIME, min_size=1, max_size=8),
+        speeds=st.lists(st.floats(0.0, 40.0), min_size=8, max_size=8),
+        t=st.one_of(_KNOT_TIME, st.floats(-10.0, 40.0)),
+    )
+    def test_matches_scan(self, times, speeds, t):
+        # Repeated knot times are likely, and t falls on knots, between
+        # them and outside the profile.
+        profile = tuple(zip(sorted(times), speeds))
+        assert interp_profile(profile, t) == interp_profile_scan(profile, t)
+
+    def test_repeated_knot_and_clamping(self):
+        profile = ((0.0, 10.0), (5.0, 20.0), (5.0, 4.0), (10.0, 14.0))
+        assert interp_profile(profile, -1.0) == 10.0
+        assert interp_profile(profile, 5.0) == 20.0
+        assert interp_profile(profile, 7.5) == 9.0
+        assert interp_profile(profile, 11.0) == 14.0
+
+    def test_decreasing_knot_times_rejected(self):
+        spec = PhantomStreamSpec(
+            lane=1, spacing_m=45.0, speed_profile=((0.0, 10.0), (5.0, 12.0), (4.0, 9.0))
+        )
+        cfg = ScenarioConfig(vehicles=[human("a", 0.0, 10.0)], phantoms=[spec])
+        with pytest.raises(ValueError, match="speed_profile"):
+            cfg.validate()
+
+
+class TestEastbound:
+    def test_logged_mile_marker_counts_up_from_entry(self):
+        cfg = dataclasses.replace(
+            canonical_scenario(seed=1, duration_s=20.0),
+            direction=Direction.EASTBOUND, entry_mm=55.0,
+        )
+        log = run(cfg)
+        assert {row[2] for row in log.rows} == {"human", "controlled"}
+        for row in log.rows:
+            assert row[4] == cfg.entry_mm + row[3] / M_PER_MILE
+
+
+class TestSteadyVDes:
+    """The window holds the rows at i·dt in [lo, hi); each trace here holds
+    its own row times, so the mean names the rows taken."""
+
+    @pytest.mark.parametrize("log_every", [1, 2, 3, 7, 10])
+    def test_window_rows_at_every_spacing(self, log_every):
+        row_dt = 0.05 * log_every
+        times = np.arange(1000) * row_dt
+        for lo, hi in ((12.0, 24.0), (32.0, 44.0), (8.05, 9.95)):
+            inside = times[(times >= lo - 1e-9) & (times < hi - 1e-9)]
+            steady = steady_v_des({"cav01": times}, row_dt, (lo, hi))
+            assert steady["cav01"] == float(np.mean(inside))
+
+    def test_log_every_3_window_starts_at_12_s(self):
+        # 12 / 0.15 is 79.99999999999999, which int() took to row 79 (11.85 s).
+        row_dt = 0.05 * 3
+        trace = np.zeros(200)
+        trace[79] = 1.0
+        assert steady_v_des({"cav01": trace}, row_dt, (12.0, 24.0))["cav01"] == 0.0
+        trace[159] = 80.0
+        assert steady_v_des({"cav01": trace}, row_dt, (12.0, 24.0))["cav01"] == 1.0
