@@ -233,7 +233,10 @@ def cmd_rds(args: argparse.Namespace) -> int:
     latencies = _finite_floats(_parse_values(args.latencies), "latencies")
     if not (math.isfinite(args.bin_width_mph) and args.bin_width_mph > 0):
         raise ConfigError("bin-width-mph: must be positive and finite")
-    stats = error_stats(trajectory, grid, latencies, args.bin_width_mph)
+    try:
+        stats = error_stats(trajectory, grid, latencies, args.bin_width_mph)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
     write_error_report(stats, out / "error_stats.csv", out / "error_hist.csv")
     for latency in latencies:
         s = stats[latency]

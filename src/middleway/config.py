@@ -29,7 +29,7 @@ import yaml
 from .controller import ControllerConfig
 from .infrastructure import FeedConfig, VslConfig
 from .perception import EstimatorConfig, RadarConfig
-from .scenarios import canonical_scenario, string_scenario
+from .scenarios import canonical_scenario, check_string_spacing, string_scenario
 from .simulation import IdmParams, ScenarioConfig
 
 
@@ -187,6 +187,8 @@ def build_scenario(data: dict) -> LoadedScenario:
         cfg = dataclasses.replace(cfg, **replacements)
     try:
         cfg.validate()
+        if kind == "string":
+            check_string_spacing(cfg)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     return LoadedScenario(cfg=cfg, kind=kind)

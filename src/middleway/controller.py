@@ -78,12 +78,13 @@ class Lead(NamedTuple):
 
 
 class ControlInputs(NamedTuple):
+    """One tick's inputs. v_gr is the posted speed, or None when no fresh
+    advisory arrived from a gantry acquired inside the corridor."""
+
     engaged: bool
-    in_corridor: bool
-    vsl_valid: bool
     driver_setpoint: float
     v: float
-    v_gr: float
+    v_gr: Optional[float]
     v_pr: float
     lead: Optional[Lead] = None
 
@@ -118,13 +119,12 @@ def middleway(v_pr: float, v_gr: float, cfg: ControllerConfig) -> float:
 def select_setpoint(inputs: ControlInputs, cfg: ControllerConfig) -> float:
     """Multiplex the desired speed.
 
-    Disengaged tracks the current speed (no command). Engaged but outside
-    the corridor, or with an invalid advisory, follows the driver setpoint.
-    Engaged inside the corridor with a valid advisory runs the blend.
+    Disengaged tracks the current speed (no command). Engaged without an
+    advisory follows the driver setpoint; engaged with one runs the blend.
     """
     if not inputs.engaged:
         return inputs.v
-    if not (inputs.in_corridor and inputs.vsl_valid):
+    if inputs.v_gr is None:
         return inputs.driver_setpoint
     v_des = middleway(inputs.v_pr, inputs.v_gr, cfg)
     if cfg.v_des_max is None:
@@ -156,15 +156,15 @@ def classify_mode(
     """Label the tick with exactly one mode.
 
     The safety filter takes priority whenever it binds (u_applied < u_nom),
-    regardless of corridor state. Otherwise the label follows the setpoint
-    source, splitting the in-corridor case on whether the blend exceeded
-    the posted speed.
+    regardless of the advisory. Otherwise the label follows the setpoint
+    source, splitting the advisory case on whether the blend exceeded the
+    posted speed.
     """
     if not inputs.engaged:
         return Mode.DISENGAGED
     if inputs.lead is not None and u_applied < u_nom:
         return Mode.CBF
-    if not (inputs.in_corridor and inputs.vsl_valid):
+    if inputs.v_gr is None:
         return Mode.NORMAL
     if v_des > inputs.v_gr:
         return Mode.MIDDLEWAY

@@ -117,29 +117,21 @@ class CorridorMap:
 HEADING_WINDOW_S = 2.0
 
 
-def infer_heading(
-    mm_history: Sequence[tuple[float, float]], window_s: float = HEADING_WINDOW_S
-) -> Optional[Direction]:
+def infer_heading(mm_history: Sequence[tuple[float, float]]) -> Optional[Direction]:
     """Infer travel direction from (time, mile_marker) samples in time order.
 
-    Uses the sign of the mile-marker change across the last window_s of
-    history. Returns None until the history spans the window or while the
-    vehicle is not measurably moving, and callers treat None as an
-    invalid-advisory condition.
+    The history must be trimmed as GantryTracker.update trims it, so its
+    first sample is the newest one at least HEADING_WINDOW_S old; the sign
+    of the mile-marker change since then is the heading. Returns None until
+    the history spans the window or while the vehicle is not measurably
+    moving, and callers treat None as an invalid-advisory condition.
     """
     if len(mm_history) < 2:
         return None
-    t_last, mm_last = mm_history[-1]
-    if t_last - mm_history[0][0] < window_s:
+    (t_first, mm_first), (t_last, mm_last) = mm_history[0], mm_history[-1]
+    if t_last - t_first < HEADING_WINDOW_S:
         return None
-    # The newest sample with t_last - t >= window_s: the first, when the
-    # history is trimmed to the window as the world keeps it. Else bisect;
-    # its key, t - t_last, is exactly -(t_last - t): the same float test.
-    if t_last - mm_history[1][0] < window_s:
-        i = 1
-    else:
-        i = bisect.bisect_right(mm_history, -window_s, key=lambda s: s[0] - t_last)
-    delta = mm_last - mm_history[i - 1][1]
+    delta = mm_last - mm_first
     if delta > 1e-9:
         return Direction.EASTBOUND
     if delta < -1e-9:
@@ -175,7 +167,7 @@ class GantryTracker:
         """Record the position; return (gantry id or None, acquired, fetch)."""
         history = self.mm_history
         history.append((now, mile_marker))
-        # infer_heading reads nothing older than the newest sample that is
+        # infer_heading reads the heading against the newest sample that is
         # at least the window old, so that sample is the oldest kept.
         while len(history) > 2 and now - history[1][0] >= HEADING_WINDOW_S:
             del history[0]

@@ -33,7 +33,6 @@ class RadarTarget(NamedTuple):
     rel_position: float
     rel_speed: float
     lane_offset: int
-    timestamp: float
 
 
 class RadarFrame(NamedTuple):
@@ -88,7 +87,7 @@ def synthesize_radar(
         rel_speed = veh.speed - ego.speed
         if noisy:
             rel_speed += rng.gauss(0.0, cfg.noise_sigma)
-        targets.append(RadarTarget(rel, rel_speed, veh.lane - ego.lane, now))
+        targets.append(RadarTarget(rel, rel_speed, veh.lane - ego.lane))
     return RadarFrame(now, tuple(targets))
 
 

@@ -156,7 +156,8 @@ def error_stats(
     and time; the realtime one averages the two spatial neighbours'
     freshest reports at t - latency. A point contributes to a latency only
     when both estimates exist there. Histogram bins are indexed by
-    floor(error_mph / bin_width). A non-finite t raises ValueError.
+    floor(error_mph / bin_width). A non-finite t, or a bin width so small
+    that a bin index is not finite, raises ValueError.
     """
     spec, speeds, n_reports = grid.spec, grid.speeds, grid.spec.n_reports
     pts = np.fromiter(chain.from_iterable(trajectory), float).reshape(-1, 3)
@@ -179,9 +180,12 @@ def error_stats(
         at = i[fresh]
         realtime, has = _mean_present(speeds[at, col], speeds[at + 1, col])
         errors = realtime - ideal[fresh][has]
-        bins, counts = np.unique(
-            np.floor(errors / MPS_PER_MPH / bin_width_mph), return_counts=True
-        )
+        with np.errstate(over="ignore"):
+            bins, counts = np.unique(
+                np.floor(errors / MPS_PER_MPH / bin_width_mph), return_counts=True
+            )
+        if not np.isfinite(bins).all():
+            raise ValueError("bin_width_mph: too small, a bin index is not finite")
         out[latency] = ErrorStats(
             latency_s=latency,
             n=len(errors),

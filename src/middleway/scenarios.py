@@ -132,23 +132,20 @@ def string_scenario(
     posted_mph: int = 30,
     v_offset: float = 2.0,
     gap0_m: float = 200.0,
-    radar_range_m: float = 350.0,
     duration_s: Optional[float] = None,
     seed: int = 0,
 ) -> ScenarioConfig:
     """Pace platoon at traffic_speed ahead of n controlled vehicles.
 
-    Spacing is chosen so only the immediate leader is in radar range
-    (gap0 > range / 2), which keeps the prevailing-speed estimate of each
-    vehicle pinned to its leader and the cascade decrement equal to the
-    offset. The default measurement window (see measurement_window) sits
-    after the cascade settles and before the leading links outrun radar
-    range.
+    The radar reaches 350 m. check_string_spacing tests the final config
+    (after any radar override) for the spacing that keeps the
+    prevailing-speed estimate of each vehicle pinned to its leader and the
+    cascade decrement equal to the offset. The default measurement window
+    (see measurement_window) sits after the cascade settles and before the
+    leading links outrun radar range.
     """
     if n_controlled < 1:
         raise ValueError("n_controlled: must be at least 1")
-    if gap0_m <= radar_range_m / 2.0:
-        raise ValueError("gap0_m: must exceed half the radar range")
     v_gr = mph_to_mps(posted_mph)
     v_init = max(traffic_speed_mps - v_offset, v_gr)
     if duration_s is None:
@@ -176,10 +173,19 @@ def string_scenario(
         duration_s=duration_s,
         seed=seed,
         controller=ControllerConfig(v_offset=v_offset),
-        radar=RadarConfig(max_range=radar_range_m),
+        radar=RadarConfig(max_range=350.0),
         vehicles=vehicles,
         vsl_static_mph=posted_mph,
     )
+
+
+def check_string_spacing(cfg: ScenarioConfig) -> None:
+    """Raise ValueError unless a string_scenario roster, rearmost vehicle
+    first, spaces its vehicles more than half the radar range apart, so
+    each radar sees only its immediate leader."""
+    gap0_m = cfg.vehicles[1].x0 - cfg.vehicles[0].x0
+    if gap0_m <= cfg.radar.max_range / 2.0:
+        raise ValueError("scenario.gap0_m: must exceed half of radar.max_range")
 
 
 def measurement_window(n_controlled: int) -> tuple[float, float]:

@@ -19,7 +19,6 @@ byte; all randomness flows through one seeded generator.
 from __future__ import annotations
 
 import bisect
-import csv
 import json
 import math
 import random
@@ -108,16 +107,17 @@ def idm_accel(
     v: float, gap: Optional[float], v_lead: Optional[float], p: IdmParams
 ) -> float:
     """Car-following acceleration; free-road when gap is None."""
-    free = p.a * (1.0 - (v / p.v0) ** p.delta)
-    if gap is None:
-        return free
-    dyn = v * p.T + v * (v - v_lead) / p.two_sqrt_ab
-    # As max(0.0, dyn), which also maps -0.0 and NaN to 0.0.
-    s_star = p.s0 + (dyn if dyn > 0.0 else 0.0)
     try:
+        free = p.a * (1.0 - (v / p.v0) ** p.delta)
+        if gap is None:
+            return free
+        dyn = v * p.T + v * (v - v_lead) / p.two_sqrt_ab
+        # As max(0.0, dyn), which also maps -0.0 and NaN to 0.0.
+        s_star = p.s0 + (dyn if dyn > 0.0 else 0.0)
         return free - p.a * (s_star / gap) ** 2
     except OverflowError:
-        # A gap below about 1e-150 m: brake as hard as the caller allows.
+        # v far above v0 at a large delta, or a gap below about 1e-150 m:
+        # brake as hard as the caller allows.
         return -math.inf
 
 
@@ -128,7 +128,6 @@ class VehicleState:
     position: float
     velocity: float
     lane: int = 0
-    engaged: bool = False
 
 
 @dataclass(frozen=True)
@@ -216,6 +215,9 @@ class ScenarioConfig:
         ids = [v.vehicle_id for v in self.vehicles]
         if len(set(ids)) != len(ids):
             raise ValueError("vehicles: vehicle ids must be unique")
+        # The run log writes ids unquoted.
+        if any(c in vid for vid in ids for c in ',"\r\n'):
+            raise ValueError("vehicles: an id may not hold a comma, quote, CR or LF")
         by_lane: dict[int, list[VehicleInit]] = {}
         for v in self.vehicles:
             by_lane.setdefault(v.lane, []).append(v)
@@ -438,8 +440,7 @@ class World:
         cfg = self.cfg
         now = self.t
         engaged = agent.engage_at is not None and now >= agent.engage_at
-        if engaged != veh.engaged:
-            veh.engaged = engaged
+        if engaged != agent.ctrl_state.engaged_prev:
             self.events.append(
                 {
                     "t": now,
@@ -450,8 +451,7 @@ class World:
             )
 
         ego = ObservedVehicle(veh.vehicle_id, veh.position, veh.velocity, veh.lane)
-        rng = self.rng if cfg.radar.noise_sigma > 0.0 else None
-        frame = synthesize_radar(ego, self._radar_candidates(veh), cfg.radar, now, rng)
+        frame = synthesize_radar(ego, self._radar_candidates(veh), cfg.radar, now, self.rng)
         v_pr = agent.estimator.update_prevailing(frame, veh.velocity)
         lead = lead_vehicle(frame, veh.velocity)
 
@@ -468,14 +468,13 @@ class World:
             )
         if fetch:
             agent.feed.publish(mph_to_mps(self.posted_mph[gantry_id]), now)
+        # The feed drains its in-flight readings every tick. The tracker
+        # holds no gantry outside the corridor, so there v_gr is None.
         delivered = agent.feed.poll(now)
-        vsl_valid = gantry_id is not None and delivered is not None
-        v_gr = delivered if vsl_valid else 0.0
-        in_corridor = cfg.corridor.contains(mm)
+        v_gr = delivered if gantry_id is not None else None
 
         inputs = ControlInputs(
-            engaged, in_corridor, vsl_valid, agent.driver_setpoint,
-            veh.velocity, v_gr, v_pr, lead,
+            engaged, agent.driver_setpoint, veh.velocity, v_gr, v_pr, lead
         )
         out = step_controller(inputs, agent.ctrl_state, cfg.controller, cfg.dt)
 
@@ -484,7 +483,7 @@ class World:
             if h < self.min_h:
                 self.min_h = h
 
-        return out.u, (mm, out.mode.value, out.v_des, v_gr if vsl_valid else None, v_pr)
+        return out.u, (mm, out.mode.value, out.v_des, v_gr, v_pr)
 
     def step(self, log: Optional[RunLog] = None) -> None:
         """Advance one dt; optionally append this step's rows to log."""
@@ -623,31 +622,16 @@ def config_echo(cfg: ScenarioConfig) -> dict:
     return echo
 
 
-class _CsvCells(dict):
-    """Text cells as csv.writer writes them: None is empty, and a value with
-    a comma, quote or line break is quoted. Each distinct value is
-    formatted once."""
-
-    def __missing__(self, value: Optional[str]) -> str:
-        if value is None:
-            cell = ""
-        elif any(c in value for c in ',"\r\n'):
-            cell = '"' + value.replace('"', '""') + '"'
-        else:
-            cell = value
-        self[value] = cell
-        return cell
-
-
 def _run_log_lines(rows: Sequence[tuple]):
     """One CSV line per row, ending in CRLF as csv.writer's lines do. t,
     position, mile marker, velocity and u must be numbers; the four
-    controller fields may each be None.
+    controller fields may each be None. Text cells are written as they are,
+    so they must hold no comma, quote, CR or LF (ScenarioConfig.validate
+    rejects such vehicle ids).
 
     Rows without controller fields go through one % template per (vehicle,
     kind). t is formatted once per float object, since World logs one per
     step; an identity test keeps -0.0 and 0.0 apart."""
-    cells = _CsvCells()
     templates: dict[tuple, str] = {}
     t_prev, t_cell = object(), ""
     for t, vid, kind, x, mm, v, mode, v_des, v_gr, v_pr, u in rows:
@@ -657,7 +641,7 @@ def _run_log_lines(rows: Sequence[tuple]):
             try:
                 template = templates[vid, kind]
             except KeyError:
-                ids = f"{cells[vid]},{cells[kind]}".replace("%", "%%")
+                ids = f"{vid},{kind}".replace("%", "%%")
                 template = templates[vid, kind] = f"%s,{ids},%.6f,%.6f,%.6f,,,,,%.6f\r\n"
             yield template % (t_cell, x, mm, v, u)
         else:
@@ -665,8 +649,8 @@ def _run_log_lines(rows: Sequence[tuple]):
             v_gr_cell = "" if v_gr is None else f"{v_gr:.6f}"
             v_pr_cell = "" if v_pr is None else f"{v_pr:.6f}"
             yield (
-                f"{t_cell},{cells[vid]},{cells[kind]},{x:.6f},{mm:.6f},{v:.6f},"
-                f"{cells[mode]},{v_des_cell},{v_gr_cell},{v_pr_cell},{u:.6f}\r\n"
+                f"{t_cell},{vid},{kind},{x:.6f},{mm:.6f},{v:.6f},"
+                f"{mode or ''},{v_des_cell},{v_gr_cell},{v_pr_cell},{u:.6f}\r\n"
             )
 
 
@@ -679,20 +663,15 @@ def write_run_log(log: RunLog, path: str | Path) -> None:
 
 def read_run_log(path: str | Path) -> RunLog:
     """Parse a run-log CSV back into rows; re-writing reproduces the file.
-    Only a line holding a quote goes through csv.reader, which also pulls
-    the further lines of a quoted cell that spans lines."""
+    No cell is quoted, so every line splits on its commas."""
     rows = []
     append = rows.append
     with open(path, newline="", encoding="utf-8") as fh:
-        header = next(csv.reader(fh), ())
+        lines = (line.rstrip("\r\n").split(",") for line in fh)
+        header = next(lines, [])
         if tuple(header) != RUN_LOG_COLUMNS:
             raise ValueError(f"unexpected run log header: {header}")
-        for line in fh:
-            if '"' in line:
-                cells = next(csv.reader(chain((line,), fh)))
-            else:
-                cells = line.rstrip("\r\n").split(",")
-            t, vid, kind, x, mm, v, mode, v_des, v_gr, v_pr, u = cells
+        for t, vid, kind, x, mm, v, mode, v_des, v_gr, v_pr, u in lines:
             if mode or v_des or v_gr or v_pr:
                 append((float(t), vid, kind, float(x), float(mm), float(v), mode or None,
                         float(v_des) if v_des else None, float(v_gr) if v_gr else None,

@@ -175,11 +175,9 @@ def test_02_safety_filter_invariance():
         out = step_controller(
             ControlInputs(
                 engaged=True,
-                in_corridor=False,
-                vsl_valid=False,
                 driver_setpoint=target,
                 v=vv,
-                v_gr=0.0,
+                v_gr=None,
                 v_pr=0.0,
                 lead=Lead(gap=g, speed=vl),
             ),
@@ -197,9 +195,14 @@ def test_03_canonical_mode_mix(canonical):
     for mode in ("cbf", "vsl", "middleway"):
         assert occupancy.get(mode, 0.0) > 0.05, (mode, occupancy)
     assert max(occupancy, key=occupancy.get) == "cbf", occupancy
-    # The barrier margin holds across seeds, not only on seed 0.
+    # The barrier margin and the advisory contract hold across seeds, not
+    # only on seed 0.
+    _assert_advisory_contract(canonical.log, 0)
     reports = [canonical.report]
-    reports += [build_report(run(canonical_scenario(seed=s))) for s in (1, 2)]
+    for seed in (1, 2):
+        log = run(canonical_scenario(seed=seed))
+        _assert_advisory_contract(log, seed)
+        reports.append(build_report(log))
     for seed, report in enumerate(reports):
         _assert_barrier_margin(report, seed, canonical.cfg.dt)
     _passed(
@@ -208,6 +211,18 @@ def test_03_canonical_mode_mix(canonical):
         canonical.elapsed + time.monotonic() - t0,
         120.0,
     )
+
+
+def _assert_advisory_contract(log, seed):
+    # Normal follows the driver because no fresh advisory came; vsl and
+    # middleway follow one, which the log records as v_gr.
+    v_gr_by_mode = {"normal": set(), "vsl": set(), "middleway": set()}
+    for row in log.rows:
+        if row[2] == "controlled" and row[6] in v_gr_by_mode:
+            v_gr_by_mode[row[6]].add(row[8] is None)
+    assert v_gr_by_mode == {
+        "normal": {True}, "vsl": {False}, "middleway": {False}
+    }, (seed, v_gr_by_mode)
 
 
 def _assert_barrier_margin(report, seed, dt):
@@ -315,7 +330,6 @@ def test_08_estimator_contract_fuzz():
                 rel_position=rng.uniform(5.0, 120.0),
                 rel_speed=rng.uniform(-10.0, 10.0),
                 lane_offset=rng.choice((-1, 0, 1)),
-                timestamp=t,
             )
             for _ in range(rng.randint(0, 8))
         )

@@ -24,7 +24,7 @@ from middleway.config import (
     set_dotted,
 )
 from middleway.scenarios import canonical_scenario
-from middleway.simulation import read_run_log, run, write_run_log
+from middleway.simulation import HUMAN_BRAKE_FLOOR, read_run_log, run, write_run_log
 
 
 class TestConfig:
@@ -258,6 +258,24 @@ class TestCli:
         assert steady["cav02"] == pytest.approx(26.0, abs=0.05)
         assert steady["cav03"] == pytest.approx(24.0, abs=0.05)
 
+    def test_string_spacing_checked_against_final_radar_range(self, tmp_path, capsys):
+        # At a 500 m range cav02 would see cav01's leader too and settle at
+        # 28 m/s instead of 26 m/s, so the run must not start.
+        code = main(
+            ["string", "--out", str(tmp_path),
+             "--override", "scenario.n_controlled=2",
+             "--override", "radar.max_range=500"]
+        )
+        assert code == 2
+        assert "radar.max_range" in capsys.readouterr().err
+        assert not (tmp_path / "run_log.csv").exists()
+        # 160 m is more than half of a 300 m range, though not of 350 m.
+        loaded = build_scenario(
+            {"scenario": {"kind": "string", "gap0_m": 160.0},
+             "radar": {"max_range": 300.0}}
+        )
+        assert loaded.cfg.radar.max_range == 300.0
+
     @pytest.mark.parametrize("n", ["0", "-1"])
     def test_string_without_controlled_vehicles_exits_2(self, tmp_path, capsys, n):
         code = main(
@@ -386,6 +404,45 @@ class TestCli:
         code = main([*rds_args(tmp_path, traj), flag, value])
         assert code == 2
         assert flag.lstrip("-") in capsys.readouterr().err
+
+    def test_rds_tiny_bin_width_exits_2(self, tmp_path, capsys):
+        # A wave field's nonzero errors over a 1e-310 mph bin overflow to an
+        # infinite bin index.
+        from middleway.rds import (
+            GridSpec,
+            default_sensors,
+            grid_from_field,
+            synthetic_trajectory,
+            wave_field,
+            write_grid,
+            write_trajectory,
+        )
+
+        field = wave_field()
+        spec = GridSpec(sensor_mm=default_sensors(), duration_s=1260.0)
+        write_grid(grid_from_field(field, spec), tmp_path / "grid.csv")
+        write_trajectory(synthetic_trajectory(field, 330.0, 1200.0, 69.4),
+                         tmp_path / "traj.csv")
+        code = main(
+            ["rds", "--grid", str(tmp_path / "grid.csv"),
+             "--trajectory", str(tmp_path / "traj.csv"),
+             "--bin-width-mph", "1e-310", "--out", str(tmp_path / "rds")]
+        )
+        assert code == 2
+        assert "bin_width_mph" in capsys.readouterr().err
+
+    def test_run_overflowing_free_road_term_brakes_at_floor(self, tmp_path):
+        # The humans start near 16 m/s, so (v / v0) ** delta overflows.
+        code = main(
+            ["run", "--out", str(tmp_path),
+             "--override", "human.v0=10", "--override", "human.delta=2000",
+             "--override", "scenario.duration_s=1"]
+        )
+        assert code == 0
+        first = [row for row in read_run_log(tmp_path / "run_log.csv").rows
+                 if row[2] == "human" and row[0] == 0.0]
+        assert len(first) == 25
+        assert all(row[10] == HUMAN_BRAKE_FLOOR for row in first)
 
     @pytest.mark.parametrize("log_text", ["t,vehicle_id\n0.000,a\n", ""])
     def test_replay_wrong_header_exits_2(self, tmp_path, capsys, log_text):

@@ -150,8 +150,6 @@ class TestSelectSetpoint:
     def test_disengaged_tracks_current_speed(self):
         inputs = ControlInputs(
             engaged=False,
-            in_corridor=True,
-            vsl_valid=True,
             driver_setpoint=33.5,
             v=20.0,
             v_gr=13.4,
@@ -163,11 +161,9 @@ class TestSelectSetpoint:
     def test_out_of_corridor_uses_driver_setpoint(self):
         inputs = ControlInputs(
             engaged=True,
-            in_corridor=False,
-            vsl_valid=True,
             driver_setpoint=33.5,
             v=20.0,
-            v_gr=13.4,
+            v_gr=None,
             v_pr=25.0,
         )
         v_des = select_setpoint(inputs, cfg_with())
@@ -176,11 +172,9 @@ class TestSelectSetpoint:
     def test_invalid_advisory_uses_driver_setpoint(self):
         inputs = ControlInputs(
             engaged=True,
-            in_corridor=True,
-            vsl_valid=False,
             driver_setpoint=31.3,
             v=20.0,
-            v_gr=0.0,
+            v_gr=None,
             v_pr=25.0,
         )
         v_des = select_setpoint(inputs, cfg_with())
@@ -189,8 +183,6 @@ class TestSelectSetpoint:
     def test_engaged_in_corridor_blends(self):
         inputs = ControlInputs(
             engaged=True,
-            in_corridor=True,
-            vsl_valid=True,
             driver_setpoint=33.5,
             v=20.0,
             v_gr=13.4,
@@ -203,8 +195,6 @@ class TestSelectSetpoint:
         """With v_des_max unset the blend never exceeds the HUD setpoint."""
         inputs = ControlInputs(
             engaged=True,
-            in_corridor=True,
-            vsl_valid=True,
             driver_setpoint=24.0,
             v=20.0,
             v_gr=13.4,
@@ -218,8 +208,6 @@ class TestClassifyModeAndStep:
     def make_inputs(self, **kw) -> ControlInputs:
         base = dict(
             engaged=True,
-            in_corridor=True,
-            vsl_valid=True,
             driver_setpoint=33.5,
             v=13.4,
             v_gr=13.4,
@@ -270,7 +258,7 @@ class TestClassifyModeAndStep:
         cfg = cfg_with()
         state = ControllerState(v_ramp=30.0, engaged_prev=True)
         out = step_controller(
-            self.make_inputs(in_corridor=False, v=30.0, v_pr=25.0), state, cfg, DT
+            self.make_inputs(v_gr=None, v=30.0, v_pr=25.0), state, cfg, DT
         )
         assert out.mode is Mode.NORMAL
 
@@ -294,10 +282,8 @@ class TestClassifyModeAndStep:
 
     @given(
         engaged=st.booleans(),
-        in_corridor=st.booleans(),
-        vsl_valid=st.booleans(),
         v=speeds,
-        v_gr=st.floats(min_value=13.4, max_value=31.3),
+        v_gr=st.one_of(st.none(), st.floats(min_value=13.4, max_value=31.3)),
         v_pr=st.one_of(st.just(0.0), speeds),
         setpoint=st.floats(min_value=5.0, max_value=38.0),
         ramp0=speeds,
@@ -312,13 +298,11 @@ class TestClassifyModeAndStep:
     )
     @settings(max_examples=300)
     def test_mode_exclusivity_and_consistency(
-        self, engaged, in_corridor, vsl_valid, v, v_gr, v_pr, setpoint, ramp0, lead
+        self, engaged, v, v_gr, v_pr, setpoint, ramp0, lead
     ):
         cfg = cfg_with()
         inputs = ControlInputs(
             engaged=engaged,
-            in_corridor=in_corridor,
-            vsl_valid=vsl_valid,
             driver_setpoint=setpoint,
             v=v,
             v_gr=v_gr,
@@ -331,9 +315,9 @@ class TestClassifyModeAndStep:
         assert cfg.u_min <= out.u <= cfg.u_max
         assert (out.mode is Mode.DISENGAGED) == (not engaged)
         if out.mode is Mode.NORMAL:
-            assert not (in_corridor and vsl_valid)
+            assert v_gr is None
         if out.mode in (Mode.VSL, Mode.MIDDLEWAY):
-            assert engaged and in_corridor and vsl_valid
+            assert engaged and v_gr is not None
         if out.mode is Mode.CBF:
             assert lead is not None
             assert out.u_safe is not None and out.u_safe < out.u_nom

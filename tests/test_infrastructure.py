@@ -413,9 +413,7 @@ class TestInferHeading:
 
 class TestInferHeadingMatchesScan:
     """infer_heading against the backward scan on histories stamped as World
-    stamps them, t = round(t + dt, 9), and trimmed either by count (past 256
-    samples, drop the oldest 128) or by time as the controlled tick trims
-    them, so both the first-sample shortcut and the bisect are taken."""
+    stamps them, t = round(t + dt, 9), and trimmed by GantryTracker.update."""
 
     @settings(max_examples=200, deadline=None)
     @given(
@@ -429,31 +427,13 @@ class TestInferHeadingMatchesScan:
             min_size=1,
             max_size=600,
         ),
-        window=st.one_of(
-            st.sampled_from([2.0, 0.0]),
-            st.floats(0.0, 30.0),
-            # Back this many samples from the newest: the history then spans
-            # exactly window_s when it starts there.
-            st.integers(0, 300),
-        ),
-        trim_by_time=st.booleans(),
     )
-    def test_same_heading_as_scan(self, dt, t0, moves, window, trim_by_time):
-        history = []
+    def test_same_heading_as_scan(self, dt, t0, moves):
+        tracker = GantryTracker(CorridorMap.build(), poll_period_s=5.0)
         t, mm = t0, 60.0
         for move in moves:
-            history.append((t, mm))
-            if trim_by_time:
-                while len(history) > 2 and t - history[1][0] >= HEADING_WINDOW_S:
-                    del history[0]
-            elif len(history) > 256:
-                del history[:128]
-            if isinstance(window, int):
-                window_s = history[-1][0] - history[max(0, len(history) - 1 - window)][0]
-            else:
-                window_s = window
-            assert infer_heading(history, window_s) is infer_heading_scan(
-                history, window_s
-            )
+            tracker.update(mm, t)
+            history = tracker.mm_history
+            assert infer_heading(history) is infer_heading_scan(history)
             t = round(t + dt, 9)
             mm += move

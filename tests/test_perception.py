@@ -25,7 +25,7 @@ def veh(vid, pos, speed, lane=0):
 def make_frame(t, specs):
     """specs: list of (rel_position, rel_speed, lane_offset)."""
     targets = tuple(
-        RadarTarget(rel_position=p, rel_speed=s, lane_offset=lane, timestamp=t)
+        RadarTarget(rel_position=p, rel_speed=s, lane_offset=lane)
         for p, s, lane in specs
     )
     return RadarFrame(timestamp=t, targets=targets)
@@ -49,7 +49,7 @@ class TestSynthesizeRadar:
         assert t.rel_position == pytest.approx(60.0)
         assert t.rel_speed == pytest.approx(5.0)
         assert t.lane_offset == 1
-        assert t.timestamp == 3.0
+        assert frame.timestamp == 3.0
 
     def test_sorted_by_range_and_capped_at_max_targets(self):
         others = [veh(f"v{i:02d}", 1000.0 + 2.0 * (i + 1), 22.0) for i in range(30)]

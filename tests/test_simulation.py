@@ -373,10 +373,10 @@ class TestRunLogSerialization:
         assert saw_human and saw_controlled
 
 
-# Cell text with every character the writer quotes for, the writer's own
-# template character, and line separators that str.splitlines would split
-# on but a file does not.
-_CELL_TEXT = st.text(st.sampled_from(list('ab7,"%\r\n \x85\u2028')), max_size=6)
+# Cell text with the writer's own template character and line separators
+# that str.splitlines would split on but a file does not. A comma, quote,
+# CR or LF may not appear in a cell.
+_CELL_TEXT = st.text(st.sampled_from(list('ab7% \x85\u2028')), max_size=6)
 _KIND = st.one_of(st.sampled_from(["human", "controlled"]), _CELL_TEXT)
 _NUMBER = st.floats(allow_nan=False, width=32)
 
@@ -431,16 +431,12 @@ class TestRunLogWriterOracle:
         path = self.assert_same_bytes(log, tmp_path)
         assert read_run_log(path).rows == log.rows
 
-    def test_ids_needing_quotes(self, tmp_path):
-        log = RunLog(dt=0.05, seed=0)
-        log.rows = [
-            (0.0, 'truck,"big"', "human", 1.0, 70.0, 2.0, None, None, None, None, 0.5),
-            (0.0, 'say "hi"', "human", 1.5, 70.0, 2.0, None, None, None, None, 0.5),
-            (0.0, "plain", "controlled", 3.0, 70.0, 2.0, "normal", 2.0, None, 0.0, 0.25),
-            (0.05, 'truck,"big"', "human", 1.1, 70.0, 2.0, None, None, None, None, 0.5),
-        ]
-        path = self.assert_same_bytes(log, tmp_path)
-        assert read_run_log(path).rows == log.rows
+    def test_ids_needing_quotes(self):
+        # The writer does not quote cells, so such ids are rejected up front.
+        for vid in ("truck,big", 'say "hi"', "a\rb", "a\nb"):
+            cfg = ScenarioConfig(vehicles=[human(vid, 0.0, 10.0)])
+            with pytest.raises(ValueError, match="vehicles: an id may not hold"):
+                cfg.validate()
 
     def test_signed_zero_times_and_percent_ids(self, tmp_path):
         # Equal t values in distinct float objects, and -0.0 next to 0.0,
