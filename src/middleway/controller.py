@@ -1,6 +1,6 @@
 """Longitudinal control stack for a speed-advisory-following vehicle.
 
-The stack runs in three stages each tick:
+The stack is engaged on every tick and runs in three stages:
 
 1. setpoint selection: pick a desired speed from the driver's cruise
    setpoint, the posted gantry speed, and the prevailing-traffic estimate;
@@ -31,7 +31,6 @@ from typing import NamedTuple, Optional
 class Mode(str, Enum):
     """Operating mode labels, exactly one per controller tick."""
 
-    DISENGAGED = "disengaged"
     NORMAL = "normal"
     VSL = "vsl"
     MIDDLEWAY = "middleway"
@@ -81,20 +80,11 @@ class ControlInputs(NamedTuple):
     """One tick's inputs. v_gr is the posted speed, or None when no fresh
     advisory arrived from a gantry acquired inside the corridor."""
 
-    engaged: bool
     driver_setpoint: float
     v: float
     v_gr: Optional[float]
     v_pr: float
     lead: Optional[Lead] = None
-
-
-@dataclass
-class ControllerState:
-    """Carried between ticks: the ramp speed and the engagement edge."""
-
-    v_ramp: float = 0.0
-    engaged_prev: bool = False
 
 
 class ControllerOutput(NamedTuple):
@@ -117,13 +107,8 @@ def middleway(v_pr: float, v_gr: float, cfg: ControllerConfig) -> float:
 
 
 def select_setpoint(inputs: ControlInputs, cfg: ControllerConfig) -> float:
-    """Multiplex the desired speed.
-
-    Disengaged tracks the current speed (no command). Engaged without an
-    advisory follows the driver setpoint; engaged with one runs the blend.
-    """
-    if not inputs.engaged:
-        return inputs.v
+    """Multiplex the desired speed: the driver setpoint without an
+    advisory, the blend with one."""
     if inputs.v_gr is None:
         return inputs.driver_setpoint
     v_des = middleway(inputs.v_pr, inputs.v_gr, cfg)
@@ -160,8 +145,6 @@ def classify_mode(
     source, splitting the advisory case on whether the blend exceeded the
     posted speed.
     """
-    if not inputs.engaged:
-        return Mode.DISENGAGED
     if inputs.lead is not None and u_applied < u_nom:
         return Mode.CBF
     if inputs.v_gr is None:
@@ -172,26 +155,12 @@ def classify_mode(
 
 
 def step_controller(
-    inputs: ControlInputs, state: ControllerState, cfg: ControllerConfig, dt: float
+    inputs: ControlInputs, v_ramp_prev: float, cfg: ControllerConfig, dt: float
 ) -> ControllerOutput:
-    """Run one controller tick of dt seconds; mutates state (ramp speed,
-    engagement edge).
-
-    Disengaged ticks command u = 0 and re-seed the ramp at the current
-    speed so an engagement never starts from a stale ramp value. The
-    barrier filter applies only while engaged: disengaged the driver has
-    full authority and the stack issues no command at all.
-    """
-    if not inputs.engaged:
-        state.v_ramp = inputs.v
-        state.engaged_prev = False
-        return ControllerOutput(0.0, Mode.DISENGAGED, inputs.v, inputs.v, 0.0, None)
-
-    if not state.engaged_prev:
-        state.v_ramp = inputs.v
-
+    """Run one controller tick of dt seconds from the previous tick's ramp
+    speed; the caller carries the output's v_ramp into the next tick."""
     v_des = select_setpoint(inputs, cfg)
-    v_ramp = ramp(v_des, state.v_ramp, cfg, dt)
+    v_ramp = ramp(v_des, v_ramp_prev, cfg, dt)
     u_nom = nominal(v_ramp, inputs.v, cfg)
 
     if inputs.lead is not None:
@@ -205,7 +174,4 @@ def step_controller(
 
     u = min(max(u_filtered, cfg.u_min), cfg.u_max)
     mode = classify_mode(inputs, v_des, u_nom, u_filtered)
-
-    state.v_ramp = v_ramp
-    state.engaged_prev = True
     return ControllerOutput(u, mode, v_des, v_ramp, u_nom, u_safe)

@@ -1,12 +1,12 @@
 """Roadside infrastructure: gantries, advisory acquisition, and the feed.
 
-Variable-speed gantries sit every half mile along a mile-marker corridor
-and post speeds in whole multiples of 5 mph between 30 and 70. Each
-controlled vehicle's GantryTracker acquires the advisory of the nearest
-same-direction gantry once it comes within ACQUIRE_MI of it; the
-acquisition then sticks until a new gantry is acquired or the vehicle
-leaves the corridor, which mirrors how a geofence lookup behaves between
-gantries. The tracker also paces fetches: one on each new acquisition and
+Variable-speed gantries sit every half mile along the westbound side of a
+mile-marker corridor and post speeds in whole multiples of 5 mph between
+30 and 70. Each controlled vehicle's GantryTracker acquires the advisory
+of the nearest gantry once it comes within ACQUIRE_MI of it while moving
+westbound, toward lower mile markers; the acquisition then sticks until a
+new gantry is acquired or the vehicle leaves the corridor, which mirrors
+how a geofence lookup behaves between gantries. The tracker also paces fetches: one on each new acquisition and
 one every poll_period_s thereafter. Fetched speeds reach the vehicle
 through a feed with scalar latency, random dropout, and a staleness bound
 after which the held reading is no longer trusted.
@@ -19,15 +19,9 @@ import math
 import random
 from dataclasses import dataclass
 from functools import cached_property
-from enum import Enum
 from typing import Optional, Sequence
 
 from .units import mps_to_mph, round_to_multiple
-
-
-class Direction(str, Enum):
-    EASTBOUND = "eastbound"
-    WESTBOUND = "westbound"
 
 
 @dataclass(frozen=True)
@@ -36,7 +30,6 @@ class Gantry:
 
     gantry_id: str
     mile_marker: float
-    direction: Direction
 
 
 @dataclass
@@ -56,26 +49,21 @@ class CorridorMap:
         return self.mm_lo <= mile_marker <= self.mm_hi
 
     @cached_property
-    def _by_direction(self) -> dict[Direction, tuple[list[float], list[Gantry]]]:
-        """Per direction: its mile markers and its gantries, both sorted by
-        mile marker as self.gantries is.
+    def _mile_markers(self) -> list[float]:
+        """The gantries' mile markers, in self.gantries order.
 
         Built on first use, so the gantry list must not change after that.
         """
-        index = {}
-        for heading in Direction:
-            matching = [g for g in self.gantries if g.direction == heading]
-            index[heading] = ([g.mile_marker for g in matching], matching)
-        return index
+        return [g.mile_marker for g in self.gantries]
 
-    def nearest(self, mile_marker: float, heading: Direction) -> Optional[Gantry]:
-        """The heading's gantry minimising (distance, gantry_id), or None.
+    def nearest(self, mile_marker: float) -> Optional[Gantry]:
+        """The gantry minimising (distance, gantry_id), or None.
 
         Distances only grow moving away from mile_marker on either side, so
         every gantry tied for the smallest distance (duplicate markers, or
         equal rounded distances) sits in one run around the bisect point.
         """
-        mms, gantries = self._by_direction[heading]
+        mms, gantries = self._mile_markers, self.gantries
         n = len(mms)
         if not n:
             return None
@@ -98,18 +86,13 @@ class CorridorMap:
 
     @classmethod
     def build(
-        cls,
-        mm_lo: float = 53.0,
-        mm_hi: float = 70.0,
-        spacing_mi: float = 0.5,
-        direction: Direction = Direction.WESTBOUND,
+        cls, mm_lo: float = 53.0, mm_hi: float = 70.0, spacing_mi: float = 0.5
     ) -> "CorridorMap":
-        prefix = "wb" if direction is Direction.WESTBOUND else "eb"
         gantries = []
         n = int(round((mm_hi - mm_lo) / spacing_mi))
         for i in range(n + 1):
             mm = mm_lo + i * spacing_mi
-            gantries.append(Gantry(f"{prefix}_{mm:06.2f}", mm, direction))
+            gantries.append(Gantry(f"wb_{mm:06.2f}", mm))
         return cls(gantries, mm_lo, mm_hi)
 
 
@@ -117,29 +100,23 @@ class CorridorMap:
 HEADING_WINDOW_S = 2.0
 
 
-def infer_heading(mm_history: Sequence[tuple[float, float]]) -> Optional[Direction]:
-    """Infer travel direction from (time, mile_marker) samples in time order.
+def infer_heading(mm_history: Sequence[tuple[float, float]]) -> bool:
+    """Whether (time, mile_marker) samples in time order show the vehicle
+    moving westbound, toward lower mile markers.
 
     The history must be trimmed as GantryTracker.update trims it, so its
-    first sample is the newest one at least HEADING_WINDOW_S old; the sign
-    of the mile-marker change since then is the heading. Returns None until
-    the history spans the window or while the vehicle is not measurably
-    moving, and callers treat None as an invalid-advisory condition.
+    first sample is the newest one at least HEADING_WINDOW_S old; the
+    mile-marker change since then is the heading. False until the history
+    spans the window, while the vehicle is not measurably moving, and while
+    it moves the other way, and callers then hold no advisory.
     """
     if len(mm_history) < 2:
-        return None
+        return False
     (t_first, mm_first), (t_last, mm_last) = mm_history[0], mm_history[-1]
-    if t_last - t_first < HEADING_WINDOW_S:
-        return None
-    delta = mm_last - mm_first
-    if delta > 1e-9:
-        return Direction.EASTBOUND
-    if delta < -1e-9:
-        return Direction.WESTBOUND
-    return None
+    return t_last - t_first >= HEADING_WINDOW_S and mm_last - mm_first < -1e-9
 
 
-# Distance (mi) within which the nearest same-direction gantry is acquired.
+# Distance (mi) within which the nearest gantry is acquired.
 ACQUIRE_MI = 0.15
 
 
@@ -147,9 +124,9 @@ class GantryTracker:
     """One vehicle's advisory source: heading, acquisition and fetch cadence.
 
     Keeps the vehicle's (time, mile marker) history, reads the heading off
-    it, and acquires the nearest same-direction gantry once it lies within
-    ACQUIRE_MI. The acquisition sticks until another gantry is acquired,
-    and is dropped outside the corridor or while the heading is unknown.
+    it, and acquires the nearest gantry once it lies within ACQUIRE_MI. The
+    acquisition sticks until another gantry is acquired, and is dropped
+    outside the corridor or while the vehicle is not seen moving westbound.
     Fetches happen on each acquisition and every poll_period_s thereafter.
     """
 
@@ -171,12 +148,10 @@ class GantryTracker:
         # at least the window old, so that sample is the oldest kept.
         while len(history) > 2 and now - history[1][0] >= HEADING_WINDOW_S:
             del history[0]
-        heading = infer_heading(history)
-
         prior_id = self.gantry_id
         nearest = None
-        if heading is not None and self.corridor.contains(mile_marker):
-            nearest = self.corridor.nearest(mile_marker, heading)
+        if infer_heading(history) and self.corridor.contains(mile_marker):
+            nearest = self.corridor.nearest(mile_marker)
         if nearest is None:
             gantry_id = None
         elif abs(nearest.mile_marker - mile_marker) <= ACQUIRE_MI:
@@ -273,9 +248,9 @@ class FeedClient:
     which it reports nothing and the advisory goes invalid.
     """
 
-    def __init__(self, cfg: FeedConfig, rng: Optional[random.Random] = None):
+    def __init__(self, cfg: FeedConfig, rng: random.Random):
         self.cfg = cfg
-        self.rng = rng if rng is not None else random.Random(0)
+        self.rng = rng
         self._in_flight: list[tuple[float, float]] = []
         self._held: Optional[float] = None
         self._held_since = -math.inf

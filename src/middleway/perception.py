@@ -60,14 +60,15 @@ def synthesize_radar(
     others: Iterable[ObservedVehicle],
     cfg: RadarConfig,
     now: float,
-    rng: Optional[random.Random] = None,
+    rng: random.Random,
 ) -> RadarFrame:
     """Build a radar frame from ground truth.
 
     Keeps vehicles strictly ahead of the ego, within max_range, and within
     one lane of the ego lane; returns the nearest max_targets of them
     sorted by range. Ties in range break on vehicle id so frames are
-    reproducible. Optional zero-mean Gaussian noise perturbs rel_speed.
+    reproducible. With noise_sigma set, zero-mean Gaussian noise drawn from
+    rng perturbs rel_speed.
     """
     candidates = []
     for veh in others:
@@ -81,7 +82,7 @@ def synthesize_radar(
         candidates.append((rel, veh))
     candidates.sort(key=lambda item: (item[0], item[1].vehicle_id))
 
-    noisy = rng is not None and cfg.noise_sigma > 0.0
+    noisy = cfg.noise_sigma > 0.0
     targets = []
     for rel, veh in candidates[: cfg.max_targets]:
         rel_speed = veh.speed - ego.speed

@@ -85,7 +85,6 @@ def canonical_scenario(
             VehicleKind.CONTROLLED,
             platoon_x0 - controlled_gap_m,
             mean_speed_mps,
-            engage_at=0.0,
             driver_setpoint=driver_setpoint_mps,
         )
     )
@@ -160,7 +159,6 @@ def string_scenario(
                 VehicleKind.CONTROLLED,
                 x,
                 v_init,
-                engage_at=0.0,
                 driver_setpoint=v_init,
             )
         )
@@ -197,8 +195,8 @@ def measurement_window(n_controlled: int) -> tuple[float, float]:
 def v_des_traces(log: RunLog, n_controlled: int) -> dict[str, np.ndarray]:
     """Per-vehicle logged v_des series, keyed cav01..cavNN.
 
-    Keys are ordered downstream to upstream (cav01 leads); unset values
-    (disengaged rows) become NaN.
+    Keys are ordered downstream to upstream (cav01 leads); a row without a
+    v_des (none that run writes) becomes NaN.
     """
     traces: dict[str, list[float]] = {
         f"cav{k:02d}": [] for k in range(1, n_controlled + 1)

@@ -1,13 +1,13 @@
 """Single-corridor microsimulation around the controlled vehicle.
 
-The world holds point vehicles on a straight corridor, positions measured
-in meters along the travel direction from the corridor entry and mapped
-affinely to mile markers. Human vehicles follow the intelligent-driver
-model, probe vehicles hold their initial speed, and controlled vehicles
-run the full perception / infrastructure / control pipeline off
-synthesized radar frames and gantry advisories. Adjacent lanes carry
-phantom target streams that feed radar only and never interact with the
-mainline.
+The world holds point vehicles on a straight westbound corridor. A
+position is meters travelled from the corridor entry, so its mile marker
+is entry_mm - position / M_PER_MILE. Human vehicles follow the
+intelligent-driver model, probe vehicles hold their initial speed, and
+controlled vehicles run the full perception / infrastructure / control
+pipeline off synthesized radar frames and gantry advisories, engaged from
+the first tick. Adjacent lanes carry phantom target streams that feed
+radar only and never interact with the mainline.
 
 Integration is semi-implicit Euler at a fixed step: v += u * dt first,
 then x += v * dt with the updated velocity, velocities floored at zero.
@@ -30,16 +30,9 @@ from operator import itemgetter
 from pathlib import Path
 from typing import Optional, Sequence
 
-from .controller import (
-    ControlInputs,
-    ControllerConfig,
-    ControllerState,
-    Mode,
-    step_controller,
-)
+from .controller import ControlInputs, ControllerConfig, step_controller
 from .infrastructure import (
     CorridorMap,
-    Direction,
     FeedClient,
     FeedConfig,
     GantryTracker,
@@ -137,7 +130,6 @@ class VehicleInit:
     x0: float
     v0: float
     lane: int = 0
-    engage_at: Optional[float] = 0.0
     driver_setpoint: float = 33.5
 
 
@@ -190,7 +182,6 @@ class ScenarioConfig:
     seed: int = 0
     log_every: int = 1
     entry_mm: float = 70.0
-    direction: Direction = Direction.WESTBOUND
     corridor: CorridorMap = field(default_factory=CorridorMap.build)
     controller: ControllerConfig = field(default_factory=ControllerConfig)
     radar: RadarConfig = field(default_factory=RadarConfig)
@@ -304,12 +295,13 @@ class _PhantomStream:
 
 class _ControlledAgent:
     def __init__(self, init: VehicleInit, cfg: ScenarioConfig, rng: random.Random):
-        self.engage_at = init.engage_at
         self.driver_setpoint = init.driver_setpoint
         self.estimator = PrevailingSpeedEstimator(cfg.estimator)
         self.tracker = GantryTracker(cfg.corridor, cfg.feed.poll_period_s)
         self.feed = FeedClient(cfg.feed, rng)
-        self.ctrl_state = ControllerState()
+        # The controller's ramp speed; the first tick ramps from the
+        # vehicle's initial speed.
+        self.v_ramp = init.v0
 
 
 class World:
@@ -341,8 +333,6 @@ class World:
                 self._lead_map[rear.vehicle_id] = front
             self._lead_map[lane[-1].vehicle_id] = None
         self._index_lane_positions()
-        # entry_mm + (-1.0 * d) is exactly entry_mm - d in IEEE arithmetic.
-        self._mm_sign = -1.0 if cfg.direction is Direction.WESTBOUND else 1.0
         self.agents = {
             v.vehicle_id: _ControlledAgent(v, cfg, self.rng)
             for v in cfg.vehicles
@@ -371,7 +361,7 @@ class World:
         }
 
     def mm_of(self, x: float) -> float:
-        return self.cfg.entry_mm + self._mm_sign * (x / M_PER_MILE)
+        return self.cfg.entry_mm - x / M_PER_MILE
 
     def _segment_means(self) -> dict[int, Optional[float]]:
         """Mean vehicle speed per inter-gantry segment, by lower-mm index."""
@@ -392,15 +382,10 @@ class World:
     def _update_vsl(self) -> None:
         """Run the posting policy over every gantry (skipped in static mode)."""
         means = self._segment_means()
-        gantries = self.cfg.corridor.gantries
-        n_seg = len(gantries) - 1
-        westbound = self.cfg.direction is Direction.WESTBOUND
-        for i, g in enumerate(gantries):
-            downstream: list[Optional[float]] = []
-            for k in range(1, self.cfg.vsl.lookahead_segments + 1):
-                seg = i - k if westbound else i + k - 1
-                if 0 <= seg < n_seg:
-                    downstream.append(means[seg])
+        lookahead = self.cfg.vsl.lookahead_segments
+        for i, g in enumerate(self.cfg.corridor.gantries):
+            # Westbound traffic leaves gantry i into segment i - 1.
+            downstream = [means[i - k] for k in range(1, lookahead + 1) if i >= k]
             prev = self.posted_mph[g.gantry_id]
             posted = vsl_algorithm(downstream, prev, self.cfg.vsl)
             if posted != prev:
@@ -439,17 +424,6 @@ class World:
         agent = self.agents[veh.vehicle_id]
         cfg = self.cfg
         now = self.t
-        engaged = agent.engage_at is not None and now >= agent.engage_at
-        if engaged != agent.ctrl_state.engaged_prev:
-            self.events.append(
-                {
-                    "t": now,
-                    "event": "engagement",
-                    "vehicle_id": veh.vehicle_id,
-                    "engaged": engaged,
-                }
-            )
-
         ego = ObservedVehicle(veh.vehicle_id, veh.position, veh.velocity, veh.lane)
         frame = synthesize_radar(ego, self._radar_candidates(veh), cfg.radar, now, self.rng)
         v_pr = agent.estimator.update_prevailing(frame, veh.velocity)
@@ -473,10 +447,9 @@ class World:
         delivered = agent.feed.poll(now)
         v_gr = delivered if gantry_id is not None else None
 
-        inputs = ControlInputs(
-            engaged, agent.driver_setpoint, veh.velocity, v_gr, v_pr, lead
-        )
-        out = step_controller(inputs, agent.ctrl_state, cfg.controller, cfg.dt)
+        inputs = ControlInputs(agent.driver_setpoint, veh.velocity, v_gr, v_pr, lead)
+        out = step_controller(inputs, agent.v_ramp, cfg.controller, cfg.dt)
+        agent.v_ramp = out.v_ramp
 
         if lead is not None:
             h = lead.gap - (cfg.controller.t_min * veh.velocity + cfg.controller.s_min)
@@ -508,7 +481,7 @@ class World:
         bottlenecks = [bn for bn in cfg.bottlenecks if bn.t_start <= t < bn.t_end]
         logged = log is not None and self.step_index % cfg.log_every == 0
         append = log.rows.append if logged else None
-        entry_mm, mm_sign = cfg.entry_mm, self._mm_sign
+        entry_mm = cfg.entry_mm
         accels: list[float] = []
         push = accels.append
         human_kind, probe_kind = VehicleKind.HUMAN, VehicleKind.PROBE
@@ -541,7 +514,7 @@ class World:
                 continue
             push(u)
             if logged:
-                append((t, veh.vehicle_id, kind, x, entry_mm + mm_sign * (x / M_PER_MILE),
+                append((t, veh.vehicle_id, kind, x, entry_mm - x / M_PER_MILE,
                         v, None, None, None, None, u))
 
         for veh, u in zip(self.vehicles, accels):
@@ -602,7 +575,6 @@ def config_echo(cfg: ScenarioConfig) -> dict:
         "seed": cfg.seed,
         "log_every": cfg.log_every,
         "entry_mm": cfg.entry_mm,
-        "direction": cfg.direction.value,
         "corridor": {
             "mm_lo": cfg.corridor.mm_lo,
             "mm_hi": cfg.corridor.mm_hi,
@@ -696,28 +668,23 @@ def write_events(log: RunLog, path: str | Path) -> None:
 def build_report(log: RunLog) -> RunReport:
     """Aggregate controlled-vehicle rows into occupancy and transitions.
 
-    Occupancy fractions are over engaged time only (disengaged rows are
-    excluded) and sum to 1 when any engaged time exists.
+    Every controlled row with a mode is engaged time; the occupancy
+    fractions are over those rows and sum to 1 when there are any.
     """
     dt_row = log.dt * log.log_every
-    engaged_rows = 0
     occupancy: dict[str, int] = {}
     transitions: dict[str, int] = {}
     last_mode: dict[str, str] = {}
     rows = log.rows
     t_max = max(chain((0.0,), map(itemgetter(0), rows)))
     controlled = VehicleKind.CONTROLLED.value
-    disengaged = Mode.DISENGAGED.value
     for row in [r for r in rows if r[2] == controlled and r[6] is not None]:
         vid, mode = row[1], row[6]
-        prev = last_mode.get(vid)
-        if mode != prev:
+        if mode != last_mode.get(vid):
             transitions[mode] = transitions.get(mode, 0) + 1
             last_mode[vid] = mode
-        if mode == disengaged:
-            continue
-        engaged_rows += 1
         occupancy[mode] = occupancy.get(mode, 0) + 1
+    engaged_rows = sum(occupancy.values())
     engaged_time = engaged_rows * dt_row
     fractions = (
         {mode: count / engaged_rows for mode, count in sorted(occupancy.items())}

@@ -17,7 +17,6 @@ import pytest
 from middleway.controller import (
     ControlInputs,
     ControllerConfig,
-    ControllerState,
     Lead,
     cbf_limit,
     middleway,
@@ -174,14 +173,13 @@ def test_02_safety_filter_invariance():
         )
         out = step_controller(
             ControlInputs(
-                engaged=True,
                 driver_setpoint=target,
                 v=vv,
                 v_gr=None,
                 v_pr=0.0,
                 lead=Lead(gap=g, speed=vl),
             ),
-            ControllerState(v_ramp=target, engaged_prev=True),
+            target,
             cfg,
             dt,
         )

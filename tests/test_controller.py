@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from middleway.controller import (
     ControlInputs,
     ControllerConfig,
-    ControllerState,
     Lead,
     Mode,
     cbf_limit,
@@ -147,31 +146,9 @@ class TestCbfLimit:
 
 
 class TestSelectSetpoint:
-    def test_disengaged_tracks_current_speed(self):
-        inputs = ControlInputs(
-            engaged=False,
-            driver_setpoint=33.5,
-            v=20.0,
-            v_gr=13.4,
-            v_pr=25.0,
-        )
-        v_des = select_setpoint(inputs, cfg_with())
-        assert v_des == 20.0
-
-    def test_out_of_corridor_uses_driver_setpoint(self):
-        inputs = ControlInputs(
-            engaged=True,
-            driver_setpoint=33.5,
-            v=20.0,
-            v_gr=None,
-            v_pr=25.0,
-        )
-        v_des = select_setpoint(inputs, cfg_with())
-        assert v_des == 33.5
-
     def test_invalid_advisory_uses_driver_setpoint(self):
+        # Outside the corridor and with a stale feed alike, v_gr is None.
         inputs = ControlInputs(
-            engaged=True,
             driver_setpoint=31.3,
             v=20.0,
             v_gr=None,
@@ -182,7 +159,6 @@ class TestSelectSetpoint:
 
     def test_engaged_in_corridor_blends(self):
         inputs = ControlInputs(
-            engaged=True,
             driver_setpoint=33.5,
             v=20.0,
             v_gr=13.4,
@@ -194,7 +170,6 @@ class TestSelectSetpoint:
     def test_driver_setpoint_caps_blend_when_no_explicit_cap(self):
         """With v_des_max unset the blend never exceeds the HUD setpoint."""
         inputs = ControlInputs(
-            engaged=True,
             driver_setpoint=24.0,
             v=20.0,
             v_gr=13.4,
@@ -207,7 +182,6 @@ class TestSelectSetpoint:
 class TestClassifyModeAndStep:
     def make_inputs(self, **kw) -> ControlInputs:
         base = dict(
-            engaged=True,
             driver_setpoint=33.5,
             v=13.4,
             v_gr=13.4,
@@ -219,69 +193,46 @@ class TestClassifyModeAndStep:
 
     def test_steady_vsl_tick(self):
         cfg = cfg_with()
-        state = ControllerState(v_ramp=13.4, engaged_prev=True)
-        out = step_controller(self.make_inputs(), state, cfg, DT)
+        out = step_controller(self.make_inputs(), 13.4, cfg, DT)
         assert out.u == pytest.approx(0.0, abs=1e-12)
         assert out.mode is Mode.VSL
         assert out.v_des == pytest.approx(13.4)
 
     def test_filter_binding_gives_cbf_mode(self):
         cfg = cfg_with()
-        state = ControllerState(v_ramp=12.0, engaged_prev=True)
         inputs = self.make_inputs(
             v=10.0, v_gr=12.0, lead=Lead(gap=20.0, speed=12.0)
         )
-        out = step_controller(inputs, state, cfg, DT)
+        out = step_controller(inputs, 12.0, cfg, DT)
         assert out.u_nom == pytest.approx(1.6, abs=1e-12)
         assert out.u_safe == pytest.approx(0.25, abs=1e-12)
         assert out.u == pytest.approx(0.25, abs=1e-12)
         assert out.mode is Mode.CBF
 
-    def test_disengaged_tick(self):
-        cfg = cfg_with()
-        state = ControllerState(v_ramp=31.0, engaged_prev=True)
-        out = step_controller(self.make_inputs(engaged=False, v=20.0), state, cfg, DT)
-        assert out.u == 0.0
-        assert out.mode is Mode.DISENGAGED
-        assert out.v_des == 20.0
-        assert state.v_ramp == 20.0
-
     def test_traffic_speedup_moves_vsl_to_middleway(self):
         cfg = cfg_with()
-        state = ControllerState(v_ramp=13.4, engaged_prev=True)
-        out = step_controller(self.make_inputs(v_pr=0.0), state, cfg, DT)
+        out = step_controller(self.make_inputs(v_pr=0.0), 13.4, cfg, DT)
         assert out.mode is Mode.VSL
-        out = step_controller(self.make_inputs(v_pr=20.0), state, cfg, DT)
+        out = step_controller(self.make_inputs(v_pr=20.0), out.v_ramp, cfg, DT)
         assert out.mode is Mode.MIDDLEWAY
 
-    def test_normal_mode_outside_corridor_even_with_advisory_speed(self):
+    def test_normal_mode_without_advisory_even_with_prevailing_speed(self):
         cfg = cfg_with()
-        state = ControllerState(v_ramp=30.0, engaged_prev=True)
         out = step_controller(
-            self.make_inputs(v_gr=None, v=30.0, v_pr=25.0), state, cfg, DT
+            self.make_inputs(v_gr=None, v=30.0, v_pr=25.0), 30.0, cfg, DT
         )
         assert out.mode is Mode.NORMAL
 
-    def test_engagement_reseeds_ramp_from_current_speed(self):
-        cfg = cfg_with()
-        state = ControllerState(v_ramp=0.0, engaged_prev=False)
-        out = step_controller(self.make_inputs(v=22.0, v_pr=30.0), state, cfg, DT)
-        assert abs(out.v_ramp - 22.0) <= cfg.ramp_rate * DT + 1e-12
-        assert abs(out.u_nom) <= cfg.k_p * cfg.ramp_rate * DT + 1e-12
-
     def test_output_clamped_to_actuation_envelope(self):
         cfg = cfg_with()
-        state = ControllerState(v_ramp=35.0, engaged_prev=True)
-        out = step_controller(self.make_inputs(v=5.0, v_pr=40.0), state, cfg, DT)
+        out = step_controller(self.make_inputs(v=5.0, v_pr=40.0), 35.0, cfg, DT)
         assert out.u == cfg.u_max
-        state = ControllerState(v_ramp=5.0, engaged_prev=True)
         out = step_controller(
-            self.make_inputs(v=35.0, v_pr=0.0, driver_setpoint=5.0), state, cfg, DT
+            self.make_inputs(v=35.0, v_pr=0.0, driver_setpoint=5.0), 5.0, cfg, DT
         )
         assert out.u == cfg.u_min
 
     @given(
-        engaged=st.booleans(),
         v=speeds,
         v_gr=st.one_of(st.none(), st.floats(min_value=13.4, max_value=31.3)),
         v_pr=st.one_of(st.just(0.0), speeds),
@@ -298,30 +249,28 @@ class TestClassifyModeAndStep:
     )
     @settings(max_examples=300)
     def test_mode_exclusivity_and_consistency(
-        self, engaged, v, v_gr, v_pr, setpoint, ramp0, lead
+        self, v, v_gr, v_pr, setpoint, ramp0, lead
     ):
         cfg = cfg_with()
         inputs = ControlInputs(
-            engaged=engaged,
             driver_setpoint=setpoint,
             v=v,
             v_gr=v_gr,
             v_pr=v_pr,
             lead=lead,
         )
-        state = ControllerState(v_ramp=ramp0, engaged_prev=True)
-        out = step_controller(inputs, state, cfg, DT)
+        out = step_controller(inputs, ramp0, cfg, DT)
 
         assert cfg.u_min <= out.u <= cfg.u_max
-        assert (out.mode is Mode.DISENGAGED) == (not engaged)
+        assert abs(out.v_ramp - ramp0) <= cfg.ramp_rate * DT + 1e-12
         if out.mode is Mode.NORMAL:
             assert v_gr is None
         if out.mode in (Mode.VSL, Mode.MIDDLEWAY):
-            assert engaged and v_gr is not None
+            assert v_gr is not None
         if out.mode is Mode.CBF:
             assert lead is not None
             assert out.u_safe is not None and out.u_safe < out.u_nom
-        if engaged and lead is not None:
+        if lead is not None:
             assert out.u <= max(out.u_safe, cfg.u_min) + 1e-12
 
 

@@ -11,7 +11,6 @@ from middleway.infrastructure import (
     ACQUIRE_MI,
     HEADING_WINDOW_S,
     CorridorMap,
-    Direction,
     FeedClient,
     FeedConfig,
     Gantry,
@@ -39,23 +38,23 @@ def poll_schedule(
     return fetches
 
 
-def nearest_scan(corridor, mile_marker, heading):
+def nearest_scan(corridor, mile_marker):
     """Reference for CorridorMap.nearest: a linear scan over every gantry."""
-    matching = [g for g in corridor.gantries if g.direction == heading]
-    if not matching:
+    if not corridor.gantries:
         return None
     return min(
-        matching, key=lambda g: (abs(g.mile_marker - mile_marker), g.gantry_id)
+        corridor.gantries,
+        key=lambda g: (abs(g.mile_marker - mile_marker), g.gantry_id),
     )
 
 
-def active_gantry_scan(mile_marker, heading, corridor, prior_id=None):
-    """Reference for the tracker's acquisition: the nearest same-direction
-    gantry within ACQUIRE_MI, else the prior one; None outside the corridor
-    or with an unknown heading."""
-    if heading is None or not corridor.contains(mile_marker):
+def active_gantry_scan(mile_marker, westbound, corridor, prior_id=None):
+    """Reference for the tracker's acquisition: the nearest gantry within
+    ACQUIRE_MI, else the prior one; None outside the corridor or unless
+    the vehicle is seen moving westbound."""
+    if not westbound or not corridor.contains(mile_marker):
         return None
-    nearest = nearest_scan(corridor, mile_marker, heading)
+    nearest = nearest_scan(corridor, mile_marker)
     if nearest is None:
         return None
     if abs(nearest.mile_marker - mile_marker) <= ACQUIRE_MI:
@@ -66,23 +65,18 @@ def active_gantry_scan(mile_marker, heading, corridor, prior_id=None):
 def infer_heading_scan(mm_history, window_s=2.0):
     """Reference for infer_heading: scan back from the newest sample."""
     if len(mm_history) < 2:
-        return None
+        return False
     t_last, mm_last = mm_history[-1]
     if t_last - mm_history[0][0] < window_s:
-        return None
+        return False
     mm_then = None
     for t, mm in reversed(mm_history):
         if t_last - t >= window_s:
             mm_then = mm
             break
     if mm_then is None:
-        return None
-    delta = mm_last - mm_then
-    if delta > 1e-9:
-        return Direction.EASTBOUND
-    if delta < -1e-9:
-        return Direction.WESTBOUND
-    return None
+        return False
+    return mm_last - mm_then < -1e-9
 
 
 @pytest.fixture
@@ -90,24 +84,20 @@ def corridor():
     return CorridorMap.build(mm_lo=53.0, mm_hi=70.0, spacing_mi=0.5)
 
 
-# Both headings, shared and duplicate mile markers, ids out of marker order.
+# A duplicate mile marker, and ids out of marker order, so distance ties
+# (60.15 lies halfway between 60.0 and 60.3) break on the id.
 MIXED_CORRIDOR_ROWS = (
-    ("wb_b", 60.0, "westbound"),
-    ("wb_a", 60.0, "westbound"),
-    ("eb_60", 60.0, "eastbound"),
-    ("wb_60_3", 60.3, "westbound"),
-    ("eb_60_2", 60.2, "eastbound"),
-    ("eb_60_2x", 60.2, "eastbound"),
-    ("wb_z", 60.5, "westbound"),
-    ("wb_y", 61.1, "westbound"),
-    ("eb_61", 61.0, "eastbound"),
-    ("eb_62", 62.0, "eastbound"),
+    ("wb_b", 60.0),
+    ("wb_a", 60.0),
+    ("wb_60_3", 60.3),
+    ("wb_z", 60.5),
+    ("wb_y", 61.1),
 )
 
 
 @pytest.fixture(scope="module")
 def mixed_corridor():
-    gantries = [Gantry(gid, mm, Direction(d)) for gid, mm, d in MIXED_CORRIDOR_ROWS]
+    gantries = [Gantry(gid, mm) for gid, mm in MIXED_CORRIDOR_ROWS]
     return CorridorMap(gantries, 60.0, 62.0)
 
 
@@ -126,48 +116,44 @@ class TestCorridorMap:
         )
 
 
-def gantry_after_approach(corridor, mile_marker, heading, prior_id=None):
+def gantry_after_approach(corridor, mile_marker, step=1e-3, prior_id=None):
     """The tracker's gantry at mile_marker, reached over one heading window
-    in the given heading (None: standing still), with prior_id held."""
-    step = {Direction.WESTBOUND: 1e-3, Direction.EASTBOUND: -1e-3, None: 0.0}
+    from mile_marker + step (positive: westbound, 0: standing still), with
+    prior_id held."""
     tracker = GantryTracker(corridor, poll_period_s=5.0)
-    tracker.update(mile_marker + step[heading], 0.0)
+    tracker.update(mile_marker + step, 0.0)
     tracker.gantry_id = prior_id
     return tracker.update(mile_marker, HEADING_WINDOW_S)[0]
 
 
 class TestActiveGantry:
     def test_acquires_within_bound(self, corridor):
-        gantry_id = gantry_after_approach(corridor, 59.95, Direction.WESTBOUND)
-        assert gantry_id == "wb_060.00"
+        assert gantry_after_approach(corridor, 59.95) == "wb_060.00"
 
     def test_acquires_at_exactly_acquire_mi(self):
-        corridor = CorridorMap([Gantry("g", 0.0, Direction.WESTBOUND)], -1.0, 1.0)
-        assert gantry_after_approach(corridor, ACQUIRE_MI, Direction.WESTBOUND) == "g"
+        corridor = CorridorMap([Gantry("g", 0.0)], -1.0, 1.0)
+        assert gantry_after_approach(corridor, ACQUIRE_MI) == "g"
 
     def test_no_acquisition_without_prior_is_invalid(self, corridor):
-        assert gantry_after_approach(corridor, 60.30, Direction.WESTBOUND) is None
+        assert gantry_after_approach(corridor, 60.30) is None
 
     def test_prior_acquisition_persists_between_gantries(self, corridor):
-        gantry_id = gantry_after_approach(
-            corridor, 59.80, Direction.WESTBOUND, prior_id="wb_060.00"
-        )
+        gantry_id = gantry_after_approach(corridor, 59.80, prior_id="wb_060.00")
         assert gantry_id == "wb_060.00"
 
     def test_outside_corridor_is_invalid_even_with_prior(self, corridor):
-        gantry_id = gantry_after_approach(
-            corridor, 52.0, Direction.WESTBOUND, prior_id="wb_053.00"
-        )
+        gantry_id = gantry_after_approach(corridor, 52.0, prior_id="wb_053.00")
         assert gantry_id is None
 
-    def test_wrong_direction_gantries_ignored(self):
-        gantries = [Gantry("eb_060.00", 60.0, Direction.EASTBOUND)]
-        corridor = CorridorMap(gantries, 53.0, 70.0)
-        assert gantry_after_approach(corridor, 60.0, Direction.WESTBOUND) is None
+    def test_wrong_direction_gantries_ignored(self, corridor):
+        # The gantries face westbound traffic; moving eastbound sees none.
+        assert gantry_after_approach(
+            corridor, 60.0, step=-1e-3, prior_id="wb_060.00"
+        ) is None
 
     def test_unknown_heading_is_invalid(self, corridor):
         assert gantry_after_approach(
-            corridor, 60.0, None, prior_id="wb_060.00"
+            corridor, 60.0, step=0.0, prior_id="wb_060.00"
         ) is None
 
 
@@ -176,20 +162,15 @@ class TestActiveGantryMatchesScan:
     duplicates included."""
 
     @settings(max_examples=300, deadline=None)
-    @given(
-        data=st.data(),
-        heading=st.sampled_from(list(Direction)),
-    )
-    def test_mixed_corridor(self, mixed_corridor, data, heading):
+    @given(data=st.data())
+    def test_mixed_corridor(self, mixed_corridor, data):
         mm = data.draw(
             st.one_of(
                 st.sampled_from(_midpoints(mixed_corridor)),
                 st.floats(59.5, 62.5, allow_nan=False),
             )
         )
-        assert mixed_corridor.nearest(mm, heading) == nearest_scan(
-            mixed_corridor, mm, heading
-        )
+        assert mixed_corridor.nearest(mm) == nearest_scan(mixed_corridor, mm)
 
     @settings(max_examples=300, deadline=None)
     @given(
@@ -199,18 +180,16 @@ class TestActiveGantryMatchesScan:
                     st.sampled_from([0.0, 0.5, 1.0, 1e-300, 5e-324, 1e16]),
                     st.floats(-10.0, 10.0, allow_nan=False),
                 ),
-                st.sampled_from(list(Direction)),
                 st.text("abc", min_size=1, max_size=3),
             ),
             min_size=1,
             max_size=12,
-            unique_by=lambda m: m[2],
+            unique_by=lambda m: m[1],
         ),
         data=st.data(),
-        heading=st.sampled_from(list(Direction)),
     )
-    def test_generated_corridor(self, markers, data, heading):
-        gantries = [Gantry(gid, mm, d) for mm, d, gid in markers]
+    def test_generated_corridor(self, markers, data):
+        gantries = [Gantry(gid, mm) for mm, gid in markers]
         corridor = CorridorMap(gantries, -20.0, 2e16)
         mm = data.draw(
             st.one_of(
@@ -218,7 +197,7 @@ class TestActiveGantryMatchesScan:
                 st.floats(corridor.mm_lo, corridor.mm_hi, allow_nan=False),
             )
         )
-        assert corridor.nearest(mm, heading) == nearest_scan(corridor, mm, heading)
+        assert corridor.nearest(mm) == nearest_scan(corridor, mm)
 
 
 class PollTimerRef:
@@ -309,7 +288,7 @@ class TestPollSchedule:
 
     def test_poll_timer_matches_schedule(self):
         # One westbound gantry, reached (within ACQUIRE_MI) at t = 10 s.
-        gantries = [Gantry("g", 60.0, Direction.WESTBOUND)]
+        gantries = [Gantry("g", 60.0)]
         tracker = GantryTracker(CorridorMap(gantries, 50.0, 70.0), poll_period_s=5.0)
         fetches = []
         dt = 0.05
@@ -364,13 +343,13 @@ class TestVslAlgorithm:
 
 class TestFeedClient:
     def test_latency_delays_delivery(self):
-        feed = FeedClient(FeedConfig(latency_s=60.0))
+        feed = FeedClient(FeedConfig(latency_s=60.0), random.Random(0))
         feed.publish(mph_to_mps(50), now=100.0)
         assert feed.poll(159.95) is None
         assert feed.poll(160.0) == mph_to_mps(50)
 
     def test_total_dropout_goes_stale_after_bound(self):
-        feed = FeedClient(FeedConfig(dropout=0.0, staleness_s=60.0))
+        feed = FeedClient(FeedConfig(dropout=0.0, staleness_s=60.0), random.Random(0))
         feed.publish(20.0, now=0.0)
         assert feed.poll(0.0) == 20.0
         blackout = FeedConfig(dropout=1.0, staleness_s=60.0)
@@ -397,18 +376,18 @@ class TestFeedClient:
 class TestInferHeading:
     def test_decreasing_mile_markers_is_westbound(self):
         hist = [(t * 0.5, 60.0 - 0.005 * t) for t in range(10)]
-        assert infer_heading(hist) is Direction.WESTBOUND
+        assert infer_heading(hist) is True
 
-    def test_increasing_mile_markers_is_eastbound(self):
+    def test_increasing_mile_markers_is_not_westbound(self):
         hist = [(t * 0.5, 60.0 + 0.005 * t) for t in range(10)]
-        assert infer_heading(hist) is Direction.EASTBOUND
+        assert infer_heading(hist) is False
 
     def test_insufficient_history_is_unknown(self):
-        assert infer_heading([(0.0, 60.0), (1.0, 59.99)]) is None
+        assert infer_heading([(0.0, 60.0), (1.0, 59.99)]) is False
 
     def test_stationary_is_unknown(self):
         hist = [(t * 0.5, 60.0) for t in range(10)]
-        assert infer_heading(hist) is None
+        assert infer_heading(hist) is False
 
 
 class TestInferHeadingMatchesScan:

@@ -53,24 +53,27 @@ COMMANDS = (
 )
 
 # The first 16 hex digits of each output's sha256, keyed by its path under
-# the command's output directory; "stdout" is the printed text.
+# the command's output directory; "stdout" is the printed text. Recorded
+# with the eastbound and disengaged paths still in place, whose removal
+# changed only each report.json (no "direction" line) and events.jsonl (no
+# t = 0 engagement event per controlled vehicle).
 GOLDEN = {
     "run": {
         "stdout": "2a306063fb7e5f6e",
-        "events.jsonl": "04d10dcb24605891",
-        "report.json": "bf69715d31df501e",
+        "events.jsonl": "e199743dcf59d031",
+        "report.json": "c42c64d2eddea717",
         "run_log.csv": "e9fe906e5e60714e",
     },
     "run_noisy": {
         "stdout": "7cd69e10d2c12764",
-        "events.jsonl": "207825b0cb7e12cd",
-        "report.json": "4f885ade55f60c82",
+        "events.jsonl": "3f5d58643e2dbce8",
+        "report.json": "9bd6effb0bf14795",
         "run_log.csv": "456391aa1e44fe08",
     },
     "string": {
         "stdout": "779238f78bff7f63",
-        "events.jsonl": "dcac78715956f937",
-        "report.json": "182f7d1e0e941b6e",
+        "events.jsonl": "b446d15d3a0edfe8",
+        "report.json": "48bc66ed92aedf54",
         "run_log.csv": "6b498692f9d1ee5d",
         "string_summary.csv": "112e43aedfecb916",
         "string_traces.csv": "67efd927644ba6f4",
@@ -78,22 +81,22 @@ GOLDEN = {
     "sweep": {
         "stdout": "fc9471f64e0bb580",
         "sweep_summary.csv": "e3fee9322ec2172b",
-        "v_offset=2/events.jsonl": "04d10dcb24605891",
-        "v_offset=2/report.json": "460771b1a7906d03",
+        "v_offset=2/events.jsonl": "e199743dcf59d031",
+        "v_offset=2/report.json": "d4adc7804ff6ed01",
         "v_offset=2/run_log.csv": "e9fe906e5e60714e",
-        "v_offset=4/events.jsonl": "04d10dcb24605891",
-        "v_offset=4/report.json": "baad1e8ac0bc7d9a",
+        "v_offset=4/events.jsonl": "e199743dcf59d031",
+        "v_offset=4/report.json": "239bd9cec1839ca1",
         "v_offset=4/run_log.csv": "e9fe906e5e60714e",
     },
     "sweep_string": {
         "stdout": "3e2d8d7084ccd92f",
         "string_convergence.csv": "c63e38b95a7df374",
         "sweep_summary.csv": "c55abcc0157f503b",
-        "v_offset=2/events.jsonl": "a8667fa7b8c4dddc",
-        "v_offset=2/report.json": "a618ec73c9d699f3",
+        "v_offset=2/events.jsonl": "2707f5f06953f284",
+        "v_offset=2/report.json": "ed1c326eff17abcc",
         "v_offset=2/run_log.csv": "0fad5e01f5f03c8b",
-        "v_offset=3/events.jsonl": "c6614e0759364469",
-        "v_offset=3/report.json": "29fd6bfae2d44abe",
+        "v_offset=3/events.jsonl": "0914701909181c12",
+        "v_offset=3/report.json": "b55a02c49f1981a1",
         "v_offset=3/run_log.csv": "096effada404703e",
     },
     "sweep_replay": {

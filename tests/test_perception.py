@@ -43,7 +43,7 @@ class TestSynthesizeRadar:
             veh("two_over", 1050.0, 25.0, lane=2),
             veh("good", 1060.0, 25.0, lane=1),
         ]
-        frame = synthesize_radar(self.ego, others, self.cfg, now=3.0)
+        frame = synthesize_radar(self.ego, others, self.cfg, 3.0, random.Random(0))
         assert len(frame.targets) == 1
         t = frame.targets[0]
         assert t.rel_position == pytest.approx(60.0)
@@ -53,7 +53,7 @@ class TestSynthesizeRadar:
 
     def test_sorted_by_range_and_capped_at_max_targets(self):
         others = [veh(f"v{i:02d}", 1000.0 + 2.0 * (i + 1), 22.0) for i in range(30)]
-        frame = synthesize_radar(self.ego, others, self.cfg, now=0.0)
+        frame = synthesize_radar(self.ego, others, self.cfg, 0.0, random.Random(0))
         assert len(frame.targets) == 16
         rels = [t.rel_position for t in frame.targets]
         assert rels == sorted(rels)
@@ -64,12 +64,12 @@ class TestSynthesizeRadar:
             veh("bbb", 1040.0, 22.0, lane=1),
             veh("aaa", 1040.0, 24.0, lane=-1),
         ]
-        frame = synthesize_radar(self.ego, others, self.cfg, now=0.0)
+        frame = synthesize_radar(self.ego, others, self.cfg, 0.0, random.Random(0))
         assert [t.lane_offset for t in frame.targets] == [-1, 1]
 
     def test_vehicle_exactly_at_ego_position_excluded(self):
         others = [veh("same", 1000.0, 25.0)]
-        frame = synthesize_radar(self.ego, others, self.cfg, now=0.0)
+        frame = synthesize_radar(self.ego, others, self.cfg, 0.0, random.Random(0))
         assert frame.targets == ()
 
     def test_noise_is_reproducible_and_zero_mean_ish(self):

@@ -11,8 +11,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from middleway.controller import Mode
-from middleway.infrastructure import Direction
 from middleway.perception import ObservedVehicle, RadarConfig
 from middleway.scenarios import (
     canonical_scenario,
@@ -663,6 +661,29 @@ class TestRunPurity:
         assert v_gr and set(v_gr) == {mph_to_mps(45)}
 
 
+class TestControlledTick:
+    def test_first_tick_ramps_from_initial_speed(self):
+        # Alone and outside the corridor, the vehicle tracks its setpoint
+        # through the ramp, which starts at v0 and carries over ticks.
+        cfg = ScenarioConfig(
+            duration_s=0.1,
+            entry_mm=10.0,
+            vehicles=[VehicleInit("c0", VehicleKind.CONTROLLED, 0.0, 22.0)],
+        )
+        (first, second) = run(cfg).rows
+        ctrl, step = cfg.controller, cfg.controller.ramp_rate * cfg.dt
+        assert first[6] == "normal" and first[7] == 33.5
+        assert first[10] == ctrl.k_p * ((22.0 + step) - 22.0)
+        assert second[10] == ctrl.k_p * ((22.0 + step + step) - second[5])
+
+    def test_logged_mile_marker_counts_down_from_entry(self):
+        cfg = dataclasses.replace(canonical_scenario(seed=1, duration_s=20.0), entry_mm=66.0)
+        log = run(cfg)
+        assert {row[2] for row in log.rows} == {"human", "controlled"}
+        for row in log.rows:
+            assert row[4] == cfg.entry_mm - row[3] / M_PER_MILE
+
+
 class TestTimestepRefinement:
     def test_velocities_agree_across_dt(self):
         def gentle(dt):
@@ -744,8 +765,6 @@ def build_report_rows(log):
         if mode != last_mode.get(vid):
             transitions[mode] = transitions.get(mode, 0) + 1
             last_mode[vid] = mode
-        if mode == Mode.DISENGAGED.value:
-            continue
         engaged_rows += 1
         occupancy[mode] = occupancy.get(mode, 0) + 1
     fractions = {
@@ -866,18 +885,6 @@ class TestInterpProfile:
         cfg = ScenarioConfig(vehicles=[human("a", 0.0, 10.0)], phantoms=[spec])
         with pytest.raises(ValueError, match="speed_profile"):
             cfg.validate()
-
-
-class TestEastbound:
-    def test_logged_mile_marker_counts_up_from_entry(self):
-        cfg = dataclasses.replace(
-            canonical_scenario(seed=1, duration_s=20.0),
-            direction=Direction.EASTBOUND, entry_mm=55.0,
-        )
-        log = run(cfg)
-        assert {row[2] for row in log.rows} == {"human", "controlled"}
-        for row in log.rows:
-            assert row[4] == cfg.entry_mm + row[3] / M_PER_MILE
 
 
 class TestSteadyVDes:
