@@ -23,13 +23,13 @@ from pathlib import Path
 from typing import Optional, Sequence
 
 import numpy as np
-import yaml
 
 from .config import (
     ConfigError,
     apply_override,
     build_scenario,
     load_config,
+    parse_yaml,
     set_dotted,
 )
 from .rds import error_stats, read_grid, read_trajectory, write_error_report
@@ -74,7 +74,7 @@ def _write_report(report, path: Path) -> None:
 
 
 def _parse_values(raw: str) -> list:
-    values = [yaml.safe_load(tok) for tok in raw.split(",") if tok.strip()]
+    values = [parse_yaml(tok, "values") for tok in raw.split(",") if tok.strip()]
     if not values:
         raise ConfigError("values: must be non-empty")
     return values

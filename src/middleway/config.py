@@ -13,6 +13,7 @@ from __future__ import annotations
 import dataclasses
 import inspect
 import math
+import re
 from pathlib import Path
 from typing import (
     Any,
@@ -66,6 +67,27 @@ class LoadedScenario(NamedTuple):
     kind: str
 
 
+class _Loader(yaml.SafeLoader):
+    """SafeLoader that also reads 1e-3, 1e308 and 2.0e5 as floats; YAML 1.1
+    needs a dot and a signed exponent, so plain PyYAML reads them as text."""
+
+
+_Loader.add_implicit_resolver(
+    "tag:yaml.org,2002:float",
+    re.compile(r"^[-+]?[0-9][0-9_]*(?:\.[0-9_]*)?[eE][-+]?[0-9]+$"),
+    list("-+0123456789"),
+)
+
+
+def parse_yaml(text, source: str) -> Any:
+    """Parse YAML text or a text stream, exponent floats included; malformed
+    YAML is a ConfigError naming the source."""
+    try:
+        return yaml.load(text, Loader=_Loader)
+    except yaml.YAMLError as exc:
+        raise ConfigError(f"{source}: unparseable YAML") from exc
+
+
 def load_config(path: Optional[str | Path]) -> dict:
     """Read a YAML config file; None means an empty config."""
     if path is None:
@@ -73,8 +95,13 @@ def load_config(path: Optional[str | Path]) -> dict:
     p = Path(path)
     if not p.exists():
         raise ConfigError(f"{p}: no such config file")
-    with open(p, encoding="utf-8") as fh:
-        data = yaml.safe_load(fh)
+    try:
+        with open(p, encoding="utf-8") as fh:
+            data = parse_yaml(fh, str(p))
+    except OSError as exc:
+        raise ConfigError(f"{p}: {exc.strerror or exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{p}: not UTF-8 text") from exc
     if data is None:
         return {}
     if not isinstance(data, dict):
@@ -91,10 +118,7 @@ def apply_override(data: dict, spec: str) -> None:
     key, sep, raw = spec.partition("=")
     if not sep or not key:
         raise ConfigError(f"override '{spec}': expected key=value")
-    try:
-        value = yaml.safe_load(raw)
-    except yaml.YAMLError as exc:
-        raise ConfigError(f"override '{spec}': unparseable value") from exc
+    value = parse_yaml(raw, f"override '{spec}'")
     set_dotted(data, key, value)
 
 

@@ -189,6 +189,8 @@ class VslConfig:
             raise ValueError("min_mph/max_mph: need min < max")
         if self.round_mph < 1:
             raise ValueError("round_mph: must be at least 1")
+        if self.max_change_mph < 0:
+            raise ValueError("max_change_mph: must be non-negative")
         if self.lookahead_segments < 1:
             raise ValueError("lookahead_segments: must be at least 1")
 

@@ -444,6 +444,62 @@ class TestCli:
         assert len(first) == 25
         assert all(row[10] == HUMAN_BRAKE_FLOOR for row in first)
 
+    def test_run_negative_vsl_max_change_exits_2(self, tmp_path, capsys):
+        # A negative change limit posted down to -25 mph, and the
+        # controller followed it.
+        code = main(
+            ["run", "--out", str(tmp_path), "--override", "vsl.max_change_mph=-5",
+             "--override", "scenario.duration_s=1"]
+        )
+        assert code == 2
+        assert "max_change_mph" in capsys.readouterr().err
+        assert not (tmp_path / "run_log.csv").exists()
+
+    @pytest.mark.parametrize("source", ["override", "config"])
+    @pytest.mark.parametrize(
+        "text, value", [("1e-3", 1e-3), ("1e308", 1e308), ("2.0e1", 20.0), ("1E+1", 10.0)]
+    )
+    def test_exponent_floats_are_floats(self, tmp_path, source, text, value):
+        # YAML 1.1 reads an exponent float without a dot or an exponent
+        # sign as a string.
+        if source == "override":
+            args = ["--override", f"controller.v_des_max={text}"]
+        else:
+            (tmp_path / "cfg.yaml").write_text(f"controller:\n  v_des_max: {text}\n")
+            args = ["--config", str(tmp_path / "cfg.yaml")]
+        args += ["--override", "scenario.duration_s=1", "--out", str(tmp_path / "out")]
+        assert main(["run", *args]) == 0
+        report = json.loads((tmp_path / "out" / "report.json").read_text())
+        assert report["config_echo"]["controller"]["v_des_max"] == value
+
+    def test_overflowing_exponent_float_exits_2(self, tmp_path, capsys):
+        code = main(
+            ["run", "--out", str(tmp_path), "--override", "controller.k_cbf=1e309"]
+        )
+        assert code == 2
+        assert "k_cbf: must be finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("content", [b"controller: [\n", b"\xff\xfe", None])
+    def test_unreadable_config_file_exits_2(self, tmp_path, capsys, content):
+        path = tmp_path / "cfg.yaml"
+        if content is None:
+            path.mkdir()
+        else:
+            path.write_bytes(content)
+        code = main(["run", "--config", str(path), "--out", str(tmp_path / "out")])
+        assert code == 2
+        assert "cfg.yaml" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["sweep", "rds"])
+    def test_unparseable_value_list_exits_2(self, tmp_path, capsys, command):
+        if command == "sweep":
+            argv = ["sweep", "--values", "2,[", "--out", str(tmp_path)]
+        else:
+            traj = f"{TRAJECTORY_HEADER}130.000,60.200000,21.000000\n"
+            argv = [*rds_args(tmp_path, traj), "--latencies", "0,["]
+        assert main(argv) == 2
+        assert "unparseable YAML" in capsys.readouterr().err
+
     @pytest.mark.parametrize("log_text", ["t,vehicle_id\n0.000,a\n", ""])
     def test_replay_wrong_header_exits_2(self, tmp_path, capsys, log_text):
         log = tmp_path / "bad_log.csv"
