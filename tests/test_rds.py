@@ -63,6 +63,15 @@ def _report_index(spec, t):
     return int(math.floor((t - spec.origin_s) / spec.cell_duration_s))
 
 
+def _mean_left_to_right(values):
+    """Mean of values added one at a time, as rds._mean_present adds them;
+    sum() rounds differently from Python 3.12 on."""
+    total = 0.0
+    for v in values:
+        total += v
+    return total / len(values)
+
+
 def ideal_speed(p, grid):
     """Reference ideal estimate: mean of the four cells bracketing the point
     in space and time; missing cells are dropped from the mean."""
@@ -75,7 +84,7 @@ def ideal_speed(p, grid):
     cells = [v for v in cells if not math.isnan(v)]
     if not cells:
         raise AllNeighborsMissing(f"all four cells missing at ({p.t}, {p.mile_marker})")
-    return sum(cells) / len(cells)
+    return _mean_left_to_right(cells)
 
 
 def realtime_speed(p, grid, latency_s=0.0):
@@ -91,7 +100,7 @@ def realtime_speed(p, grid, latency_s=0.0):
     values = [v for v in values if not math.isnan(v)]
     if not values:
         raise AllNeighborsMissing(f"both neighbors missing at ({p.t}, {p.mile_marker})")
-    return float(sum(values) / len(values))
+    return float(_mean_left_to_right(values))
 
 
 def error_stats_per_latency(trajectory, grid, latencies, bin_width_mph=1.0):

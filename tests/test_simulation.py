@@ -5,6 +5,9 @@ import csv
 import dataclasses
 import hashlib
 import math
+import sys
+from itertools import chain
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -520,7 +523,8 @@ def multilane_noisy_scenario():
 # guards: the first two before the streamed writer replaced csv.writer, the
 # multi-lane one before the radar lookup moved to per-lane bisect. The
 # simulation sums float windows with the builtin sum, whose rounding Python
-# 3.12 changed, so these hold on 3.10 and 3.11.
+# 3.12 changed; TestRunLogGoldensUnderCompensatedSum shows that the logs
+# keep these bytes under the 3.12 rounding.
 GOLDEN_SHA256 = {
     "canonical_seed0_30s": "e9fe906e5e60714e3f4f82369368f5888fb67e86eb8a65fde83b71230cb61bd2",
     "string_n6": "e8886a9e375f329c37820e1f371e7a907c5872380cb80b9e4284a629075540ff",
@@ -542,6 +546,87 @@ class TestRunLogGoldens:
     def test_run_log_bytes(self, tmp_path, name):
         path = tmp_path / "run_log.csv"
         write_run_log(run(GOLDEN_SCENARIOS[name]()), path)
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == GOLDEN_SHA256[name]
+
+
+def compensated_sum(iterable, /, start=0):
+    """builtins.sum as CPython 3.12 computes it. Ints add exactly until the
+    total turns float; floats then add with Neumaier compensation, which
+    joins the total at the end or before any other kind of item."""
+    items = iter(iterable)
+    total = start
+    for item in items:
+        total = total + item
+        if type(total) is float:
+            break
+    else:
+        return total
+    comp = 0.0
+    for item in items:
+        if type(item) is float:
+            t = total + item
+            if abs(total) >= abs(item):
+                comp += (total - t) + item
+            else:
+                comp += (item - t) + total
+            total = t
+        elif type(item) in (int, bool):
+            total += float(item)
+        else:
+            if comp and math.isfinite(comp):
+                total += comp
+            for rest in chain((item,), items):
+                total = total + rest
+            return total
+    if comp and math.isfinite(comp):
+        total += comp
+    return total
+
+
+def left_to_right_sum(iterable, /, start=0):
+    total = start
+    for item in iterable:
+        total = total + item
+    return total
+
+
+class TestRunLogGoldensUnderCompensatedSum:
+    def test_port_rounds_as_documented(self):
+        assert compensated_sum([0.1] * 10) == 1.0
+        assert left_to_right_sum([0.1] * 10) == 0.9999999999999999
+        assert left_to_right_sum([1e16, 1.0, -1e16]) == 0.0
+        assert compensated_sum([1e16, 1.0, -1e16]) == 1.0
+        # An infinite compensation is left out rather than turn inf to nan.
+        assert compensated_sum([1e308, 1e308]) == math.inf
+        assert compensated_sum(range(5), 2) == 12
+        assert compensated_sum([0.5, np.float64(0.25)]) == 0.75
+
+    @pytest.mark.skipif(
+        sys.version_info < (3, 12), reason="the builtin sum compensates from 3.12 on"
+    )
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.floats(), max_size=20))
+    def test_port_matches_builtin(self, xs):
+        expected, got = sum(xs), compensated_sum(xs)
+        assert got == expected or (math.isnan(got) and math.isnan(expected))
+
+    @pytest.mark.parametrize("name", sorted(GOLDEN_SHA256))
+    def test_run_log_bytes(self, tmp_path, name):
+        differing = 0
+
+        def counted_sum(iterable, /, start=0):
+            nonlocal differing
+            values = list(iterable)
+            total = compensated_sum(values, start)
+            differing += total != left_to_right_sum(values, start)
+            return total
+
+        path = tmp_path / "run_log.csv"
+        with mock.patch("builtins.sum", counted_sum):
+            log = run(GOLDEN_SCENARIOS[name]())
+        write_run_log(log, path)
+        # The patched rounding reached the simulation.
+        assert differing > 0
         assert hashlib.sha256(path.read_bytes()).hexdigest() == GOLDEN_SHA256[name]
 
 
