@@ -216,7 +216,7 @@ class TestClassifyModeAndStep:
         out = step_controller(self.make_inputs(v_pr=20.0), out.v_ramp, cfg, DT)
         assert out.mode is Mode.MIDDLEWAY
 
-    def test_normal_mode_without_advisory_even_with_prevailing_speed(self):
+    def test_normal_mode_without_advisory(self):
         cfg = cfg_with()
         out = step_controller(
             self.make_inputs(v_gr=None, v=30.0, v_pr=25.0), 30.0, cfg, DT

@@ -550,16 +550,22 @@ class TestRunLogGoldens:
 
 
 def compensated_sum(iterable, /, start=0):
-    """builtins.sum as CPython 3.12 computes it. Ints add exactly until the
-    total turns float; floats then add with Neumaier compensation, which
-    joins the total at the end or before any other kind of item."""
+    """builtins.sum as CPython 3.12 computes it. An int total adds int items
+    exactly; once the total is an exact float, float items add with
+    Neumaier compensation, which joins the total at the end or before an
+    item of any other type. Any other total adds items plainly."""
     items = iter(iterable)
     total = start
-    for item in items:
-        total = total + item
-        if type(total) is float:
-            break
-    else:
+    if type(total) is int:
+        for item in items:
+            total = total + item
+            if type(item) not in (int, bool):
+                break
+        else:
+            return total
+    if type(total) is not float:
+        for item in items:
+            total = total + item
         return total
     comp = 0.0
     for item in items:
@@ -598,8 +604,10 @@ class TestRunLogGoldensUnderCompensatedSum:
         assert compensated_sum([1e16, 1.0, -1e16]) == 1.0
         # An infinite compensation is left out rather than turn inf to nan.
         assert compensated_sum([1e308, 1e308]) == math.inf
+        assert compensated_sum([1.0, -1e16], 1e16) == 1.0
         assert compensated_sum(range(5), 2) == 12
         assert compensated_sum([0.5, np.float64(0.25)]) == 0.75
+        assert type(compensated_sum([np.float64(0.5), 0.25])) is np.float64
 
     @pytest.mark.skipif(
         sys.version_info < (3, 12), reason="the builtin sum compensates from 3.12 on"
@@ -887,6 +895,8 @@ CONSUMER_LOGS = {
         run(dataclasses.replace(string_scenario(n_controlled=6), log_every=10)), 6
     ),
     "empty": lambda: (_hand_built_log([]), 2),
+    # "disengaged" is a mode the controller no longer writes; read from an
+    # older log, it counts as any other mode.
     "all_disengaged": lambda: (_hand_built_log([
         _row(0.0, "h000", "human"),
         _row(0.0, "cav01", "controlled", "disengaged", 9.0),
