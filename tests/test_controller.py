@@ -146,8 +146,17 @@ class TestCbfLimit:
 
 
 class TestSelectSetpoint:
+    def test_out_of_corridor_uses_driver_setpoint(self):
+        inputs = ControlInputs(
+            driver_setpoint=33.5,
+            v=20.0,
+            v_gr=None,
+            v_pr=25.0,
+        )
+        v_des = select_setpoint(inputs, cfg_with())
+        assert v_des == 33.5
+
     def test_invalid_advisory_uses_driver_setpoint(self):
-        # Outside the corridor and with a stale feed alike, v_gr is None.
         inputs = ControlInputs(
             driver_setpoint=31.3,
             v=20.0,
