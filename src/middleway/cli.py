@@ -14,15 +14,12 @@ from __future__ import annotations
 
 import argparse
 import copy
-import csv
 import dataclasses
 import json
 import math
 import sys
 from pathlib import Path
 from typing import Optional, Sequence
-
-import numpy as np
 
 from .config import (
     ConfigError,
@@ -49,6 +46,7 @@ from .simulation import (
     write_events,
     write_run_log,
 )
+from .tables import write_table
 
 
 def _load_data(args: argparse.Namespace) -> dict:
@@ -139,20 +137,12 @@ def _sweep_replay(args: argparse.Namespace) -> int:
     replay = _read_input(lambda path: offset_replay(read_run_log(path), offsets),
                          args.replay)
     dest = out / "replay_v_des.csv"
-    with open(dest, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        cols = [f"v_des_offset_{k:g}" for k in offsets]
-        writer.writerow(["t", "vehicle_id", "v_pr", "v_gr", *cols])
-        for i in range(len(replay.t)):
-            writer.writerow(
-                [
-                    f"{replay.t[i]:.3f}",
-                    replay.vehicle_id[i],
-                    f"{replay.v_pr[i]:.6f}",
-                    f"{replay.v_gr[i]:.6f}",
-                    *(f"{replay.v_des[k][i]:.6f}" for k in offsets),
-                ]
-            )
+    header = ["t", "vehicle_id", "v_pr", "v_gr", *(f"v_des_offset_{k:g}" for k in offsets)]
+    write_table(dest, header, (
+        [f"{replay.t[i]:.3f}", replay.vehicle_id[i], f"{replay.v_pr[i]:.6f}",
+         f"{replay.v_gr[i]:.6f}", *(f"{replay.v_des[k][i]:.6f}" for k in offsets)]
+        for i in range(len(replay.t))
+    ))
     print(f"wrote {dest} ({len(replay.t)} rows, offsets {offsets})")
     return 0
 
@@ -197,31 +187,20 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
     modes = sorted({m for _, rep in summaries for m in rep.mode_occupancy})
     dest = out / "sweep_summary.csv"
-    with open(dest, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(
-            ["value", "engaged_time_s", "min_h_m", "collision",
-             *(f"occ_{m}" for m in modes)]
-        )
-        for value, rep in summaries:
-            writer.writerow(
-                [
-                    value,
-                    f"{rep.engaged_time_s:.3f}",
-                    "" if rep.min_h_m is None else f"{rep.min_h_m:.6f}",
-                    int(bool(rep.collision)),
-                    *(f"{rep.mode_occupancy.get(m, 0.0):.6f}" for m in modes),
-                ]
-            )
+    header = ["value", "engaged_time_s", "min_h_m", "collision",
+              *(f"occ_{m}" for m in modes)]
+    write_table(dest, header, (
+        [value, f"{rep.engaged_time_s:.3f}",
+         "" if rep.min_h_m is None else f"{rep.min_h_m:.6f}",
+         int(bool(rep.collision)), *(f"{rep.mode_occupancy.get(m, 0.0):.6f}" for m in modes)]
+        for value, rep in summaries
+    ))
     print(f"wrote {dest}")
 
     if string_rows:
         conv = out / "string_convergence.csv"
-        with open(conv, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["value", "vehicle_id", "steady_v_des_mps"])
-            for value, vid, v in string_rows:
-                writer.writerow([value, vid, f"{v:.6f}"])
+        write_table(conv, ["value", "vehicle_id", "steady_v_des_mps"],
+                    ([value, vid, f"{v:.6f}"] for value, vid, v in string_rows))
         print(f"wrote {conv}")
     return 1 if collided else 0
 
@@ -250,38 +229,26 @@ def cmd_string(args: argparse.Namespace) -> int:
     out = _out_dir(args)
     data = _load_data(args)
     set_dotted(data, "scenario.kind", "string")
-    loaded, log, _ = _run_one(data, out)
+    loaded, log, report = _run_one(data, out)
     traces, row_dt, window, steady = _string_readout(loaded.cfg, log)
 
+    # A run logs every vehicle on every logged step, and v_des is finite.
     ids = sorted(traces)
     dest = out / "string_traces.csv"
-    n_rows = max(len(t) for t in traces.values())
-    with open(dest, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["t", *ids])
-        for i in range(n_rows):
-            t = i * row_dt
-            cells = []
-            for vid in ids:
-                trace = traces[vid]
-                v = trace[i] if i < len(trace) else np.nan
-                cells.append("" if np.isnan(v) else f"{v:.6f}")
-            writer.writerow([f"{t:.3f}", *cells])
+    write_table(dest, ["t", *ids], (
+        [f"{i * row_dt:.3f}", *(f"{v:.6f}" for v in values)]
+        for i, values in enumerate(zip(*(traces[vid] for vid in ids), strict=True))
+    ))
 
     summary = out / "string_summary.csv"
-    with open(summary, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(
-            ["vehicle_id", "steady_v_des_mps", "window_lo_s", "window_hi_s"]
-        )
-        for vid in ids:
-            writer.writerow(
-                [vid, f"{steady[vid]:.6f}", f"{window[0]:.1f}", f"{window[1]:.1f}"]
-            )
+    header = ["vehicle_id", "steady_v_des_mps", "window_lo_s", "window_hi_s"]
+    write_table(summary, header, (
+        [vid, f"{steady[vid]:.6f}", f"{window[0]:.1f}", f"{window[1]:.1f}"] for vid in ids
+    ))
     for vid in ids:
         print(f"{vid}: steady v_des {steady[vid]:.3f} m/s")
     print(f"wrote {dest} and {summary}")
-    return 0
+    return 1 if report.collision else 0
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -23,10 +23,11 @@ import math
 from dataclasses import dataclass, field
 from itertools import chain, islice
 from pathlib import Path
-from typing import Iterable, NamedTuple, Optional, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
+from .tables import write_table
 from .units import MPS_PER_MPH, M_PER_MILE, mph_to_mps
 
 
@@ -287,16 +288,14 @@ def synthetic_trajectory(
 
 
 def write_grid(grid: RdsGrid, path: str | Path) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(("sensor_mm", "report_start_s", "mean_speed_mps"))
+    def rows():
         for i, mm in enumerate(grid.spec.sensor_mm):
             for k in range(grid.spec.n_reports):
                 v = grid.speeds[i, k]
-                writer.writerow(
-                    (f"{mm:.3f}", f"{grid.report_start(k):.1f}",
-                     "" if math.isnan(v) else f"{v:.6f}")
-                )
+                yield (f"{mm:.3f}", f"{grid.report_start(k):.1f}",
+                       "" if math.isnan(v) else f"{v:.6f}")
+
+    write_table(path, ("sensor_mm", "report_start_s", "mean_speed_mps"), rows())
 
 
 def read_grid(path: str | Path) -> RdsGrid:
@@ -335,11 +334,9 @@ def read_grid(path: str | Path) -> RdsGrid:
 
 
 def write_trajectory(points: Sequence[TrajectoryPoint], path: str | Path) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(("t_s", "mile_marker", "speed_mps"))
-        for p in points:
-            writer.writerow((f"{p.t:.3f}", f"{p.mile_marker:.6f}", f"{p.speed_mps:.6f}"))
+    write_table(path, ("t_s", "mile_marker", "speed_mps"), (
+        (f"{p.t:.3f}", f"{p.mile_marker:.6f}", f"{p.speed_mps:.6f}") for p in points
+    ))
 
 
 def read_trajectory(path: str | Path) -> list[TrajectoryPoint]:
@@ -358,23 +355,14 @@ def read_trajectory(path: str | Path) -> list[TrajectoryPoint]:
 
 
 def write_error_report(
-    stats: dict[float, ErrorStats], path: str | Path, histogram_path: Optional[str | Path] = None
+    stats: dict[float, ErrorStats], path: str | Path, histogram_path: str | Path
 ) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(("latency_s", "n", "mean_err_mps", "std_err_mps"))
-        for latency in sorted(stats):
-            s = stats[latency]
-            writer.writerow(
-                (f"{latency:.1f}", s.n, f"{s.mean_mps:.6f}", f"{s.std_mps:.6f}")
-            )
-    if histogram_path is not None:
-        with open(histogram_path, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(("latency_s", "bin_lo_mph", "count"))
-            for latency in sorted(stats):
-                s = stats[latency]
-                for idx, count in s.histogram.items():
-                    writer.writerow(
-                        (f"{latency:.1f}", f"{idx * s.bin_width_mph:.1f}", count)
-                    )
+    by_latency = sorted(stats.items())
+    write_table(path, ("latency_s", "n", "mean_err_mps", "std_err_mps"), (
+        (f"{lat:.1f}", s.n, f"{s.mean_mps:.6f}", f"{s.std_mps:.6f}")
+        for lat, s in by_latency
+    ))
+    write_table(histogram_path, ("latency_s", "bin_lo_mph", "count"), (
+        (f"{lat:.1f}", f"{idx * s.bin_width_mph:.1f}", count)
+        for lat, s in by_latency for idx, count in s.histogram.items()
+    ))

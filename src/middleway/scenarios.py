@@ -34,6 +34,7 @@ from .simulation import (
     ScenarioConfig,
     VehicleInit,
     VehicleKind,
+    check_duration,
 )
 from .units import mph_to_mps
 
@@ -72,6 +73,8 @@ def canonical_scenario(
 ) -> ScenarioConfig:
     if phantom_period_s <= 0:
         raise ValueError("phantom_period_s: must be positive")
+    # Before the phantom table, which grows with the duration.
+    check_duration(duration_s)
     rng = random.Random(seed)
     vehicles: list[VehicleInit] = []
     x = platoon_x0
@@ -214,12 +217,17 @@ def steady_v_des(
     dt: float,
     window: tuple[float, float],
 ) -> dict[str, float]:
-    """Mean of each trace over the rows at i·dt in [lo, hi). A time within
-    float noise of an edge counts as on it (12 / 0.15 is 79.99999999999999)."""
+    """Mean of each trace over the rows at i·dt in [lo, hi), NaN when it has
+    none there (a run that halted before the window). A time within float
+    noise of an edge counts as on it (12 / 0.15 is 79.99999999999999)."""
     lo, hi = window
     i_lo = math.ceil(lo / dt - 1e-9)
     i_hi = math.ceil(hi / dt - 1e-9)
-    return {vid: float(np.mean(trace[i_lo:i_hi])) for vid, trace in traces.items()}
+    steady = {}
+    for vid, trace in traces.items():
+        rows = trace[i_lo:i_hi]
+        steady[vid] = float(np.mean(rows)) if len(rows) else math.nan
+    return steady
 
 
 class OffsetReplay(NamedTuple):

@@ -66,6 +66,8 @@ RUN_LOG_COLUMNS = (
 HUMAN_BRAKE_FLOOR = -8.0
 # Every gantry's posting before the first policy update.
 INITIAL_POSTED_MPH = 70
+# The longest run a scenario may ask for: one simulated day.
+MAX_DURATION_S = 86_400.0
 
 
 class VehicleKind(str, Enum):
@@ -175,6 +177,11 @@ def interp_profile(profile: Sequence[tuple[float, float]], t: float) -> float:
     return v0 + (t - t0) / (t1 - t0) * (v1 - v0)
 
 
+def check_duration(duration_s: float) -> None:
+    if not 0.0 <= duration_s <= MAX_DURATION_S:
+        raise ValueError(f"duration_s: must be in [0, {MAX_DURATION_S:g}] s")
+
+
 @dataclass
 class ScenarioConfig:
     duration_s: float = 600.0
@@ -197,8 +204,7 @@ class ScenarioConfig:
     def validate(self) -> None:
         if not (0.0 < self.dt <= 0.1):
             raise ValueError("dt: must be in (0, 0.1]")
-        if self.duration_s < 0:
-            raise ValueError("duration_s: must be non-negative")
+        check_duration(self.duration_s)
         if self.log_every < 1:
             raise ValueError("log_every: must be at least 1")
         if not self.vehicles:
@@ -225,14 +231,6 @@ class ScenarioConfig:
                 raise ValueError("vsl_static_mph: outside posting range")
 
 
-@dataclass(frozen=True)
-class CollisionEvent:
-    t: float
-    rear_id: str
-    front_id: str
-    position: float
-
-
 @dataclass
 class RunLog:
     dt: float
@@ -240,7 +238,8 @@ class RunLog:
     log_every: int = 1
     rows: list[tuple] = field(default_factory=list)
     events: list[dict] = field(default_factory=list)
-    collision: Optional[CollisionEvent] = None
+    # The "collision" event, the same dict as the last of events.
+    collision: Optional[dict] = None
     min_h: float = math.inf
     config_echo: dict = field(default_factory=dict)
 
@@ -305,11 +304,12 @@ class _ControlledAgent:
 
 
 class World:
-    """Mutable simulation state plus the step loop."""
+    """Mutable simulation state plus the step loop; self.log records the run."""
 
     def __init__(self, cfg: ScenarioConfig):
         cfg.validate()
         self.cfg = cfg
+        self.log = RunLog(cfg.dt, cfg.seed, cfg.log_every, config_echo=config_echo(cfg))
         self.rng = random.Random(cfg.seed)
         self.t = 0.0
         self.step_index = 0
@@ -339,9 +339,6 @@ class World:
             if v.kind is VehicleKind.CONTROLLED
         }
         self.phantoms = [_PhantomStream(spec) for spec in cfg.phantoms]
-        self.collision: Optional[CollisionEvent] = None
-        self.events: list[dict] = []
-        self.min_h = math.inf
         self._next_vsl_update = 0.0
         # Postings live here, not on the config's gantries, so running a
         # config leaves it unchanged.
@@ -389,7 +386,7 @@ class World:
             prev = self.posted_mph[g.gantry_id]
             posted = vsl_algorithm(downstream, prev, self.cfg.vsl)
             if posted != prev:
-                self.events.append(
+                self.log.events.append(
                     {
                         "t": self.t,
                         "event": "vsl_update",
@@ -432,7 +429,7 @@ class World:
         mm = self.mm_of(veh.position)
         gantry_id, acquired, fetch = agent.tracker.update(mm, now)
         if acquired:
-            self.events.append(
+            self.log.events.append(
                 {
                     "t": now,
                     "event": "acquisition",
@@ -453,14 +450,15 @@ class World:
 
         if lead is not None:
             h = lead.gap - (cfg.controller.t_min * veh.velocity + cfg.controller.s_min)
-            if h < self.min_h:
-                self.min_h = h
+            if h < self.log.min_h:
+                self.log.min_h = h
 
         return out.u, (mm, out.mode.value, out.v_des, v_gr, v_pr)
 
-    def step(self, log: Optional[RunLog] = None) -> None:
-        """Advance one dt; optionally append this step's rows to log."""
-        if self.collision is not None:
+    def step(self) -> None:
+        """Advance one dt, logging this step's rows every log_every steps."""
+        log = self.log
+        if log.collision is not None:
             return
         cfg = self.cfg
         t = self.t
@@ -479,8 +477,8 @@ class World:
         human = cfg.human
         lead_of = self._lead_map
         bottlenecks = [bn for bn in cfg.bottlenecks if bn.t_start <= t < bn.t_end]
-        logged = log is not None and self.step_index % cfg.log_every == 0
-        append = log.rows.append if logged else None
+        logged = self.step_index % cfg.log_every == 0
+        append = log.rows.append
         entry_mm = cfg.entry_mm
         accels: list[float] = []
         push = accels.append
@@ -533,18 +531,14 @@ class World:
         for lane in self.lanes.values():
             for rear, front in zip(lane, lane[1:]):
                 if front.position - rear.position <= 0.0:
-                    self.collision = CollisionEvent(
-                        self.t, rear.vehicle_id, front.vehicle_id, front.position
-                    )
-                    self.events.append(
-                        {
-                            "t": self.t,
-                            "event": "collision",
-                            "rear_id": rear.vehicle_id,
-                            "front_id": front.vehicle_id,
-                            "position_m": front.position,
-                        }
-                    )
+                    log.collision = {
+                        "t": self.t,
+                        "event": "collision",
+                        "rear_id": rear.vehicle_id,
+                        "front_id": front.vehicle_id,
+                        "position_m": front.position,
+                    }
+                    log.events.append(log.collision)
                     return
 
 
@@ -555,16 +549,11 @@ def run(cfg: ScenarioConfig) -> RunLog:
     including that step are kept so the halt is inspectable.
     """
     world = World(cfg)
-    log = RunLog(dt=cfg.dt, seed=cfg.seed, log_every=cfg.log_every)
-    log.config_echo = config_echo(cfg)
-    n_steps = int(round(cfg.duration_s / cfg.dt))
-    for _ in range(n_steps):
-        world.step(log)
-        if world.collision is not None:
+    log = world.log
+    for _ in range(int(round(cfg.duration_s / cfg.dt))):
+        world.step()
+        if log.collision is not None:
             break
-    log.events = world.events
-    log.collision = world.collision
-    log.min_h = world.min_h
     return log
 
 
@@ -595,7 +584,7 @@ def config_echo(cfg: ScenarioConfig) -> dict:
 
 
 def _run_log_lines(rows: Sequence[tuple]):
-    """One CSV line per row, ending in CRLF as csv.writer's lines do. t,
+    """One CSV line per row, ending in CRLF as write_table's lines do. t,
     position, mile marker, velocity and u must be numbers; the four
     controller fields may each be None. Text cells are written as they are,
     so they must hold no comma, quote, CR or LF (ScenarioConfig.validate

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from middleway import scenarios
 from middleway.cli import main
 from middleway.config import (
     GENERATORS,
@@ -24,7 +25,13 @@ from middleway.config import (
     set_dotted,
 )
 from middleway.scenarios import canonical_scenario
-from middleway.simulation import HUMAN_BRAKE_FLOOR, read_run_log, run, write_run_log
+from middleway.simulation import (
+    HUMAN_BRAKE_FLOOR,
+    MAX_DURATION_S,
+    read_run_log,
+    run,
+    write_run_log,
+)
 
 
 class TestConfig:
@@ -87,6 +94,13 @@ class TestConfig:
         for section, field, value in bad:
             with pytest.raises(ConfigError, match=f"{section}.{field}"):
                 build_scenario({section: {field: value}})
+
+    @pytest.mark.parametrize("kind", sorted(GENERATORS))
+    def test_duration_bound(self, kind):
+        loaded = build_scenario({"scenario": {"kind": kind, "duration_s": MAX_DURATION_S}})
+        assert loaded.cfg.duration_s == MAX_DURATION_S
+        with pytest.raises(ConfigError, match="duration_s"):
+            build_scenario({"scenario": {"kind": kind, "duration_s": MAX_DURATION_S + 1}})
 
     def test_generator_validation_wrapped(self):
         with pytest.raises(ConfigError, match="scenario"):
@@ -257,6 +271,40 @@ class TestCli:
         assert steady["cav01"] == pytest.approx(28.0, abs=0.05)
         assert steady["cav02"] == pytest.approx(26.0, abs=0.05)
         assert steady["cav03"] == pytest.approx(24.0, abs=0.05)
+
+    def test_string_collision_exits_1(self, tmp_path, capsys):
+        # Braking capped at 0.01 m/s², cav01 runs into pace0 (5 m/s) at
+        # t = 7.65 s, before the steady-state window opens.
+        code = main(
+            ["string", "--out", str(tmp_path),
+             "--override", "scenario.n_controlled=2",
+             "--override", "scenario.traffic_speed_mps=5",
+             "--override", "scenario.posted_mph=70",
+             "--override", "controller.u_min=-0.01"]
+        )
+        assert code == 1
+        report = json.loads((tmp_path / "report.json").read_text())
+        assert report["collision"] is True
+        with open(tmp_path / "string_summary.csv", newline="") as fh:
+            steady = [r["steady_v_des_mps"] for r in csv.DictReader(fh)]
+        assert steady == ["nan", "nan"]
+        assert "steady v_des nan" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("command", ["run", "string"])
+    def test_huge_duration_exits_2(self, tmp_path, capsys, monkeypatch, command):
+        # The bound is checked before the canonical generator builds its
+        # phantom table, which grows with the duration.
+        def unbounded_table(*args, **kwargs):
+            raise AssertionError("phantom table built before the duration check")
+
+        monkeypatch.setattr(scenarios, "_triangle_profile", unbounded_table)
+        code = main(
+            [command, "--out", str(tmp_path),
+             "--override", "scenario.duration_s=1.7e308"]
+        )
+        assert code == 2
+        assert "duration_s" in capsys.readouterr().err
+        assert not (tmp_path / "run_log.csv").exists()
 
     def test_string_spacing_checked_against_final_radar_range(self, tmp_path, capsys):
         # At a 500 m range cav02 would see cav01's leader too and settle at
