@@ -105,9 +105,11 @@ _BLOCK = 1 << 15
 def build_grid(samples: Iterable[TrajectoryPoint], spec: GridSpec) -> RdsGrid:
     """Aggregate point samples into per-cell mean speeds (NaN when empty).
 
-    Samples are read in blocks of _BLOCK. Each cell's sum accumulates in
-    input order (np.add.at), so every mean is bit-identical to adding the
-    samples one at a time. A non-finite report index raises ValueError.
+    Samples west of the first sensor or east of the last are dropped; the
+    last sensor's row holds those exactly on it. Samples are read in blocks
+    of _BLOCK. Each cell's sum accumulates in input order (np.add.at), so
+    every mean is bit-identical to adding the samples one at a time. A
+    non-finite report index raises ValueError.
     """
     n_reports = spec.n_reports
     sums = np.zeros(len(spec.sensor_mm) * n_reports)
@@ -121,7 +123,7 @@ def build_grid(samples: Iterable[TrajectoryPoint], spec: GridSpec) -> RdsGrid:
         t, mm, v = block.reshape(-1, 3).T
         i = np.searchsorted(sensors, mm, side="right") - 1
         k = _report_column(spec, t)
-        keep = (i >= 0) & (k >= 0) & (k < n_reports)
+        keep = (i >= 0) & (mm <= sensors[-1]) & (k >= 0) & (k < n_reports)
         cell = i[keep] * n_reports + k[keep].astype(np.intp)
         np.add.at(sums, cell, v[keep])
         counts += np.bincount(cell, minlength=counts.size)

@@ -34,24 +34,12 @@ from .simulation import (
     ScenarioConfig,
     VehicleInit,
     VehicleKind,
-    check_duration,
 )
 from .units import mph_to_mps
 
 
-def _triangle_profile(
-    duration_s: float, period_s: float, lo: float, hi: float, phase_s: float = 0.0
-) -> tuple[tuple[float, float], ...]:
-    """Repeating high-low-high speed table, piecewise linear."""
-    points: list[tuple[float, float]] = []
-    t = -phase_s
-    while t < duration_s + period_s:
-        points.append((t, hi))
-        points.append((t + 0.35 * period_s, lo))
-        points.append((t + 0.50 * period_s, lo))
-        points.append((t + 0.85 * period_s, hi))
-        t += period_s
-    return tuple((round(t, 3), v) for t, v in points if t >= 0.0) or ((0.0, hi),)
+# The most humans or controlled vehicles a generator places.
+MAX_ROSTER = 10_000
 
 
 def canonical_scenario(
@@ -61,10 +49,8 @@ def canonical_scenario(
     platoon_x0: float = 800.0,
     mean_gap_m: float = 30.0,
     mean_speed_mps: float = 16.0,
-    human_free_speed_mps: float = 36.0,
     controlled_gap_m: float = 1200.0,
     driver_setpoint_mps: float = 33.5,
-    v_offset: float = 2.0,
     phantom_lo_mps: float = 5.0,
     phantom_hi_mps: float = 22.0,
     phantom_period_s: float = 90.0,
@@ -73,8 +59,8 @@ def canonical_scenario(
 ) -> ScenarioConfig:
     if phantom_period_s <= 0:
         raise ValueError("phantom_period_s: must be positive")
-    # Before the phantom table, which grows with the duration.
-    check_duration(duration_s)
+    if not 0 <= n_humans <= MAX_ROSTER:
+        raise ValueError(f"n_humans: must be in [0, {MAX_ROSTER}]")
     rng = random.Random(seed)
     vehicles: list[VehicleInit] = []
     x = platoon_x0
@@ -95,9 +81,7 @@ def canonical_scenario(
         PhantomStreamSpec(
             lane=1,
             spacing_m=45.0,
-            speed_profile=_triangle_profile(
-                duration_s, phantom_period_s, phantom_lo_mps, phantom_hi_mps
-            ),
+            wave=(phantom_period_s, phantom_lo_mps, phantom_hi_mps),
             phase_m=10.0,
         ),
         PhantomStreamSpec(
@@ -111,9 +95,8 @@ def canonical_scenario(
     return ScenarioConfig(
         duration_s=duration_s,
         seed=seed,
-        controller=ControllerConfig(v_offset=v_offset),
         feed=FeedConfig(latency_s=0.5),
-        human=IdmParams(v0=human_free_speed_mps),
+        human=IdmParams(v0=36.0),
         vehicles=vehicles,
         bottlenecks=[
             Bottleneck(
@@ -146,8 +129,8 @@ def string_scenario(
     (see measurement_window) sits after the cascade settles and before the
     leading links outrun radar range.
     """
-    if n_controlled < 1:
-        raise ValueError("n_controlled: must be at least 1")
+    if not 1 <= n_controlled <= MAX_ROSTER:
+        raise ValueError(f"n_controlled: must be in [1, {MAX_ROSTER}]")
     v_gr = mph_to_mps(posted_mph)
     v_init = max(traffic_speed_mps - v_offset, v_gr)
     if duration_s is None:

@@ -19,6 +19,7 @@ byte; all randomness flows through one seeded generator.
 from __future__ import annotations
 
 import bisect
+import functools
 import json
 import math
 import random
@@ -68,6 +69,8 @@ HUMAN_BRAKE_FLOOR = -8.0
 INITIAL_POSTED_MPH = 70
 # The longest run a scenario may ask for: one simulated day.
 MAX_DURATION_S = 86_400.0
+# The shortest time step: 1 ms, so a day is at most 86.4 million steps.
+MIN_DT_S = 0.001
 
 
 class VehicleKind(str, Enum):
@@ -151,35 +154,38 @@ class Bottleneck:
 class PhantomStreamSpec:
     """Adjacent-lane target stream: evenly spaced, shared speed trace.
 
-    speed_profile is a piecewise-linear (t, speed) table. With
+    wave is (period_s, lo, hi), the triangle_speed wave. With
     mirror_bias_mps set instead, the stream follows the mean mainline
-    human speed plus the bias, re-evaluated every step.
+    human speed plus the bias, re-evaluated every step. Until a step sets
+    a speed, the stream has initial_speed.
     """
 
     lane: int
     spacing_m: float
-    speed_profile: Optional[tuple[tuple[float, float], ...]] = None
+    wave: Optional[tuple[float, float, float]] = None
     mirror_bias_mps: Optional[float] = None
     phase_m: float = 0.0
     initial_speed: float = 25.0
 
 
-def interp_profile(profile: Sequence[tuple[float, float]], t: float) -> float:
-    """Piecewise-linear lookup, clamped to the profile's endpoints. Knot
-    times must not decrease; t interpolates toward the first knot at or
-    after it, so t0 < t <= t1."""
-    if t <= profile[0][0]:
-        return profile[0][1]
-    i = bisect.bisect_left(profile, t, lo=1, key=itemgetter(0))
-    if i == len(profile):
-        return profile[-1][1]
-    (t0, v0), (t1, v1) = profile[i - 1], profile[i]
-    return v0 + (t - t0) / (t1 - t0) * (v1 - v0)
+@functools.lru_cache(maxsize=16)
+def _wave_offsets(period_s: float) -> tuple[float, ...]:
+    """Where a period's wave reaches lo, leaves lo and regains hi, to 1 ms;
+    cached, so they are computed once per period, not once per step."""
+    return tuple(round(f * period_s, 3) for f in (0.35, 0.5, 0.85))
 
 
-def check_duration(duration_s: float) -> None:
-    if not 0.0 <= duration_s <= MAX_DURATION_S:
-        raise ValueError(f"duration_s: must be in [0, {MAX_DURATION_S:g}] s")
+def triangle_speed(t: float, period_s: float, lo: float, hi: float) -> float:
+    """Repeating speed at t >= 0, piecewise linear: hi at each period's
+    start, lo from 0.35 to 0.5 of the period, hi again from 0.85. Within a
+    period, s interpolates toward the first knot at or after it."""
+    s = math.fmod(t, period_s)
+    s0, v0 = 0.0, hi
+    for s1, v1 in zip(_wave_offsets(period_s), (lo, lo, hi)):
+        if s <= s1:
+            return v0 if s <= s0 else v0 + (s - s0) / (s1 - s0) * (v1 - v0)
+        s0, v0 = s1, v1
+    return hi
 
 
 @dataclass
@@ -202,9 +208,10 @@ class ScenarioConfig:
     vsl_static_mph: Optional[int] = None
 
     def validate(self) -> None:
-        if not (0.0 < self.dt <= 0.1):
-            raise ValueError("dt: must be in (0, 0.1]")
-        check_duration(self.duration_s)
+        if not (MIN_DT_S <= self.dt <= 0.1):
+            raise ValueError(f"dt: must be in [{MIN_DT_S:g}, 0.1] s")
+        if not 0.0 <= self.duration_s <= MAX_DURATION_S:
+            raise ValueError(f"duration_s: must be in [0, {MAX_DURATION_S:g}] s")
         if self.log_every < 1:
             raise ValueError("log_every: must be at least 1")
         if not self.vehicles:
@@ -222,10 +229,6 @@ class ScenarioConfig:
             xs = sorted(v.x0 for v in vehs)
             if any(b - a <= 0.0 for a, b in zip(xs, xs[1:])):
                 raise ValueError(f"vehicles: overlapping positions in lane {lane}")
-        for spec in self.phantoms:
-            times = [knot[0] for knot in spec.speed_profile or ()]
-            if times != sorted(times):
-                raise ValueError("phantoms: speed_profile times must not decrease")
         if self.vsl_static_mph is not None:
             if not (self.vsl.min_mph <= self.vsl_static_mph <= self.vsl.max_mph):
                 raise ValueError("vsl_static_mph: outside posting range")
@@ -233,9 +236,6 @@ class ScenarioConfig:
 
 @dataclass
 class RunLog:
-    dt: float
-    seed: int
-    log_every: int = 1
     rows: list[tuple] = field(default_factory=list)
     events: list[dict] = field(default_factory=list)
     # The "collision" event, the same dict as the last of events.
@@ -260,15 +260,11 @@ class _PhantomStream:
     def __init__(self, spec: PhantomStreamSpec):
         self.spec = spec
         self.origin = spec.phase_m
-        self.speed = (
-            interp_profile(spec.speed_profile, 0.0)
-            if spec.speed_profile is not None
-            else spec.initial_speed
-        )
+        self.speed = spec.initial_speed
 
     def update_speed(self, t: float, mainline_mean: Optional[float]) -> None:
-        if self.spec.speed_profile is not None:
-            self.speed = interp_profile(self.spec.speed_profile, t)
+        if self.spec.wave is not None:
+            self.speed = triangle_speed(t, *self.spec.wave)
         elif self.spec.mirror_bias_mps is not None and mainline_mean is not None:
             self.speed = max(0.0, mainline_mean + self.spec.mirror_bias_mps)
 
@@ -309,7 +305,7 @@ class World:
     def __init__(self, cfg: ScenarioConfig):
         cfg.validate()
         self.cfg = cfg
-        self.log = RunLog(cfg.dt, cfg.seed, cfg.log_every, config_echo=config_echo(cfg))
+        self.log = RunLog(config_echo=config_echo(cfg))
         self.rng = random.Random(cfg.seed)
         self.t = 0.0
         self.step_index = 0
@@ -623,8 +619,8 @@ def write_run_log(log: RunLog, path: str | Path) -> None:
 
 
 def read_run_log(path: str | Path) -> RunLog:
-    """Parse a run-log CSV back into rows; re-writing reproduces the file.
-    No cell is quoted, so every line splits on its commas."""
+    """Parse a run-log CSV into rows, without a config echo; re-writing
+    reproduces the file. No cell is quoted, so lines split on commas."""
     rows = []
     append = rows.append
     with open(path, newline="", encoding="utf-8") as fh:
@@ -640,11 +636,7 @@ def read_run_log(path: str | Path) -> RunLog:
             else:
                 append((float(t), vid, kind, float(x), float(mm), float(v),
                         None, None, None, None, float(u)))
-    times = sorted({r[0] for r in rows})
-    dt = times[1] - times[0] if len(times) > 1 else 0.05
-    log = RunLog(dt=dt, seed=-1)
-    log.rows = rows
-    return log
+    return RunLog(rows)
 
 
 def write_events(log: RunLog, path: str | Path) -> None:
@@ -658,9 +650,11 @@ def build_report(log: RunLog) -> RunReport:
     """Aggregate controlled-vehicle rows into occupancy and transitions.
 
     Every controlled row with a mode is engaged time; the occupancy
-    fractions are over those rows and sum to 1 when there are any.
+    fractions are over those rows and sum to 1 when there are any. The
+    row spacing and the seed come from the log's config echo.
     """
-    dt_row = log.dt * log.log_every
+    echo = log.config_echo
+    dt_row = echo["dt"] * echo["log_every"]
     occupancy: dict[str, int] = {}
     transitions: dict[str, int] = {}
     last_mode: dict[str, str] = {}
@@ -681,7 +675,7 @@ def build_report(log: RunLog) -> RunReport:
         else {}
     )
     return RunReport(
-        seed=log.seed,
+        seed=echo["seed"],
         duration_s=t_max + dt_row,
         engaged_time_s=engaged_time,
         mode_occupancy=fractions,

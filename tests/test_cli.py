@@ -11,7 +11,6 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from middleway import scenarios
 from middleway.cli import main
 from middleway.config import (
     GENERATORS,
@@ -24,10 +23,11 @@ from middleway.config import (
     load_config,
     set_dotted,
 )
-from middleway.scenarios import canonical_scenario
+from middleway.scenarios import MAX_ROSTER, canonical_scenario
 from middleway.simulation import (
     HUMAN_BRAKE_FLOOR,
     MAX_DURATION_S,
+    MIN_DT_S,
     read_run_log,
     run,
     write_run_log,
@@ -78,6 +78,15 @@ class TestConfig:
         with pytest.raises(ConfigError, match="scenario.wavelength"):
             build_scenario({"scenario": {"wavelength": 4}})
 
+    @pytest.mark.parametrize("field", ["v_offset", "human_free_speed_mps"])
+    def test_canonical_rejects_section_copies(self, field):
+        # The canonical scenario reads controller.v_offset and human.v0;
+        # scenario.v_offset is a string-study input.
+        with pytest.raises(ConfigError, match=f"scenario.{field}: unknown field"):
+            build_scenario({"scenario": {field: 4.0}})
+        loaded = build_scenario({"scenario": {"kind": "string", "v_offset": 4.0}})
+        assert loaded.cfg.controller.v_offset == 4.0
+
     def test_subconfig_validation_wrapped(self):
         bad = [
             ("controller", "k_p", -1.0),
@@ -101,6 +110,23 @@ class TestConfig:
         assert loaded.cfg.duration_s == MAX_DURATION_S
         with pytest.raises(ConfigError, match="duration_s"):
             build_scenario({"scenario": {"kind": kind, "duration_s": MAX_DURATION_S + 1}})
+
+    def test_dt_floor(self):
+        loaded = build_scenario({"scenario": {"dt": MIN_DT_S}})
+        assert loaded.cfg.dt == MIN_DT_S
+        for dt in (MIN_DT_S / 2, 5e-324):
+            with pytest.raises(ConfigError, match="dt: must be in"):
+                build_scenario({"scenario": {"dt": dt}})
+
+    @pytest.mark.parametrize(
+        "kind, field, least", [("canonical", "n_humans", 0), ("string", "n_controlled", 1)]
+    )
+    def test_roster_bound(self, kind, field, least):
+        loaded = build_scenario({"scenario": {"kind": kind, field: MAX_ROSTER}})
+        assert len(loaded.cfg.vehicles) > MAX_ROSTER
+        for n in (least - 1, MAX_ROSTER + 1):
+            with pytest.raises(ConfigError, match=f"{field}: must be in"):
+                build_scenario({"scenario": {"kind": kind, field: n}})
 
     def test_generator_validation_wrapped(self):
         with pytest.raises(ConfigError, match="scenario"):
@@ -178,6 +204,16 @@ class TestCli:
         )
         assert code == 2
         assert "dt" in capsys.readouterr().err
+
+    def test_run_tiny_dt_exits_2(self, tmp_path, capsys):
+        # At 5e-324 s the step count would overflow.
+        code = main(
+            ["run", "--out", str(tmp_path), "--override", "scenario.dt=5e-324",
+             "--override", "scenario.duration_s=1"]
+        )
+        assert code == 2
+        assert "dt: must be in" in capsys.readouterr().err
+        assert not (tmp_path / "run_log.csv").exists()
 
     def test_run_config_file_equivalent_to_override(self, tmp_path):
         cfg = tmp_path / "cfg.yaml"
@@ -291,13 +327,7 @@ class TestCli:
         assert "steady v_des nan" in capsys.readouterr().out
 
     @pytest.mark.parametrize("command", ["run", "string"])
-    def test_huge_duration_exits_2(self, tmp_path, capsys, monkeypatch, command):
-        # The bound is checked before the canonical generator builds its
-        # phantom table, which grows with the duration.
-        def unbounded_table(*args, **kwargs):
-            raise AssertionError("phantom table built before the duration check")
-
-        monkeypatch.setattr(scenarios, "_triangle_profile", unbounded_table)
+    def test_huge_duration_exits_2(self, tmp_path, capsys, command):
         code = main(
             [command, "--out", str(tmp_path),
              "--override", "scenario.duration_s=1.7e308"]

@@ -40,7 +40,7 @@ def build_grid_loop(samples, spec):
     for p in samples:
         i = bisect.bisect_right(sensors, p.mile_marker) - 1
         k = int(math.floor((p.t - spec.origin_s) / spec.cell_duration_s))
-        if 0 <= i < len(sensors) and 0 <= k < spec.n_reports:
+        if i >= 0 and p.mile_marker <= sensors[-1] and 0 <= k < spec.n_reports:
             sums[i, k] += p.speed_mps
             counts[i, k] += 1
     with np.errstate(invalid="ignore"):
@@ -211,6 +211,18 @@ class TestBuildGrid:
         grid = build_grid(samples, small_spec())
         assert np.isnan(grid.speeds).all()
 
+    def test_last_sensor_row_holds_only_samples_on_it(self):
+        # East of the last sensor (61.0) is outside coverage, at any distance.
+        samples = [
+            TrajectoryPoint(10.0, 61.0, 20.0),
+            TrajectoryPoint(10.0, 61.01, 30.0),
+            TrajectoryPoint(10.0, 65.0, 40.0),
+            TrajectoryPoint(40.0, 61.5, 50.0),
+        ]
+        grid = build_grid(samples, small_spec())
+        assert grid.speeds[2, 0] == 20.0
+        assert np.isnan(grid.speeds).sum() == grid.speeds.size - 1
+
 
 @st.composite
 def grid_cases(draw):
@@ -256,13 +268,16 @@ class TestBuildGridMatchesLoop:
 
     def test_crosses_blocks(self):
         # More than two 32,768-sample blocks, with every cell filled from
-        # each block, so cell sums run across block boundaries.
+        # each block, so cell sums run across block boundaries. Every fifth
+        # sample sits on the last sensor, whose row holds only those.
         rng = random.Random(0)
         samples = [
             TrajectoryPoint(
-                rng.uniform(-10.0, 130.0), rng.uniform(59.8, 61.2), rng.uniform(0.0, 35.0)
+                rng.uniform(-10.0, 130.0),
+                61.0 if n % 5 == 0 else rng.uniform(59.8, 61.2),
+                rng.uniform(0.0, 35.0),
             )
-            for _ in range(70_001)
+            for n in range(70_001)
         ]
         spec = small_spec()
         grid = build_grid(samples, spec)
@@ -484,12 +499,6 @@ class TestErrorStatsMatchesPerLatency:
             error_stats(traj, grid, [0.0])
 
 
-def _log(rows):
-    log = RunLog(dt=0.05, seed=0)
-    log.rows = rows
-    return log
-
-
 class TestOffsetReplayMatchesLoop:
     def assert_same(self, log, offsets):
         got = offset_replay(log, offsets)
@@ -516,20 +525,24 @@ class TestOffsetReplayMatchesLoop:
             (0.05, "c", "controlled", 1.0, 70.0, 20.0, "normal", 21.0, 26.8, None, 0.1),
             (0.1, "d", "controlled", 2.0, 70.0, 20.0, "vsl", 21.0, 20.0, 30.0, -0.0),
         ]
-        self.assert_same(_log(rows), [1.5, 4.0])
+        self.assert_same(RunLog(rows), [1.5, 4.0])
 
     def test_no_controlled_rows(self):
         rows = [(0.0, "h", "human", 5.0, 70.0, 20.0, None, None, None, None, 0.0)]
-        self.assert_same(_log(rows), [2.0])
-        self.assert_same(_log([]), [2.0])
+        self.assert_same(RunLog(rows), [2.0])
+        self.assert_same(RunLog([]), [2.0])
 
 
 # Recorded before build_grid, error_stats and offset_replay were vectorised:
 # a 30 s canonical seed-0 log written, read back, replayed at four offsets,
 # gridded in 2 s reports (30 s reports would leave one report column and
 # score nothing) and scored at six latencies. A 30 s log has no report 30 s
-# or more before any point, so those latencies score nothing.
-GOLDEN_GRID_SHA256 = "1285cac96ae241bea2cd9fbf6987e85346cf45810991b0280b191a67d2b9560e"
+# or more before any point, so those latencies score nothing. The grid and
+# stats were re-recorded when build_grid stopped putting samples east of
+# the last sensor (mile marker 70.0) into its row: the controlled vehicle
+# starts east of it, so that row's first eight reports are now empty, and
+# fewer points have a realtime estimate at 4 s and 10 s.
+GOLDEN_GRID_SHA256 = "e3db031c4f3c0c0b6f3357ea7877dadb1b56638d693b91978bf4ffb0c3b10f3b"
 GOLDEN_REPLAY_SHA256 = {
     "t": "f331206495aec55ba630722ad5de863d57f9da9e70b04f1bfa54c6a2b7379ad5",
     "v_pr": "41287e7fffa567bf6aa39c95b773c6b59a4801da3a15cdb993b6352e4091f22f",
@@ -539,9 +552,9 @@ GOLDEN_REPLAY_SHA256 = {
     8.0: "23c7a7fa4dccb725531bdb3efe6da1ce5b5e5ff755cb7c6905335f16e7217004",
 }
 GOLDEN_STATS = {
-    0.0: (248, "0.5007822995295712", "0.5165232073270772"),
-    4.0: (248, "2.427890685013443", "2.03802403860126"),
-    10.0: (248, "1.6427155019489277", "5.521561681033869"),
+    0.0: (248, "0.5037244568548399", "0.5147031772737038"),
+    4.0: (200, "2.9382096400000006", "1.8590801861428505"),
+    10.0: (80, "6.366693362500001", "0.21621414999999902"),
     30.0: (0, "0.0", "0.0"),
     60.0: (0, "0.0", "0.0"),
     120.0: (0, "0.0", "0.0"),

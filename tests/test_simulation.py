@@ -34,9 +34,9 @@ from middleway.simulation import (
     World,
     build_report,
     idm_accel,
-    interp_profile,
     read_run_log,
     run,
+    triangle_speed,
     write_run_log,
 )
 from middleway.units import M_PER_MILE, mph_to_mps
@@ -430,14 +430,13 @@ class TestRunLogWriterOracle:
         self.assert_same_bytes(run(canonical_scenario(duration_s=30.0)), tmp_path)
 
     def test_hand_built_rows(self, tmp_path):
-        log = RunLog(dt=0.05, seed=0)
-        log.rows = [
+        log = RunLog([
             (0.0, "h000", "human", 12.5, 69.992233, 15.25, None, None, None, None, -0.0),
             (0.05, "cav", "controlled", -3.0, 70.001864, 0.0,
              "vsl", 13.411200, None, 0.0, -2.75),
             (0.1, "cav", "controlled", 1.0, 69.999379, 16.5,
              "cbf", 13.4112, 13.4112, 18.0, -3.0),
-        ]
+        ])
         path = self.assert_same_bytes(log, tmp_path)
         assert read_run_log(path).rows == log.rows
 
@@ -451,15 +450,14 @@ class TestRunLogWriterOracle:
     def test_signed_zero_times_and_percent_ids(self, tmp_path):
         # Equal t values in distinct float objects, and -0.0 next to 0.0,
         # which compare equal but format differently.
-        log = RunLog(dt=0.05, seed=0)
-        log.rows = [
+        log = RunLog([
             (-0.0, "50%", "human", 1.0, 70.0, 2.0, None, None, None, None, 0.5),
             (0.0, "50%", "human", 1.0, 70.0, 2.0, None, None, None, None, 0.5),
             (-0.0, "%s%%", "%d", -0.0, -0.0, 0.0, None, None, None, None, -0.0),
             (float("0.05"), "50%", "human", 1.1, 70.0, 2.0, None, None, None, None, 0.5),
             (float("0.05"), "cav", "controlled", 3.0, 70.0, 2.0,
              "normal%", 2.0, None, 0.0, 0.25),
-        ]
+        ])
         path = self.assert_same_bytes(log, tmp_path)
         assert b"\r\n-0.000,%s%%,%d,-0.000000," in path.read_bytes()
         assert read_run_log(path).rows == log.rows
@@ -467,9 +465,7 @@ class TestRunLogWriterOracle:
     @settings(max_examples=200, deadline=None)
     @given(rows=st.one_of(world_run_log_rows(), st.lists(run_log_rows(), max_size=8)))
     def test_same_bytes_as_csv_writer(self, tmp_path_factory, rows):
-        log = RunLog(dt=0.05, seed=0)
-        log.rows = rows
-        self.assert_same_bytes(log, tmp_path_factory.mktemp("log"))
+        self.assert_same_bytes(RunLog(rows), tmp_path_factory.mktemp("log"))
 
 
 class TestRunLogReaderOracle:
@@ -479,9 +475,7 @@ class TestRunLogReaderOracle:
     @given(rows=st.lists(run_log_rows(), max_size=8))
     def test_same_rows_as_csv_reader(self, tmp_path_factory, rows):
         path = tmp_path_factory.mktemp("log") / "run_log.csv"
-        log = RunLog(dt=0.05, seed=0)
-        log.rows = rows
-        write_run_log(log, path)
+        write_run_log(RunLog(rows), path)
         assert read_run_log(path).rows == read_run_log_csv(path)
 
     def test_canonical_run(self, tmp_path):
@@ -854,7 +848,7 @@ class TestRunReport:
 def build_report_rows(log):
     """Reference for build_report's aggregation: one pass over every row.
     Returns the fields build_report derives from the rows."""
-    dt_row = log.dt * log.log_every
+    dt_row = log.config_echo["dt"] * log.config_echo["log_every"]
     engaged_rows = 0
     occupancy, transitions, last_mode = {}, {}, {}
     t_max = 0.0
@@ -886,9 +880,7 @@ def v_des_traces_rows(log, n_controlled):
 
 
 def _hand_built_log(rows, log_every=1):
-    log = RunLog(dt=0.05, seed=3, log_every=log_every)
-    log.rows = rows
-    return log
+    return RunLog(rows, config_echo={"dt": 0.05, "seed": 3, "log_every": log_every})
 
 
 def _row(t, vid, kind, mode=None, v_des=None):
@@ -945,8 +937,25 @@ class TestWholeLogConsumersMatchRowLoops:
         assert all(len(trace) for trace in v_des_traces(log, n).values())
 
 
-def interp_profile_scan(profile, t):
-    """Reference for interp_profile: a linear scan over the knot pairs."""
+def triangle_table(duration_s, period_s, lo, hi):
+    """Reference for triangle_speed: the knot table the canonical scenario
+    once built, four (t, speed) knots per period up to a period past
+    duration_s, with times rounded to 1 ms."""
+    points = []
+    t = 0.0
+    while t < duration_s + period_s:
+        points.append((t, hi))
+        points.append((t + 0.35 * period_s, lo))
+        points.append((t + 0.50 * period_s, lo))
+        points.append((t + 0.85 * period_s, hi))
+        t += period_s
+    return tuple((round(t, 3), v) for t, v in points)
+
+
+def interp_scan(profile, t):
+    """Piecewise-linear lookup by a scan over the knot pairs: t
+    interpolates toward the first knot at or after it, clamped to the
+    profile's endpoints."""
     if t <= profile[0][0]:
         return profile[0][1]
     for (t0, v0), (t1, v1) in zip(profile, profile[1:]):
@@ -958,36 +967,50 @@ def interp_profile_scan(profile, t):
     return profile[-1][1]
 
 
-_KNOT_TIME = st.sampled_from([0.0, 1.5, 2.0, 7.25, 30.0])
+class TestTriangleSpeed:
+    @pytest.mark.parametrize("dt", [0.1, 0.05, 0.025, 0.0125])
+    def test_equals_table_on_every_step(self, dt):
+        # The canonical wave, at the step times World takes.
+        wave = canonical_scenario().phantoms[0].wave
+        assert wave == (90.0, 5.0, 22.0)
+        table = triangle_table(600.0, *wave)
+        t = 0.0
+        while t <= 600.0:
+            assert triangle_speed(t, *wave) == interp_scan(table, t), t
+            t = round(t + dt, 9)
 
-
-class TestInterpProfile:
     @settings(max_examples=300, deadline=None)
     @given(
-        times=st.lists(_KNOT_TIME, min_size=1, max_size=8),
-        speeds=st.lists(st.floats(0.0, 40.0), min_size=8, max_size=8),
-        t=st.one_of(_KNOT_TIME, st.floats(-10.0, 40.0)),
+        period=st.sampled_from([90.0, 60.0, 20.0, 10.0]),
+        lo=st.floats(0.0, 40.0),
+        hi=st.floats(0.0, 40.0),
+        t=st.one_of(
+            st.floats(0.0, 400.0),
+            st.integers(0, 400).map(lambda k: k * 0.5),
+        ),
     )
-    def test_matches_scan(self, times, speeds, t):
-        # Repeated knot times are likely, and t falls on knots, between
-        # them and outside the profile.
-        profile = tuple(zip(sorted(times), speeds))
-        assert interp_profile(profile, t) == interp_profile_scan(profile, t)
+    def test_equals_table_anywhere(self, period, lo, hi, t):
+        # At these periods every table knot is a multiple of the period
+        # plus a knot offset, exactly; t falls on knots and between them.
+        table = triangle_table(400.0, period, lo, hi)
+        assert triangle_speed(t, period, lo, hi) == interp_scan(table, t)
 
-    def test_repeated_knot_and_clamping(self):
-        profile = ((0.0, 10.0), (5.0, 20.0), (5.0, 4.0), (10.0, 14.0))
-        assert interp_profile(profile, -1.0) == 10.0
-        assert interp_profile(profile, 5.0) == 20.0
-        assert interp_profile(profile, 7.5) == 9.0
-        assert interp_profile(profile, 11.0) == 14.0
+    def test_knots(self):
+        for t, want in [(0.0, 22.0), (31.5, 5.0), (40.0, 5.0), (45.0, 5.0),
+                        (60.75, 13.5), (76.5, 22.0), (80.0, 22.0), (90.0, 22.0),
+                        (121.5, 5.0)]:
+            assert triangle_speed(t, 90.0, 5.0, 22.0) == want, t
 
-    def test_decreasing_knot_times_rejected(self):
-        spec = PhantomStreamSpec(
-            lane=1, spacing_m=45.0, speed_profile=((0.0, 10.0), (5.0, 12.0), (4.0, 9.0))
-        )
-        cfg = ScenarioConfig(vehicles=[human("a", 0.0, 10.0)], phantoms=[spec])
-        with pytest.raises(ValueError, match="speed_profile"):
-            cfg.validate()
+    def test_other_period_matches_table_to_rounding(self):
+        # The table's knot times were rounded sums of repeated additions of
+        # the period, so at a period like this one they differ in the last
+        # bits from a whole number of periods plus a rounded offset.
+        table = triangle_table(600.0, 37.3, 5.0, 22.0)
+        for k in range(6000):
+            t = k * 0.1
+            assert triangle_speed(t, 37.3, 5.0, 22.0) == pytest.approx(
+                interp_scan(table, t), abs=1e-9
+            )
 
 
 class TestSteadyVDes:
