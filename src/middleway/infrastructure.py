@@ -1,12 +1,13 @@
 """Roadside infrastructure: gantries, advisory acquisition, and the feed.
 
-Variable-speed gantries sit every half mile along the westbound side of a
-mile-marker corridor and post speeds in whole multiples of 5 mph between
-30 and 70. Each controlled vehicle's GantryTracker acquires the advisory
-of the nearest gantry once it comes within ACQUIRE_MI of it while moving
-westbound, toward lower mile markers; the acquisition then sticks until a
-new gantry is acquired or the vehicle leaves the corridor, which mirrors
-how a geofence lookup behaves between gantries. The tracker also paces fetches: one on each new acquisition and
+Variable-speed gantries sit every half mile along the westbound side of
+the corridor, from mile marker 53.0 to 70.0, and post speeds in whole
+multiples of 5 mph between 30 and 70. Each controlled vehicle's
+GantryTracker acquires the advisory of the nearest gantry once it comes
+within ACQUIRE_MI of it while moving westbound, toward lower mile markers;
+the acquisition then sticks until a new gantry is acquired or the vehicle
+leaves the corridor, which mirrors how a geofence lookup behaves between
+gantries. The tracker also paces fetches: one on each new acquisition and
 one every poll_period_s thereafter. Fetched speeds reach the vehicle
 through a feed with scalar latency, random dropout, and a staleness bound
 after which the held reading is no longer trusted.
@@ -14,86 +15,24 @@ after which the held reading is no longer trusted.
 
 from __future__ import annotations
 
-import bisect
 import math
 import random
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Optional, Sequence
 
 from .units import mps_to_mph, round_to_multiple
 
 
-@dataclass(frozen=True)
-class Gantry:
-    """A gantry's geometry; the posted speed is simulation state (World)."""
-
-    gantry_id: str
-    mile_marker: float
-
-
-@dataclass
-class CorridorMap:
-    """Gantries sorted by mile marker plus the corridor bounds."""
-
-    gantries: list[Gantry]
-    mm_lo: float
-    mm_hi: float
-
-    def __post_init__(self) -> None:
-        self.gantries.sort(key=lambda g: (g.mile_marker, g.gantry_id))
-        if self.mm_lo >= self.mm_hi:
-            raise ValueError("corridor: need mm_lo < mm_hi")
-
-    def contains(self, mile_marker: float) -> bool:
-        return self.mm_lo <= mile_marker <= self.mm_hi
-
-    @cached_property
-    def _mile_markers(self) -> list[float]:
-        """The gantries' mile markers, in self.gantries order.
-
-        Built on first use, so the gantry list must not change after that.
-        """
-        return [g.mile_marker for g in self.gantries]
-
-    def nearest(self, mile_marker: float) -> Optional[Gantry]:
-        """The gantry minimising (distance, gantry_id), or None.
-
-        Distances only grow moving away from mile_marker on either side, so
-        every gantry tied for the smallest distance (duplicate markers, or
-        equal rounded distances) sits in one run around the bisect point.
-        """
-        mms, gantries = self._mile_markers, self.gantries
-        n = len(mms)
-        if not n:
-            return None
-        i = bisect.bisect_left(mms, mile_marker)
-        if i == 0:
-            best = abs(mms[0] - mile_marker)
-        elif i == n:
-            best = abs(mms[-1] - mile_marker)
-        else:
-            best = min(abs(mms[i - 1] - mile_marker), abs(mms[i] - mile_marker))
-        lo = i
-        while lo > 0 and abs(mms[lo - 1] - mile_marker) == best:
-            lo -= 1
-        hi = i
-        while hi < n and abs(mms[hi] - mile_marker) == best:
-            hi += 1
-        if hi - lo == 1:
-            return gantries[lo]
-        return min(gantries[lo:hi], key=lambda g: g.gantry_id)
-
-    @classmethod
-    def build(
-        cls, mm_lo: float = 53.0, mm_hi: float = 70.0, spacing_mi: float = 0.5
-    ) -> "CorridorMap":
-        gantries = []
-        n = int(round((mm_hi - mm_lo) / spacing_mi))
-        for i in range(n + 1):
-            mm = mm_lo + i * spacing_mi
-            gantries.append(Gantry(f"wb_{mm:06.2f}", mm))
-        return cls(gantries, mm_lo, mm_hi)
+# The westbound corridor's gantry lattice: one gantry every
+# GANTRY_SPACING_MI from MM_LO to MM_HI, ids "wb_053.00" to "wb_070.00".
+MM_LO = 53.0
+MM_HI = 70.0
+GANTRY_SPACING_MI = 0.5
+GANTRY_MM = tuple(
+    MM_LO + i * GANTRY_SPACING_MI
+    for i in range(int(round((MM_HI - MM_LO) / GANTRY_SPACING_MI)) + 1)
+)
+GANTRY_IDS = tuple(f"wb_{mm:06.2f}" for mm in GANTRY_MM)
 
 
 # Seconds of mile-marker history a heading is read across.
@@ -130,8 +69,7 @@ class GantryTracker:
     Fetches happen on each acquisition and every poll_period_s thereafter.
     """
 
-    def __init__(self, corridor: CorridorMap, poll_period_s: float):
-        self.corridor = corridor
+    def __init__(self, poll_period_s: float):
         self.poll_period_s = poll_period_s
         self.gantry_id: Optional[str] = None
         # Set on each acquisition, before any poll-cadence test reads it.
@@ -149,15 +87,19 @@ class GantryTracker:
         while len(history) > 2 and now - history[1][0] >= HEADING_WINDOW_S:
             del history[0]
         prior_id = self.gantry_id
-        nearest = None
-        if infer_heading(history) and self.corridor.contains(mile_marker):
-            nearest = self.corridor.nearest(mile_marker)
-        if nearest is None:
-            gantry_id = None
-        elif abs(nearest.mile_marker - mile_marker) <= ACQUIRE_MI:
-            gantry_id = nearest.gantry_id
+        if infer_heading(history) and MM_LO <= mile_marker <= MM_HI:
+            # Inside the corridor the subtraction and the division by the
+            # 0.5 mi spacing are exact, so i is the nearest gantry's index.
+            # ACQUIRE_MI is under half the spacing: no other gantry can be
+            # in range, and a midpoint, where round() could pick either
+            # neighbour, is in range of neither.
+            i = round((mile_marker - MM_LO) / GANTRY_SPACING_MI)
+            if abs(GANTRY_MM[i] - mile_marker) <= ACQUIRE_MI:
+                gantry_id = GANTRY_IDS[i]
+            else:
+                gantry_id = prior_id
         else:
-            gantry_id = prior_id
+            gantry_id = None
         self.gantry_id = gantry_id
 
         acquired = gantry_id is not None and gantry_id != prior_id

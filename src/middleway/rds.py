@@ -53,9 +53,9 @@ class GridSpec:
         return int(math.ceil(self.duration_s / self.cell_duration_s))
 
 
-def default_sensors(mm_lo: float = 53.0, mm_hi: float = 70.0, spacing: float = 0.5):
-    n = int(round((mm_hi - mm_lo) / spacing)) + 1
-    return tuple(mm_lo + i * spacing for i in range(n))
+def default_sensors() -> tuple[float, ...]:
+    """Sensors every half mile from mile marker 53.0 to 70.0."""
+    return tuple(53.0 + i * 0.5 for i in range(35))
 
 
 @dataclass
@@ -200,47 +200,33 @@ def error_stats(
     return out
 
 
-@dataclass(frozen=True)
-class WaveFieldParams:
-    """Backward-propagating multi-harmonic speed field, in mph units.
-
-    Mixing a slow envelope with the ~4-minute wave matters: averaging a
-    sensor pair d apart scales a component of wavelength lambda by
-    cos(pi*d/lambda), so short waves are gutted by the spatial mean and
-    a lone period would make the error variance cycle with latency
-    rather than grow. The slow component survives the smoothing and
-    keeps the variance climbing through the latencies of interest.
-    """
-
-    mean_mph: float = 45.0
-    amplitudes_mph: tuple[float, ...] = (13.0, 13.0, 4.0)
-    periods_s: tuple[float, ...] = (600.0, 240.0, 130.0)
-    phases: tuple[float, ...] = (0.0, 1.3, 2.6)
-    wave_speed_mph: float = 12.0
-    min_mph: float = 15.0
-    max_mph: float = 75.0
-
-    def __post_init__(self) -> None:
-        if not (
-            len(self.amplitudes_mph) == len(self.periods_s) == len(self.phases)
-        ):
-            raise ValueError("amplitudes_mph: components must align with periods")
+# The synthetic wave field, in mph: (amplitude, period s, phase) per
+# component of a backward-propagating wave train. Mixing a slow envelope
+# with the ~4-minute wave matters: averaging a sensor pair d apart scales
+# a component of wavelength lambda by cos(pi*d/lambda), so short waves are
+# gutted by the spatial mean and a lone period would make the error
+# variance cycle with latency rather than grow. The slow component
+# survives the smoothing and keeps the variance climbing through the
+# latencies of interest.
+WAVE_MEAN_MPH = 45.0
+WAVE_COMPONENTS = ((13.0, 600.0, 0.0), (13.0, 240.0, 1.3), (4.0, 130.0, 2.6))
+WAVE_SPEED_MPH = 12.0
+WAVE_MIN_MPH = 15.0
+WAVE_MAX_MPH = 75.0
 
 
-def wave_field(params: WaveFieldParams = WaveFieldParams()):
+def wave_field():
     """Speed field f(t, mm) -> m/s for an upstream-running wave train."""
-    w_mi_per_s = params.wave_speed_mph / 3600.0
+    w_mi_per_s = WAVE_SPEED_MPH / 3600.0
 
     def field(t: float, mm: float) -> float:
-        mph = params.mean_mph
-        for amp, period, phase in zip(
-            params.amplitudes_mph, params.periods_s, params.phases
-        ):
+        mph = WAVE_MEAN_MPH
+        for amp, period, phase in WAVE_COMPONENTS:
             wavelength_mi = w_mi_per_s * period
             mph += amp * math.sin(
                 2.0 * math.pi * (mm - w_mi_per_s * t) / wavelength_mi + phase
             )
-        return mph_to_mps(min(max(mph, params.min_mph), params.max_mph))
+        return mph_to_mps(min(max(mph, WAVE_MIN_MPH), WAVE_MAX_MPH))
 
     return field
 
@@ -252,11 +238,11 @@ def static_field(speed_mps: float):
     return field
 
 
-def grid_from_field(field, spec: GridSpec, subsamples: int = 3) -> RdsGrid:
-    """Sample the field on a subgrid per cell and average, like a sensor."""
+def grid_from_field(field, spec: GridSpec) -> RdsGrid:
+    """Sample the field three times per cell and average, like a sensor."""
     n_s = len(spec.sensor_mm)
     speeds = np.empty((n_s, spec.n_reports))
-    offsets = [(j + 0.5) / subsamples for j in range(subsamples)]
+    offsets = [(j + 0.5) / 3 for j in range(3)]
     for i, mm in enumerate(spec.sensor_mm):
         for k in range(spec.n_reports):
             t0 = spec.origin_s + k * spec.cell_duration_s
@@ -266,26 +252,20 @@ def grid_from_field(field, spec: GridSpec, subsamples: int = 3) -> RdsGrid:
 
 
 def synthetic_trajectory(
-    field,
-    t_start: float,
-    t_end: float,
-    mm_start: float,
-    sample_every_s: float = 5.0,
-    dt: float = 0.5,
-    westbound: bool = True,
+    field, t_start: float, t_end: float, mm_start: float
 ) -> list[TrajectoryPoint]:
-    """Drive a virtual probe through the field and sample it."""
+    """Drive a virtual probe westbound through the field in 0.5 s steps and
+    sample it every 5 s."""
     points = []
     t, mm = t_start, mm_start
     next_sample = t_start
-    sign = -1.0 if westbound else 1.0
     while t <= t_end:
         v = field(t, mm)
         if t >= next_sample:
             points.append(TrajectoryPoint(t, mm, v))
-            next_sample += sample_every_s
-        mm += sign * v * dt / M_PER_MILE
-        t = round(t + dt, 9)
+            next_sample += 5.0
+        mm -= v * 0.5 / M_PER_MILE
+        t = round(t + 0.5, 9)
     return points
 
 
@@ -315,15 +295,21 @@ def read_grid(path: str | Path) -> RdsGrid:
             rows.append(row)
     if not rows:
         raise ValueError("grid has no rows")
+    if len({(mm, start) for mm, start, _ in rows}) != len(rows):
+        raise ValueError("grid has a duplicate (sensor_mm, report_start_s) cell")
     sensors = tuple(sorted({mm for mm, _, _ in rows}))
     starts = sorted({start for _, start, _ in rows})
-    if len(starts) > 1:
-        cell_duration = starts[1] - starts[0]
-    else:
-        cell_duration = 30.0
+    origin = starts[0]
+    cell_duration = starts[1] - origin if len(starts) > 1 else 30.0
+    # Column k is the report starting at origin + k * cell_duration, so the
+    # starts must be that evenly spaced lattice, to float rounding.
+    for k, start in enumerate(starts):
+        if abs(start - (origin + k * cell_duration)) > 1e-6 * cell_duration:
+            raise ValueError(f"report_start_s {start:g}: not on the "
+                             f"{cell_duration:g} s lattice from {origin:g}")
     spec = GridSpec(
         sensor_mm=sensors,
-        origin_s=starts[0],
+        origin_s=origin,
         cell_duration_s=cell_duration,
         duration_s=len(starts) * cell_duration,
     )

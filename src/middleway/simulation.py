@@ -33,7 +33,10 @@ from typing import Optional, Sequence
 
 from .controller import ControlInputs, ControllerConfig, step_controller
 from .infrastructure import (
-    CorridorMap,
+    GANTRY_IDS,
+    GANTRY_MM,
+    MM_HI,
+    MM_LO,
     FeedClient,
     FeedConfig,
     GantryTracker,
@@ -194,8 +197,7 @@ class ScenarioConfig:
     dt: float = 0.05
     seed: int = 0
     log_every: int = 1
-    entry_mm: float = 70.0
-    corridor: CorridorMap = field(default_factory=CorridorMap.build)
+    entry_mm: float = MM_HI
     controller: ControllerConfig = field(default_factory=ControllerConfig)
     radar: RadarConfig = field(default_factory=RadarConfig)
     estimator: EstimatorConfig = field(default_factory=EstimatorConfig)
@@ -292,7 +294,7 @@ class _ControlledAgent:
     def __init__(self, init: VehicleInit, cfg: ScenarioConfig, rng: random.Random):
         self.driver_setpoint = init.driver_setpoint
         self.estimator = PrevailingSpeedEstimator(cfg.estimator)
-        self.tracker = GantryTracker(cfg.corridor, cfg.feed.poll_period_s)
+        self.tracker = GantryTracker(cfg.feed.poll_period_s)
         self.feed = FeedClient(cfg.feed, rng)
         # The controller's ramp speed; the first tick ramps from the
         # vehicle's initial speed.
@@ -336,12 +338,10 @@ class World:
         }
         self.phantoms = [_PhantomStream(spec) for spec in cfg.phantoms]
         self._next_vsl_update = 0.0
-        # Postings live here, not on the config's gantries, so running a
-        # config leaves it unchanged.
         initial = (
             INITIAL_POSTED_MPH if cfg.vsl_static_mph is None else cfg.vsl_static_mph
         )
-        self.posted_mph = {g.gantry_id: initial for g in cfg.corridor.gantries}
+        self.posted_mph = dict.fromkeys(GANTRY_IDS, initial)
 
     def _index_lane_positions(self) -> None:
         """Each lane's positions, in lane order, for the radar's bisect.
@@ -358,7 +358,7 @@ class World:
 
     def _segment_means(self) -> dict[int, Optional[float]]:
         """Mean vehicle speed per inter-gantry segment, by lower-mm index."""
-        mms = [g.mile_marker for g in self.cfg.corridor.gantries]
+        mms = GANTRY_MM
         sums = [0.0] * (len(mms) - 1)
         counts = [0] * (len(mms) - 1)
         for veh in self.vehicles:
@@ -376,22 +376,22 @@ class World:
         """Run the posting policy over every gantry (skipped in static mode)."""
         means = self._segment_means()
         lookahead = self.cfg.vsl.lookahead_segments
-        for i, g in enumerate(self.cfg.corridor.gantries):
+        for i, gantry_id in enumerate(GANTRY_IDS):
             # Westbound traffic leaves gantry i into segment i - 1.
             downstream = [means[i - k] for k in range(1, lookahead + 1) if i >= k]
-            prev = self.posted_mph[g.gantry_id]
+            prev = self.posted_mph[gantry_id]
             posted = vsl_algorithm(downstream, prev, self.cfg.vsl)
             if posted != prev:
                 self.log.events.append(
                     {
                         "t": self.t,
                         "event": "vsl_update",
-                        "gantry_id": g.gantry_id,
+                        "gantry_id": gantry_id,
                         "prev_mph": prev,
                         "posted_mph": posted,
                     }
                 )
-                self.posted_mph[g.gantry_id] = posted
+                self.posted_mph[gantry_id] = posted
 
     def _radar_candidates(self, veh: VehicleState) -> list[ObservedVehicle]:
         """Vehicles within one lane of veh with x_lo < position <= x_hi,
@@ -560,12 +560,8 @@ def config_echo(cfg: ScenarioConfig) -> dict:
         "seed": cfg.seed,
         "log_every": cfg.log_every,
         "entry_mm": cfg.entry_mm,
-        "corridor": {
-            "mm_lo": cfg.corridor.mm_lo,
-            "mm_hi": cfg.corridor.mm_hi,
-            "gantries": len(cfg.corridor.gantries),
-        },
-        "controller": {**asdict(cfg.controller), "dt": cfg.dt},
+        "corridor": {"mm_lo": MM_LO, "mm_hi": MM_HI, "gantries": len(GANTRY_IDS)},
+        "controller": asdict(cfg.controller),
         "radar": asdict(cfg.radar),
         "estimator": asdict(cfg.estimator),
         "vsl": asdict(cfg.vsl),

@@ -473,6 +473,21 @@ class TestCli:
         assert code == 2
         assert "grid.csv" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("rows", [
+        # Starts 0, 30 and 90 s: the 90 s report would be scored as the
+        # 60-90 s window, a -10 m/s mean error where the reports give 0.
+        "60.0,0.0,10\n60.0,30.0,10\n60.0,90.0,30\n61.0,0.0,10\n61.0,30.0,10\n61.0,90.0,30",
+        # Two reports for one (sensor, start) cell.
+        "60.0,0.0,10\n60.0,0.0,30\n61.0,0.0,10",
+    ], ids=["uneven_starts", "duplicate_cell"])
+    def test_rds_grid_off_lattice_exits_2(self, tmp_path, capsys, rows):
+        args = rds_args(tmp_path, f"{TRAJECTORY_HEADER}45.0,60.5,10.0\n")
+        (tmp_path / "grid.csv").write_text(
+            f"sensor_mm,report_start_s,mean_speed_mps\n{rows}\n"
+        )
+        assert main([*args, "--latencies", "0,30"]) == 2
+        assert "grid.csv" in capsys.readouterr().err
+
     @pytest.mark.parametrize(
         "flag, value", [("--latencies", "abc"), ("--latencies", ".nan"),
                         ("--bin-width-mph", "0"), ("--bin-width-mph", "nan")]

@@ -9,11 +9,14 @@ from hypothesis import strategies as st
 
 from middleway.infrastructure import (
     ACQUIRE_MI,
+    GANTRY_IDS,
+    GANTRY_MM,
+    GANTRY_SPACING_MI,
     HEADING_WINDOW_S,
-    CorridorMap,
+    MM_HI,
+    MM_LO,
     FeedClient,
     FeedConfig,
-    Gantry,
     GantryTracker,
     VslConfig,
     infer_heading,
@@ -38,28 +41,17 @@ def poll_schedule(
     return fetches
 
 
-def nearest_scan(corridor, mile_marker):
-    """Reference for CorridorMap.nearest: a linear scan over every gantry."""
-    if not corridor.gantries:
+def active_gantry_scan(mile_marker, westbound, prior_id=None):
+    """Reference for the tracker's acquisition: by a scan over every gantry,
+    the nearest (ties to the lower id) if within ACQUIRE_MI, else the prior
+    one; None outside [MM_LO, MM_HI] or unless the vehicle is seen moving
+    westbound."""
+    if not westbound or not MM_LO <= mile_marker <= MM_HI:
         return None
-    return min(
-        corridor.gantries,
-        key=lambda g: (abs(g.mile_marker - mile_marker), g.gantry_id),
+    mm, gantry_id = min(
+        zip(GANTRY_MM, GANTRY_IDS), key=lambda g: (abs(g[0] - mile_marker), g[1])
     )
-
-
-def active_gantry_scan(mile_marker, westbound, corridor, prior_id=None):
-    """Reference for the tracker's acquisition: the nearest gantry within
-    ACQUIRE_MI, else the prior one; None outside the corridor or unless
-    the vehicle is seen moving westbound."""
-    if not westbound or not corridor.contains(mile_marker):
-        return None
-    nearest = nearest_scan(corridor, mile_marker)
-    if nearest is None:
-        return None
-    if abs(nearest.mile_marker - mile_marker) <= ACQUIRE_MI:
-        return nearest.gantry_id
-    return prior_id
+    return gantry_id if abs(mm - mile_marker) <= ACQUIRE_MI else prior_id
 
 
 def infer_heading_scan(mm_history, window_s=2.0):
@@ -79,125 +71,106 @@ def infer_heading_scan(mm_history, window_s=2.0):
     return mm_last - mm_then < -1e-9
 
 
-@pytest.fixture
-def corridor():
-    return CorridorMap.build(mm_lo=53.0, mm_hi=70.0, spacing_mi=0.5)
+def acquire_edges(mm):
+    """The farthest mile markers west and east of mm within ACQUIRE_MI of it.
+
+    No float lies exactly ACQUIRE_MI from a gantry, so these are the
+    acquisition's edges."""
+    edges = []
+    for sign in (-1.0, 1.0):
+        x = mm + sign * ACQUIRE_MI
+        while abs(x - mm) > ACQUIRE_MI:
+            x = math.nextafter(x, mm)
+        edges.append(x)
+    return edges
 
 
-# A duplicate mile marker, and ids out of marker order, so distance ties
-# (60.15 lies halfway between 60.0 and 60.3) break on the id.
-MIXED_CORRIDOR_ROWS = (
-    ("wb_b", 60.0),
-    ("wb_a", 60.0),
-    ("wb_60_3", 60.3),
-    ("wb_z", 60.5),
-    ("wb_y", 61.1),
+# On every gantry, every midpoint, both acquisition edges of every gantry
+# and the floats either side of them, and just outside [MM_LO, MM_HI].
+LATTICE_MARKS = sorted(
+    {m for mm in GANTRY_MM for x in acquire_edges(mm)
+     for m in (mm, mm + GANTRY_SPACING_MI / 2, x, math.nextafter(x, mm),
+               math.nextafter(x, 2 * x - mm))}
+    | {MM_LO - GANTRY_SPACING_MI / 2, math.nextafter(MM_LO, -math.inf),
+       math.nextafter(MM_HI, math.inf)}
 )
 
 
-@pytest.fixture(scope="module")
-def mixed_corridor():
-    gantries = [Gantry(gid, mm) for gid, mm in MIXED_CORRIDOR_ROWS]
-    return CorridorMap(gantries, 60.0, 62.0)
+class TestGantryLattice:
+    def test_covers_bounds_at_half_mile_spacing(self):
+        assert len(GANTRY_MM) == len(GANTRY_IDS) == 35
+        assert GANTRY_MM[0] == MM_LO == 53.0 and GANTRY_MM[-1] == MM_HI == 70.0
+        assert all(b - a == GANTRY_SPACING_MI for a, b in zip(GANTRY_MM, GANTRY_MM[1:]))
+        assert GANTRY_IDS[0] == "wb_053.00" and GANTRY_IDS[-1] == "wb_070.00"
+        assert "wb_060.50" in GANTRY_IDS
+
+    def test_acquire_mi_under_half_the_spacing(self):
+        # At most one gantry is in range, and a midpoint is in range of none.
+        assert ACQUIRE_MI < GANTRY_SPACING_MI / 2
 
 
-def _midpoints(corridor):
-    mms = sorted({g.mile_marker for g in corridor.gantries})
-    return [(a + b) / 2.0 for a, b in zip(mms, mms[1:])] + mms
-
-
-class TestCorridorMap:
-    def test_build_covers_bounds_at_half_mile_spacing(self, corridor):
-        mms = [g.mile_marker for g in corridor.gantries]
-        assert len(mms) == 35
-        assert mms[0] == 53.0 and mms[-1] == 70.0
-        assert all(
-            b - a == pytest.approx(0.5) for a, b in zip(mms, mms[1:])
-        )
-
-
-def gantry_after_approach(corridor, mile_marker, step=1e-3, prior_id=None):
+def gantry_after_approach(mile_marker, step=1e-3, prior_id=None):
     """The tracker's gantry at mile_marker, reached over one heading window
     from mile_marker + step (positive: westbound, 0: standing still), with
     prior_id held."""
-    tracker = GantryTracker(corridor, poll_period_s=5.0)
+    tracker = GantryTracker(poll_period_s=5.0)
     tracker.update(mile_marker + step, 0.0)
     tracker.gantry_id = prior_id
     return tracker.update(mile_marker, HEADING_WINDOW_S)[0]
 
 
 class TestActiveGantry:
-    def test_acquires_within_bound(self, corridor):
-        assert gantry_after_approach(corridor, 59.95) == "wb_060.00"
+    def test_acquires_within_bound(self):
+        assert gantry_after_approach(59.95) == "wb_060.00"
 
-    def test_acquires_at_exactly_acquire_mi(self):
-        corridor = CorridorMap([Gantry("g", 0.0)], -1.0, 1.0)
-        assert gantry_after_approach(corridor, ACQUIRE_MI) == "g"
+    @pytest.mark.parametrize("gantry", range(len(GANTRY_MM)))
+    def test_acquires_on_each_gantry(self, gantry):
+        assert gantry_after_approach(GANTRY_MM[gantry]) == GANTRY_IDS[gantry]
 
-    def test_no_acquisition_without_prior_is_invalid(self, corridor):
-        assert gantry_after_approach(corridor, 60.30) is None
+    @pytest.mark.parametrize("side", [0, 1], ids=["west", "east"])
+    def test_acquisition_edge_at_acquire_mi(self, side):
+        edge = acquire_edges(60.0)[side]
+        assert gantry_after_approach(edge) == "wb_060.00"
+        beyond = math.nextafter(edge, 2 * edge - 60.0)
+        assert gantry_after_approach(beyond) is None
+        assert gantry_after_approach(beyond, prior_id="wb_059.50") == "wb_059.50"
 
-    def test_prior_acquisition_persists_between_gantries(self, corridor):
-        gantry_id = gantry_after_approach(corridor, 59.80, prior_id="wb_060.00")
+    def test_no_acquisition_without_prior_is_invalid(self):
+        assert gantry_after_approach(60.30) is None
+
+    def test_midpoint_acquires_neither_neighbour(self):
+        assert gantry_after_approach(60.25) is None
+        assert gantry_after_approach(60.25, prior_id="wb_060.50") == "wb_060.50"
+
+    def test_prior_acquisition_persists_between_gantries(self):
+        gantry_id = gantry_after_approach(59.80, prior_id="wb_060.00")
         assert gantry_id == "wb_060.00"
 
-    def test_outside_corridor_is_invalid_even_with_prior(self, corridor):
-        gantry_id = gantry_after_approach(corridor, 52.0, prior_id="wb_053.00")
-        assert gantry_id is None
+    def test_outside_corridor_is_invalid_even_with_prior(self):
+        # All but 52.0 lie within ACQUIRE_MI of an end gantry.
+        for mm in (52.0, math.nextafter(MM_LO, -math.inf),
+                   math.nextafter(MM_HI, math.inf), 70.1):
+            assert gantry_after_approach(mm, prior_id="wb_053.00") is None
 
-    def test_wrong_direction_gantries_ignored(self, corridor):
+    def test_wrong_direction_gantries_ignored(self):
         # The gantries face westbound traffic; moving eastbound sees none.
-        assert gantry_after_approach(
-            corridor, 60.0, step=-1e-3, prior_id="wb_060.00"
-        ) is None
+        assert gantry_after_approach(60.0, step=-1e-3, prior_id="wb_060.00") is None
 
-    def test_unknown_heading_is_invalid(self, corridor):
-        assert gantry_after_approach(
-            corridor, 60.0, step=0.0, prior_id="wb_060.00"
-        ) is None
+    def test_unknown_heading_is_invalid(self):
+        assert gantry_after_approach(60.0, step=0.0, prior_id="wb_060.00") is None
 
 
 class TestActiveGantryMatchesScan:
-    """CorridorMap.nearest's bisect lookup against the linear scan, ties and
-    duplicates included."""
-
-    @settings(max_examples=300, deadline=None)
-    @given(data=st.data())
-    def test_mixed_corridor(self, mixed_corridor, data):
-        mm = data.draw(
-            st.one_of(
-                st.sampled_from(_midpoints(mixed_corridor)),
-                st.floats(59.5, 62.5, allow_nan=False),
-            )
-        )
-        assert mixed_corridor.nearest(mm) == nearest_scan(mixed_corridor, mm)
+    """The tracker's lattice index against the scan over every gantry."""
 
     @settings(max_examples=300, deadline=None)
     @given(
-        markers=st.lists(
-            st.tuples(
-                st.one_of(
-                    st.sampled_from([0.0, 0.5, 1.0, 1e-300, 5e-324, 1e16]),
-                    st.floats(-10.0, 10.0, allow_nan=False),
-                ),
-                st.text("abc", min_size=1, max_size=3),
-            ),
-            min_size=1,
-            max_size=12,
-            unique_by=lambda m: m[1],
-        ),
-        data=st.data(),
+        mm=st.one_of(st.sampled_from(LATTICE_MARKS), st.floats(52.0, 71.0)),
+        prior_id=st.one_of(st.none(), st.sampled_from(GANTRY_IDS)),
     )
-    def test_generated_corridor(self, markers, data):
-        gantries = [Gantry(gid, mm) for mm, gid in markers]
-        corridor = CorridorMap(gantries, -20.0, 2e16)
-        mm = data.draw(
-            st.one_of(
-                st.sampled_from(_midpoints(corridor)),
-                st.floats(corridor.mm_lo, corridor.mm_hi, allow_nan=False),
-            )
-        )
-        assert corridor.nearest(mm) == nearest_scan(corridor, mm)
+    def test_lattice(self, mm, prior_id):
+        expected = active_gantry_scan(mm, True, prior_id)
+        assert gantry_after_approach(mm, prior_id=prior_id) == expected
 
 
 class PollTimerRef:
@@ -219,8 +192,8 @@ class PollTimerRef:
 
 
 class TestGantryTracker:
-    def test_acquisition_hold_and_reset(self, corridor):
-        tracker = GantryTracker(corridor, poll_period_s=5.0)
+    def test_acquisition_hold_and_reset(self):
+        tracker = GantryTracker(poll_period_s=5.0)
         assert tracker.update(60.25, 0.0) == (None, False, False)
         assert tracker.update(60.05, 2.0) == ("wb_060.00", True, True)
         assert tracker.update(59.80, 4.0) == ("wb_060.00", False, False)
@@ -231,10 +204,9 @@ class TestGantryTracker:
 
     @settings(max_examples=200, deadline=None)
     @given(
-        use_mixed=st.booleans(),
         dt=st.sampled_from([0.05, 0.1, 0.3, 1.0]),
         period=st.sampled_from([0.05, 1.0, 2.5, 5.0]),
-        start=st.floats(0.0, 1.0),
+        start=st.one_of(st.sampled_from(LATTICE_MARKS), st.floats(MM_LO, MM_HI)),
         moves=st.lists(
             st.one_of(
                 # Drives, stops (heading unknown) and jumps out of and back
@@ -246,23 +218,18 @@ class TestGantryTracker:
             max_size=300,
         ),
     )
-    def test_same_events_as_oracle(
-        self, mixed_corridor, use_mixed, dt, period, start, moves
-    ):
+    def test_same_events_as_oracle(self, dt, period, start, moves):
         """Per tick, update gives what the scan oracles and the reference
         cadence give on the untrimmed history."""
-        cmap = mixed_corridor if use_mixed else CorridorMap.build()
-        tracker = GantryTracker(cmap, period)
+        tracker = GantryTracker(period)
         timer = PollTimerRef(period)
         history = []
         prior_id = None
         t = 0.0
-        mm = cmap.mm_lo + start * (cmap.mm_hi - cmap.mm_lo)
+        mm = start
         for move in moves:
             history.append((t, mm))
-            gantry_id = active_gantry_scan(
-                mm, infer_heading_scan(history), cmap, prior_id
-            )
+            gantry_id = active_gantry_scan(mm, infer_heading_scan(history), prior_id)
             acquired = gantry_id is not None and gantry_id != prior_id
             expected = (gantry_id, acquired, timer.fetch(gantry_id, acquired, t))
             assert tracker.update(mm, t) == expected
@@ -287,9 +254,8 @@ class TestPollSchedule:
         assert poll_schedule([], until=1000.0) == []
 
     def test_poll_timer_matches_schedule(self):
-        # One westbound gantry, reached (within ACQUIRE_MI) at t = 10 s.
-        gantries = [Gantry("g", 60.0)]
-        tracker = GantryTracker(CorridorMap(gantries, 50.0, 70.0), poll_period_s=5.0)
+        # Gantry wb_060.00 is reached (within ACQUIRE_MI) at t = 10 s.
+        tracker = GantryTracker(poll_period_s=5.0)
         fetches = []
         dt = 0.05
         for i in range(int(120.0 / dt)):
@@ -408,7 +374,7 @@ class TestInferHeadingMatchesScan:
         ),
     )
     def test_same_heading_as_scan(self, dt, t0, moves):
-        tracker = GantryTracker(CorridorMap.build(), poll_period_s=5.0)
+        tracker = GantryTracker(poll_period_s=5.0)
         t, mm = t0, 60.0
         for move in moves:
             tracker.update(mm, t)

@@ -56,24 +56,26 @@ COMMANDS = (
 # the command's output directory; "stdout" is the printed text. Recorded
 # with the eastbound and disengaged paths still in place, whose removal
 # changed only each report.json (no "direction" line) and events.jsonl (no
-# t = 0 engagement event per controlled vehicle).
+# t = 0 engagement event per controlled vehicle). Each report.json was
+# recorded again when the config echo's controller block lost its copy of
+# the scenario dt.
 GOLDEN = {
     "run": {
         "stdout": "2a306063fb7e5f6e",
         "events.jsonl": "e199743dcf59d031",
-        "report.json": "c42c64d2eddea717",
+        "report.json": "1f4d9406162a6823",
         "run_log.csv": "e9fe906e5e60714e",
     },
     "run_noisy": {
         "stdout": "7cd69e10d2c12764",
         "events.jsonl": "3f5d58643e2dbce8",
-        "report.json": "9bd6effb0bf14795",
+        "report.json": "7578d3cac1f2b470",
         "run_log.csv": "456391aa1e44fe08",
     },
     "string": {
         "stdout": "779238f78bff7f63",
         "events.jsonl": "b446d15d3a0edfe8",
-        "report.json": "48bc66ed92aedf54",
+        "report.json": "bb4595c02721ee5b",
         "run_log.csv": "6b498692f9d1ee5d",
         "string_summary.csv": "112e43aedfecb916",
         "string_traces.csv": "67efd927644ba6f4",
@@ -82,10 +84,10 @@ GOLDEN = {
         "stdout": "fc9471f64e0bb580",
         "sweep_summary.csv": "e3fee9322ec2172b",
         "v_offset=2/events.jsonl": "e199743dcf59d031",
-        "v_offset=2/report.json": "d4adc7804ff6ed01",
+        "v_offset=2/report.json": "a29e023a480bd38c",
         "v_offset=2/run_log.csv": "e9fe906e5e60714e",
         "v_offset=4/events.jsonl": "e199743dcf59d031",
-        "v_offset=4/report.json": "239bd9cec1839ca1",
+        "v_offset=4/report.json": "bc26ef4b7e608b09",
         "v_offset=4/run_log.csv": "e9fe906e5e60714e",
     },
     "sweep_string": {
@@ -93,10 +95,10 @@ GOLDEN = {
         "string_convergence.csv": "c63e38b95a7df374",
         "sweep_summary.csv": "c55abcc0157f503b",
         "v_offset=2/events.jsonl": "2707f5f06953f284",
-        "v_offset=2/report.json": "ed1c326eff17abcc",
+        "v_offset=2/report.json": "72d08930aa685766",
         "v_offset=2/run_log.csv": "0fad5e01f5f03c8b",
         "v_offset=3/events.jsonl": "0914701909181c12",
-        "v_offset=3/report.json": "b55a02c49f1981a1",
+        "v_offset=3/report.json": "563d43307f050af2",
         "v_offset=3/run_log.csv": "096effada404703e",
     },
     "sweep_replay": {

@@ -444,23 +444,19 @@ class TestErrorStatsMatchesPerLatency:
         holes=st.sampled_from([0.0, 0.1, 0.4, 0.9]),
         t_start=st.sampled_from([0.0, 20.0, 330.0]),
         mm_start=st.sampled_from([69.4, 70.3, 53.2]),
-        westbound=st.booleans(),
         latencies=st.lists(
             st.sampled_from([0.0, 15.0, 30.0, 60.0, 120.0, 300.0, 2000.0]),
             min_size=1, max_size=4, unique=True,
         ),
         bin_width=st.sampled_from([0.5, 1.0, 3.0]),
     )
-    def test_equal_stats(self, seed, holes, t_start, mm_start, westbound, latencies,
-                         bin_width):
+    def test_equal_stats(self, seed, holes, t_start, mm_start, latencies, bin_width):
         spec = GridSpec(sensor_mm=default_sensors(), duration_s=1260.0)
         field = wave_field()
         grid = grid_from_field(field, spec)
         rng = np.random.default_rng(seed)
         grid.speeds[rng.random(grid.speeds.shape) < holes] = np.nan
-        traj = synthetic_trajectory(
-            field, t_start, t_start + 600.0, mm_start, westbound=westbound
-        )
+        traj = synthetic_trajectory(field, t_start, t_start + 600.0, mm_start)
         got = error_stats(traj, grid, latencies, bin_width)
         assert got == error_stats_per_latency(traj, grid, latencies, bin_width)
 
