@@ -49,7 +49,8 @@ SECTION_TYPES: dict[str, type] = {
 
 GENERATORS = {
     "canonical": canonical_scenario,
-    "string": string_scenario,
+    # build_scenario checks the spacing after any radar override instead.
+    "string": string_scenario.__wrapped__,
 }
 
 RUN_FIELDS = ("dt", "log_every", "entry_mm", "vsl_static_mph")

@@ -1,10 +1,14 @@
 """Radar synthesis and the prevailing-speed estimator.
 
-The simulated radar reports up to max_targets point targets ahead of the
-ego vehicle, in the ego lane or one lane to either side, in ego-relative
-coordinates. The prevailing-speed estimator keeps a rolling window of
-absolute speeds of targets that were moving faster than the ego at the
-moment of observation, and reports their mean once enough samples have
+The simulated radar reports up to max_targets point targets in
+ego-relative coordinates, nearest first. The world decides which targets
+it can see (simulation.World._radar_candidates: ahead of the ego, within
+max_range, in the ego lane or one lane to either side); the radar here
+only sorts, caps and adds noise.
+
+The prevailing-speed estimator keeps a rolling window of absolute speeds
+of targets that were moving faster than the ego at the moment of
+observation, and reports their mean once enough samples have
 accumulated; otherwise it reports 0.0, the conventional "estimator off"
 value that downstream logic treats as no-information.
 """
@@ -18,15 +22,6 @@ from operator import itemgetter
 from typing import Iterable, NamedTuple, Optional
 
 from .controller import Lead
-
-
-class ObservedVehicle(NamedTuple):
-    """Ground-truth pose the radar model samples from."""
-
-    vehicle_id: str
-    position: float
-    speed: float
-    lane: int
 
 
 class RadarTarget(NamedTuple):
@@ -55,40 +50,32 @@ class RadarConfig:
             raise ValueError("noise_sigma: must be non-negative")
 
 
+_RANGE_THEN_ID = itemgetter(0, 1)
+
+
 def synthesize_radar(
-    ego: ObservedVehicle,
-    others: Iterable[ObservedVehicle],
+    v_ego: float,
+    candidates: Iterable[tuple[float, str, float, int]],
     cfg: RadarConfig,
     now: float,
     rng: random.Random,
 ) -> RadarFrame:
-    """Build a radar frame from ground truth.
+    """Build a radar frame from the (rel_position, target_id, absolute
+    speed, lane_offset) candidates the world says the radar sees.
 
-    Keeps vehicles strictly ahead of the ego, within max_range, and within
-    one lane of the ego lane; returns the nearest max_targets of them
-    sorted by range. Ties in range break on vehicle id so frames are
-    reproducible. With noise_sigma set, zero-mean Gaussian noise drawn from
-    rng perturbs rel_speed.
+    Keeps the nearest max_targets, sorted by range with ties broken on
+    target id so frames are reproducible. With noise_sigma set, one draw
+    of zero-mean Gaussian noise from rng per kept target, in frame order,
+    perturbs rel_speed.
     """
-    candidates = []
-    for veh in others:
-        if veh.vehicle_id == ego.vehicle_id:
-            continue
-        rel = veh.position - ego.position
-        if rel <= 0.0 or rel > cfg.max_range:
-            continue
-        if abs(veh.lane - ego.lane) > 1:
-            continue
-        candidates.append((rel, veh))
-    candidates.sort(key=lambda item: (item[0], item[1].vehicle_id))
-
+    kept = sorted(candidates, key=_RANGE_THEN_ID)[: cfg.max_targets]
     noisy = cfg.noise_sigma > 0.0
     targets = []
-    for rel, veh in candidates[: cfg.max_targets]:
-        rel_speed = veh.speed - ego.speed
+    for rel, _, speed, lane_offset in kept:
+        rel_speed = speed - v_ego
         if noisy:
             rel_speed += rng.gauss(0.0, cfg.noise_sigma)
-        targets.append(RadarTarget(rel, rel_speed, veh.lane - ego.lane))
+        targets.append(RadarTarget(rel, rel_speed, lane_offset))
     return RadarFrame(now, tuple(targets))
 
 

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 from itertools import chain, islice
 from pathlib import Path
 from typing import Iterable, NamedTuple, Sequence
@@ -33,24 +33,27 @@ from .units import MPS_PER_MPH, M_PER_MILE, mph_to_mps
 
 @dataclass(frozen=True)
 class GridSpec:
+    """Sensor markers and n_reports report cells of cell_duration_s from
+    origin_s. Without n_reports, the fewest cells that cover duration_s."""
+
     sensor_mm: tuple[float, ...]
     origin_s: float = 0.0
     cell_duration_s: float = 30.0
-    duration_s: float = 900.0
+    duration_s: InitVar[float] = 900.0
+    n_reports: int = 0
 
-    def __post_init__(self) -> None:
+    def __post_init__(self, duration_s: float) -> None:
         if self.cell_duration_s <= 0:
             raise ValueError("cell_duration_s: must be positive")
         if len(self.sensor_mm) < 2:
             raise ValueError("sensor_mm: need at least two sensors")
         if list(self.sensor_mm) != sorted(self.sensor_mm):
             raise ValueError("sensor_mm: must be sorted ascending")
-        if self.duration_s <= 0:
-            raise ValueError("duration_s: must be positive")
-
-    @property
-    def n_reports(self) -> int:
-        return int(math.ceil(self.duration_s / self.cell_duration_s))
+        if not self.n_reports:
+            if duration_s <= 0:
+                raise ValueError("duration_s: must be positive")
+            n = math.ceil(duration_s / self.cell_duration_s)
+            object.__setattr__(self, "n_reports", n)
 
 
 def default_sensors() -> tuple[float, ...]:
@@ -274,7 +277,7 @@ def write_grid(grid: RdsGrid, path: str | Path) -> None:
         for i, mm in enumerate(grid.spec.sensor_mm):
             for k in range(grid.spec.n_reports):
                 v = grid.speeds[i, k]
-                yield (f"{mm:.3f}", f"{grid.report_start(k):.1f}",
+                yield (f"{mm:.3f}", repr(grid.report_start(k)),
                        "" if math.isnan(v) else f"{v:.6f}")
 
     write_table(path, ("sensor_mm", "report_start_s", "mean_speed_mps"), rows())
@@ -307,12 +310,7 @@ def read_grid(path: str | Path) -> RdsGrid:
         if abs(start - (origin + k * cell_duration)) > 1e-6 * cell_duration:
             raise ValueError(f"report_start_s {start:g}: not on the "
                              f"{cell_duration:g} s lattice from {origin:g}")
-    spec = GridSpec(
-        sensor_mm=sensors,
-        origin_s=origin,
-        cell_duration_s=cell_duration,
-        duration_s=len(starts) * cell_duration,
-    )
+    spec = GridSpec(sensors, origin, cell_duration, n_reports=len(starts))
     speeds = np.full((len(sensors), len(starts)), np.nan)
     sensor_idx = {mm: i for i, mm in enumerate(sensors)}
     start_idx = {s: k for k, s in enumerate(starts)}

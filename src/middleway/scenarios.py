@@ -17,6 +17,7 @@ readout samples.
 
 from __future__ import annotations
 
+import functools
 import math
 import random
 from typing import NamedTuple, Optional, Sequence
@@ -111,6 +112,19 @@ def canonical_scenario(
     )
 
 
+def _checks_spacing(generator):
+    """Add check_string_spacing to generator; __wrapped__ skips it."""
+
+    @functools.wraps(generator)
+    def checked(*args, **kwargs) -> ScenarioConfig:
+        cfg = generator(*args, **kwargs)
+        check_string_spacing(cfg)
+        return cfg
+
+    return checked
+
+
+@_checks_spacing
 def string_scenario(
     n_controlled: int = 12,
     traffic_speed_mps: float = 30.0,
@@ -122,12 +136,13 @@ def string_scenario(
 ) -> ScenarioConfig:
     """Pace platoon at traffic_speed ahead of n controlled vehicles.
 
-    The radar reaches 350 m. check_string_spacing tests the final config
-    (after any radar override) for the spacing that keeps the
-    prevailing-speed estimate of each vehicle pinned to its leader and the
-    cascade decrement equal to the offset. The default measurement window
-    (see measurement_window) sits after the cascade settles and before the
-    leading links outrun radar range.
+    The radar reaches 350 m. check_string_spacing tests the config for
+    the spacing that keeps the prevailing-speed estimate of each vehicle
+    pinned to its leader and the cascade decrement equal to the offset;
+    config.build_scenario tests its config after any radar override
+    instead. The default measurement window (see measurement_window) sits
+    after the cascade settles and before the leading links outrun radar
+    range.
     """
     if not 1 <= n_controlled <= MAX_ROSTER:
         raise ValueError(f"n_controlled: must be in [1, {MAX_ROSTER}]")

@@ -45,7 +45,6 @@ from .infrastructure import (
 )
 from .perception import (
     EstimatorConfig,
-    ObservedVehicle,
     PrevailingSpeedEstimator,
     RadarConfig,
     lead_vehicle,
@@ -273,21 +272,14 @@ class _PhantomStream:
     def advance(self, dt: float) -> None:
         self.origin += self.speed * dt
 
-    def targets_between(self, x_lo: float, x_hi: float) -> list[ObservedVehicle]:
-        spacing = self.spec.spacing_m
-        k_lo = math.ceil((x_lo - self.origin) / spacing)
+    def targets_between(self, x: float, x_hi: float, lane_offset: int) -> list[tuple]:
+        """Radar candidates of an ego at x: targets at x < position <= x_hi,
+        to rounding."""
+        spacing, name = self.spec.spacing_m, f"phantom_{self.spec.lane:+d}_"
+        k_lo = math.ceil((x - self.origin) / spacing)
         k_hi = math.floor((x_hi - self.origin) / spacing)
-        out = []
-        for k in range(k_lo, k_hi + 1):
-            out.append(
-                ObservedVehicle(
-                    f"phantom_{self.spec.lane:+d}_{k}",
-                    self.origin + k * spacing,
-                    self.speed,
-                    self.spec.lane,
-                )
-            )
-        return out
+        return [(self.origin + k * spacing - x, f"{name}{k}", self.speed, lane_offset)
+                for k in range(k_lo, k_hi + 1)]
 
 
 class _ControlledAgent:
@@ -393,23 +385,28 @@ class World:
                 )
                 self.posted_mph[gantry_id] = posted
 
-    def _radar_candidates(self, veh: VehicleState) -> list[ObservedVehicle]:
-        """Vehicles within one lane of veh with x_lo < position <= x_hi,
-        then the phantom targets in that range."""
-        x_lo = veh.position
-        x_hi = veh.position + self.cfg.radar.max_range
-        out = []
-        for lane in (veh.lane - 1, veh.lane, veh.lane + 1):
-            xs = self._lane_positions.get(lane)
-            if xs is None:
-                continue
-            vehs = self.lanes[lane]
-            for i in range(bisect.bisect_right(xs, x_lo), bisect.bisect_right(xs, x_hi)):
-                o = vehs[i]
-                out.append(ObservedVehicle(o.vehicle_id, o.position, o.velocity, lane))
+    def _radar_candidates(self, veh: VehicleState) -> list[tuple]:
+        """The one decision of what veh's radar sees: every vehicle and
+        phantom target within one lane of veh with 0 < rel_position <=
+        max_range, as synthesize_radar candidates (rel_position, target_id,
+        speed, lane_offset). Lane bisects and phantom index bounds use
+        absolute positions, which round unlike rel_position, so the range
+        test runs on rel_position too."""
+        x = veh.position
+        max_range = self.cfg.radar.max_range
+        x_hi = x + max_range
+        seen = []
+        for offset in (-1, 0, 1):
+            xs = self._lane_positions.get(veh.lane + offset)
+            if xs is not None:
+                lane = self.lanes[veh.lane + offset]
+                for o in lane[bisect.bisect_right(xs, x) : bisect.bisect_right(xs, x_hi)]:
+                    seen.append((o.position - x, o.vehicle_id, o.velocity, offset))
         for stream in self.phantoms:
-            out.extend(stream.targets_between(x_lo, x_hi))
-        return out
+            offset = stream.spec.lane - veh.lane
+            if -1 <= offset <= 1:
+                seen.extend(stream.targets_between(x, x_hi, offset))
+        return [c for c in seen if 0.0 < c[0] <= max_range]
 
     def _controlled_accel(self, veh: VehicleState) -> tuple[float, tuple]:
         """Run the vehicle's control stack; returns u and its log fields
@@ -417,8 +414,8 @@ class World:
         agent = self.agents[veh.vehicle_id]
         cfg = self.cfg
         now = self.t
-        ego = ObservedVehicle(veh.vehicle_id, veh.position, veh.velocity, veh.lane)
-        frame = synthesize_radar(ego, self._radar_candidates(veh), cfg.radar, now, self.rng)
+        seen = self._radar_candidates(veh)
+        frame = synthesize_radar(veh.velocity, seen, cfg.radar, now, self.rng)
         v_pr = agent.estimator.update_prevailing(frame, veh.velocity)
         lead = lead_vehicle(frame, veh.velocity)
 

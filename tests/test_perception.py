@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from middleway.perception import (
     EstimatorConfig,
-    ObservedVehicle,
     PrevailingSpeedEstimator,
     RadarConfig,
     RadarFrame,
@@ -16,10 +15,6 @@ from middleway.perception import (
     lead_vehicle,
     synthesize_radar,
 )
-
-
-def veh(vid, pos, speed, lane=0):
-    return ObservedVehicle(vid, pos, speed, lane)
 
 
 def make_frame(t, specs):
@@ -32,53 +27,52 @@ def make_frame(t, specs):
 
 
 class TestSynthesizeRadar:
+    """synthesize_radar sorts, caps and adds noise; the world has already
+    chosen the candidates, (rel_position, target_id, speed, lane_offset)."""
+
     def setup_method(self):
         self.cfg = RadarConfig(max_range=120.0, max_targets=16)
-        self.ego = veh("ego", 1000.0, 20.0, lane=0)
-
-    def test_filters_behind_out_of_range_and_far_lanes(self):
-        others = [
-            veh("behind", 990.0, 25.0),
-            veh("far", 1200.0, 25.0),
-            veh("two_over", 1050.0, 25.0, lane=2),
-            veh("good", 1060.0, 25.0, lane=1),
-        ]
-        frame = synthesize_radar(self.ego, others, self.cfg, 3.0, random.Random(0))
-        assert len(frame.targets) == 1
-        t = frame.targets[0]
-        assert t.rel_position == pytest.approx(60.0)
-        assert t.rel_speed == pytest.approx(5.0)
-        assert t.lane_offset == 1
-        assert frame.timestamp == 3.0
 
     def test_sorted_by_range_and_capped_at_max_targets(self):
-        others = [veh(f"v{i:02d}", 1000.0 + 2.0 * (i + 1), 22.0) for i in range(30)]
-        frame = synthesize_radar(self.ego, others, self.cfg, 0.0, random.Random(0))
+        candidates = [(2.0 * (i + 1), f"v{i:02d}", 22.0, 0) for i in range(30)]
+        random.Random(3).shuffle(candidates)
+        frame = synthesize_radar(20.0, candidates, self.cfg, 3.0, random.Random(0))
+        assert frame.timestamp == 3.0
         assert len(frame.targets) == 16
         rels = [t.rel_position for t in frame.targets]
-        assert rels == sorted(rels)
-        assert rels[-1] == pytest.approx(32.0)
+        assert rels == [2.0 * (i + 1) for i in range(16)]
+        assert all(t.rel_speed == 2.0 for t in frame.targets)
 
     def test_range_tie_breaks_on_vehicle_id(self):
-        others = [
-            veh("bbb", 1040.0, 22.0, lane=1),
-            veh("aaa", 1040.0, 24.0, lane=-1),
-        ]
-        frame = synthesize_radar(self.ego, others, self.cfg, 0.0, random.Random(0))
-        assert [t.lane_offset for t in frame.targets] == [-1, 1]
+        candidates = [(40.0, "bbb", 22.0, 1), (40.0, "aaa", 24.0, -1)]
+        frame = synthesize_radar(20.0, candidates, self.cfg, 0.0, random.Random(0))
+        assert frame.targets == (RadarTarget(40.0, 4.0, -1), RadarTarget(40.0, 2.0, 1))
 
-    def test_vehicle_exactly_at_ego_position_excluded(self):
-        others = [veh("same", 1000.0, 25.0)]
-        frame = synthesize_radar(self.ego, others, self.cfg, 0.0, random.Random(0))
-        assert frame.targets == ()
+    def test_tie_break_keeps_targets_at_the_cap(self):
+        cfg = RadarConfig(max_targets=2)
+        candidates = [(30.0, "c", 20.0, 0), (10.0, "z", 20.0, 1), (30.0, "b", 21.0, -1)]
+        frame = synthesize_radar(20.0, candidates, cfg, 0.0, random.Random(0))
+        assert frame.targets == (RadarTarget(10.0, 0.0, 1), RadarTarget(30.0, 1.0, -1))
+
+    def test_keeps_what_it_is_given(self):
+        # Range, lane and ego tests belong to World._radar_candidates.
+        candidates = [(-5.0, "behind", 25.0, 0), (500.0, "far", 25.0, 2)]
+        frame = synthesize_radar(20.0, candidates, self.cfg, 0.0, random.Random(0))
+        assert frame.targets == (RadarTarget(-5.0, 5.0, 0), RadarTarget(500.0, 5.0, 2))
 
     def test_noise_is_reproducible_and_zero_mean_ish(self):
-        cfg = RadarConfig(noise_sigma=0.5)
-        others = [veh("a", 1030.0, 25.0)]
-        f1 = synthesize_radar(self.ego, others, cfg, 0.0, random.Random(7))
-        f2 = synthesize_radar(self.ego, others, cfg, 0.0, random.Random(7))
-        assert f1 == f2
-        assert f1.targets[0].rel_speed != pytest.approx(5.0, abs=1e-9)
+        cfg = RadarConfig(noise_sigma=0.5, max_targets=2)
+        candidates = [(50.0, "b", 26.0, 1), (30.0, "a", 25.0, 0), (90.0, "c", 27.0, 0)]
+        rng = random.Random(7)
+        f1 = synthesize_radar(20.0, candidates, cfg, 0.0, rng)
+        assert f1 == synthesize_radar(20.0, candidates, cfg, 0.0, random.Random(7))
+        # One draw per kept target, nearest first, and none for the rest.
+        draws = random.Random(7)
+        assert [t.rel_speed for t in f1.targets] == [
+            5.0 + draws.gauss(0.0, 0.5),
+            6.0 + draws.gauss(0.0, 0.5),
+        ]
+        assert rng.getstate() == draws.getstate()
 
 
 class TestLeadVehicle:

@@ -583,6 +583,25 @@ class TestReadSideGolden:
         assert got == GOLDEN_STATS
 
 
+@st.composite
+def round_trip_grids(draw):
+    """Grids the grid file holds exactly: markers with three decimals,
+    speeds with six or missing, and two or more report starts, since one
+    start leaves the cell width unwritten."""
+    markers = draw(st.sets(st.integers(50_000, 75_000), min_size=2, max_size=6))
+    n_reports = draw(st.integers(2, 12))
+    spec = GridSpec(
+        sensor_mm=tuple(k / 1000 for k in sorted(markers)),
+        origin_s=draw(st.floats(-1000.0, 1000.0)),
+        cell_duration_s=draw(st.floats(0.05, 60.0)),
+        n_reports=n_reports,
+    )
+    speed = st.one_of(st.just(math.nan), st.integers(0, 40_000_000).map(lambda k: k / 1e6))
+    n_cells = len(markers) * n_reports
+    speeds = draw(st.lists(speed, min_size=n_cells, max_size=n_cells))
+    return RdsGrid(spec, np.reshape(speeds, (len(markers), n_reports)))
+
+
 class TestSerialization:
     def test_grid_round_trip(self, tmp_path):
         spec = small_spec()
@@ -594,6 +613,34 @@ class TestSerialization:
         assert loaded.spec.sensor_mm == spec.sensor_mm
         assert loaded.spec.cell_duration_s == pytest.approx(30.0)
         assert np.allclose(loaded.speeds, grid.speeds, equal_nan=True, atol=1e-6)
+
+    def test_tenth_second_cells_read_back(self, tmp_path):
+        # 3 * 0.1 is 0.30000000000000004, and 0.3 s spans four 0.1 s cells.
+        spec = GridSpec(sensor_mm=(60.0, 60.5), cell_duration_s=0.1, duration_s=0.3)
+        grid = grid_from_field(static_field(20.0), spec)
+        path = tmp_path / "grid.csv"
+        write_grid(grid, path)
+        loaded = read_grid(path)
+        assert loaded.spec.n_reports == 3
+        assert np.array_equal(loaded.speeds, grid.speeds)
+
+    def test_quarter_second_origin_read_back(self, tmp_path):
+        spec = GridSpec(sensor_mm=(60.0, 60.5), origin_s=0.25, duration_s=90.0)
+        path = tmp_path / "grid.csv"
+        write_grid(grid_from_field(static_field(20.0), spec), path)
+        assert read_grid(path).spec.origin_s == 0.25
+
+    @settings(max_examples=100, deadline=None)
+    @given(grid=round_trip_grids())
+    def test_grid_round_trip_property(self, tmp_path_factory, grid):
+        path = tmp_path_factory.mktemp("grid") / "grid.csv"
+        write_grid(grid, path)
+        loaded = read_grid(path)
+        assert loaded.spec.sensor_mm == grid.spec.sensor_mm
+        assert loaded.spec.origin_s == grid.spec.origin_s
+        assert loaded.spec.cell_duration_s == pytest.approx(grid.spec.cell_duration_s)
+        assert loaded.spec.n_reports == grid.spec.n_reports
+        np.testing.assert_array_equal(loaded.speeds, grid.speeds)
 
     def test_trajectory_round_trip(self, tmp_path):
         traj = synthetic_trajectory(wave_field(), 0.0, 100.0, 69.5)

@@ -5,6 +5,7 @@ import csv
 import dataclasses
 import hashlib
 import math
+import random
 import sys
 from itertools import chain
 from unittest import mock
@@ -14,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from middleway.perception import ObservedVehicle, RadarConfig
+from middleway.perception import RadarConfig, RadarFrame, RadarTarget, synthesize_radar
 from middleway.scenarios import (
     canonical_scenario,
     steady_v_des,
@@ -99,20 +100,39 @@ def read_run_log_csv(path) -> list:
     return rows
 
 
-def radar_candidates_scan(world, veh):
-    """Reference for World._radar_candidates: a scan over every vehicle."""
+def radar_frame_oracle(world, veh, now, rng):
+    """Reference radar frame for veh: a scan over every vehicle and every
+    phantom stream, then a filter on ego id, range and lane, a sort on
+    (range, id), the cap and one noise draw per kept target."""
+    radar = world.cfg.radar
     x_lo = veh.position
-    x_hi = veh.position + world.cfg.radar.max_range
-    out = [
-        ObservedVehicle(o.vehicle_id, o.position, o.velocity, o.lane)
-        for o in world.vehicles
-        if o is not veh
-        and x_lo < o.position <= x_hi
-        and abs(o.lane - veh.lane) <= 1
-    ]
+    x_hi = veh.position + radar.max_range
+    seen = [(o.vehicle_id, o.position, o.velocity, o.lane)
+            for o in world.vehicles if x_lo < o.position <= x_hi]
     for stream in world.phantoms:
-        out.extend(stream.targets_between(x_lo, x_hi))
-    return out
+        spacing, lane = stream.spec.spacing_m, stream.spec.lane
+        k_lo = math.ceil((x_lo - stream.origin) / spacing)
+        k_hi = math.floor((x_hi - stream.origin) / spacing)
+        seen += [(f"phantom_{lane:+d}_{k}", stream.origin + k * spacing, stream.speed, lane)
+                 for k in range(k_lo, k_hi + 1)]
+    candidates = []
+    for vid, position, speed, lane in seen:
+        if vid == veh.vehicle_id:
+            continue
+        rel = position - veh.position
+        if rel <= 0.0 or rel > radar.max_range:
+            continue
+        if abs(lane - veh.lane) > 1:
+            continue
+        candidates.append((rel, vid, speed, lane))
+    candidates.sort(key=lambda c: (c[0], c[1]))
+    targets = []
+    for rel, _, speed, lane in candidates[: radar.max_targets]:
+        rel_speed = speed - veh.velocity
+        if radar.noise_sigma > 0.0:
+            rel_speed += rng.gauss(0.0, radar.noise_sigma)
+        targets.append(RadarTarget(rel, rel_speed, lane - veh.lane))
+    return RadarFrame(now, tuple(targets))
 
 
 def probe(vid, x0, v0):
@@ -265,6 +285,14 @@ class TestScenarioValidation:
         cfg = ScenarioConfig(dt=0.2, vehicles=[human("a", 0.0, 10.0)])
         with pytest.raises(ValueError, match="dt"):
             cfg.validate()
+
+    def test_string_generator_checks_its_own_spacing(self):
+        # At 100 m, half the 350 m radar range, each radar sees two leaders.
+        with pytest.raises(ValueError, match="gap0_m"):
+            string_scenario(gap0_m=100.0)
+        with pytest.raises(ValueError, match="gap0_m"):
+            string_scenario(n_controlled=1, gap0_m=175.0)
+        assert len(string_scenario(gap0_m=175.5).vehicles) == 15
 
 
 class TestCollision:
@@ -644,13 +672,19 @@ class TestRunLogGoldensUnderCompensatedSum:
 @st.composite
 def multilane_worlds(draw):
     """Vehicles in lanes -2..2, some placed exactly at another vehicle's
-    position (x_lo) or at that position plus the radar range (x_hi).
+    position (x_lo) or at that position plus the radar range (x_hi), and
+    phantom streams in lanes -3..3.
 
     The vehicles that are not controlled are probes holding their speed:
     the radar filter ignores the kind, and IDM humans at arbitrary gaps
     would test car following instead."""
     max_range = draw(st.sampled_from([50.0, 120.0]))
-    anchors = draw(st.lists(st.floats(-500.0, 500.0), min_size=1, max_size=4))
+    # k + 1/3 keeps low mantissa bits, so for many k the anchor plus the
+    # range minus the anchor rounds above the range.
+    anchor = st.one_of(
+        st.floats(-500.0, 500.0), st.integers(-500, 500).map(lambda k: k + 1 / 3)
+    )
+    anchors = draw(st.lists(anchor, min_size=1, max_size=4))
     position = st.one_of(
         st.sampled_from(anchors),
         st.sampled_from([a + max_range for a in anchors]),
@@ -689,27 +723,32 @@ def multilane_worlds(draw):
     )
     return ScenarioConfig(
         duration_s=1.0,
-        radar=RadarConfig(max_range=max_range),
+        radar=RadarConfig(
+            max_range=max_range, max_targets=draw(st.sampled_from([2, 16]))
+        ),
         vehicles=vehicles,
         phantoms=phantoms,
     )
 
 
 class TestRadarCandidatesMatchScan:
-    """Per-lane bisect against the scan over every vehicle, on every
-    controlled vehicle's tick."""
+    """The world's candidates through synthesize_radar against the scan
+    oracle, whole frames on every controlled vehicle's tick, with the same
+    rng seed on both sides."""
 
-    @settings(max_examples=200, deadline=None)
-    @given(cfg=multilane_worlds(), steps=st.integers(1, 4))
-    def test_same_candidates_every_tick(self, cfg, steps):
+    def check_every_tick(self, cfg, steps):
         world = World(cfg)
-        bisected = world._radar_candidates
+        candidates = world._radar_candidates
         checked = []
 
         def compare(veh):
-            got = bisected(veh)
+            got = candidates(veh)
             assert isinstance(got, list)
-            assert sorted(got) == sorted(radar_candidates_scan(world, veh))
+            seed = len(checked)
+            frame = synthesize_radar(
+                veh.velocity, got, cfg.radar, world.t, random.Random(seed)
+            )
+            assert frame == radar_frame_oracle(world, veh, world.t, random.Random(seed))
             checked.append(veh.vehicle_id)
             return got
 
@@ -717,6 +756,67 @@ class TestRadarCandidatesMatchScan:
         for _ in range(steps):
             world.step()
         assert checked
+
+    @settings(max_examples=200, deadline=None)
+    @given(cfg=multilane_worlds(), steps=st.integers(1, 4))
+    def test_same_frame_every_tick(self, cfg, steps):
+        self.check_every_tick(cfg, steps)
+
+    @settings(max_examples=100, deadline=None)
+    @given(cfg=multilane_worlds(), steps=st.integers(1, 4))
+    def test_same_noisy_frame_every_tick(self, cfg, steps):
+        radar = dataclasses.replace(cfg.radar, noise_sigma=0.5)
+        self.check_every_tick(dataclasses.replace(cfg, radar=radar), steps)
+
+
+class TestRadarCandidates:
+    """World._radar_candidates alone decides what a radar can see."""
+
+    def candidates(self, others, phantoms=(), x=1000.0):
+        ego = VehicleInit("ego", VehicleKind.CONTROLLED, x, 20.0)
+        world = World(ScenarioConfig(
+            duration_s=1.0,
+            radar=RadarConfig(max_range=120.0),
+            vehicles=[ego, *others],
+            phantoms=list(phantoms),
+        ))
+        return sorted(world._radar_candidates(world.vehicles[0]))
+
+    def test_filters_behind_out_of_range_and_far_lanes(self):
+        others = [
+            VehicleInit("behind", VehicleKind.PROBE, 990.0, 25.0),
+            VehicleInit("far", VehicleKind.PROBE, 1120.5, 25.0),
+            VehicleInit("edge", VehicleKind.PROBE, 1120.0, 24.0, lane=-1),
+            VehicleInit("two_over", VehicleKind.PROBE, 1050.0, 25.0, lane=2),
+            VehicleInit("two_under", VehicleKind.PROBE, 1050.0, 25.0, lane=-2),
+            VehicleInit("good", VehicleKind.PROBE, 1060.0, 26.0, lane=1),
+        ]
+        assert self.candidates(others) == [
+            (60.0, "good", 26.0, 1),
+            (120.0, "edge", 24.0, -1),
+        ]
+
+    def test_vehicle_exactly_at_ego_position_excluded(self):
+        others = [VehicleInit("same", VehicleKind.PROBE, 1000.0, 25.0, lane=1)]
+        assert self.candidates(others) == []
+
+    def test_range_test_runs_on_rel_position(self):
+        # The bisect bound x + 120 holds this target, but position - x
+        # rounds to just over 120 m.
+        x = 8.0 + 1.0 / 3.0
+        target = VehicleInit("edge", VehicleKind.PROBE, x + 120.0, 25.0)
+        assert target.x0 - x > 120.0
+        assert self.candidates([target], x=x) == []
+
+    def test_phantom_stream_two_lanes_over_unseen(self):
+        phantoms = [
+            PhantomStreamSpec(lane=2, spacing_m=15.0),
+            PhantomStreamSpec(lane=-1, spacing_m=45.0),
+        ]
+        assert self.candidates([], phantoms) == [
+            (35.0, "phantom_-1_23", 25.0, -1),
+            (80.0, "phantom_-1_24", 25.0, -1),
+        ]
 
 
 class TestDeterminism:
