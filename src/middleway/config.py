@@ -2,9 +2,9 @@
 
 A config file is a mapping of sections. The ``scenario`` section picks the
 generator (``kind: canonical`` or ``kind: string``), its generator inputs,
-and run-level fields (duration, timestep, logging cadence). The remaining
-sections (``controller``, ``radar``, ``estimator``, ``vsl``, ``feed``,
-``human``) override fields of the corresponding sub-config. Every field
+and run-level fields (duration, timestep, seed, logging cadence). The
+remaining sections (``controller``, ``radar``, ``estimator``, ``vsl``,
+``feed``, ``human``) override fields of the corresponding sub-config. Every field
 defaults to the canonical wave scenario, so an empty file reproduces it.
 """
 
@@ -30,7 +30,7 @@ import yaml
 from .controller import ControllerConfig
 from .infrastructure import FeedConfig, VslConfig
 from .perception import EstimatorConfig, RadarConfig
-from .scenarios import canonical_scenario, check_string_spacing, string_scenario
+from .scenarios import canonical_scenario, check_string, string_scenario
 from .simulation import IdmParams, ScenarioConfig
 
 
@@ -47,13 +47,9 @@ SECTION_TYPES: dict[str, type] = {
     "human": IdmParams,
 }
 
-GENERATORS = {
-    "canonical": canonical_scenario,
-    # build_scenario checks the spacing after any radar override instead.
-    "string": string_scenario.__wrapped__,
-}
+GENERATORS = {"canonical": canonical_scenario, "string": string_scenario}
 
-RUN_FIELDS = ("dt", "log_every", "entry_mm", "vsl_static_mph")
+RUN_FIELDS = ("duration_s", "dt", "seed", "log_every", "entry_mm", "vsl_static_mph")
 
 # Python types a config value may have for each annotated field type.
 ACCEPTED_TYPES: dict[type, tuple[type, ...]] = {
@@ -213,7 +209,7 @@ def build_scenario(data: dict) -> LoadedScenario:
     try:
         cfg.validate()
         if kind == "string":
-            check_string_spacing(cfg)
+            check_string(cfg)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     return LoadedScenario(cfg=cfg, kind=kind)

@@ -88,12 +88,16 @@ class ControlInputs(NamedTuple):
 
 
 class ControllerOutput(NamedTuple):
+    """One tick's outputs. u_safe and the barrier margin h are None
+    without a lead."""
+
     u: float
     mode: Mode
     v_des: float
     v_ramp: float
     u_nom: float
     u_safe: Optional[float]
+    h: Optional[float]
 
 
 def middleway(v_pr: float, v_gr: float, cfg: ControllerConfig) -> float:
@@ -128,10 +132,15 @@ def nominal(v_ramp: float, v: float, cfg: ControllerConfig) -> float:
     return cfg.k_p * (v_ramp - v)
 
 
-def cbf_limit(gap: float, v: float, v_lead: float, cfg: ControllerConfig) -> float:
-    """Largest acceleration that keeps h = gap - (t_min*v + s_min) decaying
-    no faster than the barrier rate k_cbf."""
-    h = gap - (cfg.t_min * v + cfg.s_min)
+def barrier_margin(gap: float, v: float, cfg: ControllerConfig) -> float:
+    """The barrier h = gap - (t_min*v + s_min); negative inside the
+    minimum time gap."""
+    return gap - (cfg.t_min * v + cfg.s_min)
+
+
+def cbf_limit(h: float, v: float, v_lead: float, cfg: ControllerConfig) -> float:
+    """Largest acceleration that keeps the barrier margin h decaying no
+    faster than the barrier rate k_cbf."""
     return (cfg.k_cbf / cfg.t_min) * h + (v_lead - v) / cfg.t_min
 
 
@@ -164,14 +173,13 @@ def step_controller(
     u_nom = nominal(v_ramp, inputs.v, cfg)
 
     if inputs.lead is not None:
-        u_safe: Optional[float] = cbf_limit(
-            inputs.lead.gap, inputs.v, inputs.lead.speed, cfg
-        )
+        h: Optional[float] = barrier_margin(inputs.lead.gap, inputs.v, cfg)
+        u_safe: Optional[float] = cbf_limit(h, inputs.v, inputs.lead.speed, cfg)
         u_filtered = min(u_nom, u_safe)
     else:
-        u_safe = None
+        h = u_safe = None
         u_filtered = u_nom
 
     u = min(max(u_filtered, cfg.u_min), cfg.u_max)
     mode = classify_mode(inputs, v_des, u_nom, u_filtered)
-    return ControllerOutput(u, mode, v_des, v_ramp, u_nom, u_safe)
+    return ControllerOutput(u, mode, v_des, v_ramp, u_nom, u_safe, h)

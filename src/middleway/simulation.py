@@ -441,10 +441,8 @@ class World:
         out = step_controller(inputs, agent.v_ramp, cfg.controller, cfg.dt)
         agent.v_ramp = out.v_ramp
 
-        if lead is not None:
-            h = lead.gap - (cfg.controller.t_min * veh.velocity + cfg.controller.s_min)
-            if h < self.log.min_h:
-                self.log.min_h = h
+        if out.h is not None and out.h < self.log.min_h:
+            self.log.min_h = out.h
 
         return out.u, (mm, out.mode.value, out.v_des, v_gr, v_pr)
 

@@ -18,6 +18,7 @@ from middleway.controller import (
     ControlInputs,
     ControllerConfig,
     Lead,
+    barrier_margin,
     cbf_limit,
     middleway,
     nominal,
@@ -164,13 +165,8 @@ def test_02_safety_filter_invariance():
         target = py_rng.uniform(0.0, 35.0)
         g = py_rng.uniform(0.1, 120.0)
         vl = py_rng.uniform(0.0, 35.0)
-        expected = min(
-            max(
-                min(nominal(target, vv, cfg), cbf_limit(g, vv, vl, cfg)),
-                cfg.u_min,
-            ),
-            cfg.u_max,
-        )
+        u_safe = cbf_limit(barrier_margin(g, vv, cfg), vv, vl, cfg)
+        expected = min(max(min(nominal(target, vv, cfg), u_safe), cfg.u_min), cfg.u_max)
         out = step_controller(
             ControlInputs(
                 driver_setpoint=target,

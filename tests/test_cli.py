@@ -1,6 +1,7 @@
 """Config mapping and command-line harness tests."""
 
 import csv
+import dataclasses
 import inspect
 import json
 import math
@@ -84,7 +85,9 @@ class TestConfig:
         # scenario.v_offset is a string-study input.
         with pytest.raises(ConfigError, match=f"scenario.{field}: unknown field"):
             build_scenario({"scenario": {field: 4.0}})
-        loaded = build_scenario({"scenario": {"kind": "string", "v_offset": 4.0}})
+        loaded = build_scenario(
+            {"scenario": {"kind": "string", "n_controlled": 3, "v_offset": 4.0}}
+        )
         assert loaded.cfg.controller.v_offset == 4.0
 
     def test_subconfig_validation_wrapped(self):
@@ -122,17 +125,94 @@ class TestConfig:
         "kind, field, least", [("canonical", "n_humans", 0), ("string", "n_controlled", 1)]
     )
     def test_roster_bound(self, kind, field, least):
-        loaded = build_scenario({"scenario": {"kind": kind, field: MAX_ROSTER}})
+        # Posted above the pace speed, the string's lead link closes, so
+        # the longest string is still read out within radar range.
+        extra = {"posted_mph": 70} if kind == "string" else {}
+        loaded = build_scenario({"scenario": {"kind": kind, field: MAX_ROSTER, **extra}})
         assert len(loaded.cfg.vehicles) > MAX_ROSTER
         for n in (least - 1, MAX_ROSTER + 1):
             with pytest.raises(ConfigError, match=f"{field}: must be in"):
                 build_scenario({"scenario": {"kind": kind, field: n}})
 
-    def test_generator_validation_wrapped(self):
-        with pytest.raises(ConfigError, match="scenario"):
-            build_scenario({"scenario": {"kind": "string", "gap0_m": 100.0}})
-        with pytest.raises(ConfigError, match="phantom_period_s"):
-            build_scenario({"scenario": {"phantom_period_s": 0.0}})
+    @pytest.mark.parametrize("kind, field", [
+        *(("canonical", field) for field in (
+            "platoon_x0", "mean_gap_m", "mean_speed_mps", "controlled_gap_m",
+            "driver_setpoint_mps", "phantom_lo_mps", "phantom_hi_mps",
+            "phantom_period_s", "phantom_mirror_bias_mps", "bottleneck_cap_mps",
+        )),
+        ("string", "gap0_m"),
+    ])
+    def test_fixed_scenario_values_are_unknown_fields(self, kind, field):
+        with pytest.raises(ConfigError, match=f"scenario.{field}: unknown field"):
+            build_scenario({"scenario": {"kind": kind, field: 1.0}})
+
+    @pytest.mark.parametrize("kind", sorted(GENERATORS))
+    def test_duration_and_seed_are_run_fields(self, kind):
+        loaded = build_scenario({"scenario": {"kind": kind, "duration_s": 7.0, "seed": 5}})
+        assert (loaded.cfg.duration_s, loaded.cfg.seed) == (7.0, 5)
+
+    # (scenario mapping, controller.v_offset override or None, accepted).
+    # The perfbench points run at a 1 m/s offset; the n = 14 and 2 m/s
+    # link leaves radar range at 75 s, 1 s before its window closes.
+    STRING_READOUTS = [
+        ({"n_controlled": 12}, None, True),
+        ({"n_controlled": 13}, None, True),
+        ({"n_controlled": 4}, None, True),
+        ({"n_controlled": 3}, 2.0, True),
+        ({"n_controlled": 3}, 3.0, True),
+        ({"n_controlled": 24, "v_offset": 1.0}, None, True),
+        ({"n_controlled": 32, "v_offset": 1.0}, None, True),
+        ({"n_controlled": 12, "v_offset": 1.0, "duration_s": 40.0}, None, True),
+        ({"n_controlled": 24, "v_offset": 1.0, "duration_s": 40.0}, None, True),
+        ({"n_controlled": 48, "v_offset": 1.0, "duration_s": 40.0}, None, True),
+        ({"n_controlled": 7, "v_offset": 3.0}, None, True),
+        ({"n_controlled": 14}, None, False),
+        ({"n_controlled": 16}, None, False),
+        ({"n_controlled": 24}, None, False),
+        ({"n_controlled": 8, "v_offset": 3.0}, None, False),
+        ({"n_controlled": 12, "v_offset": 3.0}, None, False),
+        ({"n_controlled": 12}, 3.0, False),
+        ({"n_controlled": 33, "v_offset": 1.0}, None, False),
+        ({"n_controlled": 36, "v_offset": 1.0}, None, False),
+    ]
+
+    @pytest.mark.parametrize("scenario, v_offset, accepted", STRING_READOUTS)
+    def test_string_lead_link_stays_in_radar_range(self, scenario, v_offset, accepted):
+        data = {"scenario": {"kind": "string", **scenario}}
+        if v_offset is not None:
+            data["controller"] = {"v_offset": v_offset}
+        if accepted:
+            build_scenario(data)
+        else:
+            with pytest.raises(ConfigError, match="pace0 leaves cav01's 350 m radar"):
+                build_scenario(data)
+
+    def test_string_lead_link_bound_reads_the_final_config(self):
+        string = {"kind": "string", "n_controlled": 16}
+        accepted = [
+            # At 65 mph cav01 holds 29.06 m/s; the link opens at 0.94 m/s.
+            {"scenario": {**string, "posted_mph": 65}},
+            # A cap at the pace speed holds the link.
+            {"scenario": string, "controller": {"v_offset": 0.0, "v_des_max": 30.0}},
+            # The n = 12 readout is over at 68 s, however long the run.
+            {"scenario": {"kind": "string", "duration_s": 86_400.0}},
+        ]
+        rejected = [
+            # Without a static posting, the lowest posting bounds the blend.
+            {"scenario": {**string, "posted_mph": 65, "vsl_static_mph": None}},
+            # cav01's driver setpoint caps it at 28 m/s even at a zero
+            # offset or a posting above the pace speed.
+            {"scenario": string, "controller": {"v_offset": 0.0}},
+            {"scenario": {**string, "vsl_static_mph": 70}},
+            {"scenario": string, "controller": {"v_offset": 0.0, "v_des_max": 25.0}},
+            # A radar shorter than the 200 m spacing never sees the leader.
+            {"scenario": {"kind": "string"}, "radar": {"max_range": 199.0}},
+        ]
+        for data in accepted:
+            build_scenario(data)
+        for data in rejected:
+            with pytest.raises(ConfigError, match="pace0 leaves cav01's"):
+                build_scenario(data)
 
     def test_override_parses_yaml_values(self):
         data = {}
@@ -152,7 +232,7 @@ class TestConfig:
 
 @pytest.fixture(scope="module")
 def short_log(tmp_path_factory):
-    cfg = canonical_scenario(duration_s=60.0)
+    cfg = dataclasses.replace(canonical_scenario(), duration_s=60.0)
     log = run(cfg)
     path = tmp_path_factory.mktemp("log") / "run_log.csv"
     write_run_log(log, path)
@@ -347,12 +427,20 @@ class TestCli:
         assert code == 2
         assert "radar.max_range" in capsys.readouterr().err
         assert not (tmp_path / "run_log.csv").exists()
-        # 160 m is more than half of a 300 m range, though not of 350 m.
-        loaded = build_scenario(
-            {"scenario": {"kind": "string", "gap0_m": 160.0},
-             "radar": {"max_range": 300.0}}
-        )
-        assert loaded.cfg.radar.max_range == 300.0
+        # The 200 m spacing must exceed half the range.
+        loaded = build_scenario({"scenario": {"kind": "string"}, "radar": {"max_range": 399.0}})
+        assert loaded.cfg.radar.max_range == 399.0
+        with pytest.raises(ConfigError, match="under twice the 200 m string spacing"):
+            build_scenario({"scenario": {"kind": "string"}, "radar": {"max_range": 400.0}})
+
+    @pytest.mark.parametrize("override", ["scenario.n_controlled=16", "scenario.v_offset=3"])
+    def test_string_lead_link_out_of_range_exits_2(self, tmp_path, capsys, override):
+        # cav01 would read 22.833 m/s at n = 16 and 13.411 m/s at a 3 m/s
+        # offset instead of its leader less the offset.
+        code = main(["string", "--out", str(tmp_path), "--override", override])
+        assert code == 2
+        assert "pace0 leaves cav01's 350 m radar.max_range" in capsys.readouterr().err
+        assert not (tmp_path / "run_log.csv").exists()
 
     @pytest.mark.parametrize("n", ["0", "-1"])
     def test_string_without_controlled_vehicles_exits_2(self, tmp_path, capsys, n):

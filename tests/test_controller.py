@@ -11,6 +11,7 @@ from middleway.controller import (
     ControllerConfig,
     Lead,
     Mode,
+    barrier_margin,
     cbf_limit,
     classify_mode,
     middleway,
@@ -121,18 +122,24 @@ class TestNominal:
         assert out == pytest.approx(0.8 * (v_ramp - v), abs=1e-12)
 
 
+def gap_limit(gap: float, v: float, v_lead: float, cfg: ControllerConfig) -> float:
+    """The barrier filter's bound at a bumper gap, as step_controller takes it."""
+    return cbf_limit(barrier_margin(gap, v, cfg), v, v_lead, cfg)
+
+
 class TestCbfLimit:
     def test_zero_on_barrier_matched_speed(self):
         cfg = cfg_with()
-        assert cbf_limit(35.0, 10.0, 10.0, cfg) == pytest.approx(0.0, abs=1e-12)
+        assert barrier_margin(35.0, 10.0, cfg) == 0.0
+        assert gap_limit(35.0, 10.0, 10.0, cfg) == pytest.approx(0.0, abs=1e-12)
 
     def test_slack_cancels_closing_speed(self):
         cfg = cfg_with()
-        assert cbf_limit(55.0, 10.0, 8.0, cfg) == pytest.approx(0.0, abs=1e-12)
+        assert gap_limit(55.0, 10.0, 8.0, cfg) == pytest.approx(0.0, abs=1e-12)
 
     def test_binding_case(self):
         cfg = cfg_with()
-        assert cbf_limit(20.0, 10.0, 12.0, cfg) == pytest.approx(0.25, abs=1e-12)
+        assert gap_limit(20.0, 10.0, 12.0, cfg) == pytest.approx(0.25, abs=1e-12)
 
     @given(
         gap=st.floats(min_value=0.0, max_value=200.0),
@@ -142,29 +149,21 @@ class TestCbfLimit:
     )
     def test_monotone_in_gap(self, gap, v, v_lead, extra):
         cfg = cfg_with()
-        assert cbf_limit(gap + extra, v, v_lead, cfg) >= cbf_limit(gap, v, v_lead, cfg)
+        assert gap_limit(gap + extra, v, v_lead, cfg) >= gap_limit(gap, v, v_lead, cfg)
 
 
 class TestSelectSetpoint:
-    def test_out_of_corridor_uses_driver_setpoint(self):
+    @pytest.mark.parametrize("driver_setpoint", [33.5, 31.3])
+    def test_no_advisory_uses_driver_setpoint(self, driver_setpoint):
+        # Outside the corridor or without a fresh advisory, v_gr is None.
         inputs = ControlInputs(
-            driver_setpoint=33.5,
+            driver_setpoint=driver_setpoint,
             v=20.0,
             v_gr=None,
             v_pr=25.0,
         )
         v_des = select_setpoint(inputs, cfg_with())
-        assert v_des == 33.5
-
-    def test_invalid_advisory_uses_driver_setpoint(self):
-        inputs = ControlInputs(
-            driver_setpoint=31.3,
-            v=20.0,
-            v_gr=None,
-            v_pr=25.0,
-        )
-        v_des = select_setpoint(inputs, cfg_with())
-        assert v_des == 31.3
+        assert v_des == driver_setpoint
 
     def test_engaged_in_corridor_blends(self):
         inputs = ControlInputs(
@@ -206,6 +205,7 @@ class TestClassifyModeAndStep:
         assert out.u == pytest.approx(0.0, abs=1e-12)
         assert out.mode is Mode.VSL
         assert out.v_des == pytest.approx(13.4)
+        assert out.u_safe is None and out.h is None
 
     def test_filter_binding_gives_cbf_mode(self):
         cfg = cfg_with()
@@ -215,6 +215,7 @@ class TestClassifyModeAndStep:
         out = step_controller(inputs, 12.0, cfg, DT)
         assert out.u_nom == pytest.approx(1.6, abs=1e-12)
         assert out.u_safe == pytest.approx(0.25, abs=1e-12)
+        assert out.h == barrier_margin(20.0, 10.0, cfg) == -15.0
         assert out.u == pytest.approx(0.25, abs=1e-12)
         assert out.mode is Mode.CBF
 

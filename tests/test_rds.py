@@ -1,6 +1,7 @@
 """Sensor-grid estimate tests: aggregation, bracketing rules, latency errors."""
 
 import bisect
+import dataclasses
 import hashlib
 import math
 import random
@@ -510,7 +511,8 @@ class TestOffsetReplayMatchesLoop:
 
     def test_canonical_log(self, tmp_path):
         path = tmp_path / "run_log.csv"
-        write_run_log(run(canonical_scenario(duration_s=30.0)), path)
+        cfg = dataclasses.replace(canonical_scenario(), duration_s=30.0)
+        write_run_log(run(cfg), path)
         self.assert_same(read_run_log(path), [0.0, 2.0, 4.0, 8.0])
 
     def test_rows_without_advisory_or_estimate_skipped(self):
@@ -564,7 +566,8 @@ def _sha256(arr):
 class TestReadSideGolden:
     def test_canonical_seed0_30s(self, tmp_path):
         path = tmp_path / "run_log.csv"
-        write_run_log(run(canonical_scenario(seed=0, duration_s=30.0)), path)
+        cfg = dataclasses.replace(canonical_scenario(seed=0), duration_s=30.0)
+        write_run_log(run(cfg), path)
         log = read_run_log(path)
         replay = offset_replay(log, [0.0, 2.0, 4.0, 8.0])
         assert _sha256(replay.t) == GOLDEN_REPLAY_SHA256["t"]

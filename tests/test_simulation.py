@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 from middleway.perception import RadarConfig, RadarFrame, RadarTarget, synthesize_radar
 from middleway.scenarios import (
     canonical_scenario,
+    check_string,
     steady_v_des,
     string_scenario,
     v_des_traces,
@@ -257,7 +258,7 @@ class TestIntegration:
         assert log.rows[-1][5] == pytest.approx(0.0, abs=1e-12)
 
     def test_positions_monotone(self):
-        cfg = canonical_scenario(duration_s=20.0)
+        cfg = dataclasses.replace(canonical_scenario(), duration_s=20.0)
         log = run(cfg)
         seen: dict[str, float] = {}
         for row in log.rows:
@@ -286,13 +287,11 @@ class TestScenarioValidation:
         with pytest.raises(ValueError, match="dt"):
             cfg.validate()
 
-    def test_string_generator_checks_its_own_spacing(self):
-        # At 100 m, half the 350 m radar range, each radar sees two leaders.
-        with pytest.raises(ValueError, match="gap0_m"):
-            string_scenario(gap0_m=100.0)
-        with pytest.raises(ValueError, match="gap0_m"):
-            string_scenario(n_controlled=1, gap0_m=175.0)
-        assert len(string_scenario(gap0_m=175.5).vehicles) == 15
+    @pytest.mark.parametrize("n", [1, 12])
+    def test_check_string_accepts_the_generator_configs(self, n):
+        cfg = string_scenario(n_controlled=n)
+        check_string(cfg)
+        assert len(cfg.vehicles) == n + 3
 
 
 class TestCollision:
@@ -386,7 +385,7 @@ class TestRunLogSerialization:
         assert read_run_log(path).rows == []
 
     def test_round_trip_is_byte_stable(self, tmp_path):
-        log = run(canonical_scenario(duration_s=6.0))
+        log = run(dataclasses.replace(canonical_scenario(), duration_s=6.0))
         first = tmp_path / "first.csv"
         second = tmp_path / "second.csv"
         write_run_log(log, first)
@@ -394,7 +393,7 @@ class TestRunLogSerialization:
         assert first.read_bytes() == second.read_bytes()
 
     def test_human_rows_leave_controller_fields_empty(self, tmp_path):
-        log = run(canonical_scenario(duration_s=3.0))
+        log = run(dataclasses.replace(canonical_scenario(), duration_s=3.0))
         path = tmp_path / "log.csv"
         write_run_log(log, path)
         lines = path.read_text().splitlines()[1:]
@@ -455,7 +454,8 @@ class TestRunLogWriterOracle:
         return fast
 
     def test_canonical_run(self, tmp_path):
-        self.assert_same_bytes(run(canonical_scenario(duration_s=30.0)), tmp_path)
+        cfg = dataclasses.replace(canonical_scenario(), duration_s=30.0)
+        self.assert_same_bytes(run(cfg), tmp_path)
 
     def test_hand_built_rows(self, tmp_path):
         log = RunLog([
@@ -508,7 +508,7 @@ class TestRunLogReaderOracle:
 
     def test_canonical_run(self, tmp_path):
         path = tmp_path / "run_log.csv"
-        write_run_log(run(canonical_scenario(duration_s=30.0)), path)
+        write_run_log(run(dataclasses.replace(canonical_scenario(), duration_s=30.0)), path)
         assert read_run_log(path).rows == read_run_log_csv(path)
 
     @pytest.mark.parametrize(
@@ -535,7 +535,7 @@ def multilane_noisy_scenario():
     """Canonical seed 0 for 120 s with the humans spread over lanes -2..2,
     three more controlled vehicles in lanes -1, 1 and 2, and radar noise, so
     the adjacent-lane filter and the order of the noise draws show in the log."""
-    base = canonical_scenario(seed=0, duration_s=120.0)
+    base = dataclasses.replace(canonical_scenario(seed=0), duration_s=120.0)
     humans = [v for v in base.vehicles if v.kind is VehicleKind.HUMAN]
     (cav,) = [v for v in base.vehicles if v.kind is VehicleKind.CONTROLLED]
     spread = [dataclasses.replace(v, lane=i % 5 - 2) for i, v in enumerate(humans)]
@@ -566,7 +566,9 @@ GOLDEN_SHA256 = {
 
 
 GOLDEN_SCENARIOS = {
-    "canonical_seed0_30s": lambda: canonical_scenario(seed=0, duration_s=30.0),
+    "canonical_seed0_30s": lambda: dataclasses.replace(
+        canonical_scenario(seed=0), duration_s=30.0
+    ),
     "string_n6": lambda: string_scenario(n_controlled=6),
     "multilane_noisy_seed0_120s": multilane_noisy_scenario,
 }
@@ -822,20 +824,22 @@ class TestRadarCandidates:
 class TestDeterminism:
     def test_same_seed_same_bytes(self, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
-        write_run_log(run(canonical_scenario(seed=7, duration_s=30.0)), a)
-        write_run_log(run(canonical_scenario(seed=7, duration_s=30.0)), b)
+        cfg = dataclasses.replace(canonical_scenario(seed=7), duration_s=30.0)
+        write_run_log(run(cfg), a)
+        write_run_log(run(cfg), b)
         assert a.read_bytes() == b.read_bytes()
 
     def test_different_seed_different_bytes(self, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
-        write_run_log(run(canonical_scenario(seed=0, duration_s=30.0)), a)
-        write_run_log(run(canonical_scenario(seed=1, duration_s=30.0)), b)
+        for seed, path in ((0, a), (1, b)):
+            cfg = dataclasses.replace(canonical_scenario(seed=seed), duration_s=30.0)
+            write_run_log(run(cfg), path)
         assert a.read_bytes() != b.read_bytes()
 
 
 class TestRunPurity:
     def test_same_config_twice_same_log_and_config_unchanged(self):
-        cfg = canonical_scenario(duration_s=200.0)
+        cfg = dataclasses.replace(canonical_scenario(), duration_s=200.0)
         before = copy.deepcopy(cfg)
         first = run(cfg)
         second = run(cfg)
@@ -872,7 +876,7 @@ class TestControlledTick:
         assert second[10] == ctrl.k_p * ((22.0 + step + step) - second[5])
 
     def test_logged_mile_marker_counts_down_from_entry(self):
-        cfg = dataclasses.replace(canonical_scenario(seed=1, duration_s=20.0), entry_mm=66.0)
+        cfg = dataclasses.replace(canonical_scenario(seed=1), duration_s=20.0, entry_mm=66.0)
         log = run(cfg)
         assert {row[2] for row in log.rows} == {"human", "controlled"}
         for row in log.rows:
@@ -909,9 +913,7 @@ class TestTimestepRefinement:
         # The heading needs 2 s of mile-marker history. A history trimmed
         # by sample count lost it for part of every cycle below dt = 2/127 s,
         # and this run then collided at t = 92.19 s.
-        cfg = dataclasses.replace(
-            canonical_scenario(seed=0, duration_s=100.0), dt=0.0125
-        )
+        cfg = dataclasses.replace(canonical_scenario(seed=0), duration_s=100.0, dt=0.0125)
         log = run(cfg)
         assert log.collision is None
         assert log.min_h > 0.0
@@ -933,7 +935,7 @@ class TestRunReport:
         assert rep.engaged_time_s == pytest.approx(10.0, abs=0.1)
 
     def test_occupancy_sums_to_one(self):
-        rep = build_report(run(canonical_scenario(duration_s=60.0)))
+        rep = build_report(run(dataclasses.replace(canonical_scenario(), duration_s=60.0)))
         assert sum(rep.mode_occupancy.values()) == pytest.approx(1.0, abs=1e-9)
         assert rep.collision is False
 
@@ -989,7 +991,9 @@ def _row(t, vid, kind, mode=None, v_des=None):
 
 # (log, n_controlled) builders for the whole-log consumers' oracles.
 CONSUMER_LOGS = {
-    "canonical_30s": lambda: (run(canonical_scenario(duration_s=30.0)), 1),
+    "canonical_30s": lambda: (
+        run(dataclasses.replace(canonical_scenario(), duration_s=30.0)), 1
+    ),
     "string_n6": lambda: (run(string_scenario(n_controlled=6)), 6),
     "string_n6_every10": lambda: (
         run(dataclasses.replace(string_scenario(n_controlled=6), log_every=10)), 6
