@@ -9,6 +9,7 @@ histograms for plotting.
 """
 
 import argparse
+import math
 from pathlib import Path
 
 from middleway.rds import (
@@ -25,13 +26,35 @@ from middleway.rds import (
 )
 
 
+def latency_list(text: str) -> list[float]:
+    """Comma-separated finite seconds."""
+    try:
+        values = [float(tok) for tok in text.split(",") if tok.strip()]
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not a list of numbers: {text!r}") from None
+    if not all(map(math.isfinite, values)):
+        raise argparse.ArgumentTypeError(f"latencies must be finite: {text!r}")
+    return values
+
+
+def positive_seconds(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not a number: {text!r}") from None
+    if not (math.isfinite(value) and value > 0.0):
+        raise argparse.ArgumentTypeError(f"must be positive and finite: {text!r}")
+    return value
+
+
 def parse_args() -> argparse.Namespace:
+    """The options; a malformed one exits 2 with a usage message."""
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--latencies", default="0,60,120,300",
+    parser.add_argument("--latencies", type=latency_list, default="0,60,120,300",
                         help="comma-separated seconds")
     parser.add_argument("--static", action="store_true",
                         help="use a constant field (control case)")
-    parser.add_argument("--duration", type=float, default=1260.0,
+    parser.add_argument("--duration", type=positive_seconds, default=1260.0,
                         help="grid coverage in seconds")
     parser.add_argument("--out", type=Path, default=Path("out/latency"))
     return parser.parse_args()
@@ -39,14 +62,13 @@ def parse_args() -> argparse.Namespace:
 
 def main() -> None:
     args = parse_args()
-    latencies = [float(tok) for tok in args.latencies.split(",") if tok.strip()]
     field = static_field(20.0) if args.static else wave_field()
     spec = GridSpec(sensor_mm=default_sensors(), duration_s=args.duration)
 
     grid = grid_from_field(field, spec)
     t_end = args.duration - 60.0
     trajectory = synthetic_trajectory(field, 330.0, t_end, 69.4)
-    stats = error_stats(trajectory, grid, latencies)
+    stats = error_stats(trajectory, grid, args.latencies)
 
     args.out.mkdir(parents=True, exist_ok=True)
     write_grid(grid, args.out / "grid.csv")
@@ -56,7 +78,7 @@ def main() -> None:
 
     kind = "static control" if args.static else "wave train"
     print(f"{kind}: {len(trajectory)} trajectory samples")
-    for latency in latencies:
+    for latency in args.latencies:
         s = stats[latency]
         print(f"  latency {latency:6.1f} s: n={s.n:4d} "
               f"mean {s.mean_mps:+.3f} m/s, std {s.std_mps:.3f} m/s")

@@ -302,8 +302,11 @@ def read_grid(path: str | Path) -> RdsGrid:
         raise ValueError("grid has a duplicate (sensor_mm, report_start_s) cell")
     sensors = tuple(sorted({mm for mm, _, _ in rows}))
     starts = sorted({start for _, start, _ in rows})
+    # The cell width is the step between starts; one start does not give it.
+    if len(starts) < 2:
+        raise ValueError("grid: need at least two report starts")
     origin = starts[0]
-    cell_duration = starts[1] - origin if len(starts) > 1 else 30.0
+    cell_duration = starts[1] - origin
     # Column k is the report starting at origin + k * cell_duration, so the
     # starts must be that evenly spaced lattice, to float rounding.
     for k, start in enumerate(starts):

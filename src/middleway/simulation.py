@@ -6,8 +6,10 @@ is entry_mm - position / M_PER_MILE. Human vehicles follow the
 intelligent-driver model, probe vehicles hold their initial speed, and
 controlled vehicles run the full perception / infrastructure / control
 pipeline off synthesized radar frames and gantry advisories, engaged from
-the first tick. Adjacent lanes carry phantom target streams that feed
-radar only and never interact with the mainline.
+the first tick. The mainline is one lane with no passing, so its vehicles
+keep their position order for the whole run. Adjacent lanes exist only as
+phantom target streams that feed radar and never interact with the
+mainline.
 
 Integration is semi-implicit Euler at a fixed step: v += u * dt first,
 then x += v * dt with the updated velocity, velocities floored at zero.
@@ -26,7 +28,7 @@ import random
 from dataclasses import asdict, dataclass, field
 from enum import Enum
 from functools import cached_property
-from itertools import chain
+from itertools import chain, pairwise
 from operator import itemgetter
 from pathlib import Path
 from typing import Optional, Sequence
@@ -127,7 +129,6 @@ class VehicleState:
     kind: VehicleKind
     position: float
     velocity: float
-    lane: int = 0
 
 
 @dataclass(frozen=True)
@@ -136,7 +137,6 @@ class VehicleInit:
     kind: VehicleKind
     x0: float
     v0: float
-    lane: int = 0
     driver_setpoint: float = 33.5
 
 
@@ -223,13 +223,9 @@ class ScenarioConfig:
         # The run log writes ids unquoted.
         if any(c in vid for vid in ids for c in ',"\r\n'):
             raise ValueError("vehicles: an id may not hold a comma, quote, CR or LF")
-        by_lane: dict[int, list[VehicleInit]] = {}
-        for v in self.vehicles:
-            by_lane.setdefault(v.lane, []).append(v)
-        for lane, vehs in by_lane.items():
-            xs = sorted(v.x0 for v in vehs)
-            if any(b - a <= 0.0 for a, b in zip(xs, xs[1:])):
-                raise ValueError(f"vehicles: overlapping positions in lane {lane}")
+        xs = sorted(v.x0 for v in self.vehicles)
+        if any(b - a <= 0.0 for a, b in pairwise(xs)):
+            raise ValueError("vehicles: overlapping positions")
         if self.vsl_static_mph is not None:
             if not (self.vsl.min_mph <= self.vsl_static_mph <= self.vsl.max_mph):
                 raise ValueError("vsl_static_mph: outside posting range")
@@ -272,13 +268,14 @@ class _PhantomStream:
     def advance(self, dt: float) -> None:
         self.origin += self.speed * dt
 
-    def targets_between(self, x: float, x_hi: float, lane_offset: int) -> list[tuple]:
-        """Radar candidates of an ego at x: targets at x < position <= x_hi,
-        to rounding."""
-        spacing, name = self.spec.spacing_m, f"phantom_{self.spec.lane:+d}_"
+    def targets_between(self, x: float, x_hi: float) -> list[tuple]:
+        """Radar candidates of a mainline ego at x: targets at x < position
+        <= x_hi, to rounding, with the stream's lane as their lane offset."""
+        spacing, lane = self.spec.spacing_m, self.spec.lane
+        name = f"phantom_{lane:+d}_"
         k_lo = math.ceil((x - self.origin) / spacing)
         k_hi = math.floor((x_hi - self.origin) / spacing)
-        return [(self.origin + k * spacing - x, f"{name}{k}", self.speed, lane_offset)
+        return [(self.origin + k * spacing - x, f"{name}{k}", self.speed, lane)
                 for k in range(k_lo, k_hi + 1)]
 
 
@@ -304,25 +301,17 @@ class World:
         self.t = 0.0
         self.step_index = 0
         self.vehicles = [
-            VehicleState(v.vehicle_id, v.kind, v.x0, v.v0, v.lane)
-            for v in cfg.vehicles
+            VehicleState(v.vehicle_id, v.kind, v.x0, v.v0) for v in cfg.vehicles
         ]
         # Log-row kind strings, in self.vehicles order.
         self._kind_names = [v.kind.value for v in self.vehicles]
         self._humans = [v for v in self.vehicles if v.kind is VehicleKind.HUMAN]
-        self.lanes: dict[int, list[VehicleState]] = {}
-        for veh in self.vehicles:
-            self.lanes.setdefault(veh.lane, []).append(veh)
-        for lane in self.lanes.values():
-            lane.sort(key=lambda v: v.position)
-        # No lane changes and a collision halt on any overlap mean the
-        # within-lane ordering is fixed for the whole run.
-        self._lead_map: dict[str, Optional[VehicleState]] = {}
-        for lane in self.lanes.values():
-            for rear, front in zip(lane, lane[1:]):
-                self._lead_map[rear.vehicle_id] = front
-            self._lead_map[lane[-1].vehicle_id] = None
-        self._index_lane_positions()
+        # The vehicles by position, rear first. No passing and a collision
+        # halt on any overlap keep this order for the whole run, so a
+        # vehicle's lead is the next entry.
+        self.order = sorted(self.vehicles, key=lambda v: v.position)
+        # Each vehicle's index in self.order, by id.
+        self._rank = {v.vehicle_id: i for i, v in enumerate(self.order)}
         self.agents = {
             v.vehicle_id: _ControlledAgent(v, cfg, self.rng)
             for v in cfg.vehicles
@@ -334,16 +323,6 @@ class World:
             INITIAL_POSTED_MPH if cfg.vsl_static_mph is None else cfg.vsl_static_mph
         )
         self.posted_mph = dict.fromkeys(GANTRY_IDS, initial)
-
-    def _index_lane_positions(self) -> None:
-        """Each lane's positions, in lane order, for the radar's bisect.
-
-        Built at the start of every step that has a controlled vehicle, so
-        it holds the positions that step's radar frames are taken at.
-        """
-        self._lane_positions = {
-            lane: [v.position for v in vehs] for lane, vehs in self.lanes.items()
-        }
 
     def mm_of(self, x: float) -> float:
         return self.cfg.entry_mm - x / M_PER_MILE
@@ -386,26 +365,26 @@ class World:
                 self.posted_mph[gantry_id] = posted
 
     def _radar_candidates(self, veh: VehicleState) -> list[tuple]:
-        """The one decision of what veh's radar sees: every vehicle and
-        phantom target within one lane of veh with 0 < rel_position <=
+        """The one decision of what veh's radar sees: every mainline vehicle
+        and every phantom target in lanes -1..1 with 0 < rel_position <=
         max_range, as synthesize_radar candidates (rel_position, target_id,
-        speed, lane_offset). Lane bisects and phantom index bounds use
-        absolute positions, which round unlike rel_position, so the range
-        test runs on rel_position too."""
+        speed, lane_offset). The mainline scan from veh's index in
+        self.order and the phantom index bounds stop at absolute positions,
+        which round unlike rel_position, so the range test runs on
+        rel_position too."""
         x = veh.position
         max_range = self.cfg.radar.max_range
         x_hi = x + max_range
         seen = []
-        for offset in (-1, 0, 1):
-            xs = self._lane_positions.get(veh.lane + offset)
-            if xs is not None:
-                lane = self.lanes[veh.lane + offset]
-                for o in lane[bisect.bisect_right(xs, x) : bisect.bisect_right(xs, x_hi)]:
-                    seen.append((o.position - x, o.vehicle_id, o.velocity, offset))
+        order = self.order
+        for i in range(self._rank[veh.vehicle_id] + 1, len(order)):
+            o = order[i]
+            if o.position > x_hi:
+                break
+            seen.append((o.position - x, o.vehicle_id, o.velocity, 0))
         for stream in self.phantoms:
-            offset = stream.spec.lane - veh.lane
-            if -1 <= offset <= 1:
-                seen.extend(stream.targets_between(x, x_hi, offset))
+            if -1 <= stream.spec.lane <= 1:
+                seen.extend(stream.targets_between(x, x_hi))
         return [c for c in seen if 0.0 < c[0] <= max_range]
 
     def _controlled_accel(self, veh: VehicleState) -> tuple[float, tuple]:
@@ -463,10 +442,8 @@ class World:
         for stream in self.phantoms:
             stream.update_speed(t, mainline_mean)
 
-        if self.agents:
-            self._index_lane_positions()
         human = cfg.human
-        lead_of = self._lead_map
+        order, rank, n = self.order, self._rank, len(self.order)
         bottlenecks = [bn for bn in cfg.bottlenecks if bn.t_start <= t < bn.t_end]
         logged = self.step_index % cfg.log_every == 0
         append = log.rows.append
@@ -479,10 +456,11 @@ class World:
             if veh.kind is human_kind:
                 # IDM, capped by the first active bottleneck whose zone
                 # holds the vehicle.
-                lead = lead_of[veh.vehicle_id]
-                if lead is None:
+                i = rank[veh.vehicle_id] + 1
+                if i == n:
                     u = idm_accel(v, None, None, human)
                 else:
+                    lead = order[i]
                     u = idm_accel(v, lead.position - x, lead.velocity, human)
                 for bn in bottlenecks:
                     if bn.x_start <= x <= bn.x_end:
@@ -519,18 +497,17 @@ class World:
         self.t = round(self.t + dt, 9)
         self.step_index += 1
 
-        for lane in self.lanes.values():
-            for rear, front in zip(lane, lane[1:]):
-                if front.position - rear.position <= 0.0:
-                    log.collision = {
-                        "t": self.t,
-                        "event": "collision",
-                        "rear_id": rear.vehicle_id,
-                        "front_id": front.vehicle_id,
-                        "position_m": front.position,
-                    }
-                    log.events.append(log.collision)
-                    return
+        for rear, front in pairwise(self.order):
+            if front.position - rear.position <= 0.0:
+                log.collision = {
+                    "t": self.t,
+                    "event": "collision",
+                    "rear_id": rear.vehicle_id,
+                    "front_id": front.vehicle_id,
+                    "position_m": front.position,
+                }
+                log.events.append(log.collision)
+                return
 
 
 def run(cfg: ScenarioConfig) -> RunLog:
@@ -642,7 +619,8 @@ def build_report(log: RunLog) -> RunReport:
 
     Every controlled row with a mode is engaged time; the occupancy
     fractions are over those rows and sum to 1 when there are any. The
-    row spacing and the seed come from the log's config echo.
+    duration is the largest row t plus the row spacing, or 0 without rows.
+    The row spacing and the seed come from the log's config echo.
     """
     echo = log.config_echo
     dt_row = echo["dt"] * echo["log_every"]
@@ -667,7 +645,7 @@ def build_report(log: RunLog) -> RunReport:
     )
     return RunReport(
         seed=echo["seed"],
-        duration_s=t_max + dt_row,
+        duration_s=t_max + dt_row if rows else 0.0,
         engaged_time_s=engaged_time,
         mode_occupancy=fractions,
         mode_transitions=dict(sorted(transitions.items())),

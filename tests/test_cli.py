@@ -576,6 +576,16 @@ class TestCli:
         assert main([*args, "--latencies", "0,30"]) == 2
         assert "grid.csv" in capsys.readouterr().err
 
+    def test_rds_one_start_grid_exits_2(self, tmp_path, capsys):
+        # One report start gives no cell width, so the grid scores nothing.
+        args = rds_args(tmp_path, f"{TRAJECTORY_HEADER}45.0,60.5,10.0\n")
+        (tmp_path / "grid.csv").write_text(
+            "sensor_mm,report_start_s,mean_speed_mps\n60.0,0.0,10\n61.0,0.0,10\n"
+        )
+        assert main(args) == 2
+        err = capsys.readouterr().err
+        assert "grid.csv" in err and "at least two report starts" in err
+
     @pytest.mark.parametrize(
         "flag, value", [("--latencies", "abc"), ("--latencies", ".nan"),
                         ("--bin-width-mph", "0"), ("--bin-width-mph", "nan")]

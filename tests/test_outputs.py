@@ -159,3 +159,17 @@ def outputs(tmp_path_factory):
 @pytest.mark.parametrize("name", [name for name, _, _ in COMMANDS])
 def test_outputs_pinned(outputs, name):
     assert outputs[name] == GOLDEN[name]
+
+
+@pytest.mark.parametrize("argv", [
+    ["--latencies", "x"],
+    ["--latencies", "nan"],
+    ["--duration", "0"],
+    ["--duration", "-5"],
+])
+def test_latency_script_bad_option_exits_2(tmp_path, capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        _latency_script([*argv, "--out", str(tmp_path / "latency")])
+    assert exc.value.code == 2
+    assert f"argument {argv[0]}" in capsys.readouterr().err
+    assert not (tmp_path / "latency").exists()

@@ -29,7 +29,14 @@ from middleway.rds import (
     write_trajectory,
 )
 from middleway.scenarios import OffsetReplay, canonical_scenario, offset_replay
-from middleway.simulation import RunLog, VehicleKind, read_run_log, run, write_run_log
+from middleway.simulation import (
+    MAX_DURATION_S,
+    RunLog,
+    VehicleKind,
+    read_run_log,
+    run,
+    write_run_log,
+)
 from middleway.units import MPS_PER_MPH
 
 
@@ -655,6 +662,21 @@ class TestSerialization:
             assert b.t == pytest.approx(a.t, abs=1e-3)
             assert b.mile_marker == pytest.approx(a.mile_marker, abs=1e-6)
             assert b.speed_mps == pytest.approx(a.speed_mps, abs=1e-6)
+
+    @settings(max_examples=200, deadline=None)
+    @given(points=st.lists(st.builds(
+        TrajectoryPoint,
+        st.one_of(st.just(-0.0), st.floats(-MAX_DURATION_S, MAX_DURATION_S)),
+        st.one_of(st.just(-0.0), st.floats(-1e4, 1e4)),
+        st.one_of(st.just(-0.0), st.floats(-100.0, 100.0)),
+    ), max_size=8))
+    def test_trajectory_rewrite_gives_the_same_bytes(self, tmp_path_factory, points):
+        # Times up to a day, mile markers up to 1e4 and speeds up to 100.
+        first = tmp_path_factory.mktemp("traj") / "first.csv"
+        second = first.with_name("second.csv")
+        write_trajectory(points, first)
+        write_trajectory(read_trajectory(first), second)
+        assert second.read_bytes() == first.read_bytes()
 
     def test_error_report_files(self, tmp_path):
         spec = small_spec()

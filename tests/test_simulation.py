@@ -25,6 +25,7 @@ from middleway.scenarios import (
 )
 from middleway.simulation import (
     HUMAN_BRAKE_FLOOR,
+    MAX_DURATION_S,
     RUN_LOG_COLUMNS,
     Bottleneck,
     IdmParams,
@@ -103,12 +104,13 @@ def read_run_log_csv(path) -> list:
 
 def radar_frame_oracle(world, veh, now, rng):
     """Reference radar frame for veh: a scan over every vehicle and every
-    phantom stream, then a filter on ego id, range and lane, a sort on
-    (range, id), the cap and one noise draw per kept target."""
+    phantom stream, then a filter on ego id, range and phantom lane, a sort
+    on (range, id), the cap and one noise draw per kept target. Mainline
+    vehicles are in lane 0."""
     radar = world.cfg.radar
     x_lo = veh.position
     x_hi = veh.position + radar.max_range
-    seen = [(o.vehicle_id, o.position, o.velocity, o.lane)
+    seen = [(o.vehicle_id, o.position, o.velocity, 0)
             for o in world.vehicles if x_lo < o.position <= x_hi]
     for stream in world.phantoms:
         spacing, lane = stream.spec.spacing_m, stream.spec.lane
@@ -123,7 +125,7 @@ def radar_frame_oracle(world, veh, now, rng):
         rel = position - veh.position
         if rel <= 0.0 or rel > radar.max_range:
             continue
-        if abs(lane - veh.lane) > 1:
+        if abs(lane) > 1:
             continue
         candidates.append((rel, vid, speed, lane))
     candidates.sort(key=lambda c: (c[0], c[1]))
@@ -132,7 +134,7 @@ def radar_frame_oracle(world, veh, now, rng):
         rel_speed = speed - veh.velocity
         if radar.noise_sigma > 0.0:
             rel_speed += rng.gauss(0.0, radar.noise_sigma)
-        targets.append(RadarTarget(rel, rel_speed, lane - veh.lane))
+        targets.append(RadarTarget(rel, rel_speed, lane))
     return RadarFrame(now, tuple(targets))
 
 
@@ -272,7 +274,7 @@ class TestScenarioValidation:
         cfg = ScenarioConfig(
             vehicles=[human("a", 0.0, 10.0), human("b", 0.0, 10.0)]
         )
-        with pytest.raises(ValueError, match="lane"):
+        with pytest.raises(ValueError, match="overlapping positions"):
             cfg.validate()
 
     def test_duplicate_ids_rejected(self):
@@ -383,6 +385,7 @@ class TestRunLogSerialization:
         assert len(lines) == 1
         assert lines[0].startswith("t,vehicle_id,kind,")
         assert read_run_log(path).rows == []
+        assert build_report(log).duration_s == 0.0
 
     def test_round_trip_is_byte_stable(self, tmp_path):
         log = run(dataclasses.replace(canonical_scenario(), duration_s=6.0))
@@ -440,6 +443,38 @@ def world_run_log_rows(draw):
         for vid, kind in vehicles:
             rows.append((t, vid, kind, *draw(run_log_rows())[3:]))
     return rows
+
+
+def _logged(bound):
+    """Floats up to bound in size, as a run logs them, and -0.0."""
+    return st.one_of(st.just(-0.0), st.floats(-bound, bound))
+
+
+@st.composite
+def logged_rows(draw):
+    """Rows with numbers of the size a run logs: t up to a day, positions
+    up to 1e7 m, mile markers up to 1e4, speeds and accelerations up to
+    100; each controller cell may be None."""
+    optional = lambda s: st.one_of(st.none(), s)  # noqa: E731
+    small = _logged(100.0)
+    return (
+        draw(_logged(MAX_DURATION_S)), draw(_CELL_TEXT), draw(_KIND),
+        draw(_logged(1e7)), draw(_logged(1e4)), draw(small),
+        draw(optional(st.sampled_from(["normal", "vsl", "middleway", "cbf"]))),
+        draw(optional(small)), draw(optional(small)), draw(optional(small)),
+        draw(small),
+    )
+
+
+class TestRunLogRoundTrip:
+    @settings(max_examples=200, deadline=None)
+    @given(rows=st.lists(logged_rows(), max_size=8))
+    def test_rewriting_what_was_read_gives_the_same_bytes(self, tmp_path_factory, rows):
+        first = tmp_path_factory.mktemp("log") / "first.csv"
+        second = first.with_name("second.csv")
+        write_run_log(RunLog(rows), first)
+        write_run_log(read_run_log(first), second)
+        assert second.read_bytes() == first.read_bytes()
 
 
 class TestRunLogWriterOracle:
@@ -531,36 +566,36 @@ class TestRunLogReaderOracle:
             read_run_log_csv(path)
 
 
-def multilane_noisy_scenario():
-    """Canonical seed 0 for 120 s with the humans spread over lanes -2..2,
-    three more controlled vehicles in lanes -1, 1 and 2, and radar noise, so
-    the adjacent-lane filter and the order of the noise draws show in the log."""
+def one_lane_noisy_scenario():
+    """Canonical seed 0 for 120 s with three more controlled vehicles 60,
+    120 and 180 m behind the first, and radar noise, so four radars draw
+    noise from one generator and the order of the draws shows in the log."""
     base = dataclasses.replace(canonical_scenario(seed=0), duration_s=120.0)
     humans = [v for v in base.vehicles if v.kind is VehicleKind.HUMAN]
     (cav,) = [v for v in base.vehicles if v.kind is VehicleKind.CONTROLLED]
-    spread = [dataclasses.replace(v, lane=i % 5 - 2) for i, v in enumerate(humans)]
     extra = [
-        dataclasses.replace(cav, vehicle_id=f"cav_{lane:+d}", lane=lane, x0=cav.x0 + dx)
-        for lane, dx in ((-1, 60.0), (1, 30.0), (2, 90.0))
+        dataclasses.replace(cav, vehicle_id=f"cav_{k}", x0=cav.x0 - 60.0 * k)
+        for k in (1, 2, 3)
     ]
     return dataclasses.replace(
         base,
-        vehicles=spread + [cav] + extra,
+        vehicles=humans + [cav] + extra,
         radar=RadarConfig(noise_sigma=0.3),
     )
 
 
 # sha256 of run_log.csv, each recorded on the source before the change it
 # guards: the first two before the streamed writer replaced csv.writer, the
-# multi-lane one before the radar lookup moved to per-lane bisect. The
-# simulation sums float windows with the builtin sum, whose rounding Python
-# 3.12 changed; TestRunLogGoldensUnderCompensatedSum shows that the logs
-# keep these bytes under the 3.12 rounding.
+# one-lane one before the world's per-lane position indexes gave way to one
+# fixed position order. The simulation sums float windows with the builtin
+# sum, whose rounding Python 3.12 changed;
+# TestRunLogGoldensUnderCompensatedSum shows that the logs keep these bytes
+# under the 3.12 rounding.
 GOLDEN_SHA256 = {
     "canonical_seed0_30s": "e9fe906e5e60714e3f4f82369368f5888fb67e86eb8a65fde83b71230cb61bd2",
     "string_n6": "e8886a9e375f329c37820e1f371e7a907c5872380cb80b9e4284a629075540ff",
-    "multilane_noisy_seed0_120s": (
-        "17db70628e488f385d9b392d785f0fe0c0df02cf59be0f842c672d8b8a3d16f3"
+    "one_lane_noisy_seed0_120s": (
+        "27a5dc1d1efb197df3f9bdcf795afb943d300e77ffb2c2627d77a2ae25241e8a"
     ),
 }
 
@@ -570,7 +605,7 @@ GOLDEN_SCENARIOS = {
         canonical_scenario(seed=0), duration_s=30.0
     ),
     "string_n6": lambda: string_scenario(n_controlled=6),
-    "multilane_noisy_seed0_120s": multilane_noisy_scenario,
+    "one_lane_noisy_seed0_120s": one_lane_noisy_scenario,
 }
 
 
@@ -672,10 +707,10 @@ class TestRunLogGoldensUnderCompensatedSum:
 
 
 @st.composite
-def multilane_worlds(draw):
-    """Vehicles in lanes -2..2, some placed exactly at another vehicle's
-    position (x_lo) or at that position plus the radar range (x_hi), and
-    phantom streams in lanes -3..3.
+def one_lane_worlds(draw):
+    """Mainline vehicles, some placed exactly at an anchor (a vehicle's
+    x_lo) or at an anchor plus the radar range (x_hi), and phantom streams
+    in lanes -3..3.
 
     The vehicles that are not controlled are probes holding their speed:
     the radar filter ignores the kind, and IDM humans at arbitrary gaps
@@ -692,15 +727,8 @@ def multilane_worlds(draw):
         st.sampled_from([a + max_range for a in anchors]),
         st.floats(-600.0, 700.0),
     )
-    slots = draw(
-        st.lists(
-            st.tuples(st.integers(-2, 2), position),
-            min_size=1,
-            max_size=14,
-            unique=True,
-        )
-    )
-    controlled = draw(st.lists(st.booleans(), min_size=len(slots), max_size=len(slots)))
+    xs = draw(st.lists(position, min_size=1, max_size=14, unique=True))
+    controlled = draw(st.lists(st.booleans(), min_size=len(xs), max_size=len(xs)))
     controlled[0] = True
     vehicles = [
         VehicleInit(
@@ -708,9 +736,8 @@ def multilane_worlds(draw):
             VehicleKind.CONTROLLED if is_cav else VehicleKind.PROBE,
             x,
             draw(st.sampled_from([0.0, 10.0, 25.0])),
-            lane=lane,
         )
-        for i, ((lane, x), is_cav) in enumerate(zip(slots, controlled))
+        for i, (x, is_cav) in enumerate(zip(xs, controlled))
     ]
     phantoms = draw(
         st.lists(
@@ -760,12 +787,12 @@ class TestRadarCandidatesMatchScan:
         assert checked
 
     @settings(max_examples=200, deadline=None)
-    @given(cfg=multilane_worlds(), steps=st.integers(1, 4))
+    @given(cfg=one_lane_worlds(), steps=st.integers(1, 4))
     def test_same_frame_every_tick(self, cfg, steps):
         self.check_every_tick(cfg, steps)
 
     @settings(max_examples=100, deadline=None)
-    @given(cfg=multilane_worlds(), steps=st.integers(1, 4))
+    @given(cfg=one_lane_worlds(), steps=st.integers(1, 4))
     def test_same_noisy_frame_every_tick(self, cfg, steps):
         radar = dataclasses.replace(cfg.radar, noise_sigma=0.5)
         self.check_every_tick(dataclasses.replace(cfg, radar=radar), steps)
@@ -788,22 +815,16 @@ class TestRadarCandidates:
         others = [
             VehicleInit("behind", VehicleKind.PROBE, 990.0, 25.0),
             VehicleInit("far", VehicleKind.PROBE, 1120.5, 25.0),
-            VehicleInit("edge", VehicleKind.PROBE, 1120.0, 24.0, lane=-1),
-            VehicleInit("two_over", VehicleKind.PROBE, 1050.0, 25.0, lane=2),
-            VehicleInit("two_under", VehicleKind.PROBE, 1050.0, 25.0, lane=-2),
-            VehicleInit("good", VehicleKind.PROBE, 1060.0, 26.0, lane=1),
+            VehicleInit("edge", VehicleKind.PROBE, 1120.0, 24.0),
+            VehicleInit("good", VehicleKind.PROBE, 1060.0, 26.0),
         ]
         assert self.candidates(others) == [
-            (60.0, "good", 26.0, 1),
-            (120.0, "edge", 24.0, -1),
+            (60.0, "good", 26.0, 0),
+            (120.0, "edge", 24.0, 0),
         ]
 
-    def test_vehicle_exactly_at_ego_position_excluded(self):
-        others = [VehicleInit("same", VehicleKind.PROBE, 1000.0, 25.0, lane=1)]
-        assert self.candidates(others) == []
-
     def test_range_test_runs_on_rel_position(self):
-        # The bisect bound x + 120 holds this target, but position - x
+        # The scan's stop bound x + 120 holds this target, but position - x
         # rounds to just over 120 m.
         x = 8.0 + 1.0 / 3.0
         target = VehicleInit("edge", VehicleKind.PROBE, x + 120.0, 25.0)
@@ -967,7 +988,8 @@ def build_report_rows(log):
     fractions = {
         mode: count / engaged_rows for mode, count in sorted(occupancy.items())
     } if engaged_rows else {}
-    return (t_max + dt_row, engaged_rows * dt_row, fractions,
+    duration = t_max + dt_row if log.rows else 0.0
+    return (duration, engaged_rows * dt_row, fractions,
             dict(sorted(transitions.items())))
 
 
