@@ -5,6 +5,8 @@ Subcommands:
   sweep   rerun a scenario across parameter values, or replay offsets
           open-loop over a recorded log; write an aggregated CSV
   rds     compare trajectory speeds against a sensor grid per latency
+  latency score a probe's stale sensor-grid estimates over a synthetic
+          wave field per latency; write the grid, trajectory and stats
   string  run the platoon cascade study; write traces and steady values
 
 Exit codes: 0 success, 1 collision or safety halt, 2 usage or config error.
@@ -29,7 +31,17 @@ from .config import (
     parse_yaml,
     set_dotted,
 )
-from .rds import error_stats, read_grid, read_trajectory, write_error_report
+from .rds import (
+    error_stats,
+    latency_study,
+    read_grid,
+    read_trajectory,
+    static_field,
+    wave_field,
+    write_error_report,
+    write_grid,
+    write_trajectory,
+)
 from .scenarios import (
     measurement_window,
     offset_replay,
@@ -71,14 +83,21 @@ def _write_report(report, path: Path) -> None:
         fh.write("\n")
 
 
-def _parse_values(raw: str) -> list:
-    values = [parse_yaml(tok, "values") for tok in raw.split(",") if tok.strip()]
+def _parse_values(raw: str, name: str) -> list:
+    """The comma-separated YAML values of option name; none, or one equal
+    to an earlier one, is a ConfigError."""
+    values = [parse_yaml(tok, name) for tok in raw.split(",") if tok.strip()]
     if not values:
-        raise ConfigError("values: must be non-empty")
+        raise ConfigError(f"{name}: must be non-empty")
+    # ==, not a set: a YAML value may be unhashable.
+    for k, value in enumerate(values):
+        if value in values[:k]:
+            raise ConfigError(f"{name}: {value!r} is repeated")
     return values
 
 
-def _finite_floats(values: list, name: str) -> list[float]:
+def _finite_floats(raw: str, name: str) -> list[float]:
+    values = _parse_values(raw, name)
     try:
         floats = [float(v) for v in values]
     except (TypeError, ValueError) as exc:
@@ -132,7 +151,7 @@ def _sweep_replay(args: argparse.Namespace) -> int:
     ) if is_set]
     if ignored:
         raise ConfigError(f"sweep --replay: does not read {', '.join(ignored)}")
-    offsets = _finite_floats(_parse_values(args.values), "values")
+    offsets = _finite_floats(args.values, "values")
     out = _out_dir(args)
     replay = _read_input(lambda path: offset_replay(read_run_log(path), offsets),
                          args.replay)
@@ -159,8 +178,8 @@ def _string_readout(cfg: ScenarioConfig, log: RunLog):
 def cmd_sweep(args: argparse.Namespace) -> int:
     if args.replay is not None:
         return _sweep_replay(args)
+    values = _parse_values(args.values, "values")
     out = _out_dir(args)
-    values = _parse_values(args.values)
 
     parameter = args.parameter
     if "." not in parameter:
@@ -205,23 +224,44 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     return 1 if collided else 0
 
 
-def cmd_rds(args: argparse.Namespace) -> int:
-    out = _out_dir(args)
-    grid = _read_input(read_grid, args.grid)
-    trajectory = _read_input(read_trajectory, args.trajectory)
-    latencies = _finite_floats(_parse_values(args.latencies), "latencies")
-    if not (math.isfinite(args.bin_width_mph) and args.bin_width_mph > 0):
-        raise ConfigError("bin-width-mph: must be positive and finite")
-    try:
-        stats = error_stats(trajectory, grid, latencies, args.bin_width_mph)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+def _report_errors(stats: dict, latencies: list[float], out: Path) -> None:
+    """Write error_stats.csv and error_hist.csv; print one line per latency."""
     write_error_report(stats, out / "error_stats.csv", out / "error_hist.csv")
     for latency in latencies:
         s = stats[latency]
         print(f"latency {latency:6.1f} s: n={s.n:5d} "
               f"mean={s.mean_mps:+.3f} m/s std={s.std_mps:.3f} m/s")
     print(f"wrote {out / 'error_stats.csv'} and {out / 'error_hist.csv'}")
+
+
+def cmd_rds(args: argparse.Namespace) -> int:
+    grid = _read_input(read_grid, args.grid)
+    trajectory = _read_input(read_trajectory, args.trajectory)
+    latencies = _finite_floats(args.latencies, "latencies")
+    if not (math.isfinite(args.bin_width_mph) and args.bin_width_mph > 0):
+        raise ConfigError("bin-width-mph: must be positive and finite")
+    try:
+        stats = error_stats(trajectory, grid, latencies, args.bin_width_mph)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
+    # A run that scores nothing would report a perfect zero error.
+    if not any(s.n for s in stats.values()):
+        raise ConfigError(f"{args.trajectory}: no point is scored against "
+                          f"{args.grid} at any latency")
+    _report_errors(stats, latencies, _out_dir(args))
+    return 0
+
+
+def cmd_latency(args: argparse.Namespace) -> int:
+    latencies = _finite_floats(args.latencies, "latencies")
+    grid, trajectory = latency_study(static_field(20.0) if args.static else wave_field())
+    stats = error_stats(trajectory, grid, latencies)
+    out = _out_dir(args)
+    write_grid(grid, out / "grid.csv")
+    write_trajectory(trajectory, out / "trajectory.csv")
+    kind = "static control" if args.static else "wave train"
+    print(f"{kind}: {len(trajectory)} trajectory samples")
+    _report_errors(stats, latencies, out)
     return 0
 
 
@@ -290,6 +330,14 @@ def build_parser() -> argparse.ArgumentParser:
     p_rds.add_argument("--bin-width-mph", type=float, default=1.0)
     p_rds.add_argument("--out", default="out", help="output directory")
     p_rds.set_defaults(func=cmd_rds)
+
+    p_latency = sub.add_parser("latency", help="synthetic sensor-grid latency study")
+    p_latency.add_argument("--latencies", default="0,60,120,300",
+                           help="comma-separated latencies in seconds")
+    p_latency.add_argument("--static", action="store_true",
+                           help="a constant 20 m/s field (control case)")
+    p_latency.add_argument("--out", default="out/latency", help="output directory")
+    p_latency.set_defaults(func=cmd_latency)
 
     p_string = sub.add_parser("string", help="platoon cascade study")
     common(p_string)

@@ -272,6 +272,15 @@ def synthetic_trajectory(
     return points
 
 
+def latency_study(field) -> tuple[RdsGrid, list[TrajectoryPoint]]:
+    """The latency study's grid of 1,260 s over the default sensors, and a
+    probe driven through field from mile marker 69.4, from 330 s to 60 s
+    before the grid ends."""
+    duration_s = 1260.0
+    grid = grid_from_field(field, GridSpec(default_sensors(), duration_s=duration_s))
+    return grid, synthetic_trajectory(field, 330.0, duration_s - 60.0, 69.4)
+
+
 def write_grid(grid: RdsGrid, path: str | Path) -> None:
     def rows():
         for i, mm in enumerate(grid.spec.sensor_mm):

@@ -223,6 +223,9 @@ class ScenarioConfig:
         # The run log writes ids unquoted.
         if any(c in vid for vid in ids for c in ',"\r\n'):
             raise ValueError("vehicles: an id may not hold a comma, quote, CR or LF")
+        # The world floors speeds at zero only from the first step on.
+        if not all(math.isfinite(v.v0) and v.v0 >= 0.0 for v in self.vehicles):
+            raise ValueError("vehicles: initial speeds must be finite and non-negative")
         xs = sorted(v.x0 for v in self.vehicles)
         if any(b - a <= 0.0 for a, b in pairwise(xs)):
             raise ValueError("vehicles: overlapping positions")

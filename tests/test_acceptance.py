@@ -30,15 +30,7 @@ from middleway.perception import (
     RadarFrame,
     RadarTarget,
 )
-from middleway.rds import (
-    GridSpec,
-    default_sensors,
-    error_stats,
-    grid_from_field,
-    static_field,
-    synthetic_trajectory,
-    wave_field,
-)
+from middleway.rds import error_stats, latency_study, static_field, wave_field
 from middleway.scenarios import (
     canonical_scenario,
     measurement_window,
@@ -267,12 +259,9 @@ def test_05_string_cascade_convergence():
 
 def test_06_latency_error_growth():
     t0 = time.monotonic()
-    spec = GridSpec(sensor_mm=default_sensors(), duration_s=1260.0)
     latencies = [0.0, 60.0, 120.0, 300.0]
 
-    field = wave_field()
-    grid = grid_from_field(field, spec)
-    trajectory = synthetic_trajectory(field, 330.0, 1200.0, 69.4)
+    grid, trajectory = latency_study(wave_field())
     stats = error_stats(trajectory, grid, latencies)
     stds = [stats[lat].std_mps for lat in latencies]
     assert all(stats[lat].n >= 150 for lat in latencies)
@@ -280,9 +269,7 @@ def test_06_latency_error_growth():
         assert slower > faster, stds
     assert stds[1] >= 2.0 * stds[0], stds
 
-    calm = static_field(20.0)
-    calm_grid = grid_from_field(calm, spec)
-    calm_traj = synthetic_trajectory(calm, 330.0, 1200.0, 69.4)
+    calm_grid, calm_traj = latency_study(static_field(20.0))
     calm_stats = error_stats(calm_traj, calm_grid, latencies)
     for lat in latencies:
         assert abs(calm_stats[lat].mean_mps) <= 1e-12

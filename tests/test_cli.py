@@ -341,6 +341,16 @@ class TestCli:
         code = main(["sweep", "--values", ",", "--out", str(tmp_path)])
         assert code == 2
 
+    @pytest.mark.parametrize("argv", [
+        ["--values", "2,2", "--override", "scenario.duration_s=1"],
+        ["--values", "2,4,2.0", "--replay", "run_log.csv"],
+    ], ids=["resimulate", "replay"])
+    def test_sweep_repeated_value_exits_2(self, tmp_path, capsys, argv):
+        # Both runs would write v_offset=2, and a replay two equal columns.
+        assert main(["sweep", *argv, "--out", str(tmp_path / "s")]) == 2
+        assert "config error: values: 2" in capsys.readouterr().err
+        assert not (tmp_path / "s").exists()
+
     def test_sweep_undotted_parameter_exits_2(self, tmp_path, capsys):
         code = main(
             ["sweep", "--parameter", "v_offset", "--values", "2,4",
@@ -405,6 +415,13 @@ class TestCli:
             steady = [r["steady_v_des_mps"] for r in csv.DictReader(fh)]
         assert steady == ["nan", "nan"]
         assert "steady v_des nan" in capsys.readouterr().out
+
+    def test_string_negative_traffic_speed_exits_2(self, tmp_path, capsys):
+        # The pace vehicles start at the traffic speed.
+        code = main(["string", "--out", str(tmp_path),
+                     "--override", "scenario.traffic_speed_mps=-5"])
+        assert code == 2
+        assert "initial speeds must be finite and non-negative" in capsys.readouterr().err
 
     @pytest.mark.parametrize("command", ["run", "string"])
     def test_huge_duration_exits_2(self, tmp_path, capsys, command):
@@ -588,6 +605,7 @@ class TestCli:
 
     @pytest.mark.parametrize(
         "flag, value", [("--latencies", "abc"), ("--latencies", ".nan"),
+                        ("--latencies", ","), ("--latencies", "0,0,60"),
                         ("--bin-width-mph", "0"), ("--bin-width-mph", "nan")]
     )
     def test_rds_bad_numbers_exit_2(self, tmp_path, capsys, flag, value):
@@ -596,24 +614,22 @@ class TestCli:
         assert code == 2
         assert flag.lstrip("-") in capsys.readouterr().err
 
+    def test_rds_nothing_scored_exits_2(self, tmp_path, capsys):
+        # The grid spans mile markers 60.0-61.0; a zero error over no
+        # points is no result.
+        rows = "120.000,80.400000,20.000000\n130.000,80.500000,20.000000\n"
+        assert main(rds_args(tmp_path, TRAJECTORY_HEADER + rows)) == 2
+        assert "no point is scored" in capsys.readouterr().err
+        assert not (tmp_path / "rds").exists()
+
     def test_rds_tiny_bin_width_exits_2(self, tmp_path, capsys):
         # A wave field's nonzero errors over a 1e-310 mph bin overflow to an
         # infinite bin index.
-        from middleway.rds import (
-            GridSpec,
-            default_sensors,
-            grid_from_field,
-            synthetic_trajectory,
-            wave_field,
-            write_grid,
-            write_trajectory,
-        )
+        from middleway.rds import latency_study, wave_field, write_grid, write_trajectory
 
-        field = wave_field()
-        spec = GridSpec(sensor_mm=default_sensors(), duration_s=1260.0)
-        write_grid(grid_from_field(field, spec), tmp_path / "grid.csv")
-        write_trajectory(synthetic_trajectory(field, 330.0, 1200.0, 69.4),
-                         tmp_path / "traj.csv")
+        grid, trajectory = latency_study(wave_field())
+        write_grid(grid, tmp_path / "grid.csv")
+        write_trajectory(trajectory, tmp_path / "traj.csv")
         code = main(
             ["rds", "--grid", str(tmp_path / "grid.csv"),
              "--trajectory", str(tmp_path / "traj.csv"),

@@ -284,6 +284,12 @@ class TestScenarioValidation:
         with pytest.raises(ValueError, match="unique"):
             cfg.validate()
 
+    @pytest.mark.parametrize("v0", [-5.0, math.nan, math.inf])
+    def test_bad_initial_speed_rejected(self, v0):
+        cfg = ScenarioConfig(vehicles=[human("a", 0.0, 10.0), human("b", 50.0, v0)])
+        with pytest.raises(ValueError, match="initial speeds"):
+            cfg.validate()
+
     def test_dt_range_enforced(self):
         cfg = ScenarioConfig(dt=0.2, vehicles=[human("a", 0.0, 10.0)])
         with pytest.raises(ValueError, match="dt"):
