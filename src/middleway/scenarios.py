@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import math
 import random
+from itertools import chain, cycle, repeat
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -134,7 +135,9 @@ def check_string(cfg: ScenarioConfig) -> None:
     """Raise ValueError unless the steady-state readout of a string_scenario
     config, rearmost vehicle first, reads each vehicle's own cascade step.
 
-    Two conditions:
+    Three conditions:
+    - the row spacing dt · log_every leaves a logged row in
+      measurement_window;
     - the vehicles sit more than half the radar range apart, so each radar
       sees only its immediate leader;
     - the pace0 -> cav01 link stays within radar range until the run ends
@@ -148,6 +151,11 @@ def check_string(cfg: ScenarioConfig) -> None:
     so that readout is correct.
     """
     n = sum(v.kind is VehicleKind.CONTROLLED for v in cfg.vehicles)
+    row_dt, window = cfg.dt * cfg.log_every, measurement_window(n)
+    # The window's first and past-the-last row, as steady_v_des takes them.
+    if len({math.ceil(edge / row_dt - 1e-9) for edge in window}) == 1:
+        raise ValueError(f"scenario.log_every: a row every {row_dt:g} s leaves "
+                         f"no logged row in the measurement window {window}")
     cav01, pace0 = cfg.vehicles[n - 1], cfg.vehicles[n]
     spacing = pace0.x0 - cav01.x0
     max_range = cfg.radar.max_range
@@ -176,17 +184,13 @@ def v_des_traces(log: RunLog, n_controlled: int) -> dict[str, np.ndarray]:
     """Per-vehicle logged v_des series, keyed cav01..cavNN.
 
     Keys are ordered downstream to upstream (cav01 leads); a row without a
-    v_des (none that run writes) becomes NaN.
+    v_des (none that run writes) is NaN, and a key that is no controlled
+    vehicle of the log has an empty series.
     """
-    traces: dict[str, list[float]] = {
-        f"cav{k:02d}": [] for k in range(1, n_controlled + 1)
-    }
-    controlled = VehicleKind.CONTROLLED.value
-    for row in log.rows:
-        vid, kind, v_des = row[1], row[2], row[7]
-        if kind == controlled and vid in traces:
-            traces[vid].append(v_des if v_des is not None else float("nan"))
-    return {vid: np.asarray(vals) for vid, vals in traces.items()}
+    nc = len(log.controlled)
+    column = {log.vehicle_ids[j]: log.v_des[k::nc] for k, j in enumerate(log.controlled)}
+    return {vid: np.array(column.get(vid, []), dtype=float)
+            for vid in (f"cav{k:02d}" for k in range(1, n_controlled + 1))}
 
 
 def steady_v_des(
@@ -226,12 +230,10 @@ def offset_replay(log: RunLog, offsets: Sequence[float]) -> OffsetReplay:
     """
     if not offsets:
         raise ValueError("offsets: must be non-empty")
-    controlled = VehicleKind.CONTROLLED.value
-    picked = [
-        (row[0], row[1], row[9], row[8])
-        for row in log.rows
-        if row[2] == controlled and row[8] is not None and row[9] is not None
-    ]
+    slots = log.controlled
+    ts = chain.from_iterable(map(repeat, log.t, repeat(len(slots))))
+    rows = zip(ts, cycle([log.vehicle_ids[j] for j in slots]), log.v_pr, log.v_gr)
+    picked = [row for row in rows if row[2] is not None and row[3] is not None]
     ts, vids, v_prs, v_grs = zip(*picked) if picked else ((), (), (), ())
     t_arr = np.asarray(ts, dtype=float)
     v_pr_arr = np.asarray(v_prs, dtype=float)

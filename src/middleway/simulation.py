@@ -25,13 +25,16 @@ import functools
 import json
 import math
 import random
-from dataclasses import asdict, dataclass, field
+from array import array
+from collections import Counter
+from collections.abc import Sequence
+from dataclasses import asdict, dataclass, field, replace
 from enum import Enum
 from functools import cached_property
-from itertools import chain, pairwise
-from operator import itemgetter
+from itertools import chain, cycle, groupby, islice, pairwise, repeat
+from operator import itemgetter, mod
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Optional
 
 from .controller import ControlInputs, ControllerConfig, step_controller
 from .infrastructure import (
@@ -234,14 +237,78 @@ class ScenarioConfig:
                 raise ValueError("vsl_static_mph: outside posting range")
 
 
+_floats = functools.partial(array, "d")
+
+
 @dataclass
 class RunLog:
-    rows: list[tuple] = field(default_factory=list)
+    """A run's rows as dense columns, plus its events. Every logged step
+    holds the same vehicles in the same order, so ids and kinds are held
+    once per vehicle and t once per step. x (position_m), mm (mile_marker),
+    v (velocity_mps) and u hold a float a row, step by step; the controller
+    cells mode, v_des, v_gr and v_pr (each may be None) are held for the
+    controlled vehicles' rows only."""
+
+    vehicle_ids: list[str] = field(default_factory=list)
+    kinds: list[str] = field(default_factory=list)
+    t: array = field(default_factory=_floats)
+    x: array = field(default_factory=_floats)
+    mm: array = field(default_factory=_floats)
+    v: array = field(default_factory=_floats)
+    u: array = field(default_factory=_floats)
+    mode: list[Optional[str]] = field(default_factory=list)
+    v_des: list[Optional[float]] = field(default_factory=list)
+    v_gr: list[Optional[float]] = field(default_factory=list)
+    v_pr: list[Optional[float]] = field(default_factory=list)
     events: list[dict] = field(default_factory=list)
     # The "collision" event, the same dict as the last of events.
     collision: Optional[dict] = None
     min_h: float = math.inf
     config_echo: dict = field(default_factory=dict)
+
+    @property
+    def controlled(self) -> list[int]:
+        """The controlled vehicles' indexes in vehicle_ids."""
+        return [j for j, kind in enumerate(self.kinds) if kind == VehicleKind.CONTROLLED]
+
+    @property
+    def rows(self) -> "RunLogRows":
+        """The rows as RUN_LOG_COLUMNS tuples, built when they are read."""
+        return RunLogRows(self)
+
+
+class RunLogRows(Sequence):
+    """A read-only view of a RunLog's rows as RUN_LOG_COLUMNS tuples, each
+    built when it is read and not kept; indexing walks the rows."""
+
+    def __init__(self, log: RunLog):
+        self._log = log
+
+    def __len__(self) -> int:
+        return len(self._log.x)
+
+    def __getitem__(self, i: int) -> tuple:
+        return next(islice(self, range(len(self))[i], None))
+
+    def __iter__(self):
+        log = self._log
+        cells = [self._spread(col) for col in (log.mode, log.v_des, log.v_gr, log.v_pr)]
+        ts = chain.from_iterable(map(repeat, log.t, repeat(len(log.vehicle_ids))))
+        return zip(ts, cycle(log.vehicle_ids), cycle(log.kinds), log.x, log.mm, log.v, *cells,
+                   log.u)
+
+    def _spread(self, col):
+        """Controller column col spread to a cell a row, None off the
+        controlled vehicles: each step chains runs of None with one cell a
+        controlled vehicle, so no Python code runs per row."""
+        slots = self._log.controlled
+        if not slots:
+            return repeat(None)
+        runs = []
+        for k, (prev, j) in enumerate(zip([-1, *slots], slots)):
+            runs += [repeat((None,) * (j - prev - 1)), zip(col[k::len(slots)])]
+        runs.append(repeat((None,) * (len(self._log.vehicle_ids) - 1 - slots[-1])))
+        return chain.from_iterable(chain.from_iterable(zip(*runs)))
 
 
 @dataclass
@@ -299,15 +366,14 @@ class World:
     def __init__(self, cfg: ScenarioConfig):
         cfg.validate()
         self.cfg = cfg
-        self.log = RunLog(config_echo=config_echo(cfg))
+        self.log = RunLog([v.vehicle_id for v in cfg.vehicles],
+                          [v.kind.value for v in cfg.vehicles], config_echo=config_echo(cfg))
         self.rng = random.Random(cfg.seed)
         self.t = 0.0
         self.step_index = 0
         self.vehicles = [
             VehicleState(v.vehicle_id, v.kind, v.x0, v.v0) for v in cfg.vehicles
         ]
-        # Log-row kind strings, in self.vehicles order.
-        self._kind_names = [v.kind.value for v in self.vehicles]
         self._humans = [v for v in self.vehicles if v.kind is VehicleKind.HUMAN]
         # The vehicles by position, rear first. No passing and a collision
         # halt on any overlap keep this order for the whole run, so a
@@ -390,9 +456,9 @@ class World:
                 seen.extend(stream.targets_between(x, x_hi))
         return [c for c in seen if 0.0 < c[0] <= max_range]
 
-    def _controlled_accel(self, veh: VehicleState) -> tuple[float, tuple]:
-        """Run the vehicle's control stack; returns u and its log fields
-        (mile marker, mode, v_des, v_gr, v_pr)."""
+    def _controlled_accel(self, veh: VehicleState, logged: bool) -> float:
+        """Run the vehicle's control stack; returns u, and on a logged step
+        records the controller cells."""
         agent = self.agents[veh.vehicle_id]
         cfg = self.cfg
         now = self.t
@@ -425,11 +491,16 @@ class World:
 
         if out.h is not None and out.h < self.log.min_h:
             self.log.min_h = out.h
-
-        return out.u, (mm, out.mode.value, out.v_des, v_gr, v_pr)
+        if logged:
+            log = self.log
+            log.mode.append(out.mode.value)
+            log.v_des.append(out.v_des)
+            log.v_gr.append(v_gr)
+            log.v_pr.append(v_pr)
+        return out.u
 
     def step(self) -> None:
-        """Advance one dt, logging this step's rows every log_every steps."""
+        """Advance one dt, logging this step's columns every log_every steps."""
         log = self.log
         if log.collision is not None:
             return
@@ -449,12 +520,11 @@ class World:
         order, rank, n = self.order, self._rank, len(self.order)
         bottlenecks = [bn for bn in cfg.bottlenecks if bn.t_start <= t < bn.t_end]
         logged = self.step_index % cfg.log_every == 0
-        append = log.rows.append
-        entry_mm = cfg.entry_mm
+        vehicles = self.vehicles
         accels: list[float] = []
         push = accels.append
         human_kind, probe_kind = VehicleKind.HUMAN, VehicleKind.PROBE
-        for veh, kind in zip(self.vehicles, self._kind_names):
+        for veh in vehicles:
             x, v = veh.position, veh.velocity
             if veh.kind is human_kind:
                 # IDM, capped by the first active bottleneck whose zone
@@ -477,17 +547,17 @@ class World:
             elif veh.kind is probe_kind:
                 u = 0.0
             else:
-                u, (mm, mode, v_des, v_gr, v_pr) = self._controlled_accel(veh)
-                push(u)
-                if logged:
-                    append((t, veh.vehicle_id, kind, x, mm, v, mode, v_des, v_gr, v_pr, u))
-                continue
+                u = self._controlled_accel(veh, logged)
             push(u)
-            if logged:
-                append((t, veh.vehicle_id, kind, x, entry_mm - x / M_PER_MILE,
-                        v, None, None, None, None, u))
 
-        for veh, u in zip(self.vehicles, accels):
+        if logged:
+            xs = [veh.position for veh in vehicles]
+            log.t.append(t)
+            log.x.extend(xs)
+            log.mm.extend([cfg.entry_mm - x / M_PER_MILE for x in xs])
+            log.v.extend([veh.velocity for veh in vehicles])
+            log.u.extend(accels)
+        for veh, u in zip(vehicles, accels):
             # As max(0.0, v), which also maps -0.0 and NaN to 0.0.
             v = veh.velocity + u * dt
             if not v > 0.0:
@@ -529,85 +599,84 @@ def run(cfg: ScenarioConfig) -> RunLog:
 
 
 def config_echo(cfg: ScenarioConfig) -> dict:
-    echo = {
-        "duration_s": cfg.duration_s,
-        "dt": cfg.dt,
-        "seed": cfg.seed,
-        "log_every": cfg.log_every,
-        "entry_mm": cfg.entry_mm,
-        "corridor": {"mm_lo": MM_LO, "mm_hi": MM_HI, "gantries": len(GANTRY_IDS)},
-        "controller": asdict(cfg.controller),
-        "radar": asdict(cfg.radar),
-        "estimator": asdict(cfg.estimator),
-        "vsl": asdict(cfg.vsl),
-        "feed": asdict(cfg.feed),
-        "human": asdict(cfg.human),
-        "vehicles": len(cfg.vehicles),
-        "bottlenecks": len(cfg.bottlenecks),
-        "phantoms": len(cfg.phantoms),
-        "vsl_static_mph": cfg.vsl_static_mph,
-    }
+    """The config as report.json echoes it: the roster, bottlenecks and
+    phantom streams by count, and the corridor's extent."""
+    echo = asdict(replace(cfg, vehicles=[], bottlenecks=[], phantoms=[]))
+    echo.update(vehicles=len(cfg.vehicles), bottlenecks=len(cfg.bottlenecks),
+                phantoms=len(cfg.phantoms),
+                corridor={"mm_lo": MM_LO, "mm_hi": MM_HI, "gantries": len(GANTRY_IDS)})
     return echo
 
 
-def _run_log_lines(rows: Sequence[tuple]):
-    """One CSV line per row, ending in CRLF as write_table's lines do. t,
-    position, mile marker, velocity and u must be numbers; the four
-    controller fields may each be None. Text cells are written as they are,
-    so they must hold no comma, quote, CR or LF (ScenarioConfig.validate
-    rejects such vehicle ids).
-
-    Rows without controller fields go through one % template per (vehicle,
-    kind). t is formatted once per float object, since World logs one per
-    step; an identity test keeps -0.0 and 0.0 apart."""
-    templates: dict[tuple, str] = {}
-    t_prev, t_cell = object(), ""
-    for t, vid, kind, x, mm, v, mode, v_des, v_gr, v_pr, u in rows:
-        if t is not t_prev:
-            t_prev, t_cell = t, f"{t:.3f}"
-        if mode is None and v_des is None and v_gr is None and v_pr is None:
-            try:
-                template = templates[vid, kind]
-            except KeyError:
-                ids = f"{vid},{kind}".replace("%", "%%")
-                template = templates[vid, kind] = f"%s,{ids},%.6f,%.6f,%.6f,,,,,%.6f\r\n"
-            yield template % (t_cell, x, mm, v, u)
-        else:
-            v_des_cell = "" if v_des is None else f"{v_des:.6f}"
-            v_gr_cell = "" if v_gr is None else f"{v_gr:.6f}"
-            v_pr_cell = "" if v_pr is None else f"{v_pr:.6f}"
-            yield (
-                f"{t_cell},{vid},{kind},{x:.6f},{mm:.6f},{v:.6f},"
-                f"{mode or ''},{v_des_cell},{v_gr_cell},{v_pr_cell},{u:.6f}\r\n"
-            )
-
-
 def write_run_log(log: RunLog, path: str | Path) -> None:
-    """Write the rows as CSV, streamed line by line (never one big string)."""
+    """Write the rows as CSV lines ending in CRLF, as write_table's lines
+    do, a step at a time. Text cells are written as they are, so they must
+    hold no comma, quote, CR or LF (ScenarioConfig.validate rejects such
+    vehicle ids). Each vehicle has one % template; a controlled vehicle's
+    also takes its controller cells."""
+    n, slots = len(log.vehicle_ids), log.controlled
+    templates = ["%s," + f"{vid},{kind}".replace("%", "%%") + (
+        ",%.6f,%.6f,%.6f,%s,%s,%s,%s,%.6f\r\n" if kind == VehicleKind.CONTROLLED
+        else ",%.6f,%.6f,%.6f,,,,,%.6f\r\n") for vid, kind in zip(log.vehicle_ids, log.kinds)]
     with open(path, "w", newline="", encoding="utf-8") as fh:
         fh.write(",".join(RUN_LOG_COLUMNS) + "\r\n")
-        fh.writelines(_run_log_lines(log.rows))
+        for step, t in enumerate(log.t):
+            lo, t_cell = step * n, f"{t:.3f}"
+            cells = list(zip(repeat(t_cell), *(
+                col[lo:lo + n].tolist() for col in (log.x, log.mm, log.v, log.u))))
+            for k, j in enumerate(slots, step * len(slots)):
+                floats = (log.v_des[k], log.v_gr[k], log.v_pr[k])
+                cells[j] = (*cells[j][:4], log.mode[k] or "",
+                            *("" if c is None else f"{c:.6f}" for c in floats), cells[j][4])
+            fh.write("".join(map(mod, templates, cells)))
 
 
 def read_run_log(path: str | Path) -> RunLog:
-    """Parse a run-log CSV into rows, without a config echo; re-writing
-    reproduces the file. No cell is quoted, so lines split on commas."""
-    rows = []
-    append = rows.append
+    """Parse a dense run-log CSV (see RunLog) into columns, without a config
+    echo; re-writing reproduces the file. The rows sharing the first t cell
+    name the vehicles. Every later step must repeat them in order under one
+    t cell, every row must have 11 cells, and only a controlled vehicle's
+    row may hold controller cells; any other log raises ValueError. No cell
+    is quoted, so a step's lines, joined with commas, split into its cells;
+    a line's last cell keeps the line end, which float() ignores."""
+    width, log = len(RUN_LOG_COLUMNS), RunLog()
     with open(path, newline="", encoding="utf-8") as fh:
-        lines = (line.rstrip("\r\n").split(",") for line in fh)
-        header = next(lines, [])
+        header = fh.readline().rstrip("\r\n").split(",")
         if tuple(header) != RUN_LOG_COLUMNS:
             raise ValueError(f"unexpected run log header: {header}")
-        for t, vid, kind, x, mm, v, mode, v_des, v_gr, v_pr, u in lines:
-            if mode or v_des or v_gr or v_pr:
-                append((float(t), vid, kind, float(x), float(mm), float(v), mode or None,
-                        float(v_des) if v_des else None, float(v_gr) if v_gr else None,
-                        float(v_pr) if v_pr else None, float(u)))
-            else:
-                append((float(t), vid, kind, float(x), float(mm), float(v),
-                        None, None, None, None, float(u)))
-    return RunLog(rows)
+        block, lines = list(islice(fh, 1)), iter(fh)
+        for line in lines:
+            if line.split(",", 1)[0] != block[0].split(",", 1)[0]:
+                lines = chain([line], lines)
+                break
+            block.append(line)
+        n = len(block)
+        while block:
+            cells = ",".join(block).split(",")
+            if not log.vehicle_ids:
+                log.vehicle_ids, log.kinds = cells[1::width], cells[2::width]
+                slots = log.controlled
+                # The controller cells of the vehicles that are not controlled.
+                unset = [width * j + c for j in range(n) if j not in slots
+                         for c in range(6, 10)]
+                pick = itemgetter(*unset) if unset else lambda cells: ()
+            t = cells[::width]
+            if (set(map(str.count, block, repeat(","))) != {width - 1} or t.count(t[0]) != n
+                    or cells[1::width] != log.vehicle_ids or cells[2::width] != log.kinds
+                    or any(pick(cells))):
+                raise ValueError(f"run log is not dense at t = {t[-1]}: every step must "
+                                 "repeat the first step's vehicles in order, 11 cells a "
+                                 "row, and controller cells only on controlled vehicles")
+            log.t.append(float(t[0]))
+            for col, c in ((log.x, 3), (log.mm, 4), (log.v, 5), (log.u, 10)):
+                col.extend(map(float, cells[c::width]))
+            for j in slots:
+                mode, *floats = cells[width * j + 6:width * j + 10]
+                log.mode.append(mode or None)
+                for col, cell in zip((log.v_des, log.v_gr, log.v_pr), floats):
+                    col.append(float(cell) if cell else None)
+            block = list(islice(lines, n))
+    return log
 
 
 def write_events(log: RunLog, path: str | Path) -> None:
@@ -618,39 +687,34 @@ def write_events(log: RunLog, path: str | Path) -> None:
 
 
 def build_report(log: RunLog) -> RunReport:
-    """Aggregate controlled-vehicle rows into occupancy and transitions.
-
-    Every controlled row with a mode is engaged time; the occupancy
-    fractions are over those rows and sum to 1 when there are any. The
-    duration is the largest row t plus the row spacing, or 0 without rows.
-    The row spacing and the seed come from the log's config echo.
-    """
+    """Aggregate the controlled vehicles' modes into occupancy and
+    transitions. Every controlled row with a mode is engaged time. A logged
+    step stands for dt · log_every, but the last one only up to the run's
+    end (the steps run times dt, or the collision time), where the duration
+    ends; it is 0 without rows. dt, log_every, the step count and the seed
+    come from the log's config echo."""
     echo = log.config_echo
     dt_row = echo["dt"] * echo["log_every"]
-    occupancy: dict[str, int] = {}
-    transitions: dict[str, int] = {}
-    last_mode: dict[str, str] = {}
-    rows = log.rows
-    t_max = max(chain((0.0,), map(itemgetter(0), rows)))
-    controlled = VehicleKind.CONTROLLED.value
-    for row in [r for r in rows if r[2] == controlled and r[6] is not None]:
-        vid, mode = row[1], row[6]
-        if mode != last_mode.get(vid):
-            transitions[mode] = transitions.get(mode, 0) + 1
-            last_mode[vid] = mode
-        occupancy[mode] = occupancy.get(mode, 0) + 1
+    nc = len(log.controlled)
+    occupancy: Counter = Counter()
+    transitions: Counter = Counter()
+    for k in range(nc):
+        modes = [mode for mode in log.mode[k::nc] if mode is not None]
+        occupancy.update(modes)
+        transitions.update(mode for mode, _ in groupby(modes))
     engaged_rows = sum(occupancy.values())
-    engaged_time = engaged_rows * dt_row
-    fractions = (
-        {mode: count / engaged_rows for mode, count in sorted(occupancy.items())}
-        if engaged_rows
-        else {}
-    )
+    duration = overshoot = 0.0
+    if log.t:
+        end = (log.collision["t"] if log.collision is not None
+               else round(echo["duration_s"] / echo["dt"]) * echo["dt"])
+        duration = min(log.t[-1] + dt_row, end)
+        overshoot = log.t[-1] + dt_row - duration
+    last_engaged = sum(mode is not None for mode in log.mode[len(log.mode) - nc:])
     return RunReport(
         seed=echo["seed"],
-        duration_s=t_max + dt_row if rows else 0.0,
-        engaged_time_s=engaged_time,
-        mode_occupancy=fractions,
+        duration_s=duration,
+        engaged_time_s=engaged_rows * dt_row - last_engaged * overshoot,
+        mode_occupancy={m: count / engaged_rows for m, count in sorted(occupancy.items())},
         mode_transitions=dict(sorted(transitions.items())),
         min_h_m=None if math.isinf(log.min_h) else log.min_h,
         collision=log.collision is not None,

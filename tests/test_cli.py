@@ -278,6 +278,20 @@ class TestCli:
         for mode in ("cbf", "vsl", "middleway"):
             assert report["mode_occupancy"].get(mode, 0.0) > 0.0
 
+    @pytest.mark.parametrize("duration, log_every", [("2", "1000"), ("10", "3")])
+    def test_run_report_ends_at_the_run_end(self, tmp_path, duration, log_every):
+        # The last logged step stands for log_every steps only up to the
+        # run's end: 2 s, not 50 s, and 10 s, not 10.05 s.
+        code = main(
+            ["run", "--out", str(tmp_path), "--override", f"scenario.duration_s={duration}",
+             "--override", f"scenario.log_every={log_every}"]
+        )
+        assert code == 0
+        report = json.loads((tmp_path / "report.json").read_text())
+        assert report["duration_s"] == float(duration)
+        # cav is engaged on every row.
+        assert report["engaged_time_s"] == pytest.approx(float(duration), abs=1e-9)
+
     def test_run_bad_dt_exits_2_naming_field(self, tmp_path, capsys):
         code = main(
             ["run", "--out", str(tmp_path), "--override", "scenario.dt=0"]
@@ -466,6 +480,19 @@ class TestCli:
         )
         assert code == 2
         assert "n_controlled" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", [
+        ["string"],
+        ["sweep", "--parameter", "scenario.log_every", "--values", "1000",
+         "--override", "scenario.kind=string"],
+    ])
+    def test_string_rows_missing_the_window_exit_2(self, tmp_path, capsys, command):
+        # A row every 50 s leaves none in the 56-68 s window of the default
+        # 12 vehicles, whose readout was nan.
+        code = main([*command, "--out", str(tmp_path), "--override", "scenario.log_every=1000"])
+        assert code == 2
+        assert "scenario.log_every: a row every 50 s" in capsys.readouterr().err
+        assert not list(tmp_path.rglob("run_log.csv"))
 
     def test_string_command_steady_v_des_with_log_every(self, tmp_path):
         steady = {}
@@ -731,6 +758,29 @@ class TestCli:
         code = main(["sweep", "--values", "2", "--replay", str(log), "--out", str(out)])
         assert code == 2
         assert "bad_log.csv" in capsys.readouterr().err
+        assert not (out / "replay_v_des.csv").exists()
+
+    @pytest.mark.parametrize("edit", ["deleted_row", "swapped_vehicles", "human_controller_cells"])
+    def test_replay_non_dense_log_exits_2(self, short_log, tmp_path, capsys, edit):
+        # The log holds 25 humans and then cav at every step.
+        lines = short_log.read_bytes().decode().splitlines(keepends=True)
+        if edit == "deleted_row":
+            del lines[2]
+        elif edit == "swapped_vehicles":
+            lines[30], lines[31] = lines[31], lines[30]
+        else:
+            cells = lines[134].split(",")
+            assert cells[2] == "human"
+            cells[6:10] = ["normal", "20.0", "13.4", "21.0"]
+            lines[134] = ",".join(cells)
+        log = tmp_path / "bad_log.csv"
+        log.write_bytes("".join(lines).encode())
+        out = tmp_path / "s"
+        code = main(["sweep", "--values", "2", "--replay", str(log), "--out", str(out)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "bad_log.csv" in err
+        assert "not dense" in err
         assert not (out / "replay_v_des.csv").exists()
 
     def test_replay_directory_exits_2(self, tmp_path, capsys):

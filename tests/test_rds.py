@@ -28,10 +28,16 @@ from middleway.rds import (
     write_grid,
     write_trajectory,
 )
-from middleway.scenarios import OffsetReplay, canonical_scenario, offset_replay
+from middleway.scenarios import (
+    OffsetReplay,
+    canonical_scenario,
+    offset_replay,
+    string_scenario,
+)
 from middleway.simulation import (
     MAX_DURATION_S,
-    RunLog,
+    RUN_LOG_COLUMNS,
+    VehicleInit,
     VehicleKind,
     read_run_log,
     run,
@@ -503,6 +509,34 @@ class TestErrorStatsMatchesPerLatency:
             error_stats(traj, grid, [0.0])
 
 
+def read_log_text(tmp_path, lines):
+    """read_run_log on a file of the run-log header and lines."""
+    path = tmp_path / "log.csv"
+    path.write_text("".join(f"{line}\r\n" for line in [",".join(RUN_LOG_COLUMNS), *lines]),
+                    newline="")
+    return read_run_log(path)
+
+
+def _rammed_canonical(log_every=1):
+    """Canonical seed 0 with a probe 50 m behind the controlled vehicle,
+    24 m/s faster; it never brakes, so it rams the vehicle after about 2 s."""
+    base = dataclasses.replace(canonical_scenario(), duration_s=30.0, log_every=log_every)
+    ram = VehicleInit("ram", VehicleKind.PROBE, -450.0, 40.0)
+    return dataclasses.replace(base, vehicles=[*base.vehicles, ram])
+
+
+# Scenarios whose logs offset_replay and its row loop read alike.
+REPLAY_LOGS = {
+    "canonical_30s": lambda: dataclasses.replace(canonical_scenario(), duration_s=30.0),
+    "string_n6": lambda: string_scenario(n_controlled=6),
+    "string_n6_every10": lambda: dataclasses.replace(
+        string_scenario(n_controlled=6), log_every=10
+    ),
+    "collision": _rammed_canonical,
+    "empty": lambda: dataclasses.replace(canonical_scenario(), duration_s=0.0),
+}
+
+
 class TestOffsetReplayMatchesLoop:
     def assert_same(self, log, offsets):
         got = offset_replay(log, offsets)
@@ -516,26 +550,36 @@ class TestOffsetReplayMatchesLoop:
             assert got.v_des[k].dtype == np.float64
             assert np.array_equal(got.v_des[k], want.v_des[k])
 
+    @pytest.mark.parametrize("name", sorted(REPLAY_LOGS))
+    def test_run_logs(self, name):
+        self.assert_same(run(REPLAY_LOGS[name]()), [0.0, 2.0, 4.0, 8.0])
+
     def test_canonical_log(self, tmp_path):
         path = tmp_path / "run_log.csv"
-        cfg = dataclasses.replace(canonical_scenario(), duration_s=30.0)
-        write_run_log(run(cfg), path)
+        write_run_log(run(REPLAY_LOGS["canonical_30s"]()), path)
         self.assert_same(read_run_log(path), [0.0, 2.0, 4.0, 8.0])
 
-    def test_rows_without_advisory_or_estimate_skipped(self):
-        rows = [
-            (0.0, "c", "controlled", 0.0, 70.0, 20.0, "normal", 21.0, 26.8, 25.0, 0.1),
-            (0.0, "h", "human", 5.0, 70.0, 20.0, None, None, None, None, 0.0),
-            (0.05, "c", "controlled", 1.0, 70.0, 20.0, "normal", 21.0, None, 25.0, 0.1),
-            (0.05, "c", "controlled", 1.0, 70.0, 20.0, "normal", 21.0, 26.8, None, 0.1),
-            (0.1, "d", "controlled", 2.0, 70.0, 20.0, "vsl", 21.0, 20.0, 30.0, -0.0),
+    def test_rows_without_advisory_or_estimate_skipped(self, tmp_path):
+        # Two controlled vehicles and a human over three steps; each
+        # controlled row misses its advisory, its estimate, both or neither.
+        lines = [
+            "0.000,c,controlled,0.0,70.0,20.0,normal,21.0,26.8,25.0,0.1",
+            "0.000,h,human,5.0,70.0,20.0,,,,,0.0",
+            "0.000,d,controlled,2.0,70.0,20.0,vsl,21.0,,,-0.0",
+            "0.050,c,controlled,1.0,70.0,20.0,normal,21.0,,25.0,0.1",
+            "0.050,h,human,5.0,70.0,20.0,,,,,0.0",
+            "0.050,d,controlled,2.0,70.0,20.0,,,20.0,30.0,-0.0",
+            "0.100,c,controlled,1.0,70.0,20.0,normal,21.0,26.8,,0.1",
+            "0.100,h,human,5.0,70.0,20.0,,,,,0.0",
+            "0.100,d,controlled,2.0,70.0,20.0,vsl,21.0,20.0,30.0,-0.0",
         ]
-        self.assert_same(RunLog(rows), [1.5, 4.0])
+        self.assert_same(read_log_text(tmp_path, lines), [1.5, 4.0])
 
-    def test_no_controlled_rows(self):
-        rows = [(0.0, "h", "human", 5.0, 70.0, 20.0, None, None, None, None, 0.0)]
-        self.assert_same(RunLog(rows), [2.0])
-        self.assert_same(RunLog([]), [2.0])
+    def test_no_controlled_rows(self, tmp_path):
+        lines = ["0.000,h,human,5.0,70.0,20.0,,,,,0.0"]
+        self.assert_same(read_log_text(tmp_path, lines), [2.0])
+        self.assert_same(read_log_text(tmp_path, []), [2.0])
+
 
 
 # Recorded before build_grid, error_stats and offset_replay were vectorised:

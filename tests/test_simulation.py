@@ -7,6 +7,7 @@ import hashlib
 import math
 import random
 import sys
+import tracemalloc
 from itertools import chain
 from unittest import mock
 
@@ -25,7 +26,6 @@ from middleway.scenarios import (
 )
 from middleway.simulation import (
     HUMAN_BRAKE_FLOOR,
-    MAX_DURATION_S,
     RUN_LOG_COLUMNS,
     Bottleneck,
     IdmParams,
@@ -100,6 +100,82 @@ def read_run_log_csv(path) -> list:
                 )
             )
     return rows
+
+
+def dense_log(rows, n, **echo):
+    """A RunLog holding rows, the rows of a dense log of n vehicles a step
+    (see RunLog), with echo as its config echo."""
+    log = RunLog(
+        vehicle_ids=[row[1] for row in rows[:n]],
+        kinds=[row[2] for row in rows[:n]],
+        config_echo=echo,
+    )
+    for i, (t, vid, kind, x, mm, v, mode, v_des, v_gr, v_pr, u) in enumerate(rows):
+        assert (vid, kind) == (log.vehicle_ids[i % n], log.kinds[i % n])
+        if i % n == 0:
+            log.t.append(t)
+        assert t == log.t[-1]
+        for col, value in ((log.x, x), (log.mm, mm), (log.v, v), (log.u, u)):
+            col.append(value)
+        cells = (mode, v_des, v_gr, v_pr)
+        if kind == "controlled":
+            for col, value in zip((log.mode, log.v_des, log.v_gr, log.v_pr), cells):
+                col.append(value)
+        else:
+            assert cells == (None, None, None, None)
+    return log
+
+
+def rammed_canonical(log_every=1):
+    """Canonical seed 0 with a probe 50 m behind the controlled vehicle,
+    24 m/s faster; it never brakes, so it rams the vehicle after about 2 s."""
+    base = dataclasses.replace(canonical_scenario(), duration_s=30.0, log_every=log_every)
+    ram = VehicleInit("ram", VehicleKind.PROBE, -450.0, 40.0)
+    return dataclasses.replace(base, vehicles=[*base.vehicles, ram])
+
+
+def _row(t, vid, kind, mode=None, v_des=None):
+    return (t, vid, kind, 1.0, 70.0, 2.0, mode, v_des, None, None, 0.0)
+
+
+_HAND_ECHO = {"dt": 0.05, "seed": 3, "duration_s": 0.2}
+
+# (log, n_controlled) builders. The row oracles (the csv writer and reader,
+# build_report_rows, v_des_traces_rows) are compared with the column code
+# on each.
+ORACLE_LOGS = {
+    "canonical_30s": lambda: (
+        run(dataclasses.replace(canonical_scenario(), duration_s=30.0)), 1
+    ),
+    "string_n6": lambda: (run(string_scenario(n_controlled=6)), 6),
+    "string_n6_every10": lambda: (
+        run(dataclasses.replace(string_scenario(n_controlled=6), log_every=10)), 6
+    ),
+    "collision": lambda: (run(rammed_canonical()), 1),
+    "collision_every3": lambda: (run(rammed_canonical(log_every=3)), 1),
+    "empty": lambda: (run(dataclasses.replace(canonical_scenario(), duration_s=0.0)), 1),
+    # "disengaged" is a mode the controller no longer writes; read from an
+    # older log, it counts as any other mode.
+    "all_disengaged": lambda: (dense_log([
+        _row(0.0, "h000", "human"),
+        _row(0.0, "cav01", "controlled", "disengaged", 9.0),
+        _row(0.0, "cav02", "controlled", "disengaged"),
+        _row(0.15, "h000", "human"),
+        _row(0.15, "cav01", "controlled", "disengaged", 9.5),
+        _row(0.15, "cav02", "controlled", "disengaged"),
+    ], 3, **_HAND_ECHO, log_every=3), 2),
+    "mode_none": lambda: (dense_log([
+        _row(0.0, "cav01", "controlled", "normal", 9.0),
+        _row(0.0, "h", "human"),
+        _row(0.0, "cav02", "controlled", None),
+        _row(0.05, "cav01", "controlled", None, 9.5),
+        _row(0.05, "h", "human"),
+        _row(0.05, "cav02", "controlled", "cbf"),
+        _row(0.1, "cav01", "controlled", "cbf", 8.0),
+        _row(0.1, "h", "human"),
+        _row(0.1, "cav02", "controlled", "cbf"),
+    ], 3, **_HAND_ECHO, log_every=1), 2),
+}
 
 
 def radar_frame_oracle(world, veh, now, rng):
@@ -384,13 +460,13 @@ class TestRunLogSerialization:
     def test_zero_duration_gives_header_only(self, tmp_path):
         cfg = ScenarioConfig(duration_s=0.0, vehicles=[human("a", 0.0, 10.0)])
         log = run(cfg)
-        assert log.rows == []
+        assert len(log.rows) == 0
         path = tmp_path / "empty.csv"
         write_run_log(log, path)
         lines = path.read_text().splitlines()
         assert len(lines) == 1
         assert lines[0].startswith("t,vehicle_id,kind,")
-        assert read_run_log(path).rows == []
+        assert list(read_run_log(path).rows) == []
         assert build_report(log).duration_s == 0.0
 
     def test_round_trip_is_byte_stable(self, tmp_path):
@@ -427,58 +503,48 @@ _KIND = st.one_of(st.sampled_from(["human", "controlled"]), _CELL_TEXT)
 _NUMBER = st.floats(allow_nan=False, width=32)
 
 
-@st.composite
-def run_log_rows(draw):
-    optional = lambda s: st.one_of(st.none(), s)  # noqa: E731
-    return (
-        draw(_NUMBER), draw(_CELL_TEXT), draw(_KIND),
-        draw(_NUMBER), draw(_NUMBER), draw(_NUMBER),
-        draw(optional(st.one_of(st.sampled_from(["normal", "cbf"]), _CELL_TEXT))),
-        draw(optional(_NUMBER)), draw(optional(_NUMBER)), draw(optional(_NUMBER)),
-        draw(_NUMBER),
-    )
-
-
-@st.composite
-def world_run_log_rows(draw):
-    """Rows as World logs them: the same vehicles in every step, and each
-    step's rows sharing one t object."""
-    vehicles = draw(st.lists(st.tuples(_CELL_TEXT, _KIND), min_size=1, max_size=3))
-    rows = []
-    for t in draw(st.lists(_NUMBER, max_size=4)):
-        for vid, kind in vehicles:
-            rows.append((t, vid, kind, *draw(run_log_rows())[3:]))
-    return rows
-
-
 def _logged(bound):
     """Floats up to bound in size, as a run logs them, and -0.0."""
     return st.one_of(st.just(-0.0), st.floats(-bound, bound))
 
 
+_MODE = st.one_of(st.sampled_from(["normal", "cbf"]), _CELL_TEXT)
+
+
 @st.composite
-def logged_rows(draw):
-    """Rows with numbers of the size a run logs: t up to a day, positions
-    up to 1e7 m, mile markers up to 1e4, speeds and accelerations up to
-    100; each controller cell may be None."""
+def dense_rows(draw, numbers=_NUMBER, modes=_MODE):
+    """(rows, n): the rows of a dense log of n vehicles a step. Every step
+    holds the same vehicles, the first two steps' t cells differ, and only
+    a controlled vehicle's row holds controller cells, each of which may be
+    None."""
+    vehicles = draw(st.lists(st.tuples(_CELL_TEXT, _KIND), min_size=1, max_size=3,
+                             unique_by=lambda vehicle: vehicle[0]))
+    times = draw(st.lists(numbers, max_size=4).filter(
+        lambda ts: len(ts) < 2 or f"{ts[0]:.3f}" != f"{ts[1]:.3f}"))
     optional = lambda s: st.one_of(st.none(), s)  # noqa: E731
-    small = _logged(100.0)
-    return (
-        draw(_logged(MAX_DURATION_S)), draw(_CELL_TEXT), draw(_KIND),
-        draw(_logged(1e7)), draw(_logged(1e4)), draw(small),
-        draw(optional(st.sampled_from(["normal", "vsl", "middleway", "cbf"]))),
-        draw(optional(small)), draw(optional(small)), draw(optional(small)),
-        draw(small),
-    )
+    rows = []
+    for t in times:
+        for vid, kind in vehicles:
+            cells = (None, None, None, None)
+            if kind == "controlled":
+                cells = (draw(optional(modes)), *(draw(optional(numbers)) for _ in range(3)))
+            rows.append((t, vid, kind, draw(numbers), draw(numbers), draw(numbers),
+                         *cells, draw(numbers)))
+    return rows, len(vehicles)
+
+
+# Numbers up to the size a run logs (positions up to 1e7 m; t, mile
+# markers and speeds stay smaller) and the modes the controller writes.
+logged_rows = dense_rows(_logged(1e7), st.sampled_from(["normal", "vsl", "middleway", "cbf"]))
 
 
 class TestRunLogRoundTrip:
     @settings(max_examples=200, deadline=None)
-    @given(rows=st.lists(logged_rows(), max_size=8))
+    @given(rows=logged_rows)
     def test_rewriting_what_was_read_gives_the_same_bytes(self, tmp_path_factory, rows):
         first = tmp_path_factory.mktemp("log") / "first.csv"
         second = first.with_name("second.csv")
-        write_run_log(RunLog(rows), first)
+        write_run_log(dense_log(*rows), first)
         write_run_log(read_run_log(first), second)
         assert second.read_bytes() == first.read_bytes()
 
@@ -495,19 +561,23 @@ class TestRunLogWriterOracle:
         return fast
 
     def test_canonical_run(self, tmp_path):
-        cfg = dataclasses.replace(canonical_scenario(), duration_s=30.0)
-        self.assert_same_bytes(run(cfg), tmp_path)
+        self.assert_same_bytes(ORACLE_LOGS["canonical_30s"]()[0], tmp_path)
+
+    @pytest.mark.parametrize("name", sorted(set(ORACLE_LOGS) - {"canonical_30s"}))
+    def test_run_logs(self, tmp_path, name):
+        self.assert_same_bytes(ORACLE_LOGS[name]()[0], tmp_path)
 
     def test_hand_built_rows(self, tmp_path):
-        log = RunLog([
+        log = dense_log([
             (0.0, "h000", "human", 12.5, 69.992233, 15.25, None, None, None, None, -0.0),
-            (0.05, "cav", "controlled", -3.0, 70.001864, 0.0,
+            (0.0, "cav", "controlled", -3.0, 70.001864, 0.0,
              "vsl", 13.411200, None, 0.0, -2.75),
-            (0.1, "cav", "controlled", 1.0, 69.999379, 16.5,
+            (0.05, "h000", "human", 13.0, 69.991923, 15.5, None, None, None, None, 0.5),
+            (0.05, "cav", "controlled", 1.0, 69.999379, 16.5,
              "cbf", 13.4112, 13.4112, 18.0, -3.0),
-        ])
+        ], 2)
         path = self.assert_same_bytes(log, tmp_path)
-        assert read_run_log(path).rows == log.rows
+        assert list(read_run_log(path).rows) == list(log.rows)
 
     def test_ids_needing_quotes(self):
         # The writer does not quote cells, so such ids are rejected up front.
@@ -517,40 +587,47 @@ class TestRunLogWriterOracle:
                 cfg.validate()
 
     def test_signed_zero_times_and_percent_ids(self, tmp_path):
-        # Equal t values in distinct float objects, and -0.0 next to 0.0,
-        # which compare equal but format differently.
-        log = RunLog([
-            (-0.0, "50%", "human", 1.0, 70.0, 2.0, None, None, None, None, 0.5),
-            (0.0, "50%", "human", 1.0, 70.0, 2.0, None, None, None, None, 0.5),
-            (-0.0, "%s%%", "%d", -0.0, -0.0, 0.0, None, None, None, None, -0.0),
-            (float("0.05"), "50%", "human", 1.1, 70.0, 2.0, None, None, None, None, 0.5),
-            (float("0.05"), "cav", "controlled", 3.0, 70.0, 2.0,
-             "normal%", 2.0, None, 0.0, 0.25),
-        ])
+        # A step at -0.0 next to one at 0.0, which compare equal but format
+        # differently, and ids and kinds holding the template character.
+        vehicles = [("50%", "human", (None,) * 4), ("%s%%", "%d", (None,) * 4),
+                    ("cav", "controlled", ("normal%", 2.0, None, 0.0))]
+        log = dense_log([
+            (t, vid, kind, -0.0, -0.0, 0.0, *cells, -0.0)
+            for t in (-0.0, 0.0, float("0.05")) for vid, kind, cells in vehicles
+        ], 3)
         path = self.assert_same_bytes(log, tmp_path)
         assert b"\r\n-0.000,%s%%,%d,-0.000000," in path.read_bytes()
-        assert read_run_log(path).rows == log.rows
+        assert b"\r\n0.000,%s%%,%d,-0.000000," in path.read_bytes()
+        assert list(read_run_log(path).rows) == list(log.rows)
 
     @settings(max_examples=200, deadline=None)
-    @given(rows=st.one_of(world_run_log_rows(), st.lists(run_log_rows(), max_size=8)))
+    @given(rows=dense_rows())
     def test_same_bytes_as_csv_writer(self, tmp_path_factory, rows):
-        self.assert_same_bytes(RunLog(rows), tmp_path_factory.mktemp("log"))
+        self.assert_same_bytes(dense_log(*rows), tmp_path_factory.mktemp("log"))
 
 
 class TestRunLogReaderOracle:
     """read_run_log reads the rows the csv.reader reference reads."""
 
     @settings(max_examples=200, deadline=None)
-    @given(rows=st.lists(run_log_rows(), max_size=8))
+    @given(rows=dense_rows())
     def test_same_rows_as_csv_reader(self, tmp_path_factory, rows):
         path = tmp_path_factory.mktemp("log") / "run_log.csv"
-        write_run_log(RunLog(rows), path)
-        assert read_run_log(path).rows == read_run_log_csv(path)
+        write_run_log(dense_log(*rows), path)
+        assert list(read_run_log(path).rows) == read_run_log_csv(path)
 
     def test_canonical_run(self, tmp_path):
+        self.assert_same_rows(ORACLE_LOGS["canonical_30s"]()[0], tmp_path)
+
+    @pytest.mark.parametrize("name", sorted(set(ORACLE_LOGS) - {"canonical_30s"}))
+    def test_run_logs(self, tmp_path, name):
+        self.assert_same_rows(ORACLE_LOGS[name]()[0], tmp_path)
+
+    @staticmethod
+    def assert_same_rows(log, tmp_path):
         path = tmp_path / "run_log.csv"
-        write_run_log(run(dataclasses.replace(canonical_scenario(), duration_s=30.0)), path)
-        assert read_run_log(path).rows == read_run_log_csv(path)
+        write_run_log(log, path)
+        assert list(read_run_log(path).rows) == read_run_log_csv(path)
 
     @pytest.mark.parametrize(
         "body",
@@ -870,7 +947,7 @@ class TestRunPurity:
         before = copy.deepcopy(cfg)
         first = run(cfg)
         second = run(cfg)
-        assert first.rows == second.rows
+        assert list(first.rows) == list(second.rows)
         assert first.events == second.events
         assert cfg == before
 
@@ -977,10 +1054,12 @@ class TestRunReport:
 def build_report_rows(log):
     """Reference for build_report's aggregation: one pass over every row.
     Returns the fields build_report derives from the rows."""
-    dt_row = log.config_echo["dt"] * log.config_echo["log_every"]
+    echo = log.config_echo
+    dt_row = echo["dt"] * echo["log_every"]
     engaged_rows = 0
     occupancy, transitions, last_mode = {}, {}, {}
     t_max = 0.0
+    engaged_at = {}
     for row in log.rows:
         t, vid, kind, mode = row[0], row[1], row[2], row[6]
         t_max = max(t_max, t)
@@ -990,13 +1069,19 @@ def build_report_rows(log):
             transitions[mode] = transitions.get(mode, 0) + 1
             last_mode[vid] = mode
         engaged_rows += 1
+        engaged_at[t] = engaged_at.get(t, 0) + 1
         occupancy[mode] = occupancy.get(mode, 0) + 1
     fractions = {
         mode: count / engaged_rows for mode, count in sorted(occupancy.items())
     } if engaged_rows else {}
-    duration = t_max + dt_row if log.rows else 0.0
-    return (duration, engaged_rows * dt_row, fractions,
-            dict(sorted(transitions.items())))
+    duration, engaged_time = 0.0, engaged_rows * dt_row
+    if len(log.rows):
+        # The last logged step ends at the run's end.
+        end = (log.collision["t"] if log.collision is not None
+               else round(echo["duration_s"] / echo["dt"]) * echo["dt"])
+        duration = min(t_max + dt_row, end)
+        engaged_time -= engaged_at.get(t_max, 0) * (t_max + dt_row - duration)
+    return (duration, engaged_time, fractions, dict(sorted(transitions.items())))
 
 
 def v_des_traces_rows(log, n_controlled):
@@ -1009,64 +1094,67 @@ def v_des_traces_rows(log, n_controlled):
     return {vid: np.asarray(vals) for vid, vals in traces.items()}
 
 
-def _hand_built_log(rows, log_every=1):
-    return RunLog(rows, config_echo={"dt": 0.05, "seed": 3, "log_every": log_every})
-
-
-def _row(t, vid, kind, mode=None, v_des=None):
-    return (t, vid, kind, 1.0, 70.0, 2.0, mode, v_des, None, None, 0.0)
-
-
-# (log, n_controlled) builders for the whole-log consumers' oracles.
-CONSUMER_LOGS = {
-    "canonical_30s": lambda: (
-        run(dataclasses.replace(canonical_scenario(), duration_s=30.0)), 1
-    ),
-    "string_n6": lambda: (run(string_scenario(n_controlled=6)), 6),
-    "string_n6_every10": lambda: (
-        run(dataclasses.replace(string_scenario(n_controlled=6), log_every=10)), 6
-    ),
-    "empty": lambda: (_hand_built_log([]), 2),
-    # "disengaged" is a mode the controller no longer writes; read from an
-    # older log, it counts as any other mode.
-    "all_disengaged": lambda: (_hand_built_log([
-        _row(0.0, "h000", "human"),
-        _row(0.0, "cav01", "controlled", "disengaged", 9.0),
-        _row(0.05, "cav01", "controlled", "disengaged", 9.5),
-        _row(0.05, "cav02", "controlled", "disengaged"),
-    ], log_every=3), 2),
-    "mode_none": lambda: (_hand_built_log([
-        _row(-1.0, "cav01", "controlled", "normal", 9.0),
-        _row(-0.5, "cav01", "controlled", None, 9.5),
-        _row(-0.5, "cav02", "controlled", None),
-        _row(-0.25, "cav01", "controlled", "cbf", 8.0),
-        _row(-0.25, "cav01", "human", "vsl", 7.0),
-        _row(-0.25, "cav02", "controlled", "cbf"),
-    ]), 2),
-}
-
-
 class TestWholeLogConsumersMatchRowLoops:
-    @pytest.mark.parametrize("name", sorted(CONSUMER_LOGS))
+    @pytest.mark.parametrize("name", sorted(ORACLE_LOGS))
     def test_build_report(self, name):
-        log, _ = CONSUMER_LOGS[name]()
+        log, _ = ORACLE_LOGS[name]()
         rep, ref = build_report(log), build_report_rows(log)
         assert (rep.duration_s, rep.engaged_time_s, rep.mode_occupancy,
                 rep.mode_transitions) == ref
         assert list(rep.mode_occupancy) == list(ref[2])
 
-    @pytest.mark.parametrize("name", sorted(CONSUMER_LOGS))
+    @pytest.mark.parametrize("name", sorted(ORACLE_LOGS))
     def test_v_des_traces(self, name):
-        log, n = CONSUMER_LOGS[name]()
+        log, n = ORACLE_LOGS[name]()
         fast, ref = v_des_traces(log, n), v_des_traces_rows(log, n)
         assert list(fast) == list(ref)
         for vid in ref:
+            assert fast[vid].dtype == ref[vid].dtype == np.float64
             np.testing.assert_array_equal(fast[vid], ref[vid])
 
     def test_string_logs_hold_engaged_rows(self):
-        log, n = CONSUMER_LOGS["string_n6_every10"]()
+        log, n = ORACLE_LOGS["string_n6_every10"]()
         assert build_report(log).engaged_time_s > 0.0
         assert all(len(trace) for trace in v_des_traces(log, n).values())
+
+    def test_collision_logs_end_at_the_collision(self):
+        for name in ("collision", "collision_every3"):
+            log, _ = ORACLE_LOGS[name]()
+            assert log.collision is not None
+            assert build_report(log).duration_s <= log.collision["t"]
+
+
+class TestRunLogRowView:
+    def test_indexing_matches_iteration(self):
+        log, _ = ORACLE_LOGS["mode_none"]()
+        rows = list(log.rows)
+        assert len(log.rows) == len(rows) == 9
+        assert [log.rows[i] for i in range(len(rows))] == rows
+        assert [log.rows[i] for i in range(-len(rows), 0)] == rows
+        for i in (len(rows), -len(rows) - 1):
+            with pytest.raises(IndexError):
+                log.rows[i]
+
+    def test_rows_are_built_on_access(self):
+        log, _ = ORACLE_LOGS["canonical_30s"]()
+        assert log.rows[0] is not log.rows[0]
+        assert log.rows is not log.rows
+
+
+class TestRunLogMemory:
+    def test_log_keeps_under_64_bytes_a_row(self):
+        # A logged vehicle-step holds four floats (32 B) plus the
+        # controlled vehicle's cells; a tuple a row held about 235 B.
+        cfg = dataclasses.replace(canonical_scenario(), duration_s=60.0)
+        run(dataclasses.replace(cfg, duration_s=1.0))
+        tracemalloc.start()
+        try:
+            log = run(cfg)
+            kept, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(log.rows) == 1200 * 26
+        assert kept / len(log.rows) <= 64
 
 
 def triangle_table(duration_s, period_s, lo, hi):
