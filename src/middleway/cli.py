@@ -5,8 +5,8 @@ Subcommands:
   sweep   rerun a scenario across parameter values, or replay offsets
           open-loop over a recorded log; write an aggregated CSV
   rds     compare trajectory speeds against a sensor grid per latency
-  latency score a probe's stale sensor-grid estimates over a synthetic
-          wave field per latency; write the grid, trajectory and stats
+  latency score a run log's controlled vehicles against stale sensor reports
+          of its own traffic per latency; write grid, trajectory and stats
   string  run the platoon cascade study; write traces and steady values
 
 Exit codes: 0 success, 1 collision or safety halt, 2 usage or config error.
@@ -36,8 +36,6 @@ from .rds import (
     latency_study,
     read_grid,
     read_trajectory,
-    static_field,
-    wave_field,
     write_error_report,
     write_grid,
     write_trajectory,
@@ -109,7 +107,20 @@ def _finite_floats(raw: str, name: str) -> list[float]:
 
 def _run_one(data: dict, out: Path):
     loaded = build_scenario(data)
-    log = run(loaded.cfg)
+    cfg = loaded.cfg
+    if loaded.kind == "string":
+        # The readout's rows, lo to hi, as steady_v_des takes them: the
+        # window must hold one, and the run must log them all.
+        window = measurement_window(sum(v.kind is VehicleKind.CONTROLLED for v in cfg.vehicles))
+        row_dt = cfg.dt * cfg.log_every
+        lo, hi = (math.ceil(edge / row_dt - 1e-9) for edge in window)
+        if lo == hi:
+            raise ConfigError(f"scenario.log_every: a row every {row_dt:g} s leaves "
+                              f"no logged row in the measurement window {window}")
+        if hi > math.ceil(round(cfg.duration_s / cfg.dt) / cfg.log_every):
+            raise ConfigError(f"scenario.duration_s: a {cfg.duration_s:g} s run ends "
+                              f"before the measurement window {window} closes")
+    log = run(cfg)
     out.mkdir(parents=True, exist_ok=True)
     write_run_log(log, out / "run_log.csv")
     write_events(log, out / "events.jsonl")
@@ -224,14 +235,19 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     return 1 if collided else 0
 
 
-def _report_errors(stats: dict, latencies: list[float], out: Path) -> None:
-    """Write error_stats.csv and error_hist.csv; print one line per latency."""
+def _report_errors(stats: dict, latencies: list, args: argparse.Namespace, source: str) -> Path:
+    """Write error_stats.csv and error_hist.csv to --out (returned); print each latency."""
+    # A run that scores nothing would report a perfect zero error.
+    if not any(s.n for s in stats.values()):
+        raise ConfigError(f"{source}: no point is scored at any latency")
+    out = _out_dir(args)
     write_error_report(stats, out / "error_stats.csv", out / "error_hist.csv")
     for latency in latencies:
         s = stats[latency]
         print(f"latency {latency:6.1f} s: n={s.n:5d} "
               f"mean={s.mean_mps:+.3f} m/s std={s.std_mps:.3f} m/s")
     print(f"wrote {out / 'error_stats.csv'} and {out / 'error_hist.csv'}")
+    return out
 
 
 def cmd_rds(args: argparse.Namespace) -> int:
@@ -244,24 +260,18 @@ def cmd_rds(args: argparse.Namespace) -> int:
         stats = error_stats(trajectory, grid, latencies, args.bin_width_mph)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    # A run that scores nothing would report a perfect zero error.
-    if not any(s.n for s in stats.values()):
-        raise ConfigError(f"{args.trajectory}: no point is scored against "
-                          f"{args.grid} at any latency")
-    _report_errors(stats, latencies, _out_dir(args))
+    _report_errors(stats, latencies, args, f"{args.trajectory} against {args.grid}")
     return 0
 
 
 def cmd_latency(args: argparse.Namespace) -> int:
     latencies = _finite_floats(args.latencies, "latencies")
-    grid, trajectory = latency_study(static_field(20.0) if args.static else wave_field())
+    grid, trajectory = _read_input(lambda p: latency_study(read_run_log(p)), args.run_log)
     stats = error_stats(trajectory, grid, latencies)
-    out = _out_dir(args)
+    out = _report_errors(stats, latencies, args, args.run_log)
     write_grid(grid, out / "grid.csv")
     write_trajectory(trajectory, out / "trajectory.csv")
-    kind = "static control" if args.static else "wave train"
-    print(f"{kind}: {len(trajectory)} trajectory samples")
-    _report_errors(stats, latencies, out)
+    print(f"wrote {out / 'grid.csv'} and {out / 'trajectory.csv'}")
     return 0
 
 
@@ -331,11 +341,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_rds.add_argument("--out", default="out", help="output directory")
     p_rds.set_defaults(func=cmd_rds)
 
-    p_latency = sub.add_parser("latency", help="synthetic sensor-grid latency study")
-    p_latency.add_argument("--latencies", default="0,60,120,300",
+    p_latency = sub.add_parser("latency", help="sensor-grid latency study of a run log")
+    p_latency.add_argument("--run-log", required=True, help="recorded run_log.csv path")
+    p_latency.add_argument("--latencies", default="0,30,60,120",
                            help="comma-separated latencies in seconds")
-    p_latency.add_argument("--static", action="store_true",
-                           help="a constant 20 m/s field (control case)")
     p_latency.add_argument("--out", default="out/latency", help="output directory")
     p_latency.set_defaults(func=cmd_latency)
 

@@ -21,14 +21,15 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import InitVar, dataclass, field
-from itertools import chain, islice
+from itertools import chain, islice, repeat
 from pathlib import Path
 from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
+from .simulation import MAX_DURATION_S, RunLog
 from .tables import write_table
-from .units import MPS_PER_MPH, M_PER_MILE, mph_to_mps
+from .units import MPS_PER_MPH
 
 
 @dataclass(frozen=True)
@@ -70,9 +71,6 @@ class RdsGrid:
         expected = (len(self.spec.sensor_mm), self.spec.n_reports)
         if self.speeds.shape != expected:
             raise ValueError(f"speeds: expected shape {expected}")
-
-    def report_start(self, k: int) -> float:
-        return self.spec.origin_s + k * self.spec.cell_duration_s
 
 
 class TrajectoryPoint(NamedTuple):
@@ -203,82 +201,21 @@ def error_stats(
     return out
 
 
-# The synthetic wave field, in mph: (amplitude, period s, phase) per
-# component of a backward-propagating wave train. Mixing a slow envelope
-# with the ~4-minute wave matters: averaging a sensor pair d apart scales
-# a component of wavelength lambda by cos(pi*d/lambda), so short waves are
-# gutted by the spatial mean and a lone period would make the error
-# variance cycle with latency rather than grow. The slow component
-# survives the smoothing and keeps the variance climbing through the
-# latencies of interest.
-WAVE_MEAN_MPH = 45.0
-WAVE_COMPONENTS = ((13.0, 600.0, 0.0), (13.0, 240.0, 1.3), (4.0, 130.0, 2.6))
-WAVE_SPEED_MPH = 12.0
-WAVE_MIN_MPH = 15.0
-WAVE_MAX_MPH = 75.0
-
-
-def wave_field():
-    """Speed field f(t, mm) -> m/s for an upstream-running wave train."""
-    w_mi_per_s = WAVE_SPEED_MPH / 3600.0
-
-    def field(t: float, mm: float) -> float:
-        mph = WAVE_MEAN_MPH
-        for amp, period, phase in WAVE_COMPONENTS:
-            wavelength_mi = w_mi_per_s * period
-            mph += amp * math.sin(
-                2.0 * math.pi * (mm - w_mi_per_s * t) / wavelength_mi + phase
-            )
-        return mph_to_mps(min(max(mph, WAVE_MIN_MPH), WAVE_MAX_MPH))
-
-    return field
-
-
-def static_field(speed_mps: float):
-    def field(t: float, mm: float) -> float:
-        return speed_mps
-
-    return field
-
-
-def grid_from_field(field, spec: GridSpec) -> RdsGrid:
-    """Sample the field three times per cell and average, like a sensor."""
-    n_s = len(spec.sensor_mm)
-    speeds = np.empty((n_s, spec.n_reports))
-    offsets = [(j + 0.5) / 3 for j in range(3)]
-    for i, mm in enumerate(spec.sensor_mm):
-        for k in range(spec.n_reports):
-            t0 = spec.origin_s + k * spec.cell_duration_s
-            vals = [field(t0 + o * spec.cell_duration_s, mm) for o in offsets]
-            speeds[i, k] = sum(vals) / len(vals)
-    return RdsGrid(spec, speeds)
-
-
-def synthetic_trajectory(
-    field, t_start: float, t_end: float, mm_start: float
-) -> list[TrajectoryPoint]:
-    """Drive a virtual probe westbound through the field in 0.5 s steps and
-    sample it every 5 s."""
-    points = []
-    t, mm = t_start, mm_start
-    next_sample = t_start
-    while t <= t_end:
-        v = field(t, mm)
-        if t >= next_sample:
-            points.append(TrajectoryPoint(t, mm, v))
-            next_sample += 5.0
-        mm -= v * 0.5 / M_PER_MILE
-        t = round(t + 0.5, 9)
-    return points
-
-
-def latency_study(field) -> tuple[RdsGrid, list[TrajectoryPoint]]:
-    """The latency study's grid of 1,260 s over the default sensors, and a
-    probe driven through field from mile marker 69.4, from 330 s to 60 s
-    before the grid ends."""
-    duration_s = 1260.0
-    grid = grid_from_field(field, GridSpec(default_sensors(), duration_s=duration_s))
-    return grid, synthetic_trajectory(field, 330.0, duration_s - 60.0, 69.4)
+def latency_study(log: RunLog) -> tuple[RdsGrid, list[TrajectoryPoint]]:
+    """A run log's grid of 30 s reports over the default sensors from every
+    row, to the last step, and its controlled rows in log order as the
+    trajectory. A log without rows, ending outside [0, MAX_DURATION_S] or
+    with a non-finite t, mile marker or speed raises ValueError."""
+    if not (log.t and 0.0 <= log.t[-1] <= MAX_DURATION_S):
+        raise ValueError(f"run log: no rows, or a last t outside [0, {MAX_DURATION_S:g}] s")
+    if not all(np.isfinite(col).all() for col in (log.t, log.mm, log.v)):
+        raise ValueError("run log: t, mile_marker and velocity_mps must be finite")
+    n, slots = len(log.vehicle_ids), log.controlled
+    trajectory = [TrajectoryPoint(t, log.mm[s * n + j], log.v[s * n + j])
+                  for s, t in enumerate(log.t) for j in slots]
+    ts = chain.from_iterable(map(repeat, log.t, repeat(n)))
+    spec = GridSpec(default_sensors(), n_reports=int(log.t[-1] // 30.0) + 1)
+    return build_grid(zip(ts, log.mm, log.v), spec), trajectory
 
 
 def write_grid(grid: RdsGrid, path: str | Path) -> None:
@@ -286,7 +223,7 @@ def write_grid(grid: RdsGrid, path: str | Path) -> None:
         for i, mm in enumerate(grid.spec.sensor_mm):
             for k in range(grid.spec.n_reports):
                 v = grid.speeds[i, k]
-                yield (f"{mm:.3f}", repr(grid.report_start(k)),
+                yield (f"{mm:.3f}", repr(grid.spec.origin_s + k * grid.spec.cell_duration_s),
                        "" if math.isnan(v) else f"{v:.6f}")
 
     write_table(path, ("sensor_mm", "report_start_s", "mean_speed_mps"), rows())

@@ -98,7 +98,7 @@ def string_scenario(
     so each radar sees only its immediate leader and the cascade decrement
     equals the offset. The run lasts until 5 s after
     measurement_window closes; check_string tests whether a config,
-    after any override, can be read out in that window.
+    after any override, reads each vehicle's own cascade step there.
     """
     if not 1 <= n_controlled <= MAX_ROSTER:
         raise ValueError(f"n_controlled: must be in [1, {MAX_ROSTER}]")
@@ -133,11 +133,10 @@ def string_scenario(
 
 def check_string(cfg: ScenarioConfig) -> None:
     """Raise ValueError unless the steady-state readout of a string_scenario
-    config, rearmost vehicle first, reads each vehicle's own cascade step.
+    config, rearmost vehicle first, reads each vehicle's own cascade step;
+    the commands that read it out check that the run logs the window's rows.
 
-    Three conditions:
-    - the row spacing dt · log_every leaves a logged row in
-      measurement_window;
+    Two conditions:
     - the vehicles sit more than half the radar range apart, so each radar
       sees only its immediate leader;
     - the pace0 -> cav01 link stays within radar range until the run ends
@@ -151,11 +150,6 @@ def check_string(cfg: ScenarioConfig) -> None:
     so that readout is correct.
     """
     n = sum(v.kind is VehicleKind.CONTROLLED for v in cfg.vehicles)
-    row_dt, window = cfg.dt * cfg.log_every, measurement_window(n)
-    # The window's first and past-the-last row, as steady_v_des takes them.
-    if len({math.ceil(edge / row_dt - 1e-9) for edge in window}) == 1:
-        raise ValueError(f"scenario.log_every: a row every {row_dt:g} s leaves "
-                         f"no logged row in the measurement window {window}")
     cav01, pace0 = cfg.vehicles[n - 1], cfg.vehicles[n]
     spacing = pace0.x0 - cav01.x0
     max_range = cfg.radar.max_range

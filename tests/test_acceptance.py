@@ -30,7 +30,7 @@ from middleway.perception import (
     RadarFrame,
     RadarTarget,
 )
-from middleway.rds import error_stats, latency_study, static_field, wave_field
+from middleway.rds import RdsGrid, TrajectoryPoint, error_stats, latency_study
 from middleway.scenarios import (
     canonical_scenario,
     measurement_window,
@@ -39,8 +39,8 @@ from middleway.scenarios import (
     string_scenario,
     v_des_traces,
 )
-from middleway.simulation import build_report, run, write_run_log
-from middleway.units import mph_to_mps
+from middleway.simulation import build_report, read_run_log, run, write_run_log
+from middleway.units import M_PER_MILE, mph_to_mps
 
 
 def _passed(n: int, name: str, elapsed: float, limit: float) -> None:
@@ -257,21 +257,28 @@ def test_05_string_cascade_convergence():
     _passed(5, "string cascade convergence", time.monotonic() - t0, 60.0)
 
 
-def test_06_latency_error_growth():
+def test_06_latency_error_growth(canonical):
     t0 = time.monotonic()
-    latencies = [0.0, 60.0, 120.0, 300.0]
+    latencies = [0.0, 30.0, 60.0, 120.0]
 
-    grid, trajectory = latency_study(wave_field())
+    # The 560 s canonical log, read back: its traffic gridded into 30 s
+    # sensor reports, scored from the controlled vehicle.
+    grid, trajectory = latency_study(read_run_log(canonical.path))
     stats = error_stats(trajectory, grid, latencies)
     stds = [stats[lat].std_mps for lat in latencies]
     assert all(stats[lat].n >= 150 for lat in latencies)
     for slower, faster in zip(stds[1:], stds):
         assert slower > faster, stds
-    assert stds[1] >= 2.0 * stds[0], stds
+    assert stds[2] >= 2.0 * stds[0], stds
 
-    calm_grid, calm_traj = latency_study(static_field(20.0))
+    # The control: a constant grid, and a probe driving west from mile
+    # marker 69.4 at that speed, is scored with no error at any latency.
+    calm_grid = RdsGrid(grid.spec, np.full_like(grid.speeds, 20.0))
+    calm_traj = [TrajectoryPoint(t, 69.4 - 20.0 * t / M_PER_MILE, 20.0)
+                 for t in np.arange(0.0, 541.0, 5.0).tolist()]
     calm_stats = error_stats(calm_traj, calm_grid, latencies)
     for lat in latencies:
+        assert calm_stats[lat].n >= 50
         assert abs(calm_stats[lat].mean_mps) <= 1e-12
         assert calm_stats[lat].std_mps <= 1e-12
     _passed(6, "latency error growth", time.monotonic() - t0, 30.0)

@@ -8,6 +8,7 @@ import math
 import tempfile
 from typing import get_type_hints
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -23,6 +24,16 @@ from middleway.config import (
     build_scenario,
     load_config,
     set_dotted,
+)
+from middleway.rds import (
+    GridSpec,
+    RdsGrid,
+    TrajectoryPoint,
+    error_stats,
+    read_grid,
+    read_trajectory,
+    write_grid,
+    write_trajectory,
 )
 from middleway.scenarios import MAX_ROSTER, canonical_scenario
 from middleway.simulation import (
@@ -242,13 +253,14 @@ def short_log(tmp_path_factory):
 TRAJECTORY_HEADER = "t_s,mile_marker,speed_mps\n"
 
 
-def rds_args(tmp_path, trajectory_text):
-    """Write a static 20 m/s grid and the given trajectory CSV; return the
-    `middleway rds` arguments that read them."""
-    from middleway.rds import GridSpec, grid_from_field, static_field, write_grid
+# Three sensors and ten 30 s reports.
+SMALL_SPEC = GridSpec(sensor_mm=(60.0, 60.5, 61.0), duration_s=300.0)
 
-    spec = GridSpec(sensor_mm=(60.0, 60.5, 61.0), duration_s=300.0)
-    write_grid(grid_from_field(static_field(20.0), spec), tmp_path / "grid.csv")
+
+def rds_args(tmp_path, trajectory_text):
+    """Write a constant 20 m/s grid and the given trajectory CSV; return the
+    `middleway rds` arguments that read them."""
+    write_grid(RdsGrid(SMALL_SPEC, np.full((3, 10), 20.0)), tmp_path / "grid.csv")
     (tmp_path / "traj.csv").write_text(trajectory_text)
     return ["rds", "--grid", str(tmp_path / "grid.csv"),
             "--trajectory", str(tmp_path / "traj.csv"), "--out", str(tmp_path / "rds")]
@@ -494,6 +506,36 @@ class TestCli:
         assert "scenario.log_every: a row every 50 s" in capsys.readouterr().err
         assert not list(tmp_path.rglob("run_log.csv"))
 
+    @pytest.mark.parametrize("command", [
+        ["string"],
+        ["sweep", "--values", "2", "--override", "scenario.kind=string"],
+    ], ids=["string", "sweep"])
+    @pytest.mark.parametrize("duration", ["30", "62"])
+    def test_string_ending_before_the_window_exits_2(self, tmp_path, capsys, command,
+                                                      duration):
+        # The default 12 vehicles' window is 56-68 s: a 30 s run read nan
+        # for every vehicle, and a 62 s run averaged only its 56-62 s rows.
+        code = main([*command, "--out", str(tmp_path),
+                     "--override", f"scenario.duration_s={duration}"])
+        assert code == 2
+        assert (f"scenario.duration_s: a {duration} s run ends before the measurement "
+                "window (56.0, 68.0) closes") in capsys.readouterr().err
+        assert not list(tmp_path.rglob("run_log.csv"))
+
+    @pytest.mark.parametrize("log_every", ["1", "3"])
+    def test_string_run_to_the_window_close_reads_out(self, tmp_path, log_every):
+        # Three vehicles' window is 20-32 s; a run that ends at 32 s logs
+        # every row the readout takes, and 31.95 s misses the last.
+        args = ["string", "--override", "scenario.n_controlled=3",
+                "--override", f"scenario.log_every={log_every}"]
+        assert main([*args, "--override", "scenario.duration_s=31.95",
+                     "--out", str(tmp_path / "short")]) == 2
+        assert main([*args, "--override", "scenario.duration_s=32",
+                     "--out", str(tmp_path)]) == 0
+        with open(tmp_path / "string_summary.csv", newline="") as fh:
+            steady = [float(r["steady_v_des_mps"]) for r in csv.DictReader(fh)]
+        assert len(steady) == 3 and all(map(math.isfinite, steady))
+
     def test_string_command_steady_v_des_with_log_every(self, tmp_path):
         steady = {}
         for every in (1, 10):
@@ -549,18 +591,7 @@ class TestCli:
             assert steady[("10", vid)] == pytest.approx(steady[("1", vid)], abs=0.05)
 
     def test_rds_static_grid_zero_stats(self, tmp_path):
-        from middleway.rds import (
-            GridSpec,
-            TrajectoryPoint,
-            grid_from_field,
-            static_field,
-            write_grid,
-            write_trajectory,
-        )
-
-        spec = GridSpec(sensor_mm=(60.0, 60.5, 61.0), duration_s=300.0)
-        field = static_field(20.0)
-        write_grid(grid_from_field(field, spec), tmp_path / "grid.csv")
+        write_grid(RdsGrid(SMALL_SPEC, np.full((3, 10), 20.0)), tmp_path / "grid.csv")
         traj = [TrajectoryPoint(120.0 + 10.0 * i, 60.2, 20.0) for i in range(6)]
         write_trajectory(traj, tmp_path / "traj.csv")
         out = tmp_path / "rds"
@@ -650,13 +681,13 @@ class TestCli:
         assert not (tmp_path / "rds").exists()
 
     def test_rds_tiny_bin_width_exits_2(self, tmp_path, capsys):
-        # A wave field's nonzero errors over a 1e-310 mph bin overflow to an
+        # Drawn speeds' nonzero errors over a 1e-310 mph bin overflow to an
         # infinite bin index.
-        from middleway.rds import latency_study, wave_field, write_grid, write_trajectory
-
-        grid, trajectory = latency_study(wave_field())
-        write_grid(grid, tmp_path / "grid.csv")
-        write_trajectory(trajectory, tmp_path / "traj.csv")
+        rng = np.random.default_rng(0)
+        write_grid(RdsGrid(SMALL_SPEC, rng.uniform(5.0, 35.0, (3, 10))), tmp_path / "grid.csv")
+        write_trajectory([TrajectoryPoint(t, mm, 20.0) for t, mm in zip(
+            rng.uniform(0.0, 270.0, 20).tolist(), rng.uniform(60.0, 61.0, 20).tolist())],
+            tmp_path / "traj.csv")
         code = main(
             ["rds", "--grid", str(tmp_path / "grid.csv"),
              "--trajectory", str(tmp_path / "traj.csv"),
@@ -664,6 +695,55 @@ class TestCli:
         )
         assert code == 2
         assert "bin_width_mph" in capsys.readouterr().err
+
+    def test_latency_scores_its_run_log(self, short_log, tmp_path, capsys):
+        # A 60 s log gives two 30 s reports; its 1,200 controlled rows are
+        # the trajectory, and the study's files score as rds scores them.
+        out = tmp_path / "latency"
+        assert main(["latency", "--run-log", str(short_log), "--latencies", "0,15",
+                     "--out", str(out)]) == 0
+        grid, trajectory = read_grid(out / "grid.csv"), read_trajectory(out / "trajectory.csv")
+        assert (len(grid.spec.sensor_mm), grid.spec.n_reports) == (35, 2)
+        assert len(trajectory) == 1200
+        with open(out / "error_stats.csv", newline="") as fh:
+            n = {float(r["latency_s"]): int(r["n"]) for r in csv.DictReader(fh)}
+        assert n[0.0] > 0
+        assert n == {lat: s.n for lat, s in error_stats(trajectory, grid, [0.0, 15.0]).items()}
+        assert f"wrote {out / 'grid.csv'} and {out / 'trajectory.csv'}" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("edit", [
+        "first_30s", "no_rows", "nan_speed", "inf_mile_marker", "last_t_past_a_day",
+    ])
+    def test_latency_unscorable_run_log_exits_2(self, short_log, tmp_path, capsys, edit):
+        # The log holds 25 humans and then cav at every step. A 30 s log has
+        # one report, so no point has the next one; a zero-duration run
+        # writes the header alone.
+        message = {
+            "first_30s": "no point is scored at any latency",
+            "no_rows": "no rows",
+            "nan_speed": "must be finite",
+            "inf_mile_marker": "must be finite",
+            "last_t_past_a_day": "last t outside [0, 86400] s",
+        }[edit]
+        header, *lines = short_log.read_bytes().decode().splitlines(keepends=True)
+        if edit == "first_30s":
+            lines = lines[:600 * 26]
+        elif edit == "no_rows":
+            lines = []
+        elif edit in ("nan_speed", "inf_mile_marker"):
+            cells = lines[40].split(",")
+            cells[5 if edit == "nan_speed" else 4] = "nan" if edit == "nan_speed" else "inf"
+            lines[40] = ",".join(cells)
+        else:
+            lines[-26:] = [line.replace(line.split(",", 1)[0], "90000.000", 1)
+                           for line in lines[-26:]]
+        log = tmp_path / "run_log.csv"
+        log.write_bytes("".join([header, *lines]).encode())
+        out = tmp_path / "latency"
+        assert main(["latency", "--run-log", str(log), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "run_log.csv" in err and message in err
+        assert not out.exists()
 
     def test_run_overflowing_free_road_term_brakes_at_floor(self, tmp_path):
         # The humans start near 16 m/s, so (v / v0) ** delta overflows.

@@ -31,8 +31,7 @@ COMMANDS = (
         "--override", "scenario.n_controlled=3",
     ]),
     ("sweep_replay", ["sweep", "--values", "0,2,4", "--replay", "{root}/run_noisy/run_log.csv"]),
-    ("latency", ["latency"]),
-    ("latency_static", ["latency", "--static"]),
+    ("latency", ["latency", "--run-log", "{root}/run_noisy/run_log.csv"]),
     ("rds", [
         "rds", "--grid", "{root}/latency/grid.csv",
         "--trajectory", "{root}/latency/trajectory.csv",
@@ -45,8 +44,8 @@ COMMANDS = (
 # changed only each report.json (no "direction" line) and events.jsonl (no
 # t = 0 engagement event per controlled vehicle). Each report.json was
 # recorded again when the config echo's controller block lost its copy of
-# the scenario dt. Both latency stdouts were recorded again when the study
-# became a subcommand that prints rds's per-latency lines.
+# the scenario dt. The latency and rds entries were recorded again when the
+# study stopped sampling a synthetic wave field and scored run_noisy's log.
 GOLDEN = {
     "run": {
         "stdout": "2a306063fb7e5f6e",
@@ -94,23 +93,16 @@ GOLDEN = {
         "replay_v_des.csv": "430e160f49fbd229",
     },
     "latency": {
-        "stdout": "eadbb4b81e2dcd73",
-        "error_hist.csv": "257db710383440cc",
-        "error_stats.csv": "105631be1995eba5",
-        "grid.csv": "a4ae30f6c3398a08",
-        "trajectory.csv": "3d529c1f4dbc27fb",
-    },
-    "latency_static": {
-        "stdout": "f7b73bc10fa1672d",
-        "error_hist.csv": "6a49ce297d9222ed",
-        "error_stats.csv": "5701af8db8ce5413",
-        "grid.csv": "41f4e0f425e9667e",
-        "trajectory.csv": "188978fe726ff3fc",
+        "stdout": "52cc63987c906937",
+        "error_hist.csv": "f37b211add53819c",
+        "error_stats.csv": "5b2bebfbae0670c2",
+        "grid.csv": "474d0db4d715b133",
+        "trajectory.csv": "bfa0251499f1c69d",
     },
     "rds": {
-        "stdout": "45f78035fa63c790",
-        "error_hist.csv": "257db710383440cc",
-        "error_stats.csv": "ca0e2e45ab37a0fb",
+        "stdout": "60b16f858db3225e",
+        "error_hist.csv": "26b1e78e73c0ca4c",
+        "error_stats.csv": "37d07064004b92ad",
     },
 }
 
@@ -156,9 +148,14 @@ def test_outputs_pinned(outputs, name):
     ["--duration", "-5"],
 ])
 def test_latency_bad_option_exits_2(tmp_path, capsys, argv):
-    # A bad latency list is a config error; the study has no --duration.
+    # With a valid run log, a bad latency list is a config error; the study
+    # has no --duration.
+    log = tmp_path / "run" / "run_log.csv"
+    assert main(["run", "--override", "scenario.duration_s=1", "--out", str(log.parent)]) == 0
+    capsys.readouterr()
     try:
-        code = main(["latency", *argv, "--out", str(tmp_path / "latency")])
+        code = main(["latency", "--run-log", str(log), *argv,
+                     "--out", str(tmp_path / "latency")])
     except SystemExit as exc:
         code = exc.code
     assert code == 2

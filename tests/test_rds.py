@@ -18,12 +18,9 @@ from middleway.rds import (
     build_grid,
     default_sensors,
     error_stats,
-    grid_from_field,
+    latency_study,
     read_grid,
     read_trajectory,
-    static_field,
-    synthetic_trajectory,
-    wave_field,
     write_error_report,
     write_grid,
     write_trajectory,
@@ -43,7 +40,7 @@ from middleway.simulation import (
     run,
     write_run_log,
 )
-from middleway.units import MPS_PER_MPH
+from middleway.units import M_PER_MILE, MPS_PER_MPH
 
 
 def build_grid_loop(samples, spec):
@@ -166,6 +163,25 @@ def offset_replay_loop(log, offsets):
 
 def small_spec(duration_s=120.0):
     return GridSpec(sensor_mm=(60.0, 60.5, 61.0), duration_s=duration_s)
+
+
+def constant_grid(speed, spec):
+    return RdsGrid(spec, np.full((len(spec.sensor_mm), spec.n_reports), speed))
+
+
+def drawn_grid(rng, spec, holes=0.0):
+    """Speeds drawn from 5-35 m/s with six decimals, as a grid file holds
+    them, and a share of holes."""
+    speeds = rng.integers(5_000_000, 35_000_000, (len(spec.sensor_mm), spec.n_reports)) / 1e6
+    speeds[rng.random(speeds.shape) < holes] = np.nan
+    return RdsGrid(spec, speeds)
+
+
+def drawn_trajectory(rng, n, t_range, mm_range):
+    """n points at drawn times, mile markers and 5-35 m/s speeds, in time order."""
+    t = np.sort(rng.uniform(*t_range, n))
+    return [TrajectoryPoint(*p) for p in zip(t.tolist(), rng.uniform(*mm_range, n).tolist(),
+                                              rng.uniform(5.0, 35.0, n).tolist())]
 
 
 def grid_with(values, spec=None):
@@ -316,8 +332,7 @@ class TestIdealSpeed:
         assert ideal_speed(p, grid) == pytest.approx(23.0, abs=1e-12)
 
     def test_uniform_field_returns_it(self):
-        spec = small_spec()
-        grid = grid_from_field(static_field(19.0), spec)
+        grid = constant_grid(19.0, small_spec())
         assert ideal_speed(TrajectoryPoint(45.0, 60.7, 0.0), grid) == pytest.approx(
             19.0, abs=1e-12
         )
@@ -345,7 +360,7 @@ class TestIdealSpeed:
             ideal_speed(TrajectoryPoint(15.0, 60.25, 0.0), grid)
 
     def test_outside_coverage_raises(self):
-        grid = grid_from_field(static_field(19.0), small_spec())
+        grid = constant_grid(19.0, small_spec())
         with pytest.raises(AllNeighborsMissing):
             ideal_speed(TrajectoryPoint(15.0, 59.9, 0.0), grid)
         with pytest.raises(AllNeighborsMissing):
@@ -354,7 +369,7 @@ class TestIdealSpeed:
 
 class TestRealtimeSpeed:
     def test_zero_latency_steady_field(self):
-        grid = grid_from_field(static_field(21.0), small_spec())
+        grid = constant_grid(21.0, small_spec())
         p = TrajectoryPoint(50.0, 60.25, 0.0)
         assert realtime_speed(p, grid, 0.0) == pytest.approx(21.0, abs=1e-12)
 
@@ -372,15 +387,15 @@ class TestRealtimeSpeed:
         assert ideal_speed(p, grid) == pytest.approx(10.0, abs=1e-12)
         assert realtime_speed(p, grid, 60.0) == pytest.approx(30.0, abs=1e-12)
 
-    def test_small_latency_on_static_field_equals_ideal(self):
-        grid = grid_from_field(static_field(23.5), small_spec())
+    def test_small_latency_on_constant_grid_equals_ideal(self):
+        grid = constant_grid(23.5, small_spec())
         p = TrajectoryPoint(50.0, 60.6, 0.0)
         assert realtime_speed(p, grid, 15.0) == pytest.approx(
             ideal_speed(p, grid), abs=1e-12
         )
 
     def test_latency_before_first_report_raises(self):
-        grid = grid_from_field(static_field(23.5), small_spec())
+        grid = constant_grid(23.5, small_spec())
         with pytest.raises(AllNeighborsMissing):
             realtime_speed(TrajectoryPoint(50.0, 60.25, 0.0), grid, 90.0)
 
@@ -421,11 +436,12 @@ class TestEstimateBounds:
 
 
 class TestErrorStats:
-    def test_static_field_zero_error_at_all_latencies(self):
-        spec = GridSpec(sensor_mm=default_sensors(), duration_s=900.0)
-        field = static_field(20.0)
-        grid = grid_from_field(field, spec)
-        traj = synthetic_trajectory(field, 330.0, 850.0, 69.4)
+    def test_constant_grid_zero_error_at_all_latencies(self):
+        # A probe driving west from mile marker 69.4 at 20 m/s, sampled
+        # every 5 s from 330 s to 850 s.
+        grid = constant_grid(20.0, GridSpec(sensor_mm=default_sensors(), duration_s=900.0))
+        traj = [TrajectoryPoint(t, 69.4 - 20.0 * (t - 330.0) / M_PER_MILE, 20.0)
+                for t in np.arange(330.0, 851.0, 5.0).tolist()]
         stats = error_stats(traj, grid, [0.0, 60.0, 120.0, 300.0])
         for s in stats.values():
             assert s.n > 50
@@ -433,19 +449,20 @@ class TestErrorStats:
             assert s.std_mps <= 1e-12
             assert set(s.histogram) == {0}
 
-    def test_wave_field_spread_grows_with_latency(self):
-        spec = GridSpec(sensor_mm=default_sensors(), duration_s=1260.0)
-        field = wave_field()
-        grid = grid_from_field(field, spec)
-        traj = synthetic_trajectory(field, 330.0, 1200.0, 69.4)
+    def test_spread_grows_with_latency(self):
+        # Over independent cells of spread s, the error at 0 s has spread
+        # s/2 (two of the ideal's four cells are the realtime's), and at
+        # 120 s, with no cell shared, s * sqrt(3)/2.
+        rng = np.random.default_rng(6)
+        grid = drawn_grid(rng, GridSpec(sensor_mm=default_sensors(), duration_s=1260.0))
+        traj = drawn_trajectory(rng, 400, (330.0, 1200.0), (53.0, 70.0))
         stats = error_stats(traj, grid, [0.0, 120.0])
-        assert stats[120.0].std_mps > stats[0.0].std_mps
+        assert stats[120.0].std_mps > 1.5 * stats[0.0].std_mps > 0.0
 
     def test_histogram_counts_match_n(self):
-        spec = GridSpec(sensor_mm=default_sensors(), duration_s=1260.0)
-        field = wave_field()
-        grid = grid_from_field(field, spec)
-        traj = synthetic_trajectory(field, 330.0, 800.0, 69.4)
+        rng = np.random.default_rng(7)
+        grid = drawn_grid(rng, GridSpec(sensor_mm=default_sensors(), duration_s=1260.0))
+        traj = drawn_trajectory(rng, 100, (330.0, 800.0), (53.0, 70.0))
         stats = error_stats(traj, grid, [60.0])
         s = stats[60.0]
         assert sum(s.histogram.values()) == s.n > 0
@@ -465,12 +482,12 @@ class TestErrorStatsMatchesPerLatency:
         bin_width=st.sampled_from([0.5, 1.0, 3.0]),
     )
     def test_equal_stats(self, seed, holes, t_start, mm_start, latencies, bin_width):
-        spec = GridSpec(sensor_mm=default_sensors(), duration_s=1260.0)
-        field = wave_field()
-        grid = grid_from_field(field, spec)
+        # A 35-sensor by 42-report grid, and points up to 600 s after
+        # t_start and 6 miles west of mm_start, some outside the sensors.
         rng = np.random.default_rng(seed)
-        grid.speeds[rng.random(grid.speeds.shape) < holes] = np.nan
-        traj = synthetic_trajectory(field, t_start, t_start + 600.0, mm_start)
+        grid = drawn_grid(rng, GridSpec(sensor_mm=default_sensors(), duration_s=1260.0), holes)
+        traj = drawn_trajectory(rng, 120, (t_start, t_start + 600.0),
+                                (mm_start - 6.0, mm_start))
         got = error_stats(traj, grid, latencies, bin_width)
         assert got == error_stats_per_latency(traj, grid, latencies, bin_width)
 
@@ -503,7 +520,7 @@ class TestErrorStatsMatchesPerLatency:
 
     @pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf])
     def test_non_finite_t_raises(self, t):
-        grid = grid_from_field(static_field(20.0), small_spec())
+        grid = constant_grid(20.0, small_spec())
         traj = [TrajectoryPoint(40.0, 60.25, 20.0), TrajectoryPoint(t, 60.25, 20.0)]
         with pytest.raises(ValueError, match="finite"):
             error_stats(traj, grid, [0.0])
@@ -636,6 +653,30 @@ class TestReadSideGolden:
         got = {lat: (s.n, repr(s.mean_mps), repr(s.std_mps)) for lat, s in stats.items()}
         assert got == GOLDEN_STATS
 
+    @pytest.mark.parametrize("name", ["canonical_120s", "string_n6"])
+    def test_latency_study_matches_rows(self, tmp_path, name):
+        # latency_study grids the columns; the benchmark's path builds one
+        # TrajectoryPoint per row, over the reports that cover the run.
+        cfg = {
+            "canonical_120s": dataclasses.replace(canonical_scenario(), duration_s=120.0),
+            "string_n6": string_scenario(n_controlled=6),
+        }[name]
+        path = tmp_path / "run_log.csv"
+        write_run_log(run(cfg), path)
+        log = read_run_log(path)
+        grid, trajectory = latency_study(log)
+
+        spec = GridSpec(sensor_mm=default_sensors(), duration_s=cfg.duration_s)
+        samples = [TrajectoryPoint(r[0], r[4], r[5]) for r in log.rows]
+        want = [p for p, r in zip(samples, log.rows) if r[2] == "controlled"]
+        assert trajectory == want
+        assert grid.spec == spec
+        assert np.array_equal(grid.speeds, build_grid(samples, spec).speeds, equal_nan=True)
+        latencies = [0.0, 30.0, 60.0]
+        stats = error_stats(trajectory, grid, latencies)
+        assert stats == error_stats(want, build_grid(samples, spec), latencies)
+        assert stats[0.0].n > 0
+
 
 @st.composite
 def round_trip_grids(draw):
@@ -659,7 +700,7 @@ def round_trip_grids(draw):
 class TestSerialization:
     def test_grid_round_trip(self, tmp_path):
         spec = small_spec()
-        grid = grid_from_field(wave_field(), spec)
+        grid = drawn_grid(np.random.default_rng(0), spec)
         grid.speeds[1, 2] = np.nan
         path = tmp_path / "grid.csv"
         write_grid(grid, path)
@@ -671,7 +712,7 @@ class TestSerialization:
     def test_tenth_second_cells_read_back(self, tmp_path):
         # 3 * 0.1 is 0.30000000000000004, and 0.3 s spans four 0.1 s cells.
         spec = GridSpec(sensor_mm=(60.0, 60.5), cell_duration_s=0.1, duration_s=0.3)
-        grid = grid_from_field(static_field(20.0), spec)
+        grid = drawn_grid(np.random.default_rng(1), spec)
         path = tmp_path / "grid.csv"
         write_grid(grid, path)
         loaded = read_grid(path)
@@ -681,7 +722,7 @@ class TestSerialization:
     def test_quarter_second_origin_read_back(self, tmp_path):
         spec = GridSpec(sensor_mm=(60.0, 60.5), origin_s=0.25, duration_s=90.0)
         path = tmp_path / "grid.csv"
-        write_grid(grid_from_field(static_field(20.0), spec), path)
+        write_grid(drawn_grid(np.random.default_rng(2), spec), path)
         assert read_grid(path).spec.origin_s == 0.25
 
     @settings(max_examples=100, deadline=None)
@@ -697,7 +738,7 @@ class TestSerialization:
         np.testing.assert_array_equal(loaded.speeds, grid.speeds)
 
     def test_trajectory_round_trip(self, tmp_path):
-        traj = synthetic_trajectory(wave_field(), 0.0, 100.0, 69.5)
+        traj = drawn_trajectory(np.random.default_rng(3), 20, (0.0, 100.0), (69.0, 69.5))
         path = tmp_path / "traj.csv"
         write_trajectory(traj, path)
         loaded = read_trajectory(path)
@@ -723,9 +764,7 @@ class TestSerialization:
         assert second.read_bytes() == first.read_bytes()
 
     def test_error_report_files(self, tmp_path):
-        spec = small_spec()
-        field = static_field(20.0)
-        grid = grid_from_field(field, spec)
+        grid = constant_grid(20.0, small_spec())
         traj = [TrajectoryPoint(40.0, 60.25, 20.0), TrajectoryPoint(50.0, 60.5, 20.0)]
         stats = error_stats(traj, grid, [0.0, 30.0])
         report = tmp_path / "errors.csv"
