@@ -4,9 +4,8 @@ Subcommands:
   run     simulate one scenario; write run_log.csv, events.jsonl, report.json
   sweep   rerun a scenario across parameter values, or replay offsets
           open-loop over a recorded log; write an aggregated CSV
-  rds     compare trajectory speeds against a sensor grid per latency
-  latency score a run log's controlled vehicles against stale sensor reports
-          of its own traffic per latency; write grid, trajectory and stats
+  rds     score a trajectory against stale sensor-grid reports per latency,
+          or a run log's controlled rows against reports of its own traffic
   string  run the platoon cascade study; write traces and steady values
 
 Exit codes: 0 success, 1 collision or safety halt, 2 usage or config error.
@@ -45,6 +44,7 @@ from .scenarios import (
     offset_replay,
     steady_v_des,
     v_des_traces,
+    window_rows,
 )
 from .simulation import (
     RunLog,
@@ -68,10 +68,13 @@ def _load_data(args: argparse.Namespace) -> dict:
     return data
 
 
-def _out_dir(args: argparse.Namespace) -> Path:
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    return out
+def _mkdir(path: Path) -> Path:
+    """Make directory path and its parents; one that cannot be is a ConfigError."""
+    try:
+        path.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"{path}: {exc.strerror or exc}") from exc
+    return path
 
 
 def _write_report(report, path: Path) -> None:
@@ -113,15 +116,15 @@ def _run_one(data: dict, out: Path):
         # window must hold one, and the run must log them all.
         window = measurement_window(sum(v.kind is VehicleKind.CONTROLLED for v in cfg.vehicles))
         row_dt = cfg.dt * cfg.log_every
-        lo, hi = (math.ceil(edge / row_dt - 1e-9) for edge in window)
+        lo, hi = window_rows(row_dt, window)
         if lo == hi:
             raise ConfigError(f"scenario.log_every: a row every {row_dt:g} s leaves "
                               f"no logged row in the measurement window {window}")
         if hi > math.ceil(round(cfg.duration_s / cfg.dt) / cfg.log_every):
             raise ConfigError(f"scenario.duration_s: a {cfg.duration_s:g} s run ends "
                               f"before the measurement window {window} closes")
+    _mkdir(out)
     log = run(cfg)
-    out.mkdir(parents=True, exist_ok=True)
     write_run_log(log, out / "run_log.csv")
     write_events(log, out / "events.jsonl")
     report = build_report(log)
@@ -130,7 +133,7 @@ def _run_one(data: dict, out: Path):
 
 
 def cmd_run(args: argparse.Namespace) -> int:
-    out = _out_dir(args)
+    out = Path(args.out)
     _, log, report = _run_one(_load_data(args), out)
     occupancy = ", ".join(
         f"{mode}={frac:.3f}" for mode, frac in sorted(report.mode_occupancy.items())
@@ -163,9 +166,9 @@ def _sweep_replay(args: argparse.Namespace) -> int:
     if ignored:
         raise ConfigError(f"sweep --replay: does not read {', '.join(ignored)}")
     offsets = _finite_floats(args.values, "values")
-    out = _out_dir(args)
     replay = _read_input(lambda path: offset_replay(read_run_log(path), offsets),
                          args.replay)
+    out = _mkdir(Path(args.out))
     dest = out / "replay_v_des.csv"
     header = ["t", "vehicle_id", "v_pr", "v_gr", *(f"v_des_offset_{k:g}" for k in offsets)]
     write_table(dest, header, (
@@ -190,7 +193,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     if args.replay is not None:
         return _sweep_replay(args)
     values = _parse_values(args.values, "values")
-    out = _out_dir(args)
+    out = Path(args.out)
 
     parameter = args.parameter
     if "." not in parameter:
@@ -235,48 +238,43 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     return 1 if collided else 0
 
 
-def _report_errors(stats: dict, latencies: list, args: argparse.Namespace, source: str) -> Path:
-    """Write error_stats.csv and error_hist.csv to --out (returned); print each latency."""
+def cmd_rds(args: argparse.Namespace) -> int:
+    given = tuple(path is not None for path in (args.run_log, args.grid, args.trajectory))
+    if given not in ((True, False, False), (False, True, True)):
+        raise ConfigError("rds: takes either --run-log, or --grid with --trajectory")
+    latencies = _finite_floats(args.latencies, "latencies")
+    if not (math.isfinite(args.bin_width_mph) and args.bin_width_mph > 0):
+        raise ConfigError("bin-width-mph: must be positive and finite")
+    if args.run_log is not None:
+        source = args.run_log
+        grid, trajectory = _read_input(lambda p: latency_study(read_run_log(p)), source)
+    else:
+        source = f"{args.trajectory} against {args.grid}"
+        grid = _read_input(read_grid, args.grid)
+        trajectory = _read_input(read_trajectory, args.trajectory)
+    try:
+        stats = error_stats(trajectory, grid, latencies, args.bin_width_mph)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
     # A run that scores nothing would report a perfect zero error.
     if not any(s.n for s in stats.values()):
         raise ConfigError(f"{source}: no point is scored at any latency")
-    out = _out_dir(args)
+    out = _mkdir(Path(args.out))
     write_error_report(stats, out / "error_stats.csv", out / "error_hist.csv")
     for latency in latencies:
         s = stats[latency]
         print(f"latency {latency:6.1f} s: n={s.n:5d} "
               f"mean={s.mean_mps:+.3f} m/s std={s.std_mps:.3f} m/s")
     print(f"wrote {out / 'error_stats.csv'} and {out / 'error_hist.csv'}")
-    return out
-
-
-def cmd_rds(args: argparse.Namespace) -> int:
-    grid = _read_input(read_grid, args.grid)
-    trajectory = _read_input(read_trajectory, args.trajectory)
-    latencies = _finite_floats(args.latencies, "latencies")
-    if not (math.isfinite(args.bin_width_mph) and args.bin_width_mph > 0):
-        raise ConfigError("bin-width-mph: must be positive and finite")
-    try:
-        stats = error_stats(trajectory, grid, latencies, args.bin_width_mph)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-    _report_errors(stats, latencies, args, f"{args.trajectory} against {args.grid}")
-    return 0
-
-
-def cmd_latency(args: argparse.Namespace) -> int:
-    latencies = _finite_floats(args.latencies, "latencies")
-    grid, trajectory = _read_input(lambda p: latency_study(read_run_log(p)), args.run_log)
-    stats = error_stats(trajectory, grid, latencies)
-    out = _report_errors(stats, latencies, args, args.run_log)
-    write_grid(grid, out / "grid.csv")
-    write_trajectory(trajectory, out / "trajectory.csv")
-    print(f"wrote {out / 'grid.csv'} and {out / 'trajectory.csv'}")
+    if args.run_log is not None:
+        write_grid(grid, out / "grid.csv")
+        write_trajectory(trajectory, out / "trajectory.csv")
+        print(f"wrote {out / 'grid.csv'} and {out / 'trajectory.csv'}")
     return 0
 
 
 def cmd_string(args: argparse.Namespace) -> int:
-    out = _out_dir(args)
+    out = Path(args.out)
     data = _load_data(args)
     set_dotted(data, "scenario.kind", "string")
     loaded, log, report = _run_one(data, out)
@@ -332,21 +330,17 @@ def build_parser() -> argparse.ArgumentParser:
                               "this recorded run log instead of resimulating")
     p_sweep.set_defaults(func=cmd_sweep)
 
-    p_rds = sub.add_parser("rds", help="grid-versus-trajectory error stats")
-    p_rds.add_argument("--grid", required=True, help="grid CSV path")
-    p_rds.add_argument("--trajectory", required=True, help="trajectory CSV path")
-    p_rds.add_argument("--latencies", default="0,60,120,300",
+    p_rds = sub.add_parser("rds", help="sensor-grid latency error stats")
+    p_rds.add_argument("--run-log", default=None,
+                       help="recorded run_log.csv path; also writes its grid "
+                            "and trajectory")
+    p_rds.add_argument("--grid", default=None, help="grid CSV path")
+    p_rds.add_argument("--trajectory", default=None, help="trajectory CSV path")
+    p_rds.add_argument("--latencies", default="0,30,60,120",
                        help="comma-separated latencies in seconds")
     p_rds.add_argument("--bin-width-mph", type=float, default=1.0)
     p_rds.add_argument("--out", default="out", help="output directory")
     p_rds.set_defaults(func=cmd_rds)
-
-    p_latency = sub.add_parser("latency", help="sensor-grid latency study of a run log")
-    p_latency.add_argument("--run-log", required=True, help="recorded run_log.csv path")
-    p_latency.add_argument("--latencies", default="0,30,60,120",
-                           help="comma-separated latencies in seconds")
-    p_latency.add_argument("--out", default="out/latency", help="output directory")
-    p_latency.set_defaults(func=cmd_latency)
 
     p_string = sub.add_parser("string", help="platoon cascade study")
     common(p_string)

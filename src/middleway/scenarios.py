@@ -187,17 +187,20 @@ def v_des_traces(log: RunLog, n_controlled: int) -> dict[str, np.ndarray]:
             for vid in (f"cav{k:02d}" for k in range(1, n_controlled + 1))}
 
 
+def window_rows(dt: float, window: tuple[float, float]) -> tuple[int, ...]:
+    """The indexes [lo, hi) of the rows at i·dt in window; a time within float
+    noise of an edge counts as on it (12 / 0.15 is 79.99999999999999)."""
+    return tuple(math.ceil(edge / dt - 1e-9) for edge in window)
+
+
 def steady_v_des(
     traces: dict[str, np.ndarray],
     dt: float,
     window: tuple[float, float],
 ) -> dict[str, float]:
-    """Mean of each trace over the rows at i·dt in [lo, hi), NaN when it has
-    none there (a run that halted before the window). A time within float
-    noise of an edge counts as on it (12 / 0.15 is 79.99999999999999)."""
-    lo, hi = window
-    i_lo = math.ceil(lo / dt - 1e-9)
-    i_hi = math.ceil(hi / dt - 1e-9)
+    """Mean of each trace over its window_rows, NaN when it has none there
+    (a run that halted before the window)."""
+    i_lo, i_hi = window_rows(dt, window)
     steady = {}
     for vid, trace in traces.items():
         rows = trace[i_lo:i_hi]

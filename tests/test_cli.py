@@ -696,11 +696,11 @@ class TestCli:
         assert code == 2
         assert "bin_width_mph" in capsys.readouterr().err
 
-    def test_latency_scores_its_run_log(self, short_log, tmp_path, capsys):
+    def test_rds_scores_its_run_log(self, short_log, tmp_path, capsys):
         # A 60 s log gives two 30 s reports; its 1,200 controlled rows are
         # the trajectory, and the study's files score as rds scores them.
         out = tmp_path / "latency"
-        assert main(["latency", "--run-log", str(short_log), "--latencies", "0,15",
+        assert main(["rds", "--run-log", str(short_log), "--latencies", "0,15",
                      "--out", str(out)]) == 0
         grid, trajectory = read_grid(out / "grid.csv"), read_trajectory(out / "trajectory.csv")
         assert (len(grid.spec.sensor_mm), grid.spec.n_reports) == (35, 2)
@@ -714,7 +714,7 @@ class TestCli:
     @pytest.mark.parametrize("edit", [
         "first_30s", "no_rows", "nan_speed", "inf_mile_marker", "last_t_past_a_day",
     ])
-    def test_latency_unscorable_run_log_exits_2(self, short_log, tmp_path, capsys, edit):
+    def test_rds_unscorable_run_log_exits_2(self, short_log, tmp_path, capsys, edit):
         # The log holds 25 humans and then cav at every step. A 30 s log has
         # one report, so no point has the next one; a zero-duration run
         # writes the header alone.
@@ -740,10 +740,74 @@ class TestCli:
         log = tmp_path / "run_log.csv"
         log.write_bytes("".join([header, *lines]).encode())
         out = tmp_path / "latency"
-        assert main(["latency", "--run-log", str(log), "--out", str(out)]) == 2
+        assert main(["rds", "--run-log", str(log), "--out", str(out)]) == 2
         err = capsys.readouterr().err
         assert "run_log.csv" in err and message in err
         assert not out.exists()
+
+    def test_rds_reads_back_its_run_log_files(self, short_log, tmp_path, capsys):
+        # The grid and trajectory files hold 6-decimal speeds, so the
+        # scores they give agree with the run log's to rounding.
+        def scores(argv, out):
+            assert main([*argv, "--latencies", "0,15,30", "--out", str(out)]) == 0
+            with open(out / "error_stats.csv", newline="") as fh:
+                return {float(r["latency_s"]): (int(r["n"]), float(r["mean_err_mps"]),
+                                                float(r["std_err_mps"]))
+                        for r in csv.DictReader(fh)}
+
+        logged = scores(["rds", "--run-log", str(short_log)], tmp_path / "log")
+        read = scores(["rds", "--grid", str(tmp_path / "log" / "grid.csv"),
+                       "--trajectory", str(tmp_path / "log" / "trajectory.csv")],
+                      tmp_path / "files")
+        assert logged[0.0][0] > 0
+        assert logged.keys() == read.keys()
+        for latency, (n, mean, std) in logged.items():
+            assert read[latency][0] == n
+            assert read[latency][1:] == pytest.approx((mean, std), abs=1e-5)
+
+    @pytest.mark.parametrize("inputs", [
+        ["--run-log", "{log}", "--grid", "{grid}"],
+        ["--run-log", "{log}", "--trajectory", "{traj}"],
+        ["--grid", "{grid}"],
+        ["--trajectory", "{traj}"],
+        [],
+    ], ids=["run_log_and_grid", "run_log_and_trajectory", "grid_alone",
+            "trajectory_alone", "no_input"])
+    def test_rds_inputs_exit_2(self, short_log, tmp_path, capsys, inputs):
+        # Exactly one input: a run log, or a grid with its trajectory.
+        rds_args(tmp_path, f"{TRAJECTORY_HEADER}45.0,60.5,10.0\n")
+        paths = {"log": short_log, "grid": tmp_path / "grid.csv", "traj": tmp_path / "traj.csv"}
+        argv = [arg.format(**paths) for arg in inputs]
+        out = tmp_path / "rds"
+        assert main(["rds", *argv, "--out", str(out)]) == 2
+        assert "rds: takes either --run-log, or --grid with --trajectory" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_rds_run_log_tiny_bin_width_exits_2(self, short_log, tmp_path, capsys):
+        out = tmp_path / "rds"
+        code = main(["rds", "--run-log", str(short_log), "--bin-width-mph", "1e-310",
+                     "--out", str(out)])
+        assert code == 2
+        assert "bin_width_mph" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("below", ["", "sub"])
+    @pytest.mark.parametrize("command", ["run", "string", "sweep", "sweep_replay", "rds"])
+    def test_out_through_a_file_exits_2(self, short_log, tmp_path, capsys, command, below):
+        # An --out that is, or is under, an existing file is no directory.
+        afile = tmp_path / "afile"
+        afile.write_text("kept\n")
+        out = afile / below if below else afile
+        argv = {
+            "run": ["run", "--override", "scenario.duration_s=1"],
+            "string": ["string"],
+            "sweep": ["sweep", "--values", "2,4", "--override", "scenario.duration_s=1"],
+            "sweep_replay": ["sweep", "--values", "2", "--replay", str(short_log)],
+            "rds": rds_args(tmp_path, f"{TRAJECTORY_HEADER}130.000,60.200000,21.000000\n"),
+        }[command]
+        assert main([*argv, "--out", str(out)]) == 2
+        assert "afile" in capsys.readouterr().err
+        assert afile.read_text() == "kept\n"
 
     def test_run_overflowing_free_road_term_brakes_at_floor(self, tmp_path):
         # The humans start near 16 m/s, so (v / v0) ** delta overflows.
@@ -838,7 +902,7 @@ class TestCli:
         code = main(["sweep", "--values", "2", "--replay", str(log), "--out", str(out)])
         assert code == 2
         assert "bad_log.csv" in capsys.readouterr().err
-        assert not (out / "replay_v_des.csv").exists()
+        assert not out.exists()
 
     @pytest.mark.parametrize("edit", ["deleted_row", "swapped_vehicles", "human_controller_cells"])
     def test_replay_non_dense_log_exits_2(self, short_log, tmp_path, capsys, edit):
@@ -861,7 +925,7 @@ class TestCli:
         err = capsys.readouterr().err
         assert "bad_log.csv" in err
         assert "not dense" in err
-        assert not (out / "replay_v_des.csv").exists()
+        assert not out.exists()
 
     def test_replay_directory_exits_2(self, tmp_path, capsys):
         code = main(

@@ -31,7 +31,7 @@ COMMANDS = (
         "--override", "scenario.n_controlled=3",
     ]),
     ("sweep_replay", ["sweep", "--values", "0,2,4", "--replay", "{root}/run_noisy/run_log.csv"]),
-    ("latency", ["latency", "--run-log", "{root}/run_noisy/run_log.csv"]),
+    ("latency", ["rds", "--run-log", "{root}/run_noisy/run_log.csv"]),
     ("rds", [
         "rds", "--grid", "{root}/latency/grid.csv",
         "--trajectory", "{root}/latency/trajectory.csv",
@@ -46,6 +46,9 @@ COMMANDS = (
 # recorded again when the config echo's controller block lost its copy of
 # the scenario dt. The latency and rds entries were recorded again when the
 # study stopped sampling a synthetic wave field and scored run_noisy's log.
+# The latency entry is `rds --run-log`, and the rds entry reads its grid and
+# trajectory back: the rds entry was recorded again when its default
+# latencies became 0,30,60,120, and both score alike.
 GOLDEN = {
     "run": {
         "stdout": "2a306063fb7e5f6e",
@@ -100,9 +103,9 @@ GOLDEN = {
         "trajectory.csv": "bfa0251499f1c69d",
     },
     "rds": {
-        "stdout": "60b16f858db3225e",
-        "error_hist.csv": "26b1e78e73c0ca4c",
-        "error_stats.csv": "37d07064004b92ad",
+        "stdout": "06caa7c755c89b3a",
+        "error_hist.csv": "f37b211add53819c",
+        "error_stats.csv": "5b2bebfbae0670c2",
     },
 }
 
@@ -147,14 +150,14 @@ def test_outputs_pinned(outputs, name):
     ["--duration", "0"],
     ["--duration", "-5"],
 ])
-def test_latency_bad_option_exits_2(tmp_path, capsys, argv):
+def test_rds_bad_option_exits_2(tmp_path, capsys, argv):
     # With a valid run log, a bad latency list is a config error; the study
     # has no --duration.
     log = tmp_path / "run" / "run_log.csv"
     assert main(["run", "--override", "scenario.duration_s=1", "--out", str(log.parent)]) == 0
     capsys.readouterr()
     try:
-        code = main(["latency", "--run-log", str(log), *argv,
+        code = main(["rds", "--run-log", str(log), *argv,
                      "--out", str(tmp_path / "latency")])
     except SystemExit as exc:
         code = exc.code
