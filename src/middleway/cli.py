@@ -14,6 +14,7 @@ Exit codes: 0 success, 1 collision or safety halt, 2 usage or config error.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import copy
 import dataclasses
 import json
@@ -29,15 +30,6 @@ from .config import (
     load_config,
     parse_yaml,
     set_dotted,
-)
-from .rds import (
-    error_stats,
-    latency_study,
-    read_grid,
-    read_trajectory,
-    write_error_report,
-    write_grid,
-    write_trajectory,
 )
 from .scenarios import (
     measurement_window,
@@ -68,12 +60,20 @@ def _load_data(args: argparse.Namespace) -> dict:
     return data
 
 
+@contextlib.contextmanager
+def _writing(path: Path):
+    """An OSError while making or writing path, or a file under it, is a
+    ConfigError naming the file, as _read_input does for inputs."""
+    try:
+        yield
+    except OSError as exc:
+        raise ConfigError(f"{exc.filename or path}: {exc.strerror or exc}") from exc
+
+
 def _mkdir(path: Path) -> Path:
     """Make directory path and its parents; one that cannot be is a ConfigError."""
-    try:
+    with _writing(path):
         path.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
-        raise ConfigError(f"{path}: {exc.strerror or exc}") from exc
     return path
 
 
@@ -125,10 +125,11 @@ def _run_one(data: dict, out: Path):
                               f"before the measurement window {window} closes")
     _mkdir(out)
     log = run(cfg)
-    write_run_log(log, out / "run_log.csv")
-    write_events(log, out / "events.jsonl")
     report = build_report(log)
-    _write_report(report, out / "report.json")
+    with _writing(out):
+        write_run_log(log, out / "run_log.csv")
+        write_events(log, out / "events.jsonl")
+        _write_report(report, out / "report.json")
     return loaded, log, report
 
 
@@ -171,11 +172,12 @@ def _sweep_replay(args: argparse.Namespace) -> int:
     out = _mkdir(Path(args.out))
     dest = out / "replay_v_des.csv"
     header = ["t", "vehicle_id", "v_pr", "v_gr", *(f"v_des_offset_{k:g}" for k in offsets)]
-    write_table(dest, header, (
-        [f"{replay.t[i]:.3f}", replay.vehicle_id[i], f"{replay.v_pr[i]:.6f}",
-         f"{replay.v_gr[i]:.6f}", *(f"{replay.v_des[k][i]:.6f}" for k in offsets)]
-        for i in range(len(replay.t))
-    ))
+    with _writing(out):
+        write_table(dest, header, (
+            [f"{replay.t[i]:.3f}", replay.vehicle_id[i], f"{replay.v_pr[i]:.6f}",
+             f"{replay.v_gr[i]:.6f}", *(f"{replay.v_des[k][i]:.6f}" for k in offsets)]
+            for i in range(len(replay.t))
+        ))
     print(f"wrote {dest} ({len(replay.t)} rows, offsets {offsets})")
     return 0
 
@@ -222,23 +224,35 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     dest = out / "sweep_summary.csv"
     header = ["value", "engaged_time_s", "min_h_m", "collision",
               *(f"occ_{m}" for m in modes)]
-    write_table(dest, header, (
-        [value, f"{rep.engaged_time_s:.3f}",
-         "" if rep.min_h_m is None else f"{rep.min_h_m:.6f}",
-         int(bool(rep.collision)), *(f"{rep.mode_occupancy.get(m, 0.0):.6f}" for m in modes)]
-        for value, rep in summaries
-    ))
+    conv = out / "string_convergence.csv"
+    with _writing(out):
+        write_table(dest, header, (
+            [value, f"{rep.engaged_time_s:.3f}",
+             "" if rep.min_h_m is None else f"{rep.min_h_m:.6f}",
+             int(bool(rep.collision)), *(f"{rep.mode_occupancy.get(m, 0.0):.6f}" for m in modes)]
+            for value, rep in summaries
+        ))
+        if string_rows:
+            write_table(conv, ["value", "vehicle_id", "steady_v_des_mps"],
+                        ([value, vid, f"{v:.6f}"] for value, vid, v in string_rows))
     print(f"wrote {dest}")
-
     if string_rows:
-        conv = out / "string_convergence.csv"
-        write_table(conv, ["value", "vehicle_id", "steady_v_des_mps"],
-                    ([value, vid, f"{v:.6f}"] for value, vid, v in string_rows))
         print(f"wrote {conv}")
     return 1 if collided else 0
 
 
 def cmd_rds(args: argparse.Namespace) -> int:
+    # rds loads numpy; no other command imports it.
+    from .rds import (
+        error_stats,
+        latency_study,
+        read_grid,
+        read_trajectory,
+        write_error_report,
+        write_grid,
+        write_trajectory,
+    )
+
     given = tuple(path is not None for path in (args.run_log, args.grid, args.trajectory))
     if given not in ((True, False, False), (False, True, True)):
         raise ConfigError("rds: takes either --run-log, or --grid with --trajectory")
@@ -260,15 +274,17 @@ def cmd_rds(args: argparse.Namespace) -> int:
     if not any(s.n for s in stats.values()):
         raise ConfigError(f"{source}: no point is scored at any latency")
     out = _mkdir(Path(args.out))
-    write_error_report(stats, out / "error_stats.csv", out / "error_hist.csv")
+    with _writing(out):
+        write_error_report(stats, out / "error_stats.csv", out / "error_hist.csv")
+        if args.run_log is not None:
+            write_grid(grid, out / "grid.csv")
+            write_trajectory(trajectory, out / "trajectory.csv")
     for latency in latencies:
         s = stats[latency]
         print(f"latency {latency:6.1f} s: n={s.n:5d} "
               f"mean={s.mean_mps:+.3f} m/s std={s.std_mps:.3f} m/s")
     print(f"wrote {out / 'error_stats.csv'} and {out / 'error_hist.csv'}")
     if args.run_log is not None:
-        write_grid(grid, out / "grid.csv")
-        write_trajectory(trajectory, out / "trajectory.csv")
         print(f"wrote {out / 'grid.csv'} and {out / 'trajectory.csv'}")
     return 0
 
@@ -283,16 +299,16 @@ def cmd_string(args: argparse.Namespace) -> int:
     # A run logs every vehicle on every logged step, and v_des is finite.
     ids = sorted(traces)
     dest = out / "string_traces.csv"
-    write_table(dest, ["t", *ids], (
-        [f"{i * row_dt:.3f}", *(f"{v:.6f}" for v in values)]
-        for i, values in enumerate(zip(*(traces[vid] for vid in ids), strict=True))
-    ))
-
     summary = out / "string_summary.csv"
     header = ["vehicle_id", "steady_v_des_mps", "window_lo_s", "window_hi_s"]
-    write_table(summary, header, (
-        [vid, f"{steady[vid]:.6f}", f"{window[0]:.1f}", f"{window[1]:.1f}"] for vid in ids
-    ))
+    with _writing(out):
+        write_table(dest, ["t", *ids], (
+            [f"{i * row_dt:.3f}", *(f"{v:.6f}" for v in values)]
+            for i, values in enumerate(zip(*(traces[vid] for vid in ids), strict=True))
+        ))
+        write_table(summary, header, (
+            [vid, f"{steady[vid]:.6f}", f"{window[0]:.1f}", f"{window[1]:.1f}"] for vid in ids
+        ))
     for vid in ids:
         print(f"{vid}: steady v_des {steady[vid]:.3f} m/s")
     print(f"wrote {dest} and {summary}")

@@ -20,9 +20,7 @@ from __future__ import annotations
 import math
 import random
 from itertools import chain, cycle, repeat
-from typing import NamedTuple, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, NamedTuple, Sequence
 
 from .controller import ControlInputs, ControllerConfig, select_setpoint
 from .infrastructure import FeedConfig
@@ -37,6 +35,9 @@ from .simulation import (
     VehicleKind,
 )
 from .units import mph_to_mps
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 # The most humans or controlled vehicles a generator places.
@@ -174,7 +175,7 @@ def measurement_window(n_controlled: int) -> tuple[float, float]:
     return t_lo, t_lo + 12.0
 
 
-def v_des_traces(log: RunLog, n_controlled: int) -> dict[str, np.ndarray]:
+def v_des_traces(log: RunLog, n_controlled: int) -> dict[str, list[float]]:
     """Per-vehicle logged v_des series, keyed cav01..cavNN.
 
     Keys are ordered downstream to upstream (cav01 leads); a row without a
@@ -183,7 +184,7 @@ def v_des_traces(log: RunLog, n_controlled: int) -> dict[str, np.ndarray]:
     """
     nc = len(log.controlled)
     column = {log.vehicle_ids[j]: log.v_des[k::nc] for k, j in enumerate(log.controlled)}
-    return {vid: np.array(column.get(vid, []), dtype=float)
+    return {vid: [math.nan if v is None else v for v in column.get(vid, ())]
             for vid in (f"cav{k:02d}" for k in range(1, n_controlled + 1))}
 
 
@@ -194,17 +195,18 @@ def window_rows(dt: float, window: tuple[float, float]) -> tuple[int, ...]:
 
 
 def steady_v_des(
-    traces: dict[str, np.ndarray],
+    traces: dict[str, Sequence[float]],
     dt: float,
     window: tuple[float, float],
 ) -> dict[str, float]:
     """Mean of each trace over its window_rows, NaN when it has none there
-    (a run that halted before the window)."""
+    (a run that halted before the window). fsum rounds once, so the mean
+    is the same on every Python; sum is compensated only from 3.12."""
     i_lo, i_hi = window_rows(dt, window)
     steady = {}
     for vid, trace in traces.items():
         rows = trace[i_lo:i_hi]
-        steady[vid] = float(np.mean(rows)) if len(rows) else math.nan
+        steady[vid] = math.fsum(rows) / len(rows) if len(rows) else math.nan
     return steady
 
 
@@ -225,6 +227,9 @@ def offset_replay(log: RunLog, offsets: Sequence[float]) -> OffsetReplay:
     cap, so differences between traces are due to the offset alone. A
     non-finite t, v_pr or v_gr in a replayed row raises ValueError.
     """
+    # Imported here so that only the replay, not every run, loads numpy.
+    import numpy as np
+
     if not offsets:
         raise ValueError("offsets: must be non-empty")
     slots = log.controlled

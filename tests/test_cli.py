@@ -5,7 +5,11 @@ import dataclasses
 import inspect
 import json
 import math
+import os
+import subprocess
+import sys
 import tempfile
+from pathlib import Path
 from typing import get_type_hints
 
 import numpy as np
@@ -13,6 +17,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import middleway
 from middleway.cli import main
 from middleway.config import (
     GENERATORS,
@@ -266,7 +271,34 @@ def rds_args(tmp_path, trajectory_text):
             "--trajectory", str(tmp_path / "traj.csv"), "--out", str(tmp_path / "rds")]
 
 
+# Runs run, string and a resimulating sweep in one fresh process, then
+# prints their exit codes and every numpy module that process loaded.
+NUMPY_FREE_COMMANDS = """
+import sys
+from middleway.cli import main
+out = sys.argv[1]
+codes = [
+    main(["run", "--override", "scenario.duration_s=2", "--out", out + "/run"]),
+    main(["string", "--override", "scenario.n_controlled=2", "--out", out + "/string"]),
+    main(["sweep", "--values", "2,4", "--override", "scenario.duration_s=2",
+          "--out", out + "/sweep"]),
+]
+print(codes, sorted(name for name in sys.modules if name.partition(".")[0] == "numpy"))
+"""
+
+
 class TestCli:
+    def test_simulating_commands_never_load_numpy(self, tmp_path):
+        # Only rds and sweep --replay use numpy; the simulation is plain Python.
+        src = str(Path(middleway.__file__).resolve().parents[1])
+        path = os.environ.get("PYTHONPATH")
+        env = {**os.environ, "PYTHONPATH": src if not path else f"{src}{os.pathsep}{path}"}
+        proc = subprocess.run(
+            [sys.executable, "-c", NUMPY_FREE_COMMANDS, str(tmp_path)],
+            env=env, capture_output=True, text=True, check=True,
+        )
+        assert proc.stdout.splitlines()[-1] == "[0, 0, 0] []"
+
     def test_run_writes_outputs(self, tmp_path, capsys):
         out = tmp_path / "run"
         code = main(
@@ -808,6 +840,31 @@ class TestCli:
         assert main([*argv, "--out", str(out)]) == 2
         assert "afile" in capsys.readouterr().err
         assert afile.read_text() == "kept\n"
+
+    @pytest.mark.parametrize("command, name", [
+        ("run", "run_log.csv"),
+        ("string", "string_summary.csv"),
+        ("sweep", "sweep_summary.csv"),
+        ("sweep_replay", "replay_v_des.csv"),
+        ("rds", "error_hist.csv"),
+        ("rds_run_log", "trajectory.csv"),
+    ])
+    def test_output_file_that_is_a_directory_exits_2(self, short_log, tmp_path, capsys,
+                                                    command, name):
+        # An output file that cannot be opened is bad input, not the
+        # collision exit 1.
+        out = tmp_path / "out"
+        (out / name).mkdir(parents=True)
+        argv = {
+            "run": ["run", "--override", "scenario.duration_s=1"],
+            "string": ["string", "--override", "scenario.n_controlled=2"],
+            "sweep": ["sweep", "--values", "2,4", "--override", "scenario.duration_s=1"],
+            "sweep_replay": ["sweep", "--values", "2", "--replay", str(short_log)],
+            "rds": rds_args(tmp_path, f"{TRAJECTORY_HEADER}130.000,60.200000,21.000000\n"),
+            "rds_run_log": ["rds", "--run-log", str(short_log)],
+        }[command]
+        assert main([*argv, "--out", str(out)]) == 2
+        assert name in capsys.readouterr().err
 
     def test_run_overflowing_free_road_term_brakes_at_floor(self, tmp_path):
         # The humans start near 16 m/s, so (v / v0) ** delta overflows.

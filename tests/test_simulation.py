@@ -20,9 +20,11 @@ from middleway.perception import RadarConfig, RadarFrame, RadarTarget, synthesiz
 from middleway.scenarios import (
     canonical_scenario,
     check_string,
+    measurement_window,
     steady_v_des,
     string_scenario,
     v_des_traces,
+    window_rows,
 )
 from middleway.simulation import (
     HUMAN_BRAKE_FLOOR,
@@ -1091,7 +1093,7 @@ def v_des_traces_rows(log, n_controlled):
         vid, kind, v_des = row[1], row[2], row[7]
         if kind == VehicleKind.CONTROLLED.value and vid in traces:
             traces[vid].append(v_des if v_des is not None else float("nan"))
-    return {vid: np.asarray(vals) for vid, vals in traces.items()}
+    return traces
 
 
 class TestWholeLogConsumersMatchRowLoops:
@@ -1109,7 +1111,8 @@ class TestWholeLogConsumersMatchRowLoops:
         fast, ref = v_des_traces(log, n), v_des_traces_rows(log, n)
         assert list(fast) == list(ref)
         for vid in ref:
-            assert fast[vid].dtype == ref[vid].dtype == np.float64
+            assert type(fast[vid]) is list
+            assert all(type(v) is float for v in fast[vid] + ref[vid])
             np.testing.assert_array_equal(fast[vid], ref[vid])
 
     def test_string_logs_hold_engaged_rows(self):
@@ -1242,9 +1245,10 @@ class TestSteadyVDes:
         row_dt = 0.05 * log_every
         times = np.arange(1000) * row_dt
         for lo, hi in ((12.0, 24.0), (32.0, 44.0), (8.05, 9.95)):
-            inside = times[(times >= lo - 1e-9) & (times < hi - 1e-9)]
-            steady = steady_v_des({"cav01": times}, row_dt, (lo, hi))
-            assert steady["cav01"] == float(np.mean(inside))
+            inside = [t for t in times.tolist() if lo - 1e-9 <= t < hi - 1e-9]
+            mean = math.fsum(inside) / len(inside)
+            for trace in (times, times.tolist()):
+                assert steady_v_des({"cav01": trace}, row_dt, (lo, hi))["cav01"] == mean
 
     def test_log_every_3_window_starts_at_12_s(self):
         # 12 / 0.15 is 79.99999999999999, which int() took to row 79 (11.85 s).
@@ -1255,8 +1259,26 @@ class TestSteadyVDes:
         trace[159] = 80.0
         assert steady_v_des({"cav01": trace}, row_dt, (12.0, 24.0))["cav01"] == 1.0
 
+    @pytest.mark.parametrize("n, offset, log_every", [(4, 2.0, 1), (12, 2.0, 1),
+                                                      (3, 3.0, 1), (6, 2.0, 10)])
+    def test_readout_text_equals_numpy_mean_text(self, n, offset, log_every):
+        # The commands print steady v_des with %.6f and %.3f; the fsum mean
+        # reads as np.mean did over the same rows.
+        cfg = dataclasses.replace(string_scenario(n_controlled=n, v_offset=offset),
+                                  log_every=log_every)
+        row_dt = cfg.dt * log_every
+        window = measurement_window(n)
+        traces = v_des_traces(run(cfg), n)
+        lo, hi = window_rows(row_dt, window)
+        steady = steady_v_des(traces, row_dt, window)
+        assert len(steady) == n
+        for vid, trace in traces.items():
+            reference = np.mean(trace[lo:hi])
+            for fmt in ("%.6f", "%.3f"):
+                assert fmt % steady[vid] == fmt % reference, (vid, fmt)
+
     def test_trace_ending_before_the_window_is_nan(self):
-        # A run halted by a collision ends before the window opens; np.mean
-        # of the empty slice would warn (an error under the tier-1 filter).
+        # A run halted by a collision ends before the window opens; the
+        # mean of the empty slice would divide by zero.
         steady = steady_v_des({"cav01": np.ones(100)}, 0.05, (12.0, 24.0))
         assert math.isnan(steady["cav01"])
