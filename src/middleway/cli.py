@@ -17,9 +17,13 @@ import argparse
 import contextlib
 import copy
 import dataclasses
+import errno
 import json
 import math
+import os
+import shutil
 import sys
+import tempfile
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -46,7 +50,6 @@ from .simulation import (
     read_run_log,
     run,
     write_events,
-    write_run_log,
 )
 from .tables import write_table
 
@@ -75,6 +78,31 @@ def _mkdir(path: Path) -> Path:
     with _writing(path):
         path.mkdir(parents=True, exist_ok=True)
     return path
+
+
+@contextlib.contextmanager
+def _staged(out: Path, names: Sequence[str]):
+    """A new directory in out to write the files names into. Only once the
+    block completes do they replace the files of those names in out, and
+    the directory is removed either way, so a failed block creates or
+    replaces none of them. A name that is a directory in out, the one thing
+    that can stop a rename within a writable directory, is a ConfigError
+    before the block runs; an OSError in the block or the renames is one
+    naming the file in out."""
+    for name in names:
+        if (out / name).is_dir():
+            raise ConfigError(f"{out / name}: {os.strerror(errno.EISDIR)}")
+    with _writing(out):
+        stage = Path(tempfile.mkdtemp(prefix=".staging-", dir=out))
+    try:
+        yield stage
+        for name in names:
+            os.replace(stage / name, out / name)
+    except OSError as exc:
+        where = out / Path(exc.filename).name if exc.filename else out
+        raise ConfigError(f"{where}: {exc.strerror or exc}") from exc
+    finally:
+        shutil.rmtree(stage, ignore_errors=True)
 
 
 def _write_report(report, path: Path) -> None:
@@ -124,12 +152,11 @@ def _run_one(data: dict, out: Path):
             raise ConfigError(f"scenario.duration_s: a {cfg.duration_s:g} s run ends "
                               f"before the measurement window {window} closes")
     _mkdir(out)
-    log = run(cfg)
-    report = build_report(log)
-    with _writing(out):
-        write_run_log(log, out / "run_log.csv")
-        write_events(log, out / "events.jsonl")
-        _write_report(report, out / "report.json")
+    with _staged(out, ("run_log.csv", "events.jsonl", "report.json")) as stage:
+        log = run(cfg, stage / "run_log.csv")
+        report = build_report(log)
+        write_events(log, stage / "events.jsonl")
+        _write_report(report, stage / "report.json")
     return loaded, log, report
 
 

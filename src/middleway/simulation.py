@@ -21,10 +21,14 @@ byte; all randomness flows through one seeded generator.
 from __future__ import annotations
 
 import bisect
+import contextlib
 import functools
 import json
+import marshal
 import math
+import os
 import random
+import tempfile
 from array import array
 from collections import Counter
 from collections.abc import Sequence
@@ -70,6 +74,7 @@ RUN_LOG_COLUMNS = (
     "v_pr",
     "u",
 )
+RUN_LOG_HEADER = ",".join(RUN_LOG_COLUMNS) + "\r\n"
 
 HUMAN_BRAKE_FLOOR = -8.0
 # Every gantry's posting before the first policy update.
@@ -78,6 +83,8 @@ INITIAL_POSTED_MPH = 70
 MAX_DURATION_S = 86_400.0
 # The shortest time step: 1 ms, so a day is at most 86.4 million steps.
 MIN_DT_S = 0.001
+# Logged steps a chunk carries from run() to its run-log writer process.
+CHUNK_STEPS = 256
 
 
 class VehicleKind(str, Enum):
@@ -583,19 +590,119 @@ class World:
                 return
 
 
-def run(cfg: ScenarioConfig) -> RunLog:
+def run(cfg: ScenarioConfig, log_path: str | Path | None = None) -> RunLog:
     """Simulate the scenario; returns the log, with any collision recorded.
 
     A collision stops the simulation at the offending step; rows up to and
     including that step are kept so the halt is inspectable.
+
+    With log_path, the log is also written there, with write_run_log's
+    bytes, by a forked child process while the simulation runs (see
+    _forked_writer). The file appears only once complete; if it cannot be
+    written, run raises OSError naming log_path and leaves no file.
     """
     world = World(cfg)
     log = world.log
-    for _ in range(int(round(cfg.duration_s / cfg.dt))):
-        world.step()
-        if log.collision is not None:
-            break
+    steps = range(int(round(cfg.duration_s / cfg.dt)))
+    if log_path is None:
+        for _ in steps:
+            world.step()
+            if log.collision is not None:
+                break
+        return log
+    with _forked_writer(log, Path(log_path)) as send:
+        for _ in steps:
+            world.step()
+            send()
+            if log.collision is not None:
+                break
     return log
+
+
+@contextlib.contextmanager
+def _forked_writer(log: RunLog, path: Path):
+    """Fork a process that writes log to path while the caller's block
+    extends it. The block calls the yielded send() after each step; every
+    CHUNK_STEPS logged steps, it sends their columns through a pipe (the
+    float columns as bytes, by marshal, which needs no import), and the
+    child formats them with _write_steps. When the block ends, the rest
+    follows with an end marker. The child writes to a temporary file in
+    path's directory, opened here before the block runs, which replaces
+    path only once the child has exited 0 and is removed otherwise. An
+    exception of the block propagates; a failed child raises OSError naming
+    path. The child is always reaped. Needs os.fork (POSIX), in a process
+    with no other threads."""
+    try:
+        fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.", suffix=".tmp")
+    except OSError as exc:
+        raise OSError(exc.errno, exc.strerror, str(path)) from exc
+    pid = 0
+    try:
+        try:
+            with open(fd, "w", newline="", encoding="utf-8") as fh:
+                rx, tx = os.pipe()
+                with open(rx, "rb") as source, open(tx, "wb") as pipe:
+                    pid = os.fork()
+                    if pid == 0:
+                        _write_chunks(log, fh, source, pipe)
+                    fh.close()
+                    source.close()
+                    n, nc, sent = len(log.vehicle_ids), len(log.controlled), 0
+
+                    def send(least: int = CHUNK_STEPS) -> None:
+                        nonlocal sent
+                        hi = len(log.t)
+                        if hi - sent >= least:
+                            floats = [log.t[sent:hi].tobytes()]
+                            floats += [col[sent * n:hi * n].tobytes()
+                                       for col in (log.x, log.mm, log.v, log.u)]
+                            cells = [col[sent * nc:hi * nc]
+                                     for col in (log.mode, log.v_des, log.v_gr, log.v_pr)]
+                            marshal.dump((floats, cells), pipe)
+                            pipe.flush()
+                            sent = hi
+
+                    yield send
+                    send(least=1)
+                    marshal.dump(None, pipe)
+        except BrokenPipeError:
+            pass  # The child has exited; its status says why.
+        finally:
+            if pid:
+                code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+        if code:
+            reason = (os.strerror(code) if 0 < code < 255
+                      else f"the run-log writer failed (status {code})")
+            raise OSError(code, reason, str(path))
+        try:
+            os.replace(tmp, path)
+        except OSError as exc:
+            raise OSError(exc.errno, exc.strerror, str(path)) from exc
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.unlink(tmp)
+        raise
+
+
+def _write_chunks(log: RunLog, fh, source, pipe) -> None:
+    """The run-log writer process of _forked_writer: close its copy of the
+    pipe's write end, write the header to fh, then each chunk read from
+    source until the end marker. It never returns: it exits 0 once all is
+    written, with an OSError's errno if one is raised, and with 255 on any
+    other failure, such as a stream that ends before its end marker."""
+    code = 255
+    try:
+        pipe.close()
+        with source, fh:
+            fh.write(RUN_LOG_HEADER)
+            for floats, cells in iter(functools.partial(marshal.load, source), None):
+                _write_steps(RunLog(log.vehicle_ids, log.kinds,
+                                    *(array("d", col) for col in floats), *cells), fh)
+        code = 0
+    except OSError as exc:
+        code = exc.errno if 0 < (exc.errno or 0) < 255 else 255
+    finally:
+        os._exit(code)
 
 
 def config_echo(cfg: ScenarioConfig) -> dict:
@@ -609,26 +716,31 @@ def config_echo(cfg: ScenarioConfig) -> dict:
 
 
 def write_run_log(log: RunLog, path: str | Path) -> None:
-    """Write the rows as CSV lines ending in CRLF, as write_table's lines
-    do, a step at a time. Text cells are written as they are, so they must
-    hold no comma, quote, CR or LF (ScenarioConfig.validate rejects such
-    vehicle ids). Each vehicle has one % template; a controlled vehicle's
-    also takes its controller cells."""
+    """Write the header and every row of log to path (see _write_steps)."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        fh.write(RUN_LOG_HEADER)
+        _write_steps(log, fh)
+
+
+def _write_steps(log: RunLog, fh) -> None:
+    """Write every logged step of log to the text file fh as CSV lines
+    ending in CRLF, as write_table's lines do, a step at a time. Text cells
+    are written as they are, so they must hold no comma, quote, CR or LF
+    (ScenarioConfig.validate rejects such vehicle ids). Each vehicle has one
+    % template; a controlled vehicle's also takes its controller cells."""
     n, slots = len(log.vehicle_ids), log.controlled
     templates = ["%s," + f"{vid},{kind}".replace("%", "%%") + (
         ",%.6f,%.6f,%.6f,%s,%s,%s,%s,%.6f\r\n" if kind == VehicleKind.CONTROLLED
         else ",%.6f,%.6f,%.6f,,,,,%.6f\r\n") for vid, kind in zip(log.vehicle_ids, log.kinds)]
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        fh.write(",".join(RUN_LOG_COLUMNS) + "\r\n")
-        for step, t in enumerate(log.t):
-            lo, t_cell = step * n, f"{t:.3f}"
-            cells = list(zip(repeat(t_cell), *(
-                col[lo:lo + n].tolist() for col in (log.x, log.mm, log.v, log.u))))
-            for k, j in enumerate(slots, step * len(slots)):
-                floats = (log.v_des[k], log.v_gr[k], log.v_pr[k])
-                cells[j] = (*cells[j][:4], log.mode[k] or "",
-                            *("" if c is None else f"{c:.6f}" for c in floats), cells[j][4])
-            fh.write("".join(map(mod, templates, cells)))
+    for step, t in enumerate(log.t):
+        lo, t_cell = step * n, f"{t:.3f}"
+        cells = list(zip(repeat(t_cell), *(
+            col[lo:lo + n].tolist() for col in (log.x, log.mm, log.v, log.u))))
+        for k, j in enumerate(slots, step * len(slots)):
+            floats = (log.v_des[k], log.v_gr[k], log.v_pr[k])
+            cells[j] = (*cells[j][:4], log.mode[k] or "",
+                        *("" if c is None else f"{c:.6f}" for c in floats), cells[j][4])
+        fh.write("".join(map(mod, templates, cells)))
 
 
 def read_run_log(path: str | Path) -> RunLog:

@@ -2,6 +2,7 @@
 
 import csv
 import dataclasses
+import errno
 import inspect
 import json
 import math
@@ -18,6 +19,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import middleway
+from middleway import simulation
 from middleway.cli import main
 from middleway.config import (
     GENERATORS,
@@ -865,6 +867,70 @@ class TestCli:
         }[command]
         assert main([*argv, "--out", str(out)]) == 2
         assert name in capsys.readouterr().err
+
+    @pytest.mark.parametrize("name", ["run_log.csv", "events.jsonl", "report.json"])
+    def test_failed_run_writes_none_of_its_outputs(self, tmp_path, capsys, monkeypatch,
+                                                   name):
+        # The directory is found before the run starts.
+        monkeypatch.setattr(simulation.World, "step", lambda world: pytest.fail("ran"))
+        out = tmp_path / "q"
+        (out / name).mkdir(parents=True)
+        assert main(["run", "--override", "scenario.duration_s=5", "--out", str(out)]) == 2
+        assert f"{out / name}: Is a directory" in capsys.readouterr().err
+        assert os.listdir(out) == [name]
+        assert not any((out / name).iterdir())
+
+    @pytest.mark.parametrize("error, message", [
+        (RuntimeError("format failed"), "the run-log writer failed (status 255)"),
+        (OSError(errno.ENOSPC, os.strerror(errno.ENOSPC)), os.strerror(errno.ENOSPC)),
+    ])
+    def test_failed_log_writer_exits_2_and_replaces_nothing(self, tmp_path, capsys,
+                                                            monkeypatch, error, message):
+        # The writer process inherits the patched formatter when it is forked.
+        out = tmp_path / "q"
+        argv = ["run", "--override", "scenario.duration_s=2", "--out", str(out)]
+        assert main([*argv, "--seed", "1"]) == 0
+        before = {path.name: path.read_bytes() for path in out.iterdir()}
+
+        def failing_write_steps(log, fh):
+            raise error
+
+        monkeypatch.setattr(simulation, "_write_steps", failing_write_steps)
+        capsys.readouterr()
+        assert main([*argv, "--seed", "2"]) == 2
+        assert f"{out / 'run_log.csv'}: {message}" in capsys.readouterr().err
+        assert {path.name: path.read_bytes() for path in out.iterdir()} == before
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    @pytest.mark.parametrize("outcome", ["ok", "collision", "raises"])
+    def test_no_writer_process_outlives_main(self, tmp_path, monkeypatch, outcome):
+        argv = {
+            "ok": ["run", "--override", "scenario.duration_s=2"],
+            "collision": ["string", "--override", "scenario.n_controlled=2",
+                          "--override", "scenario.traffic_speed_mps=5",
+                          "--override", "scenario.posted_mph=70",
+                          "--override", "controller.u_min=-0.01"],
+            "raises": ["run", "--override", "scenario.duration_s=20"],
+        }[outcome]
+        out = tmp_path / "out"
+        if outcome == "raises":
+            step = simulation.World.step
+
+            def failing_step(world):
+                if world.step_index == 300:
+                    raise RuntimeError("step failed")
+                step(world)
+
+            monkeypatch.setattr(simulation.World, "step", failing_step)
+            with pytest.raises(RuntimeError, match="step failed"):
+                main([*argv, "--out", str(out)])
+            assert os.listdir(out) == []
+        else:
+            assert main([*argv, "--out", str(out)]) == {"ok": 0, "collision": 1}[outcome]
+            assert {"run_log.csv", "events.jsonl", "report.json"} <= set(os.listdir(out))
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
 
     def test_run_overflowing_free_road_term_brakes_at_floor(self, tmp_path):
         # The humans start near 16 m/s, so (v / v0) ** delta overflows.

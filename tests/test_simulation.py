@@ -5,6 +5,7 @@ import csv
 import dataclasses
 import hashlib
 import math
+import os
 import random
 import sys
 import tracemalloc
@@ -27,6 +28,7 @@ from middleway.scenarios import (
     window_rows,
 )
 from middleway.simulation import (
+    CHUNK_STEPS,
     HUMAN_BRAKE_FLOOR,
     RUN_LOG_COLUMNS,
     Bottleneck,
@@ -700,6 +702,81 @@ class TestRunLogGoldens:
         path = tmp_path / "run_log.csv"
         write_run_log(run(GOLDEN_SCENARIOS[name]()), path)
         assert hashlib.sha256(path.read_bytes()).hexdigest() == GOLDEN_SHA256[name]
+
+
+def short_canonical(seed=0, duration_s=30.0, **changes):
+    return dataclasses.replace(canonical_scenario(seed=seed), duration_s=duration_s, **changes)
+
+
+# Runs whose log run(cfg, path) streams to its writer process, with what
+# each one pins: the seeds, a collision halt, a last chunk that is partial
+# after a full one, logged steps that fill whole chunks, no logged step, and
+# several controlled vehicles a step.
+STREAMED_RUNS = {
+    "canonical_30s_seed0": short_canonical,
+    "canonical_30s_seed1": lambda: short_canonical(seed=1),
+    "collision": rammed_canonical,
+    "log_every_7": lambda: short_canonical(duration_s=120.0, log_every=7),
+    "whole_chunks": lambda: short_canonical(duration_s=2 * CHUNK_STEPS * 0.05),
+    "empty": lambda: short_canonical(duration_s=0.0),
+    "string_n4": lambda: string_scenario(n_controlled=4),
+}
+
+
+def assert_no_child_process():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+class TestStreamedRunLog:
+    @pytest.mark.parametrize("name", sorted(STREAMED_RUNS))
+    def test_same_bytes_and_columns_as_write_run_log(self, tmp_path, name):
+        streamed = run(STREAMED_RUNS[name](), tmp_path / "streamed.csv")
+        serial = run(STREAMED_RUNS[name]())
+        write_run_log(serial, tmp_path / "serial.csv")
+        assert (tmp_path / "streamed.csv").read_bytes() == (tmp_path / "serial.csv").read_bytes()
+        assert vars(streamed) == vars(serial)
+        assert sorted(os.listdir(tmp_path)) == ["serial.csv", "streamed.csv"]
+        assert_no_child_process()
+
+    def test_runs_cover_the_chunk_cases(self):
+        logs = {name: run(STREAMED_RUNS[name]()) for name in
+                ("collision", "log_every_7", "whole_chunks", "empty")}
+        assert logs["collision"].collision is not None
+        assert len(logs["log_every_7"].t) > CHUNK_STEPS
+        assert len(logs["log_every_7"].t) % CHUNK_STEPS
+        assert len(logs["whole_chunks"].t) == 2 * CHUNK_STEPS
+        assert len(logs["empty"].t) == 0
+
+    @pytest.mark.parametrize("fail_after", [0, CHUNK_STEPS + 10])
+    def test_failing_step_leaves_no_file_and_no_child(self, tmp_path, monkeypatch, fail_after):
+        step = World.step
+
+        def failing_step(world):
+            if world.step_index == fail_after:
+                raise RuntimeError("step failed")
+            step(world)
+
+        monkeypatch.setattr(World, "step", failing_step)
+        with pytest.raises(RuntimeError, match="step failed"):
+            run(short_canonical(), tmp_path / "run_log.csv")
+        assert os.listdir(tmp_path) == []
+        assert_no_child_process()
+
+    def test_unopenable_path_fails_before_the_run(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(World, "step", lambda world: pytest.fail("the run started"))
+        path = tmp_path / "missing" / "run_log.csv"
+        with pytest.raises(FileNotFoundError) as raised:
+            run(short_canonical(), path)
+        assert raised.value.filename == str(path)
+
+    def test_directory_at_the_path_leaves_no_file(self, tmp_path):
+        (tmp_path / "run_log.csv").mkdir()
+        with pytest.raises(IsADirectoryError) as raised:
+            run(short_canonical(duration_s=1.0), tmp_path / "run_log.csv")
+        assert raised.value.filename == str(tmp_path / "run_log.csv")
+        assert os.listdir(tmp_path) == ["run_log.csv"]
+        assert_no_child_process()
 
 
 def compensated_sum(iterable, /, start=0):
