@@ -8,6 +8,9 @@ Subcommands:
           or a run log's controlled rows against reports of its own traffic
   string  run the platoon cascade study; write traces and steady values
 
+Every command's files appear together or not at all (see _staged); a
+resimulating sweep's run directories each do, and then its tables.
+
 Exit codes: 0 success, 1 collision or safety halt, 2 usage or config error.
 """
 
@@ -64,45 +67,33 @@ def _load_data(args: argparse.Namespace) -> dict:
 
 
 @contextlib.contextmanager
-def _writing(path: Path):
-    """An OSError while making or writing path, or a file under it, is a
-    ConfigError naming the file, as _read_input does for inputs."""
-    try:
-        yield
-    except OSError as exc:
-        raise ConfigError(f"{exc.filename or path}: {exc.strerror or exc}") from exc
-
-
-def _mkdir(path: Path) -> Path:
-    """Make directory path and its parents; one that cannot be is a ConfigError."""
-    with _writing(path):
-        path.mkdir(parents=True, exist_ok=True)
-    return path
-
-
-@contextlib.contextmanager
 def _staged(out: Path, names: Sequence[str]):
-    """A new directory in out to write the files names into. Only once the
-    block completes do they replace the files of those names in out, and
-    the directory is removed either way, so a failed block creates or
-    replaces none of them. A name that is a directory in out, the one thing
-    that can stop a rename within a writable directory, is a ConfigError
-    before the block runs; an OSError in the block or the renames is one
-    naming the file in out."""
+    """Make directory out and a new directory in it to write the files
+    names into. Only once the block completes do they replace the files of
+    those names in out, and the new directory is removed either way, so a
+    failed block creates or replaces none of them. A name that is a
+    directory in out, the one thing that can stop a rename within a
+    writable directory, is a ConfigError before out is made; an OSError in
+    making out, in the block or in the renames is one naming the file, a
+    file in the new directory by its name in out."""
     for name in names:
         if (out / name).is_dir():
             raise ConfigError(f"{out / name}: {os.strerror(errno.EISDIR)}")
-    with _writing(out):
-        stage = Path(tempfile.mkdtemp(prefix=".staging-", dir=out))
+    stage = None
     try:
+        out.mkdir(parents=True, exist_ok=True)
+        stage = Path(tempfile.mkdtemp(prefix=".staging-", dir=out))
         yield stage
         for name in names:
             os.replace(stage / name, out / name)
     except OSError as exc:
-        where = out / Path(exc.filename).name if exc.filename else out
+        where = Path(exc.filename or out)
+        if where.parent == stage:
+            where = out / where.name
         raise ConfigError(f"{where}: {exc.strerror or exc}") from exc
     finally:
-        shutil.rmtree(stage, ignore_errors=True)
+        if stage is not None:
+            shutil.rmtree(stage, ignore_errors=True)
 
 
 def _write_report(report, path: Path) -> None:
@@ -136,12 +127,13 @@ def _finite_floats(raw: str, name: str) -> list[float]:
     return floats
 
 
-def _run_one(data: dict, out: Path):
+def _scenario(data: dict):
+    """build_scenario(data), with a string study's readout checked: its
+    window must hold a logged row, and the run must log them all."""
     loaded = build_scenario(data)
     cfg = loaded.cfg
     if loaded.kind == "string":
-        # The readout's rows, lo to hi, as steady_v_des takes them: the
-        # window must hold one, and the run must log them all.
+        # The readout's rows, lo to hi, as steady_v_des takes them.
         window = measurement_window(sum(v.kind is VehicleKind.CONTROLLED for v in cfg.vehicles))
         row_dt = cfg.dt * cfg.log_every
         lo, hi = window_rows(row_dt, window)
@@ -151,18 +143,26 @@ def _run_one(data: dict, out: Path):
         if hi > math.ceil(round(cfg.duration_s / cfg.dt) / cfg.log_every):
             raise ConfigError(f"scenario.duration_s: a {cfg.duration_s:g} s run ends "
                               f"before the measurement window {window} closes")
-    _mkdir(out)
-    with _staged(out, ("run_log.csv", "events.jsonl", "report.json")) as stage:
-        log = run(cfg, stage / "run_log.csv")
-        report = build_report(log)
-        write_events(log, stage / "events.jsonl")
-        _write_report(report, stage / "report.json")
-    return loaded, log, report
+    return loaded
+
+
+RUN_FILES = ("run_log.csv", "events.jsonl", "report.json")
+
+
+def _run_into(cfg: ScenarioConfig, stage: Path):
+    """Run cfg and write its RUN_FILES into stage; returns the log and report."""
+    log = run(cfg, stage / "run_log.csv")
+    report = build_report(log)
+    write_events(log, stage / "events.jsonl")
+    _write_report(report, stage / "report.json")
+    return log, report
 
 
 def cmd_run(args: argparse.Namespace) -> int:
     out = Path(args.out)
-    _, log, report = _run_one(_load_data(args), out)
+    loaded = _scenario(_load_data(args))
+    with _staged(out, RUN_FILES) as stage:
+        log, report = _run_into(loaded.cfg, stage)
     occupancy = ", ".join(
         f"{mode}={frac:.3f}" for mode, frac in sorted(report.mode_occupancy.items())
     )
@@ -194,18 +194,20 @@ def _sweep_replay(args: argparse.Namespace) -> int:
     if ignored:
         raise ConfigError(f"sweep --replay: does not read {', '.join(ignored)}")
     offsets = _finite_floats(args.values, "values")
+    # As --override would reject each offset.
+    if any(k < 0 for k in offsets):
+        raise ConfigError("controller.v_offset: must be non-negative")
     replay = _read_input(lambda path: offset_replay(read_run_log(path), offsets),
                          args.replay)
-    out = _mkdir(Path(args.out))
-    dest = out / "replay_v_des.csv"
+    out = Path(args.out)
     header = ["t", "vehicle_id", "v_pr", "v_gr", *(f"v_des_offset_{k:g}" for k in offsets)]
-    with _writing(out):
-        write_table(dest, header, (
+    with _staged(out, ("replay_v_des.csv",)) as stage:
+        write_table(stage / "replay_v_des.csv", header, (
             [f"{replay.t[i]:.3f}", replay.vehicle_id[i], f"{replay.v_pr[i]:.6f}",
              f"{replay.v_gr[i]:.6f}", *(f"{replay.v_des[k][i]:.6f}" for k in offsets)]
             for i in range(len(replay.t))
         ))
-    print(f"wrote {dest} ({len(replay.t)} rows, offsets {offsets})")
+    print(f"wrote {out / 'replay_v_des.csv'} ({len(replay.t)} rows, offsets {offsets})")
     return 0
 
 
@@ -229,43 +231,45 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         raise ConfigError(f"parameter '{parameter}': must be section.field")
     base = _load_data(args)
     leaf = parameter.rsplit(".", 1)[1]
-
-    summaries = []
-    string_rows = []
-    collided = False
+    # Every value's scenario is checked before the first run.
+    runs = []
     for value in values:
         data = copy.deepcopy(base)
         set_dotted(data, parameter, value)
-        run_dir = out / f"{leaf}={value}"
-        loaded, log, report = _run_one(data, run_dir)
-        collided = collided or bool(report.collision)
-        summaries.append((value, report))
-        if loaded.kind == "string":
-            steady = _string_readout(loaded.cfg, log)[-1]
-            for vid in sorted(steady):
-                string_rows.append((value, vid, steady[vid]))
-        print(f"{parameter}={value}: engaged {report.engaged_time_s:.1f} s, "
-              f"collision {report.collision}")
+        runs.append((value, _scenario(data)))
+    strings = any(loaded.kind == "string" for _, loaded in runs)
+    names = ("sweep_summary.csv", "string_convergence.csv") if strings else ("sweep_summary.csv",)
 
-    modes = sorted({m for _, rep in summaries for m in rep.mode_occupancy})
-    dest = out / "sweep_summary.csv"
-    header = ["value", "engaged_time_s", "min_h_m", "collision",
-              *(f"occ_{m}" for m in modes)]
-    conv = out / "string_convergence.csv"
-    with _writing(out):
-        write_table(dest, header, (
+    summaries = []
+    string_rows = []
+    with _staged(out, names) as stage:
+        for value, loaded in runs:
+            with _staged(out / f"{leaf}={value}", RUN_FILES) as run_stage:
+                log, report = _run_into(loaded.cfg, run_stage)
+            summaries.append((value, report))
+            if loaded.kind == "string":
+                steady = _string_readout(loaded.cfg, log)[-1]
+                for vid in sorted(steady):
+                    string_rows.append((value, vid, steady[vid]))
+            print(f"{parameter}={value}: engaged {report.engaged_time_s:.1f} s, "
+                  f"collision {report.collision}")
+
+        modes = sorted({m for _, rep in summaries for m in rep.mode_occupancy})
+        header = ["value", "engaged_time_s", "min_h_m", "collision",
+                  *(f"occ_{m}" for m in modes)]
+        write_table(stage / "sweep_summary.csv", header, (
             [value, f"{rep.engaged_time_s:.3f}",
              "" if rep.min_h_m is None else f"{rep.min_h_m:.6f}",
              int(bool(rep.collision)), *(f"{rep.mode_occupancy.get(m, 0.0):.6f}" for m in modes)]
             for value, rep in summaries
         ))
-        if string_rows:
-            write_table(conv, ["value", "vehicle_id", "steady_v_des_mps"],
+        if strings:
+            write_table(stage / "string_convergence.csv",
+                        ["value", "vehicle_id", "steady_v_des_mps"],
                         ([value, vid, f"{v:.6f}"] for value, vid, v in string_rows))
-    print(f"wrote {dest}")
-    if string_rows:
-        print(f"wrote {conv}")
-    return 1 if collided else 0
+    for name in names:
+        print(f"wrote {out / name}")
+    return 1 if any(rep.collision for _, rep in summaries) else 0
 
 
 def cmd_rds(args: argparse.Namespace) -> int:
@@ -300,12 +304,15 @@ def cmd_rds(args: argparse.Namespace) -> int:
     # A run that scores nothing would report a perfect zero error.
     if not any(s.n for s in stats.values()):
         raise ConfigError(f"{source}: no point is scored at any latency")
-    out = _mkdir(Path(args.out))
-    with _writing(out):
-        write_error_report(stats, out / "error_stats.csv", out / "error_hist.csv")
+    out = Path(args.out)
+    names = ("error_stats.csv", "error_hist.csv")
+    if args.run_log is not None:
+        names += ("grid.csv", "trajectory.csv")
+    with _staged(out, names) as stage:
+        write_error_report(stats, stage / "error_stats.csv", stage / "error_hist.csv")
         if args.run_log is not None:
-            write_grid(grid, out / "grid.csv")
-            write_trajectory(trajectory, out / "trajectory.csv")
+            write_grid(grid, stage / "grid.csv")
+            write_trajectory(trajectory, stage / "trajectory.csv")
     for latency in latencies:
         s = stats[latency]
         print(f"latency {latency:6.1f} s: n={s.n:5d} "
@@ -320,25 +327,23 @@ def cmd_string(args: argparse.Namespace) -> int:
     out = Path(args.out)
     data = _load_data(args)
     set_dotted(data, "scenario.kind", "string")
-    loaded, log, report = _run_one(data, out)
-    traces, row_dt, window, steady = _string_readout(loaded.cfg, log)
-
-    # A run logs every vehicle on every logged step, and v_des is finite.
-    ids = sorted(traces)
-    dest = out / "string_traces.csv"
-    summary = out / "string_summary.csv"
-    header = ["vehicle_id", "steady_v_des_mps", "window_lo_s", "window_hi_s"]
-    with _writing(out):
-        write_table(dest, ["t", *ids], (
+    loaded = _scenario(data)
+    with _staged(out, (*RUN_FILES, "string_traces.csv", "string_summary.csv")) as stage:
+        log, report = _run_into(loaded.cfg, stage)
+        traces, row_dt, window, steady = _string_readout(loaded.cfg, log)
+        # A run logs every vehicle on every logged step, and v_des is finite.
+        ids = sorted(traces)
+        write_table(stage / "string_traces.csv", ["t", *ids], (
             [f"{i * row_dt:.3f}", *(f"{v:.6f}" for v in values)]
             for i, values in enumerate(zip(*(traces[vid] for vid in ids), strict=True))
         ))
-        write_table(summary, header, (
+        write_table(stage / "string_summary.csv",
+                    ["vehicle_id", "steady_v_des_mps", "window_lo_s", "window_hi_s"], (
             [vid, f"{steady[vid]:.6f}", f"{window[0]:.1f}", f"{window[1]:.1f}"] for vid in ids
         ))
     for vid in ids:
         print(f"{vid}: steady v_des {steady[vid]:.3f} m/s")
-    print(f"wrote {dest} and {summary}")
+    print(f"wrote {out / 'string_traces.csv'} and {out / 'string_summary.csv'}")
     return 1 if report.collision else 0
 
 

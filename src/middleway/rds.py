@@ -160,9 +160,12 @@ def error_stats(
     and time; the realtime one averages the two spatial neighbours'
     freshest reports at t - latency. A point contributes to a latency only
     when both estimates exist there. Histogram bins are indexed by
-    floor(error_mph / bin_width). A non-finite t, or a bin width so small
-    that a bin index is not finite, raises ValueError.
+    floor(error_mph / bin_width). A negative latency, which would score
+    reports from the future, a non-finite t, or a bin width so small that
+    a bin index is not finite, raises ValueError.
     """
+    if any(latency < 0 for latency in latencies):
+        raise ValueError("latencies: must be non-negative")
     spec, speeds, n_reports = grid.spec, grid.speeds, grid.spec.n_reports
     pts = np.fromiter(chain.from_iterable(trajectory), float).reshape(-1, 3)
     t, mm = pts[:, 0], pts[:, 1]

@@ -28,7 +28,6 @@ import marshal
 import math
 import os
 import random
-import tempfile
 from array import array
 from collections import Counter
 from collections.abc import Sequence
@@ -597,21 +596,15 @@ def run(cfg: ScenarioConfig, log_path: str | Path | None = None) -> RunLog:
     including that step are kept so the halt is inspectable.
 
     With log_path, the log is also written there, with write_run_log's
-    bytes, by a forked child process while the simulation runs (see
-    _forked_writer). The file appears only once complete; if it cannot be
-    written, run raises OSError naming log_path and leaves no file.
+    bytes, while the simulation runs (see _forked_writer). A failed write
+    raises OSError naming log_path and leaves no file there.
     """
     world = World(cfg)
     log = world.log
-    steps = range(int(round(cfg.duration_s / cfg.dt)))
-    if log_path is None:
-        for _ in steps:
-            world.step()
-            if log.collision is not None:
-                break
-        return log
-    with _forked_writer(log, Path(log_path)) as send:
-        for _ in steps:
+    writer = (contextlib.nullcontext(lambda: None) if log_path is None
+              else _forked_writer(log, log_path))
+    with writer as send:
+        for _ in range(int(round(cfg.duration_s / cfg.dt))):
             world.step()
             send()
             if log.collision is not None:
@@ -620,26 +613,22 @@ def run(cfg: ScenarioConfig, log_path: str | Path | None = None) -> RunLog:
 
 
 @contextlib.contextmanager
-def _forked_writer(log: RunLog, path: Path):
+def _forked_writer(log: RunLog, path: str | Path):
     """Fork a process that writes log to path while the caller's block
     extends it. The block calls the yielded send() after each step; every
     CHUNK_STEPS logged steps, it sends their columns through a pipe (the
     float columns as bytes, by marshal, which needs no import), and the
     child formats them with _write_steps. When the block ends, the rest
-    follows with an end marker. The child writes to a temporary file in
-    path's directory, opened here before the block runs, which replaces
-    path only once the child has exited 0 and is removed otherwise. An
+    follows with an end marker. path is opened here, before the block runs;
+    if the block raises or the child fails, the file is removed. An
     exception of the block propagates; a failed child raises OSError naming
     path. The child is always reaped. Needs os.fork (POSIX), in a process
     with no other threads."""
-    try:
-        fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.", suffix=".tmp")
-    except OSError as exc:
-        raise OSError(exc.errno, exc.strerror, str(path)) from exc
+    fh = open(path, "w", newline="", encoding="utf-8")
     pid = 0
     try:
         try:
-            with open(fd, "w", newline="", encoding="utf-8") as fh:
+            with fh:
                 rx, tx = os.pipe()
                 with open(rx, "rb") as source, open(tx, "wb") as pipe:
                     pid = os.fork()
@@ -674,13 +663,9 @@ def _forked_writer(log: RunLog, path: Path):
             reason = (os.strerror(code) if 0 < code < 255
                       else f"the run-log writer failed (status {code})")
             raise OSError(code, reason, str(path))
-        try:
-            os.replace(tmp, path)
-        except OSError as exc:
-            raise OSError(exc.errno, exc.strerror, str(path)) from exc
     except BaseException:
         with contextlib.suppress(FileNotFoundError):
-            os.unlink(tmp)
+            os.unlink(path)
         raise
 
 

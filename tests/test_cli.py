@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 
 import middleway
 from middleway import simulation
-from middleway.cli import main
+from middleway.cli import RUN_FILES, main
 from middleway.config import (
     GENERATORS,
     RUN_FIELDS,
@@ -868,17 +868,60 @@ class TestCli:
         assert main([*argv, "--out", str(out)]) == 2
         assert name in capsys.readouterr().err
 
-    @pytest.mark.parametrize("name", ["run_log.csv", "events.jsonl", "report.json"])
-    def test_failed_run_writes_none_of_its_outputs(self, tmp_path, capsys, monkeypatch,
-                                                   name):
-        # The directory is found before the run starts.
+    @pytest.mark.parametrize("command, name", [
+        *(pytest.param("run", name, id=name) for name in RUN_FILES),
+        *(("string", name) for name in (*RUN_FILES, "string_traces.csv", "string_summary.csv")),
+        ("sweep", "sweep_summary.csv"),
+        ("sweep_string", "sweep_summary.csv"),
+        ("sweep_string", "string_convergence.csv"),
+        ("sweep_replay", "replay_v_des.csv"),
+        *(("rds_run_log", name)
+          for name in ("error_stats.csv", "error_hist.csv", "grid.csv", "trajectory.csv")),
+        ("rds", "error_stats.csv"),
+        ("rds", "error_hist.csv"),
+    ])
+    def test_failed_run_writes_none_of_its_outputs(self, short_log, tmp_path, capsys,
+                                                   monkeypatch, command, name):
+        # Any output name that is a directory is found before a run starts,
+        # and the command writes none of its outputs.
         monkeypatch.setattr(simulation.World, "step", lambda world: pytest.fail("ran"))
+        argv = {
+            "run": ["run", "--override", "scenario.duration_s=5"],
+            "string": ["string", "--override", "scenario.n_controlled=2"],
+            "sweep": ["sweep", "--values", "2,4", "--override", "scenario.duration_s=1"],
+            "sweep_string": ["sweep", "--parameter", "scenario.n_controlled",
+                             "--values", "2,3", "--override", "scenario.kind=string"],
+            "sweep_replay": ["sweep", "--values", "2", "--replay", str(short_log)],
+            "rds_run_log": ["rds", "--run-log", str(short_log)],
+            "rds": rds_args(tmp_path, f"{TRAJECTORY_HEADER}130.000,60.200000,21.000000\n"),
+        }[command]
         out = tmp_path / "q"
         (out / name).mkdir(parents=True)
-        assert main(["run", "--override", "scenario.duration_s=5", "--out", str(out)]) == 2
+        assert main([*argv, "--out", str(out)]) == 2
         assert f"{out / name}: Is a directory" in capsys.readouterr().err
         assert os.listdir(out) == [name]
         assert not any((out / name).iterdir())
+
+    def test_negative_latency_exits_2(self, short_log, tmp_path, capsys):
+        # A latency of -30 s scored points against reports from 30 s ahead.
+        out = tmp_path / "rds"
+        code = main(["rds", "--run-log", str(short_log), "--latencies=-30,0",
+                     "--out", str(out)])
+        assert code == 2
+        assert "config error: latencies: must be non-negative" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_negative_replay_offset_exits_2_as_the_override_does(self, short_log, tmp_path,
+                                                                 capsys):
+        message = "config error: controller.v_offset: must be non-negative"
+        assert main(["run", "--override", "controller.v_offset=-2",
+                     "--out", str(tmp_path / "r")]) == 2
+        assert message in capsys.readouterr().err
+        out = tmp_path / "s"
+        assert main(["sweep", "--replay", str(short_log), "--values=-2,2",
+                     "--out", str(out)]) == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize("error, message", [
         (RuntimeError("format failed"), "the run-log writer failed (status 255)"),

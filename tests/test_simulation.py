@@ -763,6 +763,20 @@ class TestStreamedRunLog:
         assert os.listdir(tmp_path) == []
         assert_no_child_process()
 
+    def test_failing_step_removes_an_earlier_file(self, tmp_path, monkeypatch):
+        # The log is written in place: a failed run leaves no file, not the
+        # file it overwrote.
+        path = tmp_path / "run_log.csv"
+        path.write_text("earlier\n")
+        def failing_step(world):
+            raise RuntimeError("step failed")
+
+        monkeypatch.setattr(World, "step", failing_step)
+        with pytest.raises(RuntimeError, match="step failed"):
+            run(short_canonical(), path)
+        assert os.listdir(tmp_path) == []
+        assert_no_child_process()
+
     def test_unopenable_path_fails_before_the_run(self, tmp_path, monkeypatch):
         monkeypatch.setattr(World, "step", lambda world: pytest.fail("the run started"))
         path = tmp_path / "missing" / "run_log.csv"
