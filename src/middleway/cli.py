@@ -1,15 +1,15 @@
 """Command-line harness: run scenarios, sweep parameters, analyze grids.
 
 Subcommands:
-  run     simulate one scenario; write run_log.csv, events.jsonl, report.json
-  sweep   rerun a scenario across parameter values, or replay offsets
-          open-loop over a recorded log; write an aggregated CSV
-  rds     score a trajectory against stale sensor-grid reports per latency,
-          or a run log's controlled rows against reports of its own traffic
-  string  run the platoon cascade study; write traces and steady values
+  run    simulate one scenario; write run_log.csv, events.jsonl, report.json,
+         and for scenario.kind=string string_traces.csv, string_summary.csv
+  sweep  rerun a scenario across parameter values, or replay offsets
+         open-loop over a recorded log; write an aggregated CSV
+  rds    score a trajectory against stale sensor-grid reports per latency,
+         or a run log's controlled rows against reports of its own traffic
 
 Every command's files appear together or not at all (see _staged); a
-resimulating sweep's run directories each do, and then its tables.
+resimulating sweep's run directories each do, as run's, then its tables.
 
 Exit codes: 0 success, 1 collision or safety halt, 2 usage or config error.
 """
@@ -32,6 +32,7 @@ from typing import Optional, Sequence
 
 from .config import (
     ConfigError,
+    LoadedScenario,
     apply_override,
     build_scenario,
     load_config,
@@ -46,8 +47,6 @@ from .scenarios import (
     window_rows,
 )
 from .simulation import (
-    RunLog,
-    ScenarioConfig,
     VehicleKind,
     build_report,
     read_run_log,
@@ -149,20 +148,47 @@ def _scenario(data: dict):
 RUN_FILES = ("run_log.csv", "events.jsonl", "report.json")
 
 
-def _run_into(cfg: ScenarioConfig, stage: Path):
-    """Run cfg and write its RUN_FILES into stage; returns the log and report."""
+def _run_files(kind: str) -> tuple[str, ...]:
+    """The files a run of scenario kind writes."""
+    if kind == "string":
+        return (*RUN_FILES, "string_traces.csv", "string_summary.csv")
+    return RUN_FILES
+
+
+def _run_into(loaded: LoadedScenario, stage: Path):
+    """Run loaded.cfg and write its _run_files(loaded.kind) into stage;
+    returns the log, the report and a string study's steady v_des per
+    vehicle (None for any other kind)."""
+    cfg = loaded.cfg
     log = run(cfg, stage / "run_log.csv")
     report = build_report(log)
     write_events(log, stage / "events.jsonl")
     _write_report(report, stage / "report.json")
-    return log, report
+    if loaded.kind != "string":
+        return log, report, None
+    n = sum(v.kind is VehicleKind.CONTROLLED for v in cfg.vehicles)
+    traces = v_des_traces(log, n)
+    row_dt = cfg.dt * cfg.log_every
+    window = measurement_window(n)
+    steady = steady_v_des(traces, row_dt, window)
+    # A run logs every vehicle on every logged step, and v_des is finite.
+    ids = sorted(traces)
+    write_table(stage / "string_traces.csv", ["t", *ids], (
+        [f"{i * row_dt:.3f}", *(f"{v:.6f}" for v in values)]
+        for i, values in enumerate(zip(*(traces[vid] for vid in ids), strict=True))
+    ))
+    write_table(stage / "string_summary.csv",
+                ["vehicle_id", "steady_v_des_mps", "window_lo_s", "window_hi_s"], (
+        [vid, f"{steady[vid]:.6f}", f"{window[0]:.1f}", f"{window[1]:.1f}"] for vid in ids
+    ))
+    return log, report, steady
 
 
 def cmd_run(args: argparse.Namespace) -> int:
     out = Path(args.out)
     loaded = _scenario(_load_data(args))
-    with _staged(out, RUN_FILES) as stage:
-        log, report = _run_into(loaded.cfg, stage)
+    with _staged(out, _run_files(loaded.kind)) as stage:
+        log, report, steady = _run_into(loaded, stage)
     occupancy = ", ".join(
         f"{mode}={frac:.3f}" for mode, frac in sorted(report.mode_occupancy.items())
     )
@@ -170,6 +196,8 @@ def cmd_run(args: argparse.Namespace) -> int:
     print(f"engaged {report.engaged_time_s:.1f} s; occupancy: {occupancy or 'none'}")
     min_h = "n/a" if report.min_h_m is None else f"{report.min_h_m:.3f}"
     print(f"min h {min_h} m; collision: {report.collision}")
+    for vid in sorted(steady or ()):
+        print(f"{vid}: steady v_des {steady[vid]:.3f} m/s")
     return 1 if report.collision else 0
 
 
@@ -211,15 +239,6 @@ def _sweep_replay(args: argparse.Namespace) -> int:
     return 0
 
 
-def _string_readout(cfg: ScenarioConfig, log: RunLog):
-    """A string-study log's v_des traces, row spacing, window and steady v_des."""
-    n = sum(v.kind is VehicleKind.CONTROLLED for v in cfg.vehicles)
-    traces = v_des_traces(log, n)
-    row_dt = cfg.dt * cfg.log_every
-    window = measurement_window(n)
-    return traces, row_dt, window, steady_v_des(traces, row_dt, window)
-
-
 def cmd_sweep(args: argparse.Namespace) -> int:
     if args.replay is not None:
         return _sweep_replay(args)
@@ -244,11 +263,10 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     string_rows = []
     with _staged(out, names) as stage:
         for value, loaded in runs:
-            with _staged(out / f"{leaf}={value}", RUN_FILES) as run_stage:
-                log, report = _run_into(loaded.cfg, run_stage)
+            with _staged(out / f"{leaf}={value}", _run_files(loaded.kind)) as run_stage:
+                _, report, steady = _run_into(loaded, run_stage)
             summaries.append((value, report))
-            if loaded.kind == "string":
-                steady = _string_readout(loaded.cfg, log)[-1]
+            if steady is not None:
                 for vid in sorted(steady):
                     string_rows.append((value, vid, steady[vid]))
             print(f"{parameter}={value}: engaged {report.engaged_time_s:.1f} s, "
@@ -288,6 +306,8 @@ def cmd_rds(args: argparse.Namespace) -> int:
     if given not in ((True, False, False), (False, True, True)):
         raise ConfigError("rds: takes either --run-log, or --grid with --trajectory")
     latencies = _finite_floats(args.latencies, "latencies")
+    if any(k < 0 for k in latencies):  # before the log is read, not after
+        raise ConfigError("latencies: must be non-negative")
     if not (math.isfinite(args.bin_width_mph) and args.bin_width_mph > 0):
         raise ConfigError("bin-width-mph: must be positive and finite")
     if args.run_log is not None:
@@ -323,30 +343,6 @@ def cmd_rds(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_string(args: argparse.Namespace) -> int:
-    out = Path(args.out)
-    data = _load_data(args)
-    set_dotted(data, "scenario.kind", "string")
-    loaded = _scenario(data)
-    with _staged(out, (*RUN_FILES, "string_traces.csv", "string_summary.csv")) as stage:
-        log, report = _run_into(loaded.cfg, stage)
-        traces, row_dt, window, steady = _string_readout(loaded.cfg, log)
-        # A run logs every vehicle on every logged step, and v_des is finite.
-        ids = sorted(traces)
-        write_table(stage / "string_traces.csv", ["t", *ids], (
-            [f"{i * row_dt:.3f}", *(f"{v:.6f}" for v in values)]
-            for i, values in enumerate(zip(*(traces[vid] for vid in ids), strict=True))
-        ))
-        write_table(stage / "string_summary.csv",
-                    ["vehicle_id", "steady_v_des_mps", "window_lo_s", "window_hi_s"], (
-            [vid, f"{steady[vid]:.6f}", f"{window[0]:.1f}", f"{window[1]:.1f}"] for vid in ids
-        ))
-    for vid in ids:
-        print(f"{vid}: steady v_des {steady[vid]:.3f} m/s")
-    print(f"wrote {out / 'string_traces.csv'} and {out / 'string_summary.csv'}")
-    return 1 if report.collision else 0
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="middleway",
@@ -363,7 +359,7 @@ def build_parser() -> argparse.ArgumentParser:
                        metavar="KEY=VALUE",
                        help="set one config field, e.g. controller.v_offset=4")
 
-    p_run = sub.add_parser("run", help="simulate one scenario")
+    p_run = sub.add_parser("run", help="simulate one scenario or string study")
     common(p_run)
     p_run.set_defaults(func=cmd_run)
 
@@ -389,10 +385,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_rds.add_argument("--bin-width-mph", type=float, default=1.0)
     p_rds.add_argument("--out", default="out", help="output directory")
     p_rds.set_defaults(func=cmd_rds)
-
-    p_string = sub.add_parser("string", help="platoon cascade study")
-    common(p_string)
-    p_string.set_defaults(func=cmd_string)
 
     return parser
 

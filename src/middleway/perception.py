@@ -44,8 +44,8 @@ class RadarConfig:
     def __post_init__(self) -> None:
         if self.max_range <= 0:
             raise ValueError("max_range: must be positive")
-        if self.max_targets < 1:
-            raise ValueError("max_targets: must be at least 1")
+        if not 1 <= self.max_targets <= 256:
+            raise ValueError("max_targets: must be 1 to 256")
         if self.noise_sigma < 0:
             raise ValueError("noise_sigma: must be non-negative")
 

@@ -344,13 +344,14 @@ class _PhantomStream:
     def advance(self, dt: float) -> None:
         self.origin += self.speed * dt
 
-    def targets_between(self, x: float, x_hi: float) -> list[tuple]:
-        """Radar candidates of a mainline ego at x: targets at x < position
-        <= x_hi, to rounding, with the stream's lane as their lane offset."""
+    def targets_between(self, x: float, x_hi: float, max_targets: int) -> list[tuple]:
+        """Radar candidates of a mainline ego at x: the nearest max_targets + 1
+        targets at x < position <= x_hi, to rounding (a frame's worth if the
+        first rounds to rel_position 0), with the stream's lane as their lane offset."""
         spacing, lane = self.spec.spacing_m, self.spec.lane
         name = f"phantom_{lane:+d}_"
         k_lo = math.ceil((x - self.origin) / spacing)
-        k_hi = math.floor((x_hi - self.origin) / spacing)
+        k_hi = min(math.floor((x_hi - self.origin) / spacing), k_lo + max_targets)
         return [(self.origin + k * spacing - x, f"{name}{k}", self.speed, lane)
                 for k in range(k_lo, k_hi + 1)]
 
@@ -441,12 +442,12 @@ class World:
 
     def _radar_candidates(self, veh: VehicleState) -> list[tuple]:
         """The one decision of what veh's radar sees: every mainline vehicle
-        and every phantom target in lanes -1..1 with 0 < rel_position <=
-        max_range, as synthesize_radar candidates (rel_position, target_id,
-        speed, lane_offset). The mainline scan from veh's index in
-        self.order and the phantom index bounds stop at absolute positions,
-        which round unlike rel_position, so the range test runs on
-        rel_position too."""
+        and, of each phantom stream in lanes -1..1, the nearest targets
+        (enough to fill a frame) with 0 < rel_position <= max_range, as
+        synthesize_radar candidates (rel_position, target_id, speed,
+        lane_offset). The mainline scan from veh's index in self.order and
+        the phantom index bounds stop at absolute positions, which round
+        unlike rel_position, so the range test runs on rel_position too."""
         x = veh.position
         max_range = self.cfg.radar.max_range
         x_hi = x + max_range
@@ -459,7 +460,7 @@ class World:
             seen.append((o.position - x, o.vehicle_id, o.velocity, 0))
         for stream in self.phantoms:
             if -1 <= stream.spec.lane <= 1:
-                seen.extend(stream.targets_between(x, x_hi))
+                seen.extend(stream.targets_between(x, x_hi, self.cfg.radar.max_targets))
         return [c for c in seen if 0.0 < c[0] <= max_range]
 
     def _controlled_accel(self, veh: VehicleState, logged: bool) -> float:

@@ -113,6 +113,7 @@ class TestConfig:
             ("controller", "k_p", -1.0),
             ("controller", "k_p", "abc"),
             ("radar", "max_targets", 1.5),
+            ("radar", "max_targets", 257),
             ("controller", "v_offset", [1]),
             ("scenario", "log_every", 1.5),
             ("scenario", "duration_s", math.nan),
@@ -273,7 +274,7 @@ def rds_args(tmp_path, trajectory_text):
             "--trajectory", str(tmp_path / "traj.csv"), "--out", str(tmp_path / "rds")]
 
 
-# Runs run, string and a resimulating sweep in one fresh process, then
+# Runs run, a string study and a resimulating sweep in one fresh process, then
 # prints their exit codes and every numpy module that process loaded.
 NUMPY_FREE_COMMANDS = """
 import sys
@@ -281,7 +282,8 @@ from middleway.cli import main
 out = sys.argv[1]
 codes = [
     main(["run", "--override", "scenario.duration_s=2", "--out", out + "/run"]),
-    main(["string", "--override", "scenario.n_controlled=2", "--out", out + "/string"]),
+    main(["run", "--override", "scenario.kind=string", "--override", "scenario.n_controlled=2",
+          "--out", out + "/string"]),
     main(["sweep", "--values", "2,4", "--override", "scenario.duration_s=2",
           "--out", out + "/sweep"]),
 ]
@@ -444,10 +446,10 @@ class TestCli:
         assert by_key[("2", "cav01")] == pytest.approx(28.0, abs=0.05)
         assert by_key[("3", "cav03")] == pytest.approx(24.0, abs=0.05)
 
-    def test_string_command_cascade(self, tmp_path):
+    def test_string_command_cascade(self, tmp_path, capsys):
         out = tmp_path / "string"
         code = main(
-            ["string", "--out", str(out),
+            ["run", "--override", "scenario.kind=string", "--out", str(out),
              "--override", "scenario.n_controlled=3"]
         )
         assert code == 0
@@ -457,12 +459,37 @@ class TestCli:
         assert steady["cav01"] == pytest.approx(28.0, abs=0.05)
         assert steady["cav02"] == pytest.approx(26.0, abs=0.05)
         assert steady["cav03"] == pytest.approx(24.0, abs=0.05)
+        # run's three lines, then one per vehicle.
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0].startswith(f"wrote {out / 'run_log.csv'} (")
+        assert lines[3:] == [f"{vid}: steady v_des {v:.3f} m/s" for vid, v in steady.items()]
+
+    def test_string_subcommand_is_a_usage_error(self, tmp_path, capsys):
+        # A string study is run --override scenario.kind=string.
+        with pytest.raises(SystemExit) as exc:
+            main(["string", "--out", str(tmp_path / "s")])
+        assert exc.value.code == 2
+        assert "invalid choice: 'string'" in capsys.readouterr().err
+        assert not (tmp_path / "s").exists()
+
+    def test_sweep_run_directory_equals_run(self, tmp_path):
+        string = ["--override", "scenario.kind=string", "--override", "scenario.n_controlled=3"]
+        assert main(["sweep", "--values", "2", *string, "--out", str(tmp_path / "sweep")]) == 0
+        assert main(["run", *string, "--override", "controller.v_offset=2",
+                     "--out", str(tmp_path / "run")]) == 0
+        swept = tmp_path / "sweep" / "v_offset=2"
+        assert sorted(os.listdir(swept)) == sorted(os.listdir(tmp_path / "run")) == [
+            "events.jsonl", "report.json", "run_log.csv",
+            "string_summary.csv", "string_traces.csv",
+        ]
+        for name in os.listdir(swept):
+            assert (swept / name).read_bytes() == (tmp_path / "run" / name).read_bytes(), name
 
     def test_string_collision_exits_1(self, tmp_path, capsys):
         # Braking capped at 0.01 m/s², cav01 runs into pace0 (5 m/s) at
         # t = 7.65 s, before the steady-state window opens.
         code = main(
-            ["string", "--out", str(tmp_path),
+            ["run", "--override", "scenario.kind=string", "--out", str(tmp_path),
              "--override", "scenario.n_controlled=2",
              "--override", "scenario.traffic_speed_mps=5",
              "--override", "scenario.posted_mph=70",
@@ -478,26 +505,33 @@ class TestCli:
 
     def test_string_negative_traffic_speed_exits_2(self, tmp_path, capsys):
         # The pace vehicles start at the traffic speed.
-        code = main(["string", "--out", str(tmp_path),
+        code = main(["run", "--override", "scenario.kind=string", "--out", str(tmp_path),
                      "--override", "scenario.traffic_speed_mps=-5"])
         assert code == 2
         assert "initial speeds must be finite and non-negative" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("command", ["run", "string"])
-    def test_huge_duration_exits_2(self, tmp_path, capsys, command):
+    @pytest.mark.parametrize("kind", [pytest.param("canonical", id="run"), "string"])
+    def test_huge_duration_exits_2(self, tmp_path, capsys, kind):
         code = main(
-            [command, "--out", str(tmp_path),
+            ["run", "--override", f"scenario.kind={kind}", "--out", str(tmp_path),
              "--override", "scenario.duration_s=1.7e308"]
         )
         assert code == 2
         assert "duration_s" in capsys.readouterr().err
         assert not (tmp_path / "run_log.csv").exists()
 
+    def test_radar_range_beyond_the_corridor_runs(self, tmp_path):
+        # Each phantom stream gives a frame's worth of targets, however far
+        # the radar reaches; before, a tick built one per target in range.
+        code = main(["run", "--override", "scenario.duration_s=20",
+                     "--override", "radar.max_range=1e20", "--out", str(tmp_path)])
+        assert code == 0
+
     def test_string_spacing_checked_against_final_radar_range(self, tmp_path, capsys):
         # At a 500 m range cav02 would see cav01's leader too and settle at
         # 28 m/s instead of 26 m/s, so the run must not start.
         code = main(
-            ["string", "--out", str(tmp_path),
+            ["run", "--override", "scenario.kind=string", "--out", str(tmp_path),
              "--override", "scenario.n_controlled=2",
              "--override", "radar.max_range=500"]
         )
@@ -514,7 +548,8 @@ class TestCli:
     def test_string_lead_link_out_of_range_exits_2(self, tmp_path, capsys, override):
         # cav01 would read 22.833 m/s at n = 16 and 13.411 m/s at a 3 m/s
         # offset instead of its leader less the offset.
-        code = main(["string", "--out", str(tmp_path), "--override", override])
+        code = main(["run", "--override", "scenario.kind=string", "--out", str(tmp_path),
+                     "--override", override])
         assert code == 2
         assert "pace0 leaves cav01's 350 m radar.max_range" in capsys.readouterr().err
         assert not (tmp_path / "run_log.csv").exists()
@@ -522,13 +557,14 @@ class TestCli:
     @pytest.mark.parametrize("n", ["0", "-1"])
     def test_string_without_controlled_vehicles_exits_2(self, tmp_path, capsys, n):
         code = main(
-            ["string", "--out", str(tmp_path), "--override", f"scenario.n_controlled={n}"]
+            ["run", "--override", "scenario.kind=string", "--out", str(tmp_path),
+             "--override", f"scenario.n_controlled={n}"]
         )
         assert code == 2
         assert "n_controlled" in capsys.readouterr().err
 
     @pytest.mark.parametrize("command", [
-        ["string"],
+        ["run", "--override", "scenario.kind=string"],
         ["sweep", "--parameter", "scenario.log_every", "--values", "1000",
          "--override", "scenario.kind=string"],
     ])
@@ -541,7 +577,7 @@ class TestCli:
         assert not list(tmp_path.rglob("run_log.csv"))
 
     @pytest.mark.parametrize("command", [
-        ["string"],
+        ["run", "--override", "scenario.kind=string"],
         ["sweep", "--values", "2", "--override", "scenario.kind=string"],
     ], ids=["string", "sweep"])
     @pytest.mark.parametrize("duration", ["30", "62"])
@@ -560,7 +596,8 @@ class TestCli:
     def test_string_run_to_the_window_close_reads_out(self, tmp_path, log_every):
         # Three vehicles' window is 20-32 s; a run that ends at 32 s logs
         # every row the readout takes, and 31.95 s misses the last.
-        args = ["string", "--override", "scenario.n_controlled=3",
+        args = ["run", "--override", "scenario.kind=string",
+                "--override", "scenario.n_controlled=3",
                 "--override", f"scenario.log_every={log_every}"]
         assert main([*args, "--override", "scenario.duration_s=31.95",
                      "--out", str(tmp_path / "short")]) == 2
@@ -575,7 +612,7 @@ class TestCli:
         for every in (1, 10):
             out = tmp_path / f"every{every}"
             code = main(
-                ["string", "--out", str(out),
+                ["run", "--override", "scenario.kind=string", "--out", str(out),
                  "--override", "scenario.n_controlled=3",
                  "--override", f"scenario.log_every={every}"]
             )
@@ -592,7 +629,7 @@ class TestCli:
         # Rows are 0.15 s apart and 12 / 0.15 is 79.99999999999999, so a
         # window index taken with int() started one row before the window.
         code = main(
-            ["string", "--out", str(tmp_path),
+            ["run", "--override", "scenario.kind=string", "--out", str(tmp_path),
              "--override", "scenario.n_controlled=3",
              "--override", "scenario.log_every=3"]
         )
@@ -834,7 +871,7 @@ class TestCli:
         out = afile / below if below else afile
         argv = {
             "run": ["run", "--override", "scenario.duration_s=1"],
-            "string": ["string"],
+            "string": ["run", "--override", "scenario.kind=string"],
             "sweep": ["sweep", "--values", "2,4", "--override", "scenario.duration_s=1"],
             "sweep_replay": ["sweep", "--values", "2", "--replay", str(short_log)],
             "rds": rds_args(tmp_path, f"{TRAJECTORY_HEADER}130.000,60.200000,21.000000\n"),
@@ -842,31 +879,6 @@ class TestCli:
         assert main([*argv, "--out", str(out)]) == 2
         assert "afile" in capsys.readouterr().err
         assert afile.read_text() == "kept\n"
-
-    @pytest.mark.parametrize("command, name", [
-        ("run", "run_log.csv"),
-        ("string", "string_summary.csv"),
-        ("sweep", "sweep_summary.csv"),
-        ("sweep_replay", "replay_v_des.csv"),
-        ("rds", "error_hist.csv"),
-        ("rds_run_log", "trajectory.csv"),
-    ])
-    def test_output_file_that_is_a_directory_exits_2(self, short_log, tmp_path, capsys,
-                                                    command, name):
-        # An output file that cannot be opened is bad input, not the
-        # collision exit 1.
-        out = tmp_path / "out"
-        (out / name).mkdir(parents=True)
-        argv = {
-            "run": ["run", "--override", "scenario.duration_s=1"],
-            "string": ["string", "--override", "scenario.n_controlled=2"],
-            "sweep": ["sweep", "--values", "2,4", "--override", "scenario.duration_s=1"],
-            "sweep_replay": ["sweep", "--values", "2", "--replay", str(short_log)],
-            "rds": rds_args(tmp_path, f"{TRAJECTORY_HEADER}130.000,60.200000,21.000000\n"),
-            "rds_run_log": ["rds", "--run-log", str(short_log)],
-        }[command]
-        assert main([*argv, "--out", str(out)]) == 2
-        assert name in capsys.readouterr().err
 
     @pytest.mark.parametrize("command, name", [
         *(pytest.param("run", name, id=name) for name in RUN_FILES),
@@ -882,12 +894,14 @@ class TestCli:
     ])
     def test_failed_run_writes_none_of_its_outputs(self, short_log, tmp_path, capsys,
                                                    monkeypatch, command, name):
-        # Any output name that is a directory is found before a run starts,
-        # and the command writes none of its outputs.
+        # Any output name that is a directory is found before a run starts
+        # and is bad input, not the collision exit 1; the command writes
+        # none of its outputs.
         monkeypatch.setattr(simulation.World, "step", lambda world: pytest.fail("ran"))
         argv = {
             "run": ["run", "--override", "scenario.duration_s=5"],
-            "string": ["string", "--override", "scenario.n_controlled=2"],
+            "string": ["run", "--override", "scenario.kind=string",
+                       "--override", "scenario.n_controlled=2"],
             "sweep": ["sweep", "--values", "2,4", "--override", "scenario.duration_s=1"],
             "sweep_string": ["sweep", "--parameter", "scenario.n_controlled",
                              "--values", "2,3", "--override", "scenario.kind=string"],
@@ -910,6 +924,12 @@ class TestCli:
         assert code == 2
         assert "config error: latencies: must be non-negative" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_negative_latency_exits_2_before_reading_the_log(self, tmp_path, capsys):
+        code = main(["rds", "--run-log", str(tmp_path / "missing.csv"),
+                     "--latencies=-30,0", "--out", str(tmp_path / "rds")])
+        assert code == 2
+        assert "config error: latencies: must be non-negative" in capsys.readouterr().err
 
     def test_negative_replay_offset_exits_2_as_the_override_does(self, short_log, tmp_path,
                                                                  capsys):
@@ -950,7 +970,8 @@ class TestCli:
     def test_no_writer_process_outlives_main(self, tmp_path, monkeypatch, outcome):
         argv = {
             "ok": ["run", "--override", "scenario.duration_s=2"],
-            "collision": ["string", "--override", "scenario.n_controlled=2",
+            "collision": ["run", "--override", "scenario.kind=string",
+                          "--override", "scenario.n_controlled=2",
                           "--override", "scenario.traffic_speed_mps=5",
                           "--override", "scenario.posted_mph=70",
                           "--override", "controller.u_min=-0.01"],

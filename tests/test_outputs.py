@@ -24,7 +24,9 @@ COMMANDS = (
         "run", "--seed", "1", "--override", "scenario.duration_s=120",
         "--override", "radar.noise_sigma=0.5", "--override", "feed.dropout=0.3",
     ]),
-    ("string", ["string", "--override", "scenario.n_controlled=4"]),
+    ("string", [
+        "run", "--override", "scenario.kind=string", "--override", "scenario.n_controlled=4",
+    ]),
     ("sweep", ["sweep", "--values", "2,4", "--override", "scenario.duration_s=30"]),
     ("sweep_string", [
         "sweep", "--values", "2,3", "--override", "scenario.kind=string",
@@ -48,7 +50,11 @@ COMMANDS = (
 # study stopped sampling a synthetic wave field and scored run_noisy's log.
 # The latency entry is `rds --run-log`, and the rds entry reads its grid and
 # trajectory back: the rds entry was recorded again when its default
-# latencies became 0,30,60,120, and both score alike.
+# latencies became 0,30,60,120, and both score alike. The string entry's
+# stdout was recorded again when the study became `run --override
+# scenario.kind=string`, which prints run's three lines before the steady
+# setpoints; its files are unchanged, and each string sweep run directory
+# gained the study's two files.
 GOLDEN = {
     "run": {
         "stdout": "2a306063fb7e5f6e",
@@ -63,7 +69,7 @@ GOLDEN = {
         "run_log.csv": "456391aa1e44fe08",
     },
     "string": {
-        "stdout": "779238f78bff7f63",
+        "stdout": "30191e9b85bb9d9a",
         "events.jsonl": "b446d15d3a0edfe8",
         "report.json": "bb4595c02721ee5b",
         "run_log.csv": "6b498692f9d1ee5d",
@@ -87,9 +93,13 @@ GOLDEN = {
         "v_offset=2/events.jsonl": "2707f5f06953f284",
         "v_offset=2/report.json": "72d08930aa685766",
         "v_offset=2/run_log.csv": "0fad5e01f5f03c8b",
+        "v_offset=2/string_summary.csv": "b853661e38182b41",
+        "v_offset=2/string_traces.csv": "4e78127a98d9227f",
         "v_offset=3/events.jsonl": "0914701909181c12",
         "v_offset=3/report.json": "563d43307f050af2",
         "v_offset=3/run_log.csv": "096effada404703e",
+        "v_offset=3/string_summary.csv": "cf11df8d253d72f9",
+        "v_offset=3/string_traces.csv": "ad781abc38db33e5",
     },
     "sweep_replay": {
         "stdout": "f1bb7803412784aa",

@@ -43,6 +43,15 @@ class TestSynthesizeRadar:
         assert rels == [2.0 * (i + 1) for i in range(16)]
         assert all(t.rel_speed == 2.0 for t in frame.targets)
 
+    def test_max_targets_bounds(self):
+        # The world builds up to max_targets + 1 candidates per phantom
+        # stream each tick, so the cap bounds that work too.
+        assert RadarConfig(max_targets=1).max_targets == 1
+        assert RadarConfig(max_targets=256).max_targets == 256
+        for bad in (0, 257, 10**9):
+            with pytest.raises(ValueError, match="max_targets: must be 1 to 256"):
+                RadarConfig(max_targets=bad)
+
     def test_range_tie_breaks_on_vehicle_id(self):
         candidates = [(40.0, "bbb", 22.0, 1), (40.0, "aaa", 24.0, -1)]
         frame = synthesize_radar(20.0, candidates, self.cfg, 0.0, random.Random(0))

@@ -1017,6 +1017,31 @@ class TestRadarCandidates:
             (80.0, "phantom_-1_24", 25.0, -1),
         ]
 
+    def far_world(self):
+        ego = VehicleInit("ego", VehicleKind.CONTROLLED, 1000.0, 20.0)
+        return World(ScenarioConfig(
+            duration_s=1.0,
+            radar=RadarConfig(max_range=1e6, max_targets=16),
+            vehicles=[ego],
+            phantoms=[PhantomStreamSpec(lane=1, spacing_m=45.0)],
+        ))
+
+    def test_phantom_stream_yields_a_frame_and_one_more_at_any_range(self):
+        # About 22,000 targets of the stream lie within 1e6 m.
+        world = self.far_world()
+        x = world.vehicles[0].position
+        got = world.phantoms[0].targets_between(x, x + 1e6, 16)
+        assert [c[1] for c in got] == [f"phantom_+1_{k}" for k in range(23, 40)]
+
+    def test_far_range_frame_matches_the_scan(self):
+        world = self.far_world()
+        ego = world.vehicles[0]
+        seen = world._radar_candidates(ego)
+        assert len(seen) == 17
+        frame = synthesize_radar(ego.velocity, seen, world.cfg.radar, 0.0, random.Random(0))
+        assert frame == radar_frame_oracle(world, ego, 0.0, random.Random(0))
+        assert [t.rel_position for t in frame.targets] == [35.0 + 45.0 * k for k in range(16)]
+
 
 class TestDeterminism:
     def test_same_seed_same_bytes(self, tmp_path):
