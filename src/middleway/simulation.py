@@ -20,7 +20,6 @@ byte; all randomness flows through one seeded generator.
 
 from __future__ import annotations
 
-import bisect
 import contextlib
 import functools
 import json
@@ -43,6 +42,7 @@ from .controller import ControlInputs, ControllerConfig, step_controller
 from .infrastructure import (
     GANTRY_IDS,
     GANTRY_MM,
+    GANTRY_SPACING_MI,
     MM_HI,
     MM_LO,
     FeedClient,
@@ -130,14 +130,6 @@ def idm_accel(
         # v far above v0 at a large delta, or a gap below about 1e-150 m:
         # brake as hard as the caller allows.
         return -math.inf
-
-
-@dataclass
-class VehicleState:
-    vehicle_id: str
-    kind: VehicleKind
-    position: float
-    velocity: float
 
 
 @dataclass(frozen=True)
@@ -368,7 +360,15 @@ class _ControlledAgent:
 
 
 class World:
-    """Mutable simulation state plus the step loop; self.log records the run."""
+    """Mutable simulation state plus the step loop; self.log records the run.
+
+    Each vehicle's state is held once, in config order, which is the order
+    of the log's rows and of its vehicle_ids and kinds: self.x holds the
+    positions (m) and self.v the speeds (m/s). self.leads maps each
+    vehicle's index, rear first, to the index of the next vehicle ahead;
+    the front vehicle has no entry. No passing and a collision halt on any
+    overlap keep this position order for the whole run.
+    """
 
     def __init__(self, cfg: ScenarioConfig):
         cfg.validate()
@@ -378,19 +378,14 @@ class World:
         self.rng = random.Random(cfg.seed)
         self.t = 0.0
         self.step_index = 0
-        self.vehicles = [
-            VehicleState(v.vehicle_id, v.kind, v.x0, v.v0) for v in cfg.vehicles
-        ]
-        self._humans = [v for v in self.vehicles if v.kind is VehicleKind.HUMAN]
-        # The vehicles by position, rear first. No passing and a collision
-        # halt on any overlap keep this order for the whole run, so a
-        # vehicle's lead is the next entry.
-        self.order = sorted(self.vehicles, key=lambda v: v.position)
-        # Each vehicle's index in self.order, by id.
-        self._rank = {v.vehicle_id: i for i, v in enumerate(self.order)}
+        self.x = [v.x0 for v in cfg.vehicles]
+        self.v = [v.v0 for v in cfg.vehicles]
+        self.leads = dict(pairwise(sorted(range(len(self.x)), key=self.x.__getitem__)))
+        self._humans = [j for j, v in enumerate(cfg.vehicles) if v.kind is VehicleKind.HUMAN]
+        # The controlled vehicles' control stacks, by index, in config order.
         self.agents = {
-            v.vehicle_id: _ControlledAgent(v, cfg, self.rng)
-            for v in cfg.vehicles
+            j: _ControlledAgent(v, cfg, self.rng)
+            for j, v in enumerate(cfg.vehicles)
             if v.kind is VehicleKind.CONTROLLED
         }
         self.phantoms = [_PhantomStream(spec) for spec in cfg.phantoms]
@@ -400,32 +395,27 @@ class World:
         )
         self.posted_mph = dict.fromkeys(GANTRY_IDS, initial)
 
-    def mm_of(self, x: float) -> float:
-        return self.cfg.entry_mm - x / M_PER_MILE
+    def _segment_means(self, mm: list[float]) -> list[Optional[float]]:
+        """Mean vehicle speed per inter-gantry segment, by lower-mm index,
+        from the vehicles' mile markers mm."""
+        n = len(GANTRY_MM) - 1
+        sums, counts = [0.0] * n, [0] * n
+        for m, v in zip(mm, self.v):
+            if MM_LO <= m <= MM_HI:
+                # Exact inside the corridor, as in GantryTracker.update; the
+                # top gantry's mile marker is in the last segment.
+                i = min(int((m - MM_LO) / GANTRY_SPACING_MI), n - 1)
+                sums[i] += v
+                counts[i] += 1
+        return [s / c if c else None for s, c in zip(sums, counts)]
 
-    def _segment_means(self) -> dict[int, Optional[float]]:
-        """Mean vehicle speed per inter-gantry segment, by lower-mm index."""
-        mms = GANTRY_MM
-        sums = [0.0] * (len(mms) - 1)
-        counts = [0] * (len(mms) - 1)
-        for veh in self.vehicles:
-            mm = self.mm_of(veh.position)
-            if mm < mms[0] or mm > mms[-1]:
-                continue
-            idx = min(bisect.bisect_right(mms, mm) - 1, len(sums) - 1)
-            sums[idx] += veh.velocity
-            counts[idx] += 1
-        return {
-            i: (sums[i] / counts[i] if counts[i] else None) for i in range(len(sums))
-        }
-
-    def _update_vsl(self) -> None:
+    def _update_vsl(self, mm: list[float]) -> None:
         """Run the posting policy over every gantry (skipped in static mode)."""
-        means = self._segment_means()
+        means = self._segment_means(mm)
         lookahead = self.cfg.vsl.lookahead_segments
         for i, gantry_id in enumerate(GANTRY_IDS):
             # Westbound traffic leaves gantry i into segment i - 1.
-            downstream = [means[i - k] for k in range(1, lookahead + 1) if i >= k]
+            downstream = means[max(i - lookahead, 0):i]
             prev = self.posted_mph[gantry_id]
             posted = vsl_algorithm(downstream, prev, self.cfg.vsl)
             if posted != prev:
@@ -440,48 +430,47 @@ class World:
                 )
                 self.posted_mph[gantry_id] = posted
 
-    def _radar_candidates(self, veh: VehicleState) -> list[tuple]:
-        """The one decision of what veh's radar sees: every mainline vehicle
-        and, of each phantom stream in lanes -1..1, the nearest targets
-        (enough to fill a frame) with 0 < rel_position <= max_range, as
-        synthesize_radar candidates (rel_position, target_id, speed,
-        lane_offset). The mainline scan from veh's index in self.order and
-        the phantom index bounds stop at absolute positions, which round
-        unlike rel_position, so the range test runs on rel_position too."""
-        x = veh.position
+    def _radar_candidates(self, j: int) -> list[tuple]:
+        """The one decision of what vehicle j's radar sees: every mainline
+        vehicle and, of each phantom stream in lanes -1..1, the nearest
+        targets (enough to fill a frame) with 0 < rel_position <= max_range,
+        as synthesize_radar candidates (rel_position, target_id, speed,
+        lane_offset). The mainline scan along self.leads and the phantom
+        index bounds stop at absolute positions, which round unlike
+        rel_position, so the range test runs on rel_position too."""
+        xs, vs, ids = self.x, self.v, self.log.vehicle_ids
+        x = xs[j]
         max_range = self.cfg.radar.max_range
         x_hi = x + max_range
         seen = []
-        order = self.order
-        for i in range(self._rank[veh.vehicle_id] + 1, len(order)):
-            o = order[i]
-            if o.position > x_hi:
-                break
-            seen.append((o.position - x, o.vehicle_id, o.velocity, 0))
+        o = self.leads.get(j)
+        while o is not None and xs[o] <= x_hi:
+            seen.append((xs[o] - x, ids[o], vs[o], 0))
+            o = self.leads.get(o)
         for stream in self.phantoms:
             if -1 <= stream.spec.lane <= 1:
                 seen.extend(stream.targets_between(x, x_hi, self.cfg.radar.max_targets))
         return [c for c in seen if 0.0 < c[0] <= max_range]
 
-    def _controlled_accel(self, veh: VehicleState, logged: bool) -> float:
-        """Run the vehicle's control stack; returns u, and on a logged step
-        records the controller cells."""
-        agent = self.agents[veh.vehicle_id]
+    def _controlled_accel(self, j: int, mm: list[float], logged: bool) -> float:
+        """Run vehicle j's control stack, at the mile markers mm; returns u,
+        and on a logged step records the controller cells."""
+        agent = self.agents[j]
         cfg = self.cfg
         now = self.t
-        seen = self._radar_candidates(veh)
-        frame = synthesize_radar(veh.velocity, seen, cfg.radar, now, self.rng)
-        v_pr = agent.estimator.update_prevailing(frame, veh.velocity)
-        lead = lead_vehicle(frame, veh.velocity)
+        v = self.v[j]
+        seen = self._radar_candidates(j)
+        frame = synthesize_radar(v, seen, cfg.radar, now, self.rng)
+        v_pr = agent.estimator.update_prevailing(frame, v)
+        lead = lead_vehicle(frame, v)
 
-        mm = self.mm_of(veh.position)
-        gantry_id, acquired, fetch = agent.tracker.update(mm, now)
+        gantry_id, acquired, fetch = agent.tracker.update(mm[j], now)
         if acquired:
             self.log.events.append(
                 {
                     "t": now,
                     "event": "acquisition",
-                    "vehicle_id": veh.vehicle_id,
+                    "vehicle_id": self.log.vehicle_ids[j],
                     "gantry_id": gantry_id,
                 }
             )
@@ -492,7 +481,7 @@ class World:
         delivered = agent.feed.poll(now)
         v_gr = delivered if gantry_id is not None else None
 
-        inputs = ControlInputs(agent.driver_setpoint, veh.velocity, v_gr, v_pr, lead)
+        inputs = ControlInputs(agent.driver_setpoint, v, v_gr, v_pr, lead)
         out = step_controller(inputs, agent.v_ramp, cfg.controller, cfg.dt)
         agent.v_ramp = out.v_ramp
 
@@ -514,77 +503,72 @@ class World:
         cfg = self.cfg
         t = self.t
         dt = cfg.dt
+        xs, vs = self.x, self.v
+        mm = [cfg.entry_mm - x / M_PER_MILE for x in xs]
         if cfg.vsl_static_mph is None and t >= self._next_vsl_update:
-            self._update_vsl()
+            self._update_vsl(mm)
             self._next_vsl_update += cfg.vsl.update_period_s
 
-        mainline = [v.velocity for v in self._humans]
+        mainline = [vs[j] for j in self._humans]
         mainline_mean = sum(mainline) / len(mainline) if mainline else None
         for stream in self.phantoms:
             stream.update_speed(t, mainline_mean)
 
         human = cfg.human
-        order, rank, n = self.order, self._rank, len(self.order)
+        leads = self.leads
         bottlenecks = [bn for bn in cfg.bottlenecks if bn.t_start <= t < bn.t_end]
         logged = self.step_index % cfg.log_every == 0
-        vehicles = self.vehicles
-        accels: list[float] = []
-        push = accels.append
-        human_kind, probe_kind = VehicleKind.HUMAN, VehicleKind.PROBE
-        for veh in vehicles:
-            x, v = veh.position, veh.velocity
-            if veh.kind is human_kind:
-                # IDM, capped by the first active bottleneck whose zone
-                # holds the vehicle.
-                i = rank[veh.vehicle_id] + 1
-                if i == n:
-                    u = idm_accel(v, None, None, human)
-                else:
-                    lead = order[i]
-                    u = idm_accel(v, lead.position - x, lead.velocity, human)
-                for bn in bottlenecks:
-                    if bn.x_start <= x <= bn.x_end:
-                        v_next = max(bn.speed_cap, v - bn.decel * dt)
-                        u = min(u, (v_next - v) / dt)
-                        break
-                if u < HUMAN_BRAKE_FLOOR:
-                    u = HUMAN_BRAKE_FLOOR
-                elif u > human.a:
-                    u = human.a
-            elif veh.kind is probe_kind:
-                u = 0.0
+        # Probes hold their speed.
+        accels = [0.0] * len(xs)
+        for j in self._humans:
+            # IDM, capped by the first active bottleneck whose zone holds
+            # the vehicle.
+            x, v = xs[j], vs[j]
+            lead = leads.get(j)
+            if lead is None:
+                u = idm_accel(v, None, None, human)
             else:
-                u = self._controlled_accel(veh, logged)
-            push(u)
+                u = idm_accel(v, xs[lead] - x, vs[lead], human)
+            for bn in bottlenecks:
+                if bn.x_start <= x <= bn.x_end:
+                    v_next = max(bn.speed_cap, v - bn.decel * dt)
+                    u = min(u, (v_next - v) / dt)
+                    break
+            if u < HUMAN_BRAKE_FLOOR:
+                u = HUMAN_BRAKE_FLOOR
+            elif u > human.a:
+                u = human.a
+            accels[j] = u
+        for j in self.agents:
+            accels[j] = self._controlled_accel(j, mm, logged)
 
         if logged:
-            xs = [veh.position for veh in vehicles]
             log.t.append(t)
             log.x.extend(xs)
-            log.mm.extend([cfg.entry_mm - x / M_PER_MILE for x in xs])
-            log.v.extend([veh.velocity for veh in vehicles])
+            log.mm.extend(mm)
+            log.v.extend(vs)
             log.u.extend(accels)
-        for veh, u in zip(vehicles, accels):
+        for j, u in enumerate(accels):
             # As max(0.0, v), which also maps -0.0 and NaN to 0.0.
-            v = veh.velocity + u * dt
+            v = vs[j] + u * dt
             if not v > 0.0:
                 v = 0.0
-            veh.velocity = v
-            veh.position += v * dt
+            vs[j] = v
+            xs[j] += v * dt
         for stream in self.phantoms:
             stream.advance(dt)
 
         self.t = round(self.t + dt, 9)
         self.step_index += 1
 
-        for rear, front in pairwise(self.order):
-            if front.position - rear.position <= 0.0:
+        for rear, front in leads.items():
+            if xs[front] - xs[rear] <= 0.0:
                 log.collision = {
                     "t": self.t,
                     "event": "collision",
-                    "rear_id": rear.vehicle_id,
-                    "front_id": front.vehicle_id,
-                    "position_m": front.position,
+                    "rear_id": log.vehicle_ids[rear],
+                    "front_id": log.vehicle_ids[front],
+                    "position_m": xs[front],
                 }
                 log.events.append(log.collision)
                 return

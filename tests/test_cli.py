@@ -7,6 +7,7 @@ import inspect
 import json
 import math
 import os
+import signal
 import subprocess
 import sys
 import tempfile
@@ -15,7 +16,7 @@ from typing import get_type_hints
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import middleway
@@ -1154,14 +1155,18 @@ class TestCli:
         assert "g.csv" in capsys.readouterr().err
 
 
-# Every known dotted key, plus a few unknown or malformed ones.
-OVERRIDE_KEYS = sorted(
+# Every field a config may set: each section's, and the scenario's run and
+# generator fields.
+CONFIG_FIELDS = sorted(
     {f"{section}.{name}" for section, cls in SECTION_TYPES.items()
      for name in get_type_hints(cls)}
     | {f"scenario.{name}" for gen in GENERATORS.values()
        for name in inspect.signature(gen).parameters}
     | {f"scenario.{name}" for name in RUN_FIELDS}
-    | {"scenario.kind", "scenario.bogus", "bogus.field", "scenario", "radar"}
+)
+# Every known dotted key, plus a few unknown or malformed ones.
+OVERRIDE_KEYS = sorted(
+    {*CONFIG_FIELDS, "scenario.kind", "scenario.bogus", "bogus.field", "scenario", "radar"}
 )
 # Sizes stay small (counts up to 60, durations up to 90 s at steps of at
 # least 0.01 s), so every accepted config is cheap to build and to run.
@@ -1216,3 +1221,57 @@ class TestOverrideFuzz:
                  "--override", f"scenario.duration_s={duration}"]
             )
         assert code in (0, 1, 2)
+
+
+# Extreme values of every type, as override text.
+EXTREME_TEXT = [
+    "0", "-1", "1", "5e-324", "1e-300", "1e20", "1e308", "-1e308", str(2**31),
+    str(10**18), "true", "null", "x",
+]
+
+
+class _Hang(Exception):
+    """A case that outran its time budget."""
+
+
+class TestConfigSurface:
+    """One config field at an extreme value ends a short canonical run and a
+    short string study in bounded time, with exit 0, 1 or 2: never a
+    traceback and never a hang."""
+
+    # Each run takes well under a second; a hang fails the case instead of
+    # stalling the suite.
+    BUDGET_S = 10.0
+
+    @settings(
+        max_examples=50,
+        deadline=None,
+        derandomize=True,
+        suppress_health_check=[HealthCheck.too_slow],
+    )
+    @given(key=st.sampled_from(CONFIG_FIELDS), text=st.sampled_from(EXTREME_TEXT))
+    # The two values that once never ended: a radar range that listed every
+    # phantom target within it, and a lookahead that listed every segment
+    # index up to it.
+    @example(key="radar.max_range", text="1e20")
+    @example(key="vsl.lookahead_segments", text=str(10**18))
+    def test_one_extreme_field_exits_in_time(self, key, text):
+        def hang(signum, frame):
+            raise _Hang(f"{key}={text} ran over {self.BUDGET_S} s")
+
+        previous = signal.signal(signal.SIGALRM, hang)
+        try:
+            for base in (["scenario.duration_s=5"],
+                         ["scenario.kind=string", "scenario.n_controlled=3"]):
+                argv = ["run"]
+                for kv in (*base, f"{key}={text}"):
+                    argv += ["--override", kv]
+                with tempfile.TemporaryDirectory() as out:
+                    signal.setitimer(signal.ITIMER_REAL, self.BUDGET_S)
+                    try:
+                        code = main([*argv, "--out", out])
+                    finally:
+                        signal.setitimer(signal.ITIMER_REAL, 0)
+                assert code in (0, 1, 2), argv
+        finally:
+            signal.signal(signal.SIGALRM, previous)

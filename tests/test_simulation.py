@@ -182,16 +182,17 @@ ORACLE_LOGS = {
 }
 
 
-def radar_frame_oracle(world, veh, now, rng):
-    """Reference radar frame for veh: a scan over every vehicle and every
-    phantom stream, then a filter on ego id, range and phantom lane, a sort
-    on (range, id), the cap and one noise draw per kept target. Mainline
-    vehicles are in lane 0."""
+def radar_frame_oracle(world, j, now, rng):
+    """Reference radar frame for vehicle j: a scan over every vehicle and
+    every phantom stream, then a filter on ego id, range and phantom lane, a
+    sort on (range, id), the cap and one noise draw per kept target.
+    Mainline vehicles are in lane 0."""
     radar = world.cfg.radar
-    x_lo = veh.position
-    x_hi = veh.position + radar.max_range
-    seen = [(o.vehicle_id, o.position, o.velocity, 0)
-            for o in world.vehicles if x_lo < o.position <= x_hi]
+    ego_id, ego_x, ego_v = world.log.vehicle_ids[j], world.x[j], world.v[j]
+    x_lo = ego_x
+    x_hi = ego_x + radar.max_range
+    seen = [(vid, x, v, 0) for vid, x, v in zip(world.log.vehicle_ids, world.x, world.v)
+            if x_lo < x <= x_hi]
     for stream in world.phantoms:
         spacing, lane = stream.spec.spacing_m, stream.spec.lane
         k_lo = math.ceil((x_lo - stream.origin) / spacing)
@@ -200,9 +201,9 @@ def radar_frame_oracle(world, veh, now, rng):
                  for k in range(k_lo, k_hi + 1)]
     candidates = []
     for vid, position, speed, lane in seen:
-        if vid == veh.vehicle_id:
+        if vid == ego_id:
             continue
-        rel = position - veh.position
+        rel = position - ego_x
         if rel <= 0.0 or rel > radar.max_range:
             continue
         if abs(lane) > 1:
@@ -211,7 +212,7 @@ def radar_frame_oracle(world, veh, now, rng):
     candidates.sort(key=lambda c: (c[0], c[1]))
     targets = []
     for rel, _, speed, lane in candidates[: radar.max_targets]:
-        rel_speed = speed - veh.velocity
+        rel_speed = speed - ego_v
         if radar.noise_sigma > 0.0:
             rel_speed += rng.gauss(0.0, radar.noise_sigma)
         targets.append(RadarTarget(rel, rel_speed, lane))
@@ -313,10 +314,9 @@ class TestIntegration:
         cfg = ScenarioConfig(duration_s=0.05, vehicles=[human("h", 0.0, 10.0)])
         world = World(cfg)
         world.step()
-        veh = world.vehicles[0]
         v_next = 10.0 + idm_accel(10.0, None, None, cfg.human) * 0.05
-        assert veh.velocity == v_next
-        assert veh.position == v_next * 0.05
+        assert world.v[0] == v_next
+        assert world.x[0] == v_next * 0.05
 
     def test_follower_at_equilibrium_gap_is_steady(self):
         p = IdmParams()
@@ -417,11 +417,11 @@ def run_slowing_leader(cfg, leader_id, t_start, t_end, speed_cap):
     other vehicle is asserted to stay behind the zone's start.
     """
     world = World(cfg)
-    leader = next(v for v in world.vehicles if v.vehicle_id == leader_id)
+    leader = world.log.vehicle_ids.index(leader_id)
     for _ in range(int(round(cfg.duration_s / cfg.dt))):
-        x = leader.position
+        x = world.x[leader]
         cfg.bottlenecks[:] = [Bottleneck(x, x, t_start, t_end, speed_cap)]
-        assert all(v.position < x for v in world.vehicles if v is not leader)
+        assert all(p < x for j, p in enumerate(world.x) if j != leader)
         world.step()
         assert world.log.collision is None
     return world.log
@@ -436,7 +436,7 @@ class TestWaveSeeding:
         )
         world = World(cfg)
         world.step()
-        assert world.vehicles[0].velocity == pytest.approx(16.0 - 2.0 * 0.05, abs=1e-12)
+        assert world.v[0] == pytest.approx(16.0 - 2.0 * 0.05, abs=1e-12)
 
     def test_dense_platoon_wave_propagates(self):
         p = IdmParams()
@@ -946,15 +946,15 @@ class TestRadarCandidatesMatchScan:
         candidates = world._radar_candidates
         checked = []
 
-        def compare(veh):
-            got = candidates(veh)
+        def compare(j):
+            got = candidates(j)
             assert isinstance(got, list)
             seed = len(checked)
             frame = synthesize_radar(
-                veh.velocity, got, cfg.radar, world.t, random.Random(seed)
+                world.v[j], got, cfg.radar, world.t, random.Random(seed)
             )
-            assert frame == radar_frame_oracle(world, veh, world.t, random.Random(seed))
-            checked.append(veh.vehicle_id)
+            assert frame == radar_frame_oracle(world, j, world.t, random.Random(seed))
+            checked.append(world.log.vehicle_ids[j])
             return got
 
         world._radar_candidates = compare
@@ -985,7 +985,7 @@ class TestRadarCandidates:
             vehicles=[ego, *others],
             phantoms=list(phantoms),
         ))
-        return sorted(world._radar_candidates(world.vehicles[0]))
+        return sorted(world._radar_candidates(0))
 
     def test_filters_behind_out_of_range_and_far_lanes(self):
         others = [
@@ -1029,17 +1029,16 @@ class TestRadarCandidates:
     def test_phantom_stream_yields_a_frame_and_one_more_at_any_range(self):
         # About 22,000 targets of the stream lie within 1e6 m.
         world = self.far_world()
-        x = world.vehicles[0].position
+        x = world.x[0]
         got = world.phantoms[0].targets_between(x, x + 1e6, 16)
         assert [c[1] for c in got] == [f"phantom_+1_{k}" for k in range(23, 40)]
 
     def test_far_range_frame_matches_the_scan(self):
         world = self.far_world()
-        ego = world.vehicles[0]
-        seen = world._radar_candidates(ego)
+        seen = world._radar_candidates(0)
         assert len(seen) == 17
-        frame = synthesize_radar(ego.velocity, seen, world.cfg.radar, 0.0, random.Random(0))
-        assert frame == radar_frame_oracle(world, ego, 0.0, random.Random(0))
+        frame = synthesize_radar(world.v[0], seen, world.cfg.radar, 0.0, random.Random(0))
+        assert frame == radar_frame_oracle(world, 0, 0.0, random.Random(0))
         assert [t.rel_position for t in frame.targets] == [35.0 + 45.0 * k for k in range(16)]
 
 
@@ -1059,9 +1058,23 @@ class TestDeterminism:
         assert a.read_bytes() != b.read_bytes()
 
 
+def noisy_scenario():
+    """The run_noisy config: radar noise and feed dropout both draw from
+    the rng."""
+    cfg = canonical_scenario(seed=1)
+    return dataclasses.replace(
+        cfg, duration_s=120.0, radar=dataclasses.replace(cfg.radar, noise_sigma=0.5),
+        feed=dataclasses.replace(cfg.feed, dropout=0.3))
+
+
 class TestRunPurity:
-    def test_same_config_twice_same_log_and_config_unchanged(self):
-        cfg = dataclasses.replace(canonical_scenario(), duration_s=200.0)
+    @pytest.mark.parametrize("make_cfg", [
+        lambda: dataclasses.replace(canonical_scenario(), duration_s=200.0),
+        noisy_scenario,
+        lambda: string_scenario(n_controlled=6),
+    ], ids=["canonical", "run_noisy", "string"])
+    def test_same_config_twice_same_log_and_config_unchanged(self, make_cfg):
+        cfg = make_cfg()
         before = copy.deepcopy(cfg)
         first = run(cfg)
         second = run(cfg)
@@ -1080,6 +1093,19 @@ class TestRunPurity:
             world.step()
         v_gr = [row[8] for row in world.log.rows if row[8] is not None]
         assert v_gr and set(v_gr) == {mph_to_mps(45)}
+
+
+class TestVslLookahead:
+    def test_lookahead_beyond_the_corridor_reads_every_segment(self):
+        # The corridor has 34 segments, so a lookahead of 34 reads all of
+        # them; a far larger one must read the same, in bounded time.
+        cfg = dataclasses.replace(canonical_scenario(), duration_s=60.0)
+        full, huge = (
+            run(dataclasses.replace(cfg, vsl=dataclasses.replace(cfg.vsl, lookahead_segments=n)))
+            for n in (34, 10**18))
+        assert any(e["event"] == "vsl_update" for e in full.events)
+        assert list(full.rows) == list(huge.rows)
+        assert full.events == huge.events
 
 
 class TestControlledTick:
