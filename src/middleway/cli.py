@@ -192,7 +192,7 @@ def cmd_run(args: argparse.Namespace) -> int:
     occupancy = ", ".join(
         f"{mode}={frac:.3f}" for mode, frac in sorted(report.mode_occupancy.items())
     )
-    print(f"wrote {out / 'run_log.csv'} ({len(log.x)} rows)")
+    print(f"wrote {out / 'run_log.csv'} ({len(log.t) * len(log.vehicle_ids)} rows)")
     print(f"engaged {report.engaged_time_s:.1f} s; occupancy: {occupancy or 'none'}")
     min_h = "n/a" if report.min_h_m is None else f"{report.min_h_m:.3f}"
     print(f"min h {min_h} m; collision: {report.collision}")

@@ -245,7 +245,9 @@ class RunLog:
     once per vehicle and t once per step. x (position_m), mm (mile_marker),
     v (velocity_mps) and u hold a float a row, step by step; the controller
     cells mode, v_des, v_gr and v_pr (each may be None) are held for the
-    controlled vehicles' rows only."""
+    controlled vehicles' rows only. A log that run has streamed to a
+    log_path has sent its float columns to the writer and holds them empty,
+    so its rows view is empty too; t, the cells and the events stay."""
 
     vehicle_ids: list[str] = field(default_factory=list)
     kinds: list[str] = field(default_factory=list)
@@ -582,7 +584,10 @@ def run(cfg: ScenarioConfig, log_path: str | Path | None = None) -> RunLog:
 
     With log_path, the log is also written there, with write_run_log's
     bytes, while the simulation runs (see _forked_writer). A failed write
-    raises OSError naming log_path and leaves no file there.
+    raises OSError naming log_path and leaves no file there. The log then
+    holds at most CHUNK_STEPS logged steps of x, mm, v and u at a time and
+    returns with them empty: its len(t) * len(vehicle_ids) rows are in the
+    file, not in its rows view.
     """
     world = World(cfg)
     log = world.log
@@ -603,12 +608,14 @@ def _forked_writer(log: RunLog, path: str | Path):
     extends it. The block calls the yielded send() after each step; every
     CHUNK_STEPS logged steps, it sends their columns through a pipe (the
     float columns as bytes, by marshal, which needs no import), and the
-    child formats them with _write_steps. When the block ends, the rest
-    follows with an end marker. path is opened here, before the block runs;
-    if the block raises or the child fails, the file is removed. An
-    exception of the block propagates; a failed child raises OSError naming
-    path. The child is always reaped. Needs os.fork (POSIX), in a process
-    with no other threads."""
+    child formats them with _write_steps. Once sent, x, mm, v and u are
+    emptied, so they hold the unsent steps only; t and the controller cells
+    are kept for the caller. When the block ends, the rest follows with an
+    end marker. path is opened here, before the block runs; if the block
+    raises or the child fails, the file is removed. An exception of the
+    block propagates; a failed child raises OSError naming path. The child
+    is always reaped. Needs os.fork (POSIX), in a process with no other
+    threads."""
     fh = open(path, "w", newline="", encoding="utf-8")
     pid = 0
     try:
@@ -621,19 +628,19 @@ def _forked_writer(log: RunLog, path: str | Path):
                         _write_chunks(log, fh, source, pipe)
                     fh.close()
                     source.close()
-                    n, nc, sent = len(log.vehicle_ids), len(log.controlled), 0
+                    nc, sent = len(log.controlled), 0
 
                     def send(least: int = CHUNK_STEPS) -> None:
                         nonlocal sent
                         hi = len(log.t)
                         if hi - sent >= least:
                             floats = [log.t[sent:hi].tobytes()]
-                            floats += [col[sent * n:hi * n].tobytes()
-                                       for col in (log.x, log.mm, log.v, log.u)]
+                            floats += [col.tobytes() for col in (log.x, log.mm, log.v, log.u)]
                             cells = [col[sent * nc:hi * nc]
                                      for col in (log.mode, log.v_des, log.v_gr, log.v_pr)]
                             marshal.dump((floats, cells), pipe)
                             pipe.flush()
+                            del log.x[:], log.mm[:], log.v[:], log.u[:]
                             sent = hi
 
                     yield send
