@@ -87,9 +87,6 @@ def lead_vehicle(frame: RadarFrame, v_ego: float) -> Optional[Lead]:
     return None
 
 
-_SPEED = itemgetter(1)
-
-
 @dataclass(frozen=True)
 class EstimatorConfig:
     window_s: float = 5.0
@@ -103,30 +100,50 @@ class EstimatorConfig:
             raise ValueError("min_count: must be at least 1")
 
 
+# A finite float times 2**_EXACT_SHIFT is an integer: the smallest
+# subnormal is 2**-1074.
+_EXACT_SHIFT = 1074
+
+
+def _exact(speed: float) -> int:
+    """speed * 2**_EXACT_SHIFT, exactly; the denominator of a finite
+    float's ratio is a power of two."""
+    num, den = speed.as_integer_ratio()
+    return num << (_EXACT_SHIFT + 1 - den.bit_length())
+
+
 @dataclass
 class PrevailingSpeedEstimator:
     """Rolling-window mean of faster-than-ego target speeds.
 
-    Samples are (timestamp, absolute speed) pairs; a sample is admitted
-    only when the target's relative speed is strictly positive, so every
-    speed in the window exceeded the ego speed at its admission time.
-    Samples age out once they are window_s or older than the newest frame.
+    Samples are (timestamp, absolute speed, exact speed) triples, the last
+    the speed as _exact scales it; a sample is admitted only when the
+    target's relative speed is strictly positive, so every speed in the
+    window exceeded the ego speed at its admission time. Samples age out
+    once they are window_s or older than the newest frame. The window's
+    exact sum is kept as an integer, so each tick adds and removes only
+    the samples that enter and leave, and the mean is the correctly
+    rounded mean of the window's speeds.
     """
 
     cfg: EstimatorConfig = field(default_factory=EstimatorConfig)
     samples: deque = field(default_factory=deque)
+    exact_sum: int = 0
 
     def update_prevailing(self, frame: RadarFrame, v_ego: float) -> float:
+        samples = self.samples
         for target in frame.targets:
             if not self.cfg.include_adjacent and target.lane_offset != 0:
                 continue
             if target.rel_speed > 0.0:
-                self.samples.append((frame.timestamp, v_ego + target.rel_speed))
+                speed = v_ego + target.rel_speed
+                exact = _exact(speed)
+                samples.append((frame.timestamp, speed, exact))
+                self.exact_sum += exact
         cutoff = frame.timestamp - self.cfg.window_s
-        while self.samples and self.samples[0][0] <= cutoff:
-            self.samples.popleft()
-        if len(self.samples) < self.cfg.min_count:
+        while samples and samples[0][0] <= cutoff:
+            self.exact_sum -= samples.popleft()[2]
+        if len(samples) < self.cfg.min_count:
             return 0.0
-        # Summed in window order, as a generator would; a running sum would
-        # round differently and change the logged v_pr.
-        return sum(map(_SPEED, self.samples)) / len(self.samples)
+        # Python's int true division rounds correctly.
+        return self.exact_sum / (len(samples) << _EXACT_SHIFT)

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 import random
-from itertools import chain, cycle, repeat
+from itertools import compress, cycle
 from typing import TYPE_CHECKING, NamedTuple, Sequence
 
 from .controller import ControlInputs, ControllerConfig, select_setpoint
@@ -179,12 +179,12 @@ def v_des_traces(log: RunLog, n_controlled: int) -> dict[str, list[float]]:
     """Per-vehicle logged v_des series, keyed cav01..cavNN.
 
     Keys are ordered downstream to upstream (cav01 leads); a row without a
-    v_des (none that run writes) is NaN, and a key that is no controlled
-    vehicle of the log has an empty series.
+    v_des (none that run writes) is NaN, as the log holds it, and a key
+    that is no controlled vehicle of the log has an empty series.
     """
     nc = len(log.controlled)
     column = {log.vehicle_ids[j]: log.v_des[k::nc] for k, j in enumerate(log.controlled)}
-    return {vid: [math.nan if v is None else v for v in column.get(vid, ())]
+    return {vid: column[vid].tolist() if vid in column else []
             for vid in (f"cav{k:02d}" for k in range(1, n_controlled + 1))}
 
 
@@ -232,14 +232,13 @@ def offset_replay(log: RunLog, offsets: Sequence[float]) -> OffsetReplay:
 
     if not offsets:
         raise ValueError("offsets: must be non-empty")
-    slots = log.controlled
-    ts = chain.from_iterable(map(repeat, log.t, repeat(len(slots))))
-    rows = zip(ts, cycle([log.vehicle_ids[j] for j in slots]), log.v_pr, log.v_gr)
-    picked = [row for row in rows if row[2] is not None and row[3] is not None]
-    ts, vids, v_prs, v_grs = zip(*picked) if picked else ((), (), (), ())
-    t_arr = np.asarray(ts, dtype=float)
-    v_pr_arr = np.asarray(v_prs, dtype=float)
-    v_gr_arr = np.asarray(v_grs, dtype=float)
+    ids = [log.vehicle_ids[j] for j in log.controlled]
+    # The log's NaN is an empty cell: a row replays when it holds both.
+    v_pr_arr, v_gr_arr = (np.array(col, dtype=float) for col in (log.v_pr, log.v_gr))
+    picked = ~(np.isnan(v_pr_arr) | np.isnan(v_gr_arr))
+    t_arr = np.repeat(np.array(log.t, dtype=float), len(ids))[picked]
+    v_pr_arr, v_gr_arr = v_pr_arr[picked], v_gr_arr[picked]
+    vids = tuple(compress(cycle(ids), picked.tolist()))
     if not np.isfinite((t_arr, v_pr_arr, v_gr_arr)).all():
         raise ValueError("run log: non-finite t, v_pr or v_gr in a replayed row")
     traces = {

@@ -244,10 +244,11 @@ class RunLog:
     holds the same vehicles in the same order, so ids and kinds are held
     once per vehicle and t once per step. x (position_m), mm (mile_marker),
     v (velocity_mps) and u hold a float a row, step by step; the controller
-    cells mode, v_des, v_gr and v_pr (each may be None) are held for the
-    controlled vehicles' rows only. A log that run has streamed to a
-    log_path has sent its float columns to the writer and holds them empty,
-    so its rows view is empty too; t, the cells and the events stay."""
+    cells mode, v_des, v_gr and v_pr are held for the controlled vehicles'
+    rows only. v_des, v_gr and v_pr are float arrays too, with NaN for an
+    empty cell; a mode may be None. A log that run has streamed to a
+    log_path has sent x, mm, v and u to the writer and holds them empty, so
+    its rows view is empty too; t, the cells and the events stay."""
 
     vehicle_ids: list[str] = field(default_factory=list)
     kinds: list[str] = field(default_factory=list)
@@ -257,9 +258,9 @@ class RunLog:
     v: array = field(default_factory=_floats)
     u: array = field(default_factory=_floats)
     mode: list[Optional[str]] = field(default_factory=list)
-    v_des: list[Optional[float]] = field(default_factory=list)
-    v_gr: list[Optional[float]] = field(default_factory=list)
-    v_pr: list[Optional[float]] = field(default_factory=list)
+    v_des: array = field(default_factory=_floats)
+    v_gr: array = field(default_factory=_floats)
+    v_pr: array = field(default_factory=_floats)
     events: list[dict] = field(default_factory=list)
     # The "collision" event, the same dict as the last of events.
     collision: Optional[dict] = None
@@ -277,6 +278,11 @@ class RunLog:
         return RunLogRows(self)
 
 
+def _cell(value: float) -> Optional[float]:
+    """A controller cell as the rows view holds it: None for NaN."""
+    return None if value != value else value
+
+
 class RunLogRows(Sequence):
     """A read-only view of a RunLog's rows as RUN_LOG_COLUMNS tuples, each
     built when it is read and not kept; indexing walks the rows."""
@@ -292,21 +298,25 @@ class RunLogRows(Sequence):
 
     def __iter__(self):
         log = self._log
-        cells = [self._spread(col) for col in (log.mode, log.v_des, log.v_gr, log.v_pr)]
+        cells = [self._spread(log.mode)]
+        cells += [self._spread(col, _cell) for col in (log.v_des, log.v_gr, log.v_pr)]
         ts = chain.from_iterable(map(repeat, log.t, repeat(len(log.vehicle_ids))))
         return zip(ts, cycle(log.vehicle_ids), cycle(log.kinds), log.x, log.mm, log.v, *cells,
                    log.u)
 
-    def _spread(self, col):
+    def _spread(self, col, cell=None):
         """Controller column col spread to a cell a row, None off the
         controlled vehicles: each step chains runs of None with one cell a
-        controlled vehicle, so no Python code runs per row."""
+        controlled vehicle, so no Python code runs per row off them. With
+        cell, each controlled vehicle's value is mapped through it."""
         slots = self._log.controlled
         if not slots:
             return repeat(None)
         runs = []
         for k, (prev, j) in enumerate(zip([-1, *slots], slots)):
-            runs += [repeat((None,) * (j - prev - 1)), zip(col[k::len(slots)])]
+            values = col[k::len(slots)]
+            runs += [repeat((None,) * (j - prev - 1)),
+                     zip(values if cell is None else map(cell, values))]
         runs.append(repeat((None,) * (len(self._log.vehicle_ids) - 1 - slots[-1])))
         return chain.from_iterable(chain.from_iterable(zip(*runs)))
 
@@ -493,7 +503,7 @@ class World:
             log = self.log
             log.mode.append(out.mode.value)
             log.v_des.append(out.v_des)
-            log.v_gr.append(v_gr)
+            log.v_gr.append(math.nan if v_gr is None else v_gr)
             log.v_pr.append(v_pr)
         return out.u
 
@@ -512,7 +522,7 @@ class World:
             self._next_vsl_update += cfg.vsl.update_period_s
 
         mainline = [vs[j] for j in self._humans]
-        mainline_mean = sum(mainline) / len(mainline) if mainline else None
+        mainline_mean = math.fsum(mainline) / len(mainline) if mainline else None
         for stream in self.phantoms:
             stream.update_speed(t, mainline_mean)
 
@@ -607,15 +617,15 @@ def _forked_writer(log: RunLog, path: str | Path):
     """Fork a process that writes log to path while the caller's block
     extends it. The block calls the yielded send() after each step; every
     CHUNK_STEPS logged steps, it sends their columns through a pipe (the
-    float columns as bytes, by marshal, which needs no import), and the
-    child formats them with _write_steps. Once sent, x, mm, v and u are
-    emptied, so they hold the unsent steps only; t and the controller cells
-    are kept for the caller. When the block ends, the rest follows with an
-    end marker. path is opened here, before the block runs; if the block
-    raises or the child fails, the file is removed. An exception of the
-    block propagates; a failed child raises OSError naming path. The child
-    is always reaped. Needs os.fork (POSIX), in a process with no other
-    threads."""
+    float columns as bytes and mode as a list, by marshal, which needs no
+    import), and the child formats them with _write_steps. Once sent, x,
+    mm, v and u are emptied, so they hold the unsent steps only; t and the
+    controller cells are kept for the caller. When the block ends, the
+    rest follows with an end marker. path is opened here, before the block
+    runs; if the block raises or the child fails, the file is removed. An
+    exception of the block propagates; a failed child raises OSError naming
+    path. The child is always reaped. Needs os.fork (POSIX), in a process
+    with no other threads."""
     fh = open(path, "w", newline="", encoding="utf-8")
     pid = 0
     try:
@@ -636,9 +646,9 @@ def _forked_writer(log: RunLog, path: str | Path):
                         if hi - sent >= least:
                             floats = [log.t[sent:hi].tobytes()]
                             floats += [col.tobytes() for col in (log.x, log.mm, log.v, log.u)]
-                            cells = [col[sent * nc:hi * nc]
-                                     for col in (log.mode, log.v_des, log.v_gr, log.v_pr)]
-                            marshal.dump((floats, cells), pipe)
+                            floats += [col[sent * nc:hi * nc].tobytes()
+                                       for col in (log.v_des, log.v_gr, log.v_pr)]
+                            marshal.dump((floats, log.mode[sent * nc:hi * nc]), pipe)
                             pipe.flush()
                             del log.x[:], log.mm[:], log.v[:], log.u[:]
                             sent = hi
@@ -672,9 +682,10 @@ def _write_chunks(log: RunLog, fh, source, pipe) -> None:
         pipe.close()
         with source, fh:
             fh.write(RUN_LOG_HEADER)
-            for floats, cells in iter(functools.partial(marshal.load, source), None):
-                _write_steps(RunLog(log.vehicle_ids, log.kinds,
-                                    *(array("d", col) for col in floats), *cells), fh)
+            for floats, mode in iter(functools.partial(marshal.load, source), None):
+                t, x, mm, v, u, v_des, v_gr, v_pr = (array("d", col) for col in floats)
+                _write_steps(RunLog(log.vehicle_ids, log.kinds, t, x, mm, v, u, mode,
+                                    v_des, v_gr, v_pr), fh)
         code = 0
     except OSError as exc:
         code = exc.errno if 0 < (exc.errno or 0) < 255 else 255
@@ -704,7 +715,8 @@ def _write_steps(log: RunLog, fh) -> None:
     ending in CRLF, as write_table's lines do, a step at a time. Text cells
     are written as they are, so they must hold no comma, quote, CR or LF
     (ScenarioConfig.validate rejects such vehicle ids). Each vehicle has one
-    % template; a controlled vehicle's also takes its controller cells."""
+    % template; a controlled vehicle's also takes its controller cells, of
+    which a None mode and a NaN float are written empty."""
     n, slots = len(log.vehicle_ids), log.controlled
     templates = ["%s," + f"{vid},{kind}".replace("%", "%%") + (
         ",%.6f,%.6f,%.6f,%s,%s,%s,%s,%.6f\r\n" if kind == VehicleKind.CONTROLLED
@@ -716,7 +728,7 @@ def _write_steps(log: RunLog, fh) -> None:
         for k, j in enumerate(slots, step * len(slots)):
             floats = (log.v_des[k], log.v_gr[k], log.v_pr[k])
             cells[j] = (*cells[j][:4], log.mode[k] or "",
-                        *("" if c is None else f"{c:.6f}" for c in floats), cells[j][4])
+                        *("" if c != c else f"{c:.6f}" for c in floats), cells[j][4])
         fh.write("".join(map(mod, templates, cells)))
 
 
@@ -724,11 +736,15 @@ def read_run_log(path: str | Path) -> RunLog:
     """Parse a dense run-log CSV (see RunLog) into columns, without a config
     echo; re-writing reproduces the file. The rows sharing the first t cell
     name the vehicles. Every later step must repeat them in order under one
-    t cell, every row must have 11 cells, and only a controlled vehicle's
-    row may hold controller cells; any other log raises ValueError. No cell
-    is quoted, so a step's lines, joined with commas, split into its cells;
-    a line's last cell keeps the line end, which float() ignores."""
+    t cell, every row must have 11 cells, only a controlled vehicle's row
+    may hold controller cells, and those must be finite, since NaN stands
+    for an empty one; any other log raises ValueError. No cell is quoted,
+    so a step's lines, joined with commas, split into its cells; a line's
+    last cell keeps the line end, which float() ignores. Each distinct mode
+    is held as one string."""
     width, log = len(RUN_LOG_COLUMNS), RunLog()
+    modes: dict[str, Optional[str]] = {"": None}
+    controller = (log.v_des, log.v_gr, log.v_pr)
     with open(path, newline="", encoding="utf-8") as fh:
         header = fh.readline().rstrip("\r\n").split(",")
         if tuple(header) != RUN_LOG_COLUMNS:
@@ -761,9 +777,13 @@ def read_run_log(path: str | Path) -> RunLog:
                 col.extend(map(float, cells[c::width]))
             for j in slots:
                 mode, *floats = cells[width * j + 6:width * j + 10]
-                log.mode.append(mode or None)
-                for col, cell in zip((log.v_des, log.v_gr, log.v_pr), floats):
-                    col.append(float(cell) if cell else None)
+                log.mode.append(modes.setdefault(mode, mode))
+                for col, cell in zip(controller, floats):
+                    value = float(cell) if cell else math.nan
+                    if cell and not math.isfinite(value):
+                        raise ValueError(f"run log: non-finite controller cell {cell!r} "
+                                         f"at t = {t[0]}")
+                    col.append(value)
             block = list(islice(lines, n))
     return log
 

@@ -1092,6 +1092,27 @@ class TestCli:
         assert "bad_log.csv" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("cell", ["nan", "inf"])
+    @pytest.mark.parametrize("command", ["rds", "sweep_replay"])
+    def test_non_finite_controller_cell_exits_2(self, short_log, tmp_path, capsys, command,
+                                                cell):
+        # NaN stands for an empty controller cell, so a logged one is a bad
+        # log, even in v_des, which neither command reads.
+        header, *lines = short_log.read_bytes().decode().splitlines(keepends=True)
+        cells = lines[25].split(",")
+        assert cells[2] == "controlled" and cells[7]
+        cells[7] = cell
+        lines[25] = ",".join(cells)
+        log = tmp_path / "bad_log.csv"
+        log.write_bytes("".join([header, *lines]).encode())
+        out = tmp_path / "out"
+        argv = {"rds": ["rds", "--run-log", str(log)],
+                "sweep_replay": ["sweep", "--values", "2", "--replay", str(log)]}[command]
+        assert main([*argv, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "bad_log.csv" in err and f"non-finite controller cell '{cell}'" in err
+        assert not out.exists()
+
     @pytest.mark.parametrize("edit", ["deleted_row", "swapped_vehicles", "human_controller_cells"])
     def test_replay_non_dense_log_exits_2(self, short_log, tmp_path, capsys, edit):
         # The log holds 25 humans and then cav at every step.

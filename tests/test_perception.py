@@ -1,6 +1,7 @@
 """Tests for radar synthesis and the prevailing-speed estimator."""
 
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -99,23 +100,30 @@ class TestLeadVehicle:
         assert lead_vehicle(frame, v_ego=20.0) is None
 
 
+def admit(est, samples, v_ego=10.0):
+    """Fill est's window through update_prevailing: a frame at each sample's
+    (t, speed), holding one ego-lane target that much faster than v_ego."""
+    for t, speed in samples:
+        est.update_prevailing(make_frame(t, [(30.0, speed - v_ego, 0)]), v_ego)
+
+
 class TestPrevailingEstimator:
     def test_mean_over_window_and_new_samples(self):
         est = PrevailingSpeedEstimator(EstimatorConfig(window_s=5.0, min_count=5))
-        est.samples.extend([(9.0, 13.0), (9.5, 12.0), (9.8, 14.0)])
+        admit(est, [(9.0, 13.0), (9.5, 12.0), (9.8, 14.0)])
         frame = make_frame(10.0, [(30.0, 2.0, 0), (50.0, 4.0, 1), (70.0, -1.0, 0)])
         v_pr = est.update_prevailing(frame, v_ego=10.0)
         assert v_pr == pytest.approx(13.0, abs=1e-12)
 
     def test_below_min_count_reports_off(self):
         est = PrevailingSpeedEstimator(EstimatorConfig(window_s=5.0, min_count=5))
-        est.samples.extend([(9.0, 13.0), (9.5, 12.0)])
+        admit(est, [(9.0, 13.0), (9.5, 12.0)])
         frame = make_frame(10.0, [(30.0, 2.0, 0)])
         assert est.update_prevailing(frame, v_ego=10.0) == 0.0
 
     def test_old_samples_age_out(self):
         est = PrevailingSpeedEstimator(EstimatorConfig(window_s=5.0, min_count=1))
-        est.samples.extend([(1.0, 30.0), (4.9, 28.0)])
+        admit(est, [(1.0, 30.0), (4.9, 28.0)])
         frame = make_frame(9.0, [(30.0, 2.0, 0)])
         v_pr = est.update_prevailing(frame, v_ego=10.0)
         assert v_pr == pytest.approx((28.0 + 12.0) / 2.0)
@@ -160,3 +168,34 @@ class TestPrevailingEstimator:
         else:
             assert v_pr == pytest.approx(sum(admitted) / len(admitted))
             assert v_pr > v_ego
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        frames=st.lists(
+            st.tuples(
+                st.floats(min_value=0.0, max_value=2.0),
+                st.floats(min_value=0.0, max_value=40.0),
+                st.lists(st.one_of(st.floats(min_value=-1e-300, max_value=1e-300),
+                                   st.floats(min_value=-50.0, max_value=50.0),
+                                   st.floats(min_value=-1e300, max_value=1e300)),
+                         max_size=6),
+            ),
+            max_size=30,
+        ),
+    )
+    def test_mean_is_the_correctly_rounded_window_mean(self, frames):
+        # The running integer sum gives the exact mean of the window's
+        # speeds, rounded once, on every tick: speeds of very different
+        # sizes, entering and ageing out, leave no rounding behind.
+        est = PrevailingSpeedEstimator(EstimatorConfig(window_s=3.0, min_count=1))
+        window, t = [], 0.0
+        for dt, v_ego, rel_speeds in frames:
+            t += dt
+            frame = make_frame(t, [(10.0 + k, rs, 0) for k, rs in enumerate(rel_speeds)])
+            v_pr = est.update_prevailing(frame, v_ego)
+            window += [(t, v_ego + rs) for rs in rel_speeds if rs > 0.0]
+            window = [(ts, speed) for ts, speed in window if ts > t - 3.0]
+            speeds = [Fraction(speed) for _, speed in window]
+            assert v_pr == (float(sum(speeds) / len(speeds)) if speeds else 0.0)
+        if not window:
+            assert est.exact_sum == 0
