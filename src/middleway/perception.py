@@ -116,19 +116,24 @@ def _exact(speed: float) -> int:
 class PrevailingSpeedEstimator:
     """Rolling-window mean of faster-than-ego target speeds.
 
-    Samples are (timestamp, absolute speed, exact speed) triples, the last
-    the speed as _exact scales it; a sample is admitted only when the
-    target's relative speed is strictly positive, so every speed in the
-    window exceeded the ego speed at its admission time. Samples age out
-    once they are window_s or older than the newest frame. The window's
-    exact sum is kept as an integer, so each tick adds and removes only
-    the samples that enter and leave, and the mean is the correctly
-    rounded mean of the window's speeds.
+    Samples are (timestamp, exact speed) pairs, the speed as _exact scales
+    it; a sample is admitted only when the target's relative speed is
+    strictly positive, so every speed in the window exceeded the ego speed
+    at its admission time. Samples age out once they are window_s or older
+    than the newest frame. The window's exact sum is kept as an integer, so
+    each tick adds and removes only the samples that enter and leave, and
+    the mean is the correctly rounded mean of the window's speeds.
+
+    A speed with no exact value (inf or NaN, as an extreme radar noise can
+    give) counts as 0 in the sum and is also kept in `nonfinite`, as a
+    (timestamp, speed) pair. While one is in the window it decides the
+    mean, as in a float sum: inf, -inf or NaN.
     """
 
     cfg: EstimatorConfig = field(default_factory=EstimatorConfig)
     samples: deque = field(default_factory=deque)
     exact_sum: int = 0
+    nonfinite: deque = field(default_factory=deque)
 
     def update_prevailing(self, frame: RadarFrame, v_ego: float) -> float:
         samples = self.samples
@@ -137,13 +142,25 @@ class PrevailingSpeedEstimator:
                 continue
             if target.rel_speed > 0.0:
                 speed = v_ego + target.rel_speed
-                exact = _exact(speed)
-                samples.append((frame.timestamp, speed, exact))
+                try:
+                    exact = _exact(speed)
+                except (OverflowError, ValueError):
+                    exact = 0
+                    self.nonfinite.append((frame.timestamp, speed))
+                samples.append((frame.timestamp, exact))
                 self.exact_sum += exact
         cutoff = frame.timestamp - self.cfg.window_s
         while samples and samples[0][0] <= cutoff:
-            self.exact_sum -= samples.popleft()[2]
+            self.exact_sum -= samples.popleft()[1]
+        nonfinite = self.nonfinite
+        while nonfinite and nonfinite[0][0] <= cutoff:
+            nonfinite.popleft()
         if len(samples) < self.cfg.min_count:
             return 0.0
+        if nonfinite:
+            total = 0.0
+            for _, speed in nonfinite:
+                total += speed
+            return total / len(samples)
         # Python's int true division rounds correctly.
         return self.exact_sum / (len(samples) << _EXACT_SHIFT)

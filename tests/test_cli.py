@@ -1276,6 +1276,8 @@ class TestConfigSurface:
     # index up to it.
     @example(key="radar.max_range", text="1e20")
     @example(key="vsl.lookahead_segments", text=str(10**18))
+    # A radar noise whose draws overflow to an infinite target speed.
+    @example(key="radar.noise_sigma", text="1e308")
     def test_one_extreme_field_exits_in_time(self, key, text):
         def hang(signum, frame):
             raise _Hang(f"{key}={text} ran over {self.BUDGET_S} s")

@@ -850,7 +850,7 @@ class TestRunLogGoldensUnderCompensatedSum:
 
         def int_sum(iterable, /, start=0):
             values = list(iterable)
-            if any(type(item) is float for item in (start, *values)):
+            if any(isinstance(item, float) for item in (start, *values)):
                 raise AssertionError(f"a float sum reached the simulation: {values[:4]}")
             return builtin_sum(values, start)
 
