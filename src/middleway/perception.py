@@ -35,6 +35,11 @@ class RadarFrame(NamedTuple):
     targets: tuple[RadarTarget, ...]
 
 
+# The largest radar speed noise, m/s: every target speed stays finite, so
+# the estimator's window holds exact speeds and every logged v_pr reads back.
+MAX_NOISE_SIGMA = 10.0
+
+
 @dataclass(frozen=True)
 class RadarConfig:
     max_range: float = 120.0
@@ -46,8 +51,8 @@ class RadarConfig:
             raise ValueError("max_range: must be positive")
         if not 1 <= self.max_targets <= 256:
             raise ValueError("max_targets: must be 1 to 256")
-        if self.noise_sigma < 0:
-            raise ValueError("noise_sigma: must be non-negative")
+        if not 0 <= self.noise_sigma <= MAX_NOISE_SIGMA:
+            raise ValueError(f"noise_sigma: must be 0 to {MAX_NOISE_SIGMA:g} m/s")
 
 
 _RANGE_THEN_ID = itemgetter(0, 1)
@@ -123,17 +128,11 @@ class PrevailingSpeedEstimator:
     than the newest frame. The window's exact sum is kept as an integer, so
     each tick adds and removes only the samples that enter and leave, and
     the mean is the correctly rounded mean of the window's speeds.
-
-    A speed with no exact value (inf or NaN, as an extreme radar noise can
-    give) counts as 0 in the sum and is also kept in `nonfinite`, as a
-    (timestamp, speed) pair. While one is in the window it decides the
-    mean, as in a float sum: inf, -inf or NaN.
     """
 
     cfg: EstimatorConfig = field(default_factory=EstimatorConfig)
     samples: deque = field(default_factory=deque)
     exact_sum: int = 0
-    nonfinite: deque = field(default_factory=deque)
 
     def update_prevailing(self, frame: RadarFrame, v_ego: float) -> float:
         samples = self.samples
@@ -141,26 +140,13 @@ class PrevailingSpeedEstimator:
             if not self.cfg.include_adjacent and target.lane_offset != 0:
                 continue
             if target.rel_speed > 0.0:
-                speed = v_ego + target.rel_speed
-                try:
-                    exact = _exact(speed)
-                except (OverflowError, ValueError):
-                    exact = 0
-                    self.nonfinite.append((frame.timestamp, speed))
+                exact = _exact(v_ego + target.rel_speed)
                 samples.append((frame.timestamp, exact))
                 self.exact_sum += exact
         cutoff = frame.timestamp - self.cfg.window_s
         while samples and samples[0][0] <= cutoff:
             self.exact_sum -= samples.popleft()[1]
-        nonfinite = self.nonfinite
-        while nonfinite and nonfinite[0][0] <= cutoff:
-            nonfinite.popleft()
         if len(samples) < self.cfg.min_count:
             return 0.0
-        if nonfinite:
-            total = 0.0
-            for _, speed in nonfinite:
-                total += speed
-            return total / len(samples)
         # Python's int true division rounds correctly.
         return self.exact_sum / (len(samples) << _EXACT_SHIFT)

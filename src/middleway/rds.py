@@ -23,7 +23,7 @@ import math
 from dataclasses import InitVar, dataclass, field
 from itertools import chain, islice, repeat
 from pathlib import Path
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -73,10 +73,13 @@ class RdsGrid:
             raise ValueError(f"speeds: expected shape {expected}")
 
 
-class TrajectoryPoint(NamedTuple):
-    t: float
-    mile_marker: float
-    speed_mps: float
+# A (t, mile_marker, speed_mps) sample: a plain tuple of floats, which the
+# garbage collector stops tracking, as it never does a NamedTuple.
+Point = tuple[float, float, float]
+
+
+def TrajectoryPoint(t: float, mile_marker: float, speed_mps: float) -> Point:
+    return (t, mile_marker, speed_mps)
 
 
 @dataclass
@@ -106,7 +109,7 @@ def _report_column(spec: GridSpec, t: np.ndarray) -> np.ndarray:
 _BLOCK = 1 << 12
 
 
-def build_grid(samples: Iterable[TrajectoryPoint], spec: GridSpec) -> RdsGrid:
+def build_grid(samples: Iterable[Point], spec: GridSpec) -> RdsGrid:
     """Aggregate point samples into per-cell mean speeds (NaN when empty).
 
     Samples west of the first sensor or east of the last are dropped; the
@@ -156,7 +159,7 @@ def _mean_present(
 
 
 def _ideal(
-    trajectory: Sequence[TrajectoryPoint], grid: RdsGrid
+    trajectory: Sequence[Point], grid: RdsGrid
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The t, sensor row and ideal estimate of each point that has one: a
     point needs a cell after its own in space and in time. This helper and
@@ -186,7 +189,7 @@ def _realtime_errors(
 
 
 def error_stats(
-    trajectory: Sequence[TrajectoryPoint],
+    trajectory: Sequence[Point],
     grid: RdsGrid,
     latencies: Sequence[float],
     bin_width_mph: float = 1.0,
@@ -226,7 +229,7 @@ def error_stats(
     return out
 
 
-def latency_study(log: RunLog) -> tuple[RdsGrid, list[TrajectoryPoint]]:
+def latency_study(log: RunLog) -> tuple[RdsGrid, list[Point]]:
     """A run log's grid of 30 s reports over the default sensors from every
     row, to the last step, and its controlled rows in log order as the
     trajectory. A log without rows, ending outside [0, MAX_DURATION_S] or
@@ -235,9 +238,9 @@ def latency_study(log: RunLog) -> tuple[RdsGrid, list[TrajectoryPoint]]:
         raise ValueError(f"run log: no rows, or a last t outside [0, {MAX_DURATION_S:g}] s")
     if not all(np.isfinite(col).all() for col in (log.t, log.mm, log.v)):
         raise ValueError("run log: t, mile_marker and velocity_mps must be finite")
-    n, slots = len(log.vehicle_ids), log.controlled
-    trajectory = [TrajectoryPoint(t, log.mm[s * n + j], log.v[s * n + j])
-                  for s, t in enumerate(log.t) for j in slots]
+    n = len(log.vehicle_ids)
+    trajectory = list(chain.from_iterable(zip(*(
+        zip(log.t, log.mm[j::n], log.v[j::n]) for j in log.controlled))))
     ts = chain.from_iterable(map(repeat, log.t, repeat(n)))
     spec = GridSpec(default_sensors(), n_reports=int(log.t[-1] // 30.0) + 1)
     return build_grid(zip(ts, log.mm, log.v), spec), trajectory
@@ -293,13 +296,13 @@ def read_grid(path: str | Path) -> RdsGrid:
     return RdsGrid(spec, speeds)
 
 
-def write_trajectory(points: Sequence[TrajectoryPoint], path: str | Path) -> None:
+def write_trajectory(points: Sequence[Point], path: str | Path) -> None:
     write_table(path, ("t_s", "mile_marker", "speed_mps"), (
-        (f"{p.t:.3f}", f"{p.mile_marker:.6f}", f"{p.speed_mps:.6f}") for p in points
+        (f"{t:.3f}", f"{mm:.6f}", f"{v:.6f}") for t, mm, v in points
     ))
 
 
-def read_trajectory(path: str | Path) -> list[TrajectoryPoint]:
+def read_trajectory(path: str | Path) -> list[Point]:
     points = []
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
@@ -307,7 +310,7 @@ def read_trajectory(path: str | Path) -> list[TrajectoryPoint]:
         if header != ["t_s", "mile_marker", "speed_mps"]:
             raise ValueError(f"unexpected trajectory header: {header}")
         for t, mm, v in reader:
-            point = TrajectoryPoint(float(t), float(mm), float(v))
+            point = (float(t), float(mm), float(v))
             if not all(map(math.isfinite, point)):
                 raise ValueError(f"non-finite trajectory value: {point}")
             points.append(point)

@@ -241,13 +241,5 @@ def offset_replay(log: RunLog, offsets: Sequence[float]) -> OffsetReplay:
     vids = tuple(compress(cycle(ids), picked.tolist()))
     if not np.isfinite((t_arr, v_pr_arr, v_gr_arr)).all():
         raise ValueError("run log: non-finite t, v_pr or v_gr in a replayed row")
-    traces = {
-        float(k): np.maximum(v_pr_arr - float(k), v_gr_arr) for k in offsets
-    }
-    return OffsetReplay(
-        t=t_arr,
-        vehicle_id=vids,
-        v_pr=v_pr_arr,
-        v_gr=v_gr_arr,
-        v_des=traces,
-    )
+    traces = {float(k): np.maximum(v_pr_arr - float(k), v_gr_arr) for k in offsets}
+    return OffsetReplay(t_arr, vids, v_pr_arr, v_gr_arr, traces)

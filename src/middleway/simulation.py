@@ -34,7 +34,7 @@ from dataclasses import asdict, dataclass, field, replace
 from enum import Enum
 from functools import cached_property
 from itertools import chain, cycle, groupby, islice, pairwise, repeat
-from operator import itemgetter, mod
+from operator import mod
 from pathlib import Path
 from typing import Optional
 
@@ -84,6 +84,8 @@ MAX_DURATION_S = 86_400.0
 MIN_DT_S = 0.001
 # Logged steps a chunk carries from run() to its run-log writer process.
 CHUNK_STEPS = 256
+# Rows read_run_log parses at once, in whole steps.
+READ_BLOCK_ROWS = 1024
 
 
 class VehicleKind(str, Enum):
@@ -738,10 +740,10 @@ def read_run_log(path: str | Path) -> RunLog:
     name the vehicles. Every later step must repeat them in order under one
     t cell, every row must have 11 cells, only a controlled vehicle's row
     may hold controller cells, and those must be finite, since NaN stands
-    for an empty one; any other log raises ValueError. No cell is quoted,
-    so a step's lines, joined with commas, split into its cells; a line's
-    last cell keeps the line end, which float() ignores. Each distinct mode
-    is held as one string."""
+    for an empty one; any other log raises ValueError, naming the first bad
+    step. No cell is quoted, so a block of about READ_BLOCK_ROWS lines,
+    joined with commas, splits into its cells; a line's last cell keeps the
+    line end, which float() ignores. Each distinct mode is one string."""
     width, log = len(RUN_LOG_COLUMNS), RunLog()
     modes: dict[str, Optional[str]] = {"": None}
     controller = (log.v_des, log.v_gr, log.v_pr)
@@ -755,36 +757,52 @@ def read_run_log(path: str | Path) -> RunLog:
                 lines = chain([line], lines)
                 break
             block.append(line)
+        if not block:
+            return log
         n = len(block)
-        while block:
+        first = ",".join(block).split(",")
+        log.vehicle_ids, log.kinds = first[1::width], first[2::width]
+        slots, stride = log.controlled, width * n
+        # The controller cells of the vehicles that are not controlled.
+        unset = [width * j + c for j in range(n) if j not in slots for c in range(6, 10)]
+
+        def append(block: list[str]) -> None:
+            """Append block, whole steps of lines, to log."""
             cells = ",".join(block).split(",")
-            if not log.vehicle_ids:
-                log.vehicle_ids, log.kinds = cells[1::width], cells[2::width]
-                slots = log.controlled
-                # The controller cells of the vehicles that are not controlled.
-                unset = [width * j + c for j in range(n) if j not in slots
-                         for c in range(6, 10)]
-                pick = itemgetter(*unset) if unset else lambda cells: ()
-            t = cells[::width]
-            if (set(map(str.count, block, repeat(","))) != {width - 1} or t.count(t[0]) != n
-                    or cells[1::width] != log.vehicle_ids or cells[2::width] != log.kinds
-                    or any(pick(cells))):
-                raise ValueError(f"run log is not dense at t = {t[-1]}: every step must "
-                                 "repeat the first step's vehicles in order, 11 cells a "
-                                 "row, and controller cells only on controlled vehicles")
-            log.t.append(float(t[0]))
+            steps, firsts = len(block) // n, cells[::stride]
+            if (len(block) % n or set(map(str.count, block, repeat(","))) != {width - 1}
+                    or any(cells[width * j::stride] != firsts for j in range(1, n))
+                    or cells[1::width] != log.vehicle_ids * steps
+                    or cells[2::width] != log.kinds * steps
+                    or any(any(cells[i::stride]) for i in unset)):
+                raise ValueError(f"run log is not dense at t = {cells[::width][-1]}: every "
+                                 "step must repeat the first step's vehicles in order, 11 "
+                                 "cells a row, and controller cells only on controlled "
+                                 "vehicles")
+            log.t.extend(map(float, firsts))
             for col, c in ((log.x, 3), (log.mm, 4), (log.v, 5), (log.u, 10)):
                 col.extend(map(float, cells[c::width]))
-            for j in slots:
-                mode, *floats = cells[width * j + 6:width * j + 10]
+            # A controlled row's cells from k, where its t cell is its step's.
+            for k in (base + width * j for base in range(0, len(cells), stride) for j in slots):
+                mode, *floats = cells[k + 6:k + 10]
                 log.mode.append(modes.setdefault(mode, mode))
                 for col, cell in zip(controller, floats):
                     value = float(cell) if cell else math.nan
                     if cell and not math.isfinite(value):
                         raise ValueError(f"run log: non-finite controller cell {cell!r} "
-                                         f"at t = {t[0]}")
+                                         f"at t = {cells[k]}")
                     col.append(value)
-            block = list(islice(lines, n))
+
+        steps = max(1, READ_BLOCK_ROWS // n)
+        block += islice(lines, (steps - 1) * n)
+        while block:
+            try:
+                append(block)
+            except ValueError:  # Parse the block a step at a time to name its bad step.
+                for lo in range(0, len(block), n):
+                    append(block[lo:lo + n])
+                raise
+            block = list(islice(lines, steps * n))
     return log
 
 

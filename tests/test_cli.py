@@ -348,6 +348,13 @@ class TestCli:
         assert code == 2
         assert "dt" in capsys.readouterr().err
 
+    def test_run_noise_sigma_above_its_bound_exits_2(self, tmp_path, capsys):
+        # Its draws could make a target speed, and so a logged v_pr, infinite.
+        code = main(["run", "--out", str(tmp_path), "--override", "radar.noise_sigma=1e308"])
+        assert code == 2
+        assert "noise_sigma: must be 0 to 10 m/s" in capsys.readouterr().err
+        assert not (tmp_path / "run_log.csv").exists()
+
     def test_run_tiny_dt_exits_2(self, tmp_path, capsys):
         # At 5e-324 s the step count would overflow.
         code = main(
@@ -1258,7 +1265,8 @@ class _Hang(Exception):
 class TestConfigSurface:
     """One config field at an extreme value ends a short canonical run and a
     short string study in bounded time, with exit 0, 1 or 2: never a
-    traceback and never a hang."""
+    traceback and never a hang. A run that exits 0 or 1 writes a run log
+    that read_run_log reads back."""
 
     # Each run takes well under a second; a hang fails the case instead of
     # stalling the suite.
@@ -1276,7 +1284,8 @@ class TestConfigSurface:
     # index up to it.
     @example(key="radar.max_range", text="1e20")
     @example(key="vsl.lookahead_segments", text=str(10**18))
-    # A radar noise whose draws overflow to an infinite target speed.
+    # A radar noise whose draws could overflow to an infinite target speed;
+    # it is now a config error.
     @example(key="radar.noise_sigma", text="1e308")
     def test_one_extreme_field_exits_in_time(self, key, text):
         def hang(signum, frame):
@@ -1295,6 +1304,8 @@ class TestConfigSurface:
                         code = main([*argv, "--out", out])
                     finally:
                         signal.setitimer(signal.ITIMER_REAL, 0)
+                    if code in (0, 1):
+                        simulation.read_run_log(Path(out) / "run_log.csv")
                 assert code in (0, 1, 2), argv
         finally:
             signal.signal(signal.SIGALRM, previous)

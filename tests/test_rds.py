@@ -2,6 +2,7 @@
 
 import bisect
 import dataclasses
+import gc
 import hashlib
 import math
 import random
@@ -48,11 +49,11 @@ def build_grid_loop(samples, spec):
     sums = np.zeros((len(spec.sensor_mm), spec.n_reports))
     counts = np.zeros_like(sums)
     sensors = spec.sensor_mm
-    for p in samples:
-        i = bisect.bisect_right(sensors, p.mile_marker) - 1
-        k = int(math.floor((p.t - spec.origin_s) / spec.cell_duration_s))
-        if i >= 0 and p.mile_marker <= sensors[-1] and 0 <= k < spec.n_reports:
-            sums[i, k] += p.speed_mps
+    for t, mm, v in samples:
+        i = bisect.bisect_right(sensors, mm) - 1
+        k = int(math.floor((t - spec.origin_s) / spec.cell_duration_s))
+        if i >= 0 and mm <= sensors[-1] and 0 <= k < spec.n_reports:
+            sums[i, k] += v
             counts[i, k] += 1
     with np.errstate(invalid="ignore"):
         speeds = np.where(counts > 0, sums / np.maximum(counts, 1), np.nan)
@@ -86,31 +87,31 @@ def _mean_left_to_right(values):
 def ideal_speed(p, grid):
     """Reference ideal estimate: mean of the four cells bracketing the point
     in space and time; missing cells are dropped from the mean."""
-    spec = grid.spec
-    i_lo, i_hi = _spatial_pair(spec, p.mile_marker)
-    k = _report_index(spec, p.t)
+    spec, (t, mm, _) = grid.spec, p
+    i_lo, i_hi = _spatial_pair(spec, mm)
+    k = _report_index(spec, t)
     if k < 0 or k + 1 >= spec.n_reports:
-        raise AllNeighborsMissing(f"time {p.t} outside report coverage")
+        raise AllNeighborsMissing(f"time {t} outside report coverage")
     cells = [grid.speeds[i, col] for i in (i_lo, i_hi) for col in (k, k + 1)]
     cells = [v for v in cells if not math.isnan(v)]
     if not cells:
-        raise AllNeighborsMissing(f"all four cells missing at ({p.t}, {p.mile_marker})")
+        raise AllNeighborsMissing(f"all four cells missing at ({t}, {mm})")
     return _mean_left_to_right(cells)
 
 
 def realtime_speed(p, grid, latency_s=0.0):
     """Reference realtime estimate: average of the two spatial neighbors'
     freshest reports at t - latency."""
-    spec = grid.spec
-    i_lo, i_hi = _spatial_pair(spec, p.mile_marker)
-    j = _report_index(spec, p.t - latency_s)
+    spec, (t, mm, _) = grid.spec, p
+    i_lo, i_hi = _spatial_pair(spec, mm)
+    j = _report_index(spec, t - latency_s)
     if j < 0:
-        raise AllNeighborsMissing(f"no reports available {latency_s} s before {p.t}")
+        raise AllNeighborsMissing(f"no reports available {latency_s} s before {t}")
     j = min(j, spec.n_reports - 1)
     values = [grid.speeds[i, j] for i in (i_lo, i_hi)]
     values = [v for v in values if not math.isnan(v)]
     if not values:
-        raise AllNeighborsMissing(f"both neighbors missing at ({p.t}, {p.mile_marker})")
+        raise AllNeighborsMissing(f"both neighbors missing at ({t}, {mm})")
     return float(_mean_left_to_right(values))
 
 
@@ -678,6 +679,21 @@ class TestReadSideGolden:
         assert stats[0.0].n > 0
 
 
+class TestPointsUntracked:
+    """A point is a plain tuple of floats, which the cyclic collector stops
+    tracking, so holding a log's worth of them adds nothing to a collection."""
+
+    def test_points_are_untracked_after_a_collection(self, tmp_path):
+        _, trajectory = latency_study(
+            run(dataclasses.replace(canonical_scenario(), duration_s=60.0)))
+        path = tmp_path / "trajectory.csv"
+        write_trajectory(trajectory, path)
+        points = [TrajectoryPoint(1.0, 60.0, 20.0), *trajectory, *read_trajectory(path)]
+        assert len(points) > 2 * 1000
+        gc.collect()
+        assert not any(map(gc.is_tracked, points))
+
+
 @st.composite
 def round_trip_grids(draw):
     """Grids the grid file holds exactly: markers with three decimals,
@@ -743,10 +759,10 @@ class TestSerialization:
         write_trajectory(traj, path)
         loaded = read_trajectory(path)
         assert len(loaded) == len(traj)
-        for a, b in zip(traj, loaded):
-            assert b.t == pytest.approx(a.t, abs=1e-3)
-            assert b.mile_marker == pytest.approx(a.mile_marker, abs=1e-6)
-            assert b.speed_mps == pytest.approx(a.speed_mps, abs=1e-6)
+        for (t, mm, v), (t_read, mm_read, v_read) in zip(traj, loaded):
+            assert t_read == pytest.approx(t, abs=1e-3)
+            assert mm_read == pytest.approx(mm, abs=1e-6)
+            assert v_read == pytest.approx(v, abs=1e-6)
 
     @settings(max_examples=200, deadline=None)
     @given(points=st.lists(st.builds(

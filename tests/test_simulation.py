@@ -9,6 +9,8 @@ import os
 import random
 import tracemalloc
 from array import array
+from itertools import chain, islice, repeat
+from operator import itemgetter
 from unittest import mock
 
 import numpy as np
@@ -29,6 +31,7 @@ from middleway.scenarios import (
 from middleway.simulation import (
     CHUNK_STEPS,
     HUMAN_BRAKE_FLOOR,
+    READ_BLOCK_ROWS,
     RUN_LOG_COLUMNS,
     Bottleneck,
     IdmParams,
@@ -114,6 +117,55 @@ def read_run_log_csv(path) -> list:
                 )
             )
     return rows
+
+
+def read_run_log_steps(path) -> RunLog:
+    """Reference for read_run_log: the same checks and columns, a step at a
+    time. A bad step's error names its t cell, or its last row's when the
+    step's cells do not line up."""
+    width, log = len(RUN_LOG_COLUMNS), RunLog()
+    modes = {"": None}
+    controller = (log.v_des, log.v_gr, log.v_pr)
+    with open(path, newline="", encoding="utf-8") as fh:
+        header = fh.readline().rstrip("\r\n").split(",")
+        if tuple(header) != RUN_LOG_COLUMNS:
+            raise ValueError(f"unexpected run log header: {header}")
+        block, lines = list(islice(fh, 1)), iter(fh)
+        for line in lines:
+            if line.split(",", 1)[0] != block[0].split(",", 1)[0]:
+                lines = chain([line], lines)
+                break
+            block.append(line)
+        n = len(block)
+        while block:
+            cells = ",".join(block).split(",")
+            if not log.vehicle_ids:
+                log.vehicle_ids, log.kinds = cells[1::width], cells[2::width]
+                slots = log.controlled
+                unset = [width * j + c for j in range(n) if j not in slots
+                         for c in range(6, 10)]
+                pick = itemgetter(*unset) if unset else lambda cells: ()
+            t = cells[::width]
+            if (set(map(str.count, block, repeat(","))) != {width - 1} or t.count(t[0]) != n
+                    or cells[1::width] != log.vehicle_ids or cells[2::width] != log.kinds
+                    or any(pick(cells))):
+                raise ValueError(f"run log is not dense at t = {t[-1]}: every step must "
+                                 "repeat the first step's vehicles in order, 11 cells a "
+                                 "row, and controller cells only on controlled vehicles")
+            log.t.append(float(t[0]))
+            for col, c in ((log.x, 3), (log.mm, 4), (log.v, 5), (log.u, 10)):
+                col.extend(map(float, cells[c::width]))
+            for j in slots:
+                mode, *floats = cells[width * j + 6:width * j + 10]
+                log.mode.append(modes.setdefault(mode, mode))
+                for col, cell in zip(controller, floats):
+                    value = float(cell) if cell else math.nan
+                    if cell and not math.isfinite(value):
+                        raise ValueError(f"run log: non-finite controller cell {cell!r} "
+                                         f"at t = {t[0]}")
+                    col.append(value)
+            block = list(islice(lines, n))
+    return log
 
 
 def dense_log(rows, n, **echo):
@@ -625,6 +677,20 @@ class TestRunLogWriterOracle:
         self.assert_same_bytes(dense_log(*rows), tmp_path_factory.mktemp("log"))
 
 
+# Bodies that no run-log reader accepts, each a row at t = 0 of vehicle a.
+MALFORMED_ROWS = {
+    "short": "0.000,a,human,1.0,70.0,2.0,,,,\r\n",
+    "extra": "0.000,a,human,1.0,70.0,2.0,,,,,0.5,9\r\n",
+    "blank": "0.000,a,human,1.0,70.0,2.0,,,,,0.5\r\n\r\n",
+    "non_numeric": "0.000,a,human,fast,70.0,2.0,,,,,0.5\r\n",
+    "quoted_non_numeric": '0.000,"a,b",controlled,1.0,70.0,2.0,cbf,x,,,0.5\r\n',
+    "nan_v_des": "0.000,a,controlled,1.0,70.0,2.0,cbf,nan,,,0.5\r\n",
+    "inf_v_gr": "0.000,a,controlled,1.0,70.0,2.0,cbf,1.0,inf,2.0,0.5\r\n",
+    "minus_inf_v_pr": "0.000,a,controlled,1.0,70.0,2.0,cbf,1.0,,-Infinity,0.5\r\n",
+    "overflowing_v_des": "0.000,a,controlled,1.0,70.0,2.0,cbf,1e400,,,0.5\r\n",
+}
+
+
 class TestRunLogReaderOracle:
     """read_run_log reads the rows the csv.reader reference reads."""
 
@@ -650,22 +716,7 @@ class TestRunLogReaderOracle:
         write_run_log(log, path)
         assert list(read_run_log(path).rows) == read_run_log_csv(path)
 
-    @pytest.mark.parametrize(
-        "body",
-        [
-            "0.000,a,human,1.0,70.0,2.0,,,,\r\n",
-            "0.000,a,human,1.0,70.0,2.0,,,,,0.5,9\r\n",
-            "0.000,a,human,1.0,70.0,2.0,,,,,0.5\r\n\r\n",
-            "0.000,a,human,fast,70.0,2.0,,,,,0.5\r\n",
-            '0.000,"a,b",controlled,1.0,70.0,2.0,cbf,x,,,0.5\r\n',
-            "0.000,a,controlled,1.0,70.0,2.0,cbf,nan,,,0.5\r\n",
-            "0.000,a,controlled,1.0,70.0,2.0,cbf,1.0,inf,2.0,0.5\r\n",
-            "0.000,a,controlled,1.0,70.0,2.0,cbf,1.0,,-Infinity,0.5\r\n",
-            "0.000,a,controlled,1.0,70.0,2.0,cbf,1e400,,,0.5\r\n",
-        ],
-        ids=["short", "extra", "blank", "non_numeric", "quoted_non_numeric",
-             "nan_v_des", "inf_v_gr", "minus_inf_v_pr", "overflowing_v_des"],
-    )
+    @pytest.mark.parametrize("body", MALFORMED_ROWS.values(), ids=MALFORMED_ROWS)
     def test_malformed_rows_raise_in_both(self, tmp_path, body):
         path = tmp_path / "bad.csv"
         path.write_text(",".join(RUN_LOG_COLUMNS) + "\r\n" + body, newline="")
@@ -673,6 +724,67 @@ class TestRunLogReaderOracle:
             read_run_log(path)
         with pytest.raises(ValueError):
             read_run_log_csv(path)
+
+
+# Three vehicles a step, so read_run_log parses this many steps a block.
+BLOCK_STEPS = max(1, READ_BLOCK_ROWS // 3)
+
+
+def write_block_log(path, steps, kind="controlled"):
+    """Write a dense log of steps steps at 0.05 s to path, each step of
+    vehicle a of kind, a human and a controlled vehicle, in that order. The
+    last cell differs from step to step, so a shifted t cell shows."""
+    rows = []
+    for s in range(steps):
+        t = round(s * 0.05, 9)
+        for vid, k in (("a", kind), ("h", "human"), ("c", "controlled")):
+            cells = ("cbf", 20.0 + s, None, 18.5) if k == "controlled" else (None,) * 4
+            rows.append((t, vid, k, 10.0 * s, 70.0 - s / 1e4, 20.0, *cells, s / 1e3))
+    write_run_log(dense_log(rows, 3), path)
+
+
+# Where a bad step goes in a log of 2 * BLOCK_STEPS + 1 steps.
+BAD_STEP_AT = {"first_step": 0, "block_1_last_step": BLOCK_STEPS - 1,
+               "block_2_first_step": BLOCK_STEPS, "cut_final_step": 2 * BLOCK_STEPS}
+
+
+class TestRunLogBlocks:
+    """read_run_log parses whole steps in blocks of BLOCK_STEPS; it reads and
+    rejects what the step-at-a-time reference does, and names the same t."""
+
+    @pytest.mark.parametrize("steps", [1, BLOCK_STEPS - 1, BLOCK_STEPS, BLOCK_STEPS + 1,
+                                       2 * BLOCK_STEPS + 1])
+    def test_round_trip_across_block_boundaries(self, tmp_path, steps):
+        path, again = tmp_path / "log.csv", tmp_path / "again.csv"
+        write_block_log(path, steps)
+        log = read_run_log(path)
+        assert len(log.t) == steps
+        assert list(log.rows) == list(read_run_log_steps(path).rows)
+        write_run_log(log, again)
+        assert again.read_bytes() == path.read_bytes()
+
+    # Each malformed row at each place, and a cut-off final step alone.
+    @pytest.mark.parametrize("name, at", [
+        *((name, at) for name in MALFORMED_ROWS for at in BAD_STEP_AT),
+        ("none", "cut_final_step"),
+    ])
+    def test_bad_step_names_the_reference_t(self, tmp_path, name, at):
+        body = MALFORMED_ROWS.get(name)
+        path = tmp_path / "bad.csv"
+        write_block_log(path, 2 * BLOCK_STEPS + 1,
+                        "controlled" if body and ",controlled," in body else "human")
+        lines = path.read_bytes().decode().splitlines(keepends=True)
+        if at == "cut_final_step":
+            del lines[-1]
+        if body is not None:
+            row = 1 + 3 * BAD_STEP_AT[at]
+            lines[row] = lines[row].split(",", 1)[0] + body.removeprefix("0.000")
+        path.write_text("".join(lines), newline="")
+        with pytest.raises(ValueError) as want:
+            read_run_log_steps(path)
+        with pytest.raises(ValueError) as got:
+            read_run_log(path)
+        assert str(got.value) == str(want.value)
 
 
 def one_lane_noisy_scenario():
