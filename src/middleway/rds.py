@@ -18,7 +18,6 @@ neighbor is not scored.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import InitVar, dataclass, field
 from itertools import chain, islice, repeat
@@ -28,7 +27,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .simulation import MAX_DURATION_S, RunLog
-from .tables import write_table
+from .tables import read_header, write_table
 from .units import MPS_PER_MPH
 
 
@@ -258,13 +257,13 @@ def write_grid(grid: RdsGrid, path: str | Path) -> None:
 
 
 def read_grid(path: str | Path) -> RdsGrid:
+    """A grid as write_grid writes it, one row for each (sensor_mm,
+    report_start_s) cell; any other file raises ValueError."""
     rows = []
     with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != ["sensor_mm", "report_start_s", "mean_speed_mps"]:
-            raise ValueError(f"unexpected grid header: {header}")
-        for mm, start, v in reader:
+        read_header(fh, ("sensor_mm", "report_start_s", "mean_speed_mps"), "grid")
+        for line in fh:
+            mm, start, v = line.rstrip("\r\n").split(",")
             row = (float(mm), float(start), float(v) if v else math.nan)
             # An empty speed cell is a missing report; every number is finite.
             if not all(map(math.isfinite, row if v else row[:2])):
@@ -272,10 +271,10 @@ def read_grid(path: str | Path) -> RdsGrid:
             rows.append(row)
     if not rows:
         raise ValueError("grid has no rows")
-    if len({(mm, start) for mm, start, _ in rows}) != len(rows):
-        raise ValueError("grid has a duplicate (sensor_mm, report_start_s) cell")
     sensors = tuple(sorted({mm for mm, _, _ in rows}))
     starts = sorted({start for _, start, _ in rows})
+    if not len({row[:2] for row in rows}) == len(rows) == len(sensors) * len(starts):
+        raise ValueError("grid must hold each (sensor_mm, report_start_s) cell exactly once")
     # The cell width is the step between starts; one start does not give it.
     if len(starts) < 2:
         raise ValueError("grid: need at least two report starts")
@@ -288,11 +287,8 @@ def read_grid(path: str | Path) -> RdsGrid:
             raise ValueError(f"report_start_s {start:g}: not on the "
                              f"{cell_duration:g} s lattice from {origin:g}")
     spec = GridSpec(sensors, origin, cell_duration, n_reports=len(starts))
-    speeds = np.full((len(sensors), len(starts)), np.nan)
-    sensor_idx = {mm: i for i, mm in enumerate(sensors)}
-    start_idx = {s: k for k, s in enumerate(starts)}
-    for mm, start, v in rows:
-        speeds[sensor_idx[mm], start_idx[start]] = v
+    # Each cell is one row, so the sorted rows fill the grid row-major.
+    speeds = np.array([v for _, _, v in sorted(rows)]).reshape(len(sensors), len(starts))
     return RdsGrid(spec, speeds)
 
 
@@ -305,11 +301,9 @@ def write_trajectory(points: Sequence[Point], path: str | Path) -> None:
 def read_trajectory(path: str | Path) -> list[Point]:
     points = []
     with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != ["t_s", "mile_marker", "speed_mps"]:
-            raise ValueError(f"unexpected trajectory header: {header}")
-        for t, mm, v in reader:
+        read_header(fh, ("t_s", "mile_marker", "speed_mps"), "trajectory")
+        for line in fh:
+            t, mm, v = line.rstrip("\r\n").split(",")
             point = (float(t), float(mm), float(v))
             if not all(map(math.isfinite, point)):
                 raise ValueError(f"non-finite trajectory value: {point}")

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import math
 import random
+from array import array
 from itertools import compress, cycle
 from typing import TYPE_CHECKING, NamedTuple, Sequence
 
@@ -175,8 +176,8 @@ def measurement_window(n_controlled: int) -> tuple[float, float]:
     return t_lo, t_lo + 12.0
 
 
-def v_des_traces(log: RunLog, n_controlled: int) -> dict[str, list[float]]:
-    """Per-vehicle logged v_des series, keyed cav01..cavNN.
+def v_des_traces(log: RunLog, n_controlled: int) -> dict[str, array]:
+    """Per-vehicle logged v_des series, array('d') slices of log.v_des, keyed cav01..cavNN.
 
     Keys are ordered downstream to upstream (cav01 leads); a row without a
     v_des (none that run writes) is NaN, as the log holds it, and a key
@@ -184,7 +185,7 @@ def v_des_traces(log: RunLog, n_controlled: int) -> dict[str, list[float]]:
     """
     nc = len(log.controlled)
     column = {log.vehicle_ids[j]: log.v_des[k::nc] for k, j in enumerate(log.controlled)}
-    return {vid: column[vid].tolist() if vid in column else []
+    return {vid: column.get(vid, array("d"))
             for vid in (f"cav{k:02d}" for k in range(1, n_controlled + 1))}
 
 

@@ -58,6 +58,7 @@ from .perception import (
     lead_vehicle,
     synthesize_radar,
 )
+from .tables import read_header
 from .units import M_PER_MILE, mph_to_mps
 
 RUN_LOG_COLUMNS = (
@@ -409,6 +410,12 @@ class World:
         )
         self.posted_mph = dict.fromkeys(GANTRY_IDS, initial)
 
+    def _event(self, event: str, **fields) -> dict:
+        """Append a record of event at self.t with fields to the log; returns it."""
+        record = {"t": self.t, "event": event, **fields}
+        self.log.events.append(record)
+        return record
+
     def _segment_means(self, mm: list[float]) -> list[Optional[float]]:
         """Mean vehicle speed per inter-gantry segment, by lower-mm index,
         from the vehicles' mile markers mm."""
@@ -433,15 +440,8 @@ class World:
             prev = self.posted_mph[gantry_id]
             posted = vsl_algorithm(downstream, prev, self.cfg.vsl)
             if posted != prev:
-                self.log.events.append(
-                    {
-                        "t": self.t,
-                        "event": "vsl_update",
-                        "gantry_id": gantry_id,
-                        "prev_mph": prev,
-                        "posted_mph": posted,
-                    }
-                )
+                self._event("vsl_update", gantry_id=gantry_id, prev_mph=prev,
+                            posted_mph=posted)
                 self.posted_mph[gantry_id] = posted
 
     def _radar_candidates(self, j: int) -> list[tuple]:
@@ -480,14 +480,7 @@ class World:
 
         gantry_id, acquired, fetch = agent.tracker.update(mm[j], now)
         if acquired:
-            self.log.events.append(
-                {
-                    "t": now,
-                    "event": "acquisition",
-                    "vehicle_id": self.log.vehicle_ids[j],
-                    "gantry_id": gantry_id,
-                }
-            )
+            self._event("acquisition", vehicle_id=self.log.vehicle_ids[j], gantry_id=gantry_id)
         if fetch:
             agent.feed.publish(mph_to_mps(self.posted_mph[gantry_id]), now)
         # The feed drains its in-flight readings every tick. The tracker
@@ -577,14 +570,8 @@ class World:
 
         for rear, front in leads.items():
             if xs[front] - xs[rear] <= 0.0:
-                log.collision = {
-                    "t": self.t,
-                    "event": "collision",
-                    "rear_id": log.vehicle_ids[rear],
-                    "front_id": log.vehicle_ids[front],
-                    "position_m": xs[front],
-                }
-                log.events.append(log.collision)
+                log.collision = self._event("collision", rear_id=log.vehicle_ids[rear],
+                                            front_id=log.vehicle_ids[front], position_m=xs[front])
                 return
 
 
@@ -748,9 +735,7 @@ def read_run_log(path: str | Path) -> RunLog:
     modes: dict[str, Optional[str]] = {"": None}
     controller = (log.v_des, log.v_gr, log.v_pr)
     with open(path, newline="", encoding="utf-8") as fh:
-        header = fh.readline().rstrip("\r\n").split(",")
-        if tuple(header) != RUN_LOG_COLUMNS:
-            raise ValueError(f"unexpected run log header: {header}")
+        read_header(fh, RUN_LOG_COLUMNS, "run log")
         block, lines = list(islice(fh, 1)), iter(fh)
         for line in lines:
             if line.split(",", 1)[0] != block[0].split(",", 1)[0]:

@@ -688,7 +688,10 @@ class TestCli:
             assert float(row["std_err_mps"]) == 0.0
 
     @pytest.mark.parametrize(
-        "row", ["120.000,60.200000", "nan,60.200000,20.000000", "inf,60.200000,20.000000"]
+        "row", ["120.000,60.200000", "nan,60.200000,20.000000", "inf,60.200000,20.000000",
+                '"120.000",60.200000,20.000000']
+        + [pytest.param(f"120.000,{cell},20.000000", id=f"long_{name}_cell")
+           for name, cell in (("digits", "9" * 200_000), ("letters", "x" * 200_000))]
     )
     def test_rds_malformed_trajectory_exits_2(self, tmp_path, capsys, row):
         code = main(
@@ -706,6 +709,15 @@ class TestCli:
             "inf,0.0,20.0\n60.500,0.0,20.0",
             "60.000,nan,20.0\n60.500,nan,20.0",
             "60.000,inf,20.0\n60.500,inf,20.0",
+        )]
+        # What write_grid never writes: a missing cell, a diagonal (every
+        # row a new sensor and start), a quoted cell and a 200,000-character one.
+        + [pytest.param(f"sensor_mm,report_start_s,mean_speed_mps\n{rows}\n", id=name)
+           for name, rows in (
+            ("missing_cell", "60.0,0.0,10\n60.0,30.0,10\n61.0,0.0,10"),
+            ("diagonal", "60.0,0.0,10\n61.0,30.0,10\n62.0,60.0,10"),
+            ("quoted_cell", '"60.0",0.0,10\n60.0,30.0,10\n61.0,0.0,10\n61.0,30.0,10'),
+            ("long_cell", f"60.0,0.0,{'9' * 200_000}\n60.0,30.0,10"),
         )],
     )
     def test_rds_malformed_grid_exits_2(self, tmp_path, capsys, grid_text):

@@ -790,3 +790,45 @@ class TestSerialization:
         assert lines[0] == "latency_s,n,mean_err_mps,std_err_mps"
         assert len(lines) == 3
         assert hist.read_text().splitlines()[0] == "latency_s,bin_lo_mph,count"
+
+
+GRID_HEADER = "sensor_mm,report_start_s,mean_speed_mps\n"
+# Cells longer than csv's 131,072-character field limit.
+LONG_CELLS = {"long_digits": "9" * 200_000, "long_letters": "x" * 200_000}
+
+
+class TestReaderRules:
+    """read_grid reads only what write_grid writes, and both readers split
+    lines on commas, so a malformed file raises ValueError, never csv.Error."""
+
+    @pytest.mark.parametrize("rows", [
+        "60.0,0.0,10\n60.0,30.0,10\n61.0,0.0,10\n",
+        "60.0,0.0,10\n61.0,30.0,10\n62.0,60.0,10\n",
+        "60.0,0.0,10\n60.0,30.0,10\n61.0,0.0,10\n61.0,0.0,10\n",
+    ], ids=["missing_cell", "diagonal", "missing_and_repeated_cell"])
+    def test_grid_misses_or_repeats_a_cell(self, tmp_path, rows):
+        path = tmp_path / "grid.csv"
+        path.write_text(GRID_HEADER + rows)
+        with pytest.raises(ValueError, match="cell exactly once"):
+            read_grid(path)
+
+    @pytest.mark.parametrize("cell", ['"60.0"', *LONG_CELLS.values()],
+                             ids=["quoted", *LONG_CELLS])
+    def test_grid_cell_not_a_number(self, tmp_path, cell):
+        path = tmp_path / "grid.csv"
+        path.write_text(f"{GRID_HEADER}{cell},0.0,10\n60.0,30.0,10\n61.0,0.0,10\n61.0,30.0,10\n")
+        with pytest.raises(ValueError):
+            read_grid(path)
+
+    @pytest.mark.parametrize("cell", LONG_CELLS.values(), ids=LONG_CELLS)
+    def test_trajectory_long_cell(self, tmp_path, cell):
+        path = tmp_path / "traj.csv"
+        path.write_text(f"t_s,mile_marker,speed_mps\n10.0,{cell},10.0\n")
+        with pytest.raises(ValueError):
+            read_trajectory(path)
+
+    def test_rows_in_any_order_fill_the_grid(self, tmp_path):
+        # An empty speed cell is a missing report.
+        path = tmp_path / "grid.csv"
+        path.write_text(GRID_HEADER + "61.0,30.0,\n60.0,0.0,10\n61.0,0.0,11\n60.0,30.0,12\n")
+        np.testing.assert_array_equal(read_grid(path).speeds, [[10.0, 12.0], [11.0, np.nan]])

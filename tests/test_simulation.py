@@ -461,6 +461,8 @@ class TestCollision:
         assert log.collision["front_id"] == "wall"
         assert log.rows[-1][0] < 30.0 - cfg.dt
         assert any(e["event"] == "collision" for e in log.events)
+        # The keys of README's "Events" table.
+        assert set(log.collision) == {"t", "event", "rear_id", "front_id", "position_m"}
 
     def test_collision_is_the_last_event(self):
         cfg = ScenarioConfig(
@@ -471,6 +473,16 @@ class TestCollision:
         assert log.collision is log.events[-1]
         assert log.collision["event"] == "collision"
         assert log.collision["t"] == pytest.approx(log.rows[-1][0] + cfg.dt)
+
+
+class TestEventRecords:
+    def test_keys_match_the_readme_events_table(self):
+        log, _ = ORACLE_LOGS["canonical_30s"]()
+        keys = {"vsl_update": {"gantry_id", "prev_mph", "posted_mph"},
+                "acquisition": {"vehicle_id", "gantry_id"}}
+        assert {e["event"] for e in log.events} == set(keys)
+        for e in log.events:
+            assert set(e) == {"t", "event", *keys[e["event"]]}, e
 
 
 def run_slowing_leader(cfg, leader_id, t_start, t_end, speed_cap):
@@ -1344,8 +1356,8 @@ class TestWholeLogConsumersMatchRowLoops:
         fast, ref = v_des_traces(log, n), v_des_traces_rows(log, n)
         assert list(fast) == list(ref)
         for vid in ref:
-            assert type(fast[vid]) is list
-            assert all(type(v) is float for v in fast[vid] + ref[vid])
+            assert type(fast[vid]) is array and fast[vid].typecode == "d"
+            assert all(type(v) is float for v in [*fast[vid], *ref[vid]])
             np.testing.assert_array_equal(fast[vid], ref[vid])
 
     def test_string_logs_hold_engaged_rows(self):
