@@ -37,6 +37,7 @@ from .config import (
     build_scenario,
     load_config,
     parse_yaml,
+    read_input,
     set_dotted,
 )
 from .scenarios import (
@@ -115,7 +116,8 @@ def _parse_values(raw: str, name: str) -> list:
     return values
 
 
-def _finite_floats(raw: str, name: str) -> list[float]:
+def _non_negative_floats(raw: str, name: str, field: str) -> list[float]:
+    """_parse_values(raw, name) as finite floats; a negative one is an error of field."""
     values = _parse_values(raw, name)
     try:
         floats = [float(v) for v in values]
@@ -123,6 +125,8 @@ def _finite_floats(raw: str, name: str) -> list[float]:
         raise ConfigError(f"{name}: {exc}") from exc
     if not all(map(math.isfinite, floats)):
         raise ConfigError(f"{name}: values must be finite")
+    if any(k < 0 for k in floats):
+        raise ConfigError(f"{field}: must be non-negative")
     return floats
 
 
@@ -201,16 +205,6 @@ def cmd_run(args: argparse.Namespace) -> int:
     return 1 if report.collision else 0
 
 
-def _read_input(reader, path):
-    """reader(path), with a malformed or unreadable file as a ConfigError."""
-    try:
-        return reader(path)
-    except OSError as exc:
-        raise ConfigError(f"{path}: {exc.strerror or exc}") from exc
-    except ValueError as exc:
-        raise ConfigError(f"{path}: {exc}") from exc
-
-
 def _sweep_replay(args: argparse.Namespace) -> int:
     # The replay reads only the log and the offsets.
     ignored = [flag for flag, is_set in (
@@ -221,12 +215,9 @@ def _sweep_replay(args: argparse.Namespace) -> int:
     ) if is_set]
     if ignored:
         raise ConfigError(f"sweep --replay: does not read {', '.join(ignored)}")
-    offsets = _finite_floats(args.values, "values")
     # As --override would reject each offset.
-    if any(k < 0 for k in offsets):
-        raise ConfigError("controller.v_offset: must be non-negative")
-    replay = _read_input(lambda path: offset_replay(read_run_log(path), offsets),
-                         args.replay)
+    offsets = _non_negative_floats(args.values, "values", "controller.v_offset")
+    replay = read_input(lambda path: offset_replay(read_run_log(path), offsets), args.replay)
     out = Path(args.out)
     header = ["t", "vehicle_id", "v_pr", "v_gr", *(f"v_des_offset_{k:g}" for k in offsets)]
     with _staged(out, ("replay_v_des.csv",)) as stage:
@@ -305,18 +296,16 @@ def cmd_rds(args: argparse.Namespace) -> int:
     given = tuple(path is not None for path in (args.run_log, args.grid, args.trajectory))
     if given not in ((True, False, False), (False, True, True)):
         raise ConfigError("rds: takes either --run-log, or --grid with --trajectory")
-    latencies = _finite_floats(args.latencies, "latencies")
-    if any(k < 0 for k in latencies):  # before the log is read, not after
-        raise ConfigError("latencies: must be non-negative")
+    latencies = _non_negative_floats(args.latencies, "latencies", "latencies")  # before the read
     if not (math.isfinite(args.bin_width_mph) and args.bin_width_mph > 0):
         raise ConfigError("bin-width-mph: must be positive and finite")
     if args.run_log is not None:
         source = args.run_log
-        grid, trajectory = _read_input(lambda p: latency_study(read_run_log(p)), source)
+        grid, trajectory = read_input(lambda p: latency_study(read_run_log(p)), source)
     else:
         source = f"{args.trajectory} against {args.grid}"
-        grid = _read_input(read_grid, args.grid)
-        trajectory = _read_input(read_trajectory, args.trajectory)
+        grid = read_input(read_grid, args.grid)
+        trajectory = read_input(read_trajectory, args.trajectory)
     try:
         stats = error_stats(trajectory, grid, latencies, args.bin_width_mph)
     except ValueError as exc:

@@ -2,10 +2,9 @@
 
 A config file is a mapping of sections. The ``scenario`` section picks the
 generator (``kind: canonical`` or ``kind: string``), its generator inputs,
-and run-level fields (duration, timestep, seed, logging cadence). The
-remaining sections (``controller``, ``radar``, ``estimator``, ``vsl``,
-``feed``, ``human``) override fields of the corresponding sub-config. Every field
-defaults to the canonical wave scenario, so an empty file reproduces it.
+and run-level fields (duration, timestep, seed, logging cadence). Each other
+section (``controller``, ``radar``, ...) overrides fields of the ScenarioConfig
+sub-config of its name. Every field defaults to the canonical wave scenario.
 """
 
 from __future__ import annotations
@@ -27,29 +26,22 @@ from typing import (
 
 import yaml
 
-from .controller import ControllerConfig
-from .infrastructure import FeedConfig, VslConfig
-from .perception import EstimatorConfig, RadarConfig
 from .scenarios import canonical_scenario, check_string, string_scenario
-from .simulation import IdmParams, ScenarioConfig
+from .simulation import ScenarioConfig
 
 
 class ConfigError(Exception):
     """Invalid config content; the message names the offending field."""
 
 
-SECTION_TYPES: dict[str, type] = {
-    "controller": ControllerConfig,
-    "radar": RadarConfig,
-    "estimator": EstimatorConfig,
-    "vsl": VslConfig,
-    "feed": FeedConfig,
-    "human": IdmParams,
-}
+# ScenarioConfig's dataclass fields are the sections and its scalars the run
+# fields; its lists (roster, bottlenecks, phantoms) are the generators' alone.
+_HINTS = get_type_hints(ScenarioConfig)
+SECTION_TYPES = {name: hint for name, hint in _HINTS.items() if dataclasses.is_dataclass(hint)}
+RUN_FIELDS = tuple(name for name, hint in _HINTS.items()
+                   if name not in SECTION_TYPES and get_origin(hint) is not list)
 
 GENERATORS = {"canonical": canonical_scenario, "string": string_scenario}
-
-RUN_FIELDS = ("duration_s", "dt", "seed", "log_every", "entry_mm", "vsl_static_mph")
 
 # Python types a config value may have for each annotated field type.
 ACCEPTED_TYPES: dict[type, tuple[type, ...]] = {
@@ -76,33 +68,36 @@ _Loader.add_implicit_resolver(
 )
 
 
-def parse_yaml(text, source: str) -> Any:
-    """Parse YAML text or a text stream, exponent floats included; malformed
-    YAML is a ConfigError naming the source."""
+def parse_yaml(text: str, source: str) -> Any:
+    """Parse YAML text, exponent floats included; bad YAML is a ConfigError naming source."""
     try:
         return yaml.load(text, Loader=_Loader)
-    except yaml.YAMLError as exc:
+    # Not only YAMLError: a 2024-13-45 date raises ValueError, deep nesting RecursionError.
+    except Exception as exc:
         raise ConfigError(f"{source}: unparseable YAML") from exc
+
+
+def read_input(reader, path: str | Path) -> Any:
+    """reader(path); an unreadable, non-UTF-8 or malformed file is a ConfigError naming it."""
+    try:
+        return reader(path)
+    except OSError as exc:
+        raise ConfigError(f"{path}: {exc.strerror or exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: not UTF-8 text") from exc
+    except ValueError as exc:
+        raise ConfigError(f"{path}: {exc}") from exc
 
 
 def load_config(path: Optional[str | Path]) -> dict:
     """Read a YAML config file; None means an empty config."""
     if path is None:
         return {}
-    p = Path(path)
-    if not p.exists():
-        raise ConfigError(f"{p}: no such config file")
-    try:
-        with open(p, encoding="utf-8") as fh:
-            data = parse_yaml(fh, str(p))
-    except OSError as exc:
-        raise ConfigError(f"{p}: {exc.strerror or exc}") from exc
-    except UnicodeDecodeError as exc:
-        raise ConfigError(f"{p}: not UTF-8 text") from exc
+    data = read_input(lambda p: parse_yaml(p.read_text(encoding="utf-8"), str(p)), Path(path))
     if data is None:
         return {}
     if not isinstance(data, dict):
-        raise ConfigError(f"{p}: top level must be a mapping")
+        raise ConfigError(f"{path}: top level must be a mapping")
     return data
 
 
@@ -169,7 +164,6 @@ def build_scenario(data: dict) -> LoadedScenario:
     accepted = set(inspect.signature(generator).parameters)
     gen_hints = get_type_hints(generator)
 
-    run_hints = get_type_hints(ScenarioConfig)
     gen_args: dict[str, Any] = {}
     run_fields: dict[str, Any] = {}
     for field, value in scenario.items():
@@ -177,7 +171,7 @@ def build_scenario(data: dict) -> LoadedScenario:
             _check_type(f"scenario.{field}", value, gen_hints[field])
             gen_args[field] = value
         elif field in RUN_FIELDS:
-            _check_type(f"scenario.{field}", value, run_hints[field])
+            _check_type(f"scenario.{field}", value, _HINTS[field])
             run_fields[field] = value
         else:
             raise ConfigError(f"scenario.{field}: unknown field")

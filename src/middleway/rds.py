@@ -27,7 +27,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .simulation import MAX_DURATION_S, RunLog
-from .tables import read_header, write_table
+from .tables import read_rows, write_table
 from .units import MPS_PER_MPH
 
 
@@ -257,18 +257,11 @@ def write_grid(grid: RdsGrid, path: str | Path) -> None:
 
 
 def read_grid(path: str | Path) -> RdsGrid:
-    """A grid as write_grid writes it, one row for each (sensor_mm,
-    report_start_s) cell; any other file raises ValueError."""
-    rows = []
+    """A grid as write_grid writes it, one row for each (sensor_mm, report_start_s)
+    cell, an empty speed a missing report; any other file raises ValueError."""
     with open(path, newline="", encoding="utf-8") as fh:
-        read_header(fh, ("sensor_mm", "report_start_s", "mean_speed_mps"), "grid")
-        for line in fh:
-            mm, start, v = line.rstrip("\r\n").split(",")
-            row = (float(mm), float(start), float(v) if v else math.nan)
-            # An empty speed cell is a missing report; every number is finite.
-            if not all(map(math.isfinite, row if v else row[:2])):
-                raise ValueError(f"non-finite grid value: {row}")
-            rows.append(row)
+        rows = list(read_rows(fh, ("sensor_mm", "report_start_s", "mean_speed_mps"), "grid",
+                              optional="mean_speed_mps"))
     if not rows:
         raise ValueError("grid has no rows")
     sensors = tuple(sorted({mm for mm, _, _ in rows}))
@@ -299,16 +292,8 @@ def write_trajectory(points: Sequence[Point], path: str | Path) -> None:
 
 
 def read_trajectory(path: str | Path) -> list[Point]:
-    points = []
     with open(path, newline="", encoding="utf-8") as fh:
-        read_header(fh, ("t_s", "mile_marker", "speed_mps"), "trajectory")
-        for line in fh:
-            t, mm, v = line.rstrip("\r\n").split(",")
-            point = (float(t), float(mm), float(v))
-            if not all(map(math.isfinite, point)):
-                raise ValueError(f"non-finite trajectory value: {point}")
-            points.append(point)
-    return points
+        return list(read_rows(fh, ("t_s", "mile_marker", "speed_mps"), "trajectory"))
 
 
 def write_error_report(

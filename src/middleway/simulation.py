@@ -58,7 +58,7 @@ from .perception import (
     lead_vehicle,
     synthesize_radar,
 )
-from .tables import read_header
+from .tables import clip, read_header
 from .units import M_PER_MILE, mph_to_mps
 
 RUN_LOG_COLUMNS = (
@@ -760,22 +760,28 @@ def read_run_log(path: str | Path) -> RunLog:
                     or cells[1::width] != log.vehicle_ids * steps
                     or cells[2::width] != log.kinds * steps
                     or any(any(cells[i::stride]) for i in unset)):
-                raise ValueError(f"run log is not dense at t = {cells[::width][-1]}: every "
-                                 "step must repeat the first step's vehicles in order, 11 "
-                                 "cells a row, and controller cells only on controlled "
+                raise ValueError(f"run log is not dense at t = {clip(cells[::width][-1])}: "
+                                 "every step must repeat the first step's vehicles in order, "
+                                 "11 cells a row, and controller cells only on controlled "
                                  "vehicles")
-            log.t.extend(map(float, firsts))
-            for col, c in ((log.x, 3), (log.mm, 4), (log.v, 5), (log.u, 10)):
-                col.extend(map(float, cells[c::width]))
+            for col, c in ((log.t, 0), (log.x, 3), (log.mm, 4), (log.v, 5), (log.u, 10)):
+                try:
+                    col.extend(map(float, cells[c::stride if c == 0 else width]))
+                except ValueError:
+                    raise ValueError(f"run log: a {RUN_LOG_COLUMNS[c]} cell is not a number "
+                                     f"at t = {clip(firsts[-1])}") from None
             # A controlled row's cells from k, where its t cell is its step's.
             for k in (base + width * j for base in range(0, len(cells), stride) for j in slots):
                 mode, *floats = cells[k + 6:k + 10]
                 log.mode.append(modes.setdefault(mode, mode))
                 for col, cell in zip(controller, floats):
-                    value = float(cell) if cell else math.nan
+                    try:
+                        value = float(cell) if cell else math.nan
+                    except ValueError:  # not a number, so not finite either
+                        value = math.inf
                     if cell and not math.isfinite(value):
-                        raise ValueError(f"run log: non-finite controller cell {cell!r} "
-                                         f"at t = {cells[k]}")
+                        raise ValueError(f"run log: non-finite controller cell {clip(cell)} "
+                                         f"at t = {clip(cells[k])}")
                     col.append(value)
 
         steps = max(1, READ_BLOCK_ROWS // n)

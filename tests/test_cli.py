@@ -1064,7 +1064,13 @@ class TestCli:
         assert code == 2
         assert "k_cbf: must be finite" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("content", [b"controller: [\n", b"\xff\xfe", None])
+    # PyYAML's constructors raise ValueError on a bad date, and its composer
+    # RecursionError on deep nesting, not only YAMLError.
+    @pytest.mark.parametrize("content", [
+        b"controller: [\n", b"\xff\xfe", None,
+        pytest.param(b"scenario:\n  seed: 2024-02-30\n", id="bad_date"),
+        pytest.param(b"[" * 5000, id="deep_nesting"),
+    ])
     def test_unreadable_config_file_exits_2(self, tmp_path, capsys, content):
         path = tmp_path / "cfg.yaml"
         if content is None:
@@ -1075,15 +1081,78 @@ class TestCli:
         assert code == 2
         assert "cfg.yaml" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("command", ["sweep", "rds"])
-    def test_unparseable_value_list_exits_2(self, tmp_path, capsys, command):
+    @pytest.mark.parametrize("command, values", [
+        pytest.param("sweep", "2,[", id="sweep"), pytest.param("rds", "0,[", id="rds"),
+        pytest.param("sweep", "2024-13-45", id="sweep_bad_date"),
+        pytest.param("rds", "2024-13-45", id="rds_bad_date"),
+    ])
+    def test_unparseable_value_list_exits_2(self, tmp_path, capsys, command, values):
         if command == "sweep":
-            argv = ["sweep", "--values", "2,[", "--out", str(tmp_path)]
+            argv = ["sweep", "--parameter", "scenario.seed", "--values", values,
+                    "--out", str(tmp_path)]
         else:
             traj = f"{TRAJECTORY_HEADER}130.000,60.200000,21.000000\n"
-            argv = [*rds_args(tmp_path, traj), "--latencies", "0,["]
+            argv = [*rds_args(tmp_path, traj), "--latencies", values]
         assert main(argv) == 2
         assert "unparseable YAML" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("override", [
+        "scenario.seed=2024-13-45", "scenario.seed=!!bool maybe", "controller.v_offset=!!float abc",
+    ])
+    def test_bad_yaml_scalar_override_exits_2(self, tmp_path, capsys, override):
+        code = main(["run", "--override", override, "--out", str(tmp_path / "out")])
+        assert code == 2
+        assert f"override '{override}': unparseable YAML" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    # A 200,000-character header or cell, or a row a cell short or long: the
+    # message quotes at most 40 characters of a cell and names the line.
+    @pytest.mark.parametrize("grid_text, traj_text, where", [
+        (None, "t" * 200_000 + "\n", "traj.csv: trajectory line 1:"),
+        (None, f"{TRAJECTORY_HEADER}10.0,{'x' * 200_000},10.0\n", "traj.csv: trajectory line 2:"),
+        (None, f"{TRAJECTORY_HEADER}10.0,60.5,10.0\n10.0,60.5\n", "traj.csv: trajectory line 3:"),
+        (None, f"{TRAJECTORY_HEADER}10.0,60.5,10.0,1\n", "traj.csv: trajectory line 2:"),
+        ("s" * 200_000 + "\n", None, "grid.csv: grid line 1:"),
+        (f"sensor_mm,report_start_s,mean_speed_mps\n60.0,0.0,{'x' * 200_000}\n", None,
+         "grid.csv: grid line 2:"),
+        ("sensor_mm,report_start_s,mean_speed_mps\n60.0,0.0,10\n60.0,30.0\n", None,
+         "grid.csv: grid line 3:"),
+        ("sensor_mm,report_start_s,mean_speed_mps\n60.0,0.0,10,10\n", None,
+         "grid.csv: grid line 2:"),
+    ], ids=["trajectory_long_header", "trajectory_long_cell", "trajectory_short_row",
+            "trajectory_long_row", "grid_long_header", "grid_long_cell", "grid_short_row",
+            "grid_long_row"])
+    def test_bad_grid_or_trajectory_line_is_named_briefly(self, tmp_path, capsys, grid_text,
+                                                          traj_text, where):
+        args = rds_args(tmp_path, traj_text or f"{TRAJECTORY_HEADER}10.0,60.5,10.0\n")
+        if grid_text is not None:
+            (tmp_path / "grid.csv").write_text(grid_text)
+        assert main(args) == 2
+        err = capsys.readouterr().err
+        assert where in err and len(err.encode()) < 1024
+
+    @pytest.mark.parametrize("column", [0, 3, 7])
+    @pytest.mark.parametrize("command", ["rds", "sweep_replay"])
+    def test_long_run_log_cell_names_its_t_briefly(self, short_log, tmp_path, capsys, command,
+                                                   column):
+        # Line 30 is a human's row of the step at t = 0.050, and line 52 is
+        # that step's controlled row; a t cell is the whole step's.
+        header, *lines = short_log.read_bytes().decode().splitlines(keepends=True)
+        rows = range(26, 52) if column == 0 else [29 if column == 3 else 51]
+        for row in rows:
+            cells = lines[row].split(",")
+            assert cells[0] == "0.050" and (column != 7 or cells[2] == "controlled")
+            cells[column] = "9" * 200_000 if column == 7 else "x" * 200_000
+            lines[row] = ",".join(cells)
+        log = tmp_path / "bad_log.csv"
+        log.write_bytes("".join([header, *lines]).encode())
+        argv = {"rds": ["rds", "--run-log", str(log)],
+                "sweep_replay": ["sweep", "--values", "2", "--replay", str(log)]}[command]
+        assert main([*argv, "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        t = "'xxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxx'..." if column == 0 else "'0.050'"
+        assert "bad_log.csv: run log: " in err and f"at t = {t}" in err
+        assert len(err.encode()) < 1024
 
     @pytest.mark.parametrize("log_text", ["t,vehicle_id\n0.000,a\n", ""])
     def test_replay_wrong_header_exits_2(self, tmp_path, capsys, log_text):

@@ -48,6 +48,7 @@ from middleway.simulation import (
     triangle_speed,
     write_run_log,
 )
+from middleway.tables import clip
 from middleway.units import M_PER_MILE, mph_to_mps
 
 
@@ -127,9 +128,9 @@ def read_run_log_steps(path) -> RunLog:
     modes = {"": None}
     controller = (log.v_des, log.v_gr, log.v_pr)
     with open(path, newline="", encoding="utf-8") as fh:
-        header = fh.readline().rstrip("\r\n").split(",")
-        if tuple(header) != RUN_LOG_COLUMNS:
-            raise ValueError(f"unexpected run log header: {header}")
+        header = fh.readline().rstrip("\r\n")
+        if tuple(header.split(",")) != RUN_LOG_COLUMNS:
+            raise ValueError(f"run log line 1: unexpected header {clip(header)}")
         block, lines = list(islice(fh, 1)), iter(fh)
         for line in lines:
             if line.split(",", 1)[0] != block[0].split(",", 1)[0]:
@@ -149,20 +150,26 @@ def read_run_log_steps(path) -> RunLog:
             if (set(map(str.count, block, repeat(","))) != {width - 1} or t.count(t[0]) != n
                     or cells[1::width] != log.vehicle_ids or cells[2::width] != log.kinds
                     or any(pick(cells))):
-                raise ValueError(f"run log is not dense at t = {t[-1]}: every step must "
-                                 "repeat the first step's vehicles in order, 11 cells a "
+                raise ValueError(f"run log is not dense at t = {clip(t[-1])}: every step "
+                                 "must repeat the first step's vehicles in order, 11 cells a "
                                  "row, and controller cells only on controlled vehicles")
-            log.t.append(float(t[0]))
-            for col, c in ((log.x, 3), (log.mm, 4), (log.v, 5), (log.u, 10)):
-                col.extend(map(float, cells[c::width]))
+            for col, c in ((log.t, 0), (log.x, 3), (log.mm, 4), (log.v, 5), (log.u, 10)):
+                try:
+                    col.extend(map(float, t[:1] if c == 0 else cells[c::width]))
+                except ValueError:
+                    raise ValueError(f"run log: a {RUN_LOG_COLUMNS[c]} cell is not a number "
+                                     f"at t = {clip(t[0])}") from None
             for j in slots:
                 mode, *floats = cells[width * j + 6:width * j + 10]
                 log.mode.append(modes.setdefault(mode, mode))
                 for col, cell in zip(controller, floats):
-                    value = float(cell) if cell else math.nan
+                    try:
+                        value = float(cell) if cell else math.nan
+                    except ValueError:
+                        value = math.inf
                     if cell and not math.isfinite(value):
-                        raise ValueError(f"run log: non-finite controller cell {cell!r} "
-                                         f"at t = {t[0]}")
+                        raise ValueError(f"run log: non-finite controller cell {clip(cell)} "
+                                         f"at t = {clip(t[0])}")
                     col.append(value)
             block = list(islice(lines, n))
     return log
@@ -695,6 +702,8 @@ MALFORMED_ROWS = {
     "extra": "0.000,a,human,1.0,70.0,2.0,,,,,0.5,9\r\n",
     "blank": "0.000,a,human,1.0,70.0,2.0,,,,,0.5\r\n\r\n",
     "non_numeric": "0.000,a,human,fast,70.0,2.0,,,,,0.5\r\n",
+    "long_non_numeric": f"0.000,a,human,{'x' * 1000},70.0,2.0,,,,,0.5\r\n",
+    "non_numeric_v_des": "0.000,a,controlled,1.0,70.0,2.0,cbf,x,,,0.5\r\n",
     "quoted_non_numeric": '0.000,"a,b",controlled,1.0,70.0,2.0,cbf,x,,,0.5\r\n',
     "nan_v_des": "0.000,a,controlled,1.0,70.0,2.0,cbf,nan,,,0.5\r\n",
     "inf_v_gr": "0.000,a,controlled,1.0,70.0,2.0,cbf,1.0,inf,2.0,0.5\r\n",
