@@ -54,7 +54,7 @@ from .simulation import (
     run,
     write_events,
 )
-from .tables import write_table
+from .tables import clip, write_table
 
 
 def _load_data(args: argparse.Namespace) -> dict:
@@ -112,17 +112,18 @@ def _parse_values(raw: str, name: str) -> list:
     # ==, not a set: a YAML value may be unhashable.
     for k, value in enumerate(values):
         if value in values[:k]:
-            raise ConfigError(f"{name}: {value!r} is repeated")
+            raise ConfigError(f"{name}: {clip(value)} is repeated")
     return values
 
 
 def _non_negative_floats(raw: str, name: str, field: str) -> list[float]:
     """_parse_values(raw, name) as finite floats; a negative one is an error of field."""
-    values = _parse_values(raw, name)
-    try:
-        floats = [float(v) for v in values]
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"{name}: {exc}") from exc
+    floats = []
+    for value in _parse_values(raw, name):
+        try:
+            floats.append(float(value))
+        except (TypeError, ValueError):
+            raise ConfigError(f"{name}: {clip(value)} is not a number") from None
     if not all(map(math.isfinite, floats)):
         raise ConfigError(f"{name}: values must be finite")
     if any(k < 0 for k in floats):

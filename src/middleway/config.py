@@ -28,6 +28,7 @@ import yaml
 
 from .scenarios import canonical_scenario, check_string, string_scenario
 from .simulation import ScenarioConfig
+from .tables import clip
 
 
 class ConfigError(Exception):
@@ -144,9 +145,9 @@ def _check_type(name: str, value: Any, hint: Any) -> None:
     accepted = ACCEPTED_TYPES.get(hint, (hint,))
     # bool is an int subclass, so it fits only a bool field.
     if isinstance(value, bool) != (hint is bool) or not isinstance(value, accepted):
-        raise ConfigError(f"{name}: expected {hint.__name__}, got {value!r}")
+        raise ConfigError(f"{name}: expected {hint.__name__}, got {clip(value)}")
     if isinstance(value, float) and not math.isfinite(value):
-        raise ConfigError(f"{name}: must be finite, got {value!r}")
+        raise ConfigError(f"{name}: must be finite, got {clip(value)}")
 
 
 def build_scenario(data: dict) -> LoadedScenario:
@@ -159,7 +160,7 @@ def build_scenario(data: dict) -> LoadedScenario:
     scenario = dict(_check_section("scenario", data.get("scenario")))
     kind = scenario.pop("kind", "canonical")
     if not isinstance(kind, str) or kind not in GENERATORS:
-        raise ConfigError(f"scenario.kind: unknown kind {kind!r}")
+        raise ConfigError(f"scenario.kind: unknown kind {clip(kind)}")
     generator = GENERATORS[kind]
     accepted = set(inspect.signature(generator).parameters)
     gen_hints = get_type_hints(generator)

@@ -18,11 +18,16 @@ so the vehicle drives a little slower than the traffic around it, never
 slower than the posted speed, and never faster than the cap. With the
 prevailing-speed estimator off (v_pr == 0) the blend degrades to
 min(v_gr, v_des_max) because v_gr dominates the inner max.
+
+The tick runs for every controlled vehicle on every step, so it is one
+straight-line function of plain arguments. It writes min(a, b) as
+`b if b < a else a` and max(a, b) as `b if b > a else a`: the same float
+as the builtins in every case, NaN and signed zeros included, without a
+builtin call. A lead is a plain (gap, speed) tuple, not a NamedTuple.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from enum import Enum
 from typing import NamedTuple, Optional
@@ -42,7 +47,7 @@ class ControllerConfig:
     """Gains and limits for the longitudinal stack.
 
     v_des_max of None means the desired-speed cap is the driver's setpoint,
-    resolved per tick inside select_setpoint.
+    resolved per tick inside step_controller.
     """
 
     k_p: float = 0.8
@@ -69,22 +74,8 @@ class ControllerConfig:
             raise ValueError("u_min/u_max: need u_min < 0 < u_max")
 
 
-class Lead(NamedTuple):
-    """Radar-derived lead vehicle: bumper gap (m) and absolute speed (m/s)."""
-
-    gap: float
-    speed: float
-
-
-class ControlInputs(NamedTuple):
-    """One tick's inputs. v_gr is the posted speed, or None when no fresh
-    advisory arrived from a gantry acquired inside the corridor."""
-
-    driver_setpoint: float
-    v: float
-    v_gr: Optional[float]
-    v_pr: float
-    lead: Optional[Lead] = None
+# A radar-derived lead vehicle: (bumper gap m, absolute speed m/s).
+Lead = tuple[float, float]
 
 
 class ControllerOutput(NamedTuple):
@@ -103,83 +94,67 @@ class ControllerOutput(NamedTuple):
 def middleway(v_pr: float, v_gr: float, cfg: ControllerConfig) -> float:
     """Blend prevailing speed, posted speed, and the cap into a setpoint.
 
-    A None cap is unbounded here; select_setpoint then caps the blend at
+    A None cap is unbounded here; step_controller then caps the blend at
     the driver setpoint.
     """
-    cap = cfg.v_des_max if cfg.v_des_max is not None else math.inf
-    return min(max(v_pr - cfg.v_offset, v_gr), cap)
-
-
-def select_setpoint(inputs: ControlInputs, cfg: ControllerConfig) -> float:
-    """Multiplex the desired speed: the driver setpoint without an
-    advisory, the blend with one."""
-    if inputs.v_gr is None:
-        return inputs.driver_setpoint
-    v_des = middleway(inputs.v_pr, inputs.v_gr, cfg)
-    if cfg.v_des_max is None:
-        return min(v_des, inputs.driver_setpoint)
-    return v_des
-
-
-def ramp(v_des: float, v_ramp_prev: float, cfg: ControllerConfig, dt: float) -> float:
-    """Move the ramp speed toward v_des, at most ramp_rate * dt per tick."""
-    step = cfg.ramp_rate * dt
-    return v_ramp_prev + min(max(v_des - v_ramp_prev, -step), step)
-
-
-def nominal(v_ramp: float, v: float, cfg: ControllerConfig) -> float:
-    """Proportional tracking acceleration on the ramped setpoint."""
-    return cfg.k_p * (v_ramp - v)
-
-
-def barrier_margin(gap: float, v: float, cfg: ControllerConfig) -> float:
-    """The barrier h = gap - (t_min*v + s_min); negative inside the
-    minimum time gap."""
-    return gap - (cfg.t_min * v + cfg.s_min)
-
-
-def cbf_limit(h: float, v: float, v_lead: float, cfg: ControllerConfig) -> float:
-    """Largest acceleration that keeps the barrier margin h decaying no
-    faster than the barrier rate k_cbf."""
-    return (cfg.k_cbf / cfg.t_min) * h + (v_lead - v) / cfg.t_min
-
-
-def classify_mode(
-    inputs: ControlInputs, v_des: float, u_nom: float, u_applied: float
-) -> Mode:
-    """Label the tick with exactly one mode.
-
-    The safety filter takes priority whenever it binds (u_applied < u_nom),
-    regardless of the advisory. Otherwise the label follows the setpoint
-    source, splitting the advisory case on whether the blend exceeded the
-    posted speed.
-    """
-    if inputs.lead is not None and u_applied < u_nom:
-        return Mode.CBF
-    if inputs.v_gr is None:
-        return Mode.NORMAL
-    if v_des > inputs.v_gr:
-        return Mode.MIDDLEWAY
-    return Mode.VSL
+    v_des = v_pr - cfg.v_offset
+    v_des = v_gr if v_gr > v_des else v_des
+    cap = cfg.v_des_max
+    return cap if cap is not None and cap < v_des else v_des
 
 
 def step_controller(
-    inputs: ControlInputs, v_ramp_prev: float, cfg: ControllerConfig, dt: float
+    driver_setpoint: float,
+    v: float,
+    v_gr: Optional[float],
+    v_pr: float,
+    lead: Optional[Lead],
+    v_ramp_prev: float,
+    cfg: ControllerConfig,
+    dt: float,
 ) -> ControllerOutput:
-    """Run one controller tick of dt seconds from the previous tick's ramp
-    speed; the caller carries the output's v_ramp into the next tick."""
-    v_des = select_setpoint(inputs, cfg)
-    v_ramp = ramp(v_des, v_ramp_prev, cfg, dt)
-    u_nom = nominal(v_ramp, inputs.v, cfg)
+    """Run one controller tick of dt seconds at speed v from the previous
+    tick's ramp speed; the caller carries the output's v_ramp into the
+    next tick. v_gr is the posted speed, or None when no fresh advisory
+    arrived from a gantry acquired inside the corridor.
 
-    if inputs.lead is not None:
-        h: Optional[float] = barrier_margin(inputs.lead.gap, inputs.v, cfg)
-        u_safe: Optional[float] = cbf_limit(h, inputs.v, inputs.lead.speed, cfg)
-        u_filtered = min(u_nom, u_safe)
+    The setpoint is the driver's without an advisory and the blend with
+    one, capped at the driver's when v_des_max is None. The ramp moves
+    toward it by at most ramp_rate * dt, the P-law gives u_nom, and with a
+    lead the barrier h = gap - (t_min*v + s_min) bounds u by the largest
+    acceleration that keeps h decaying no faster than the rate k_cbf.
+
+    The mode is CBF whenever that bound binds (u_safe < u_nom), whatever
+    the advisory; otherwise NORMAL without an advisory, MIDDLEWAY when the
+    blend exceeds the posted speed and VSL when it does not.
+    """
+    if v_gr is None:
+        v_des = driver_setpoint
+        mode = Mode.NORMAL
     else:
-        h = u_safe = None
-        u_filtered = u_nom
+        v_des = middleway(v_pr, v_gr, cfg)
+        if cfg.v_des_max is None and driver_setpoint < v_des:
+            v_des = driver_setpoint
+        mode = Mode.MIDDLEWAY if v_des > v_gr else Mode.VSL
 
-    u = min(max(u_filtered, cfg.u_min), cfg.u_max)
-    mode = classify_mode(inputs, v_des, u_nom, u_filtered)
-    return ControllerOutput(u, mode, v_des, v_ramp, u_nom, u_safe, h)
+    step = cfg.ramp_rate * dt
+    dv = v_des - v_ramp_prev
+    dv = -step if -step > dv else dv
+    v_ramp = v_ramp_prev + (step if step < dv else dv)
+    u = u_nom = cfg.k_p * (v_ramp - v)
+
+    if lead is None:
+        h = u_safe = None
+    else:
+        gap, v_lead = lead
+        t_min = cfg.t_min
+        h = gap - (t_min * v + cfg.s_min)
+        u_safe = (cfg.k_cbf / t_min) * h + (v_lead - v) / t_min
+        if u_safe < u_nom:
+            u = u_safe
+            mode = Mode.CBF
+
+    u = cfg.u_min if cfg.u_min > u else u
+    u = cfg.u_max if cfg.u_max < u else u
+    # tuple.__new__ skips the Python frame of ControllerOutput's __new__.
+    return tuple.__new__(ControllerOutput, (u, mode, v_des, v_ramp, u_nom, u_safe, h))

@@ -11,6 +11,10 @@ of targets that were moving faster than the ego at the moment of
 observation, and reports their mean once enough samples have
 accumulated; otherwise it reports 0.0, the conventional "estimator off"
 value that downstream logic treats as no-information.
+
+Both run for every controlled vehicle on every step. A radar target and
+a lead are plain tuples, which cost a tenth of a NamedTuple to build and
+which the garbage collector stops tracking; the loops unpack them.
 """
 
 from __future__ import annotations
@@ -23,11 +27,8 @@ from typing import Iterable, NamedTuple, Optional
 
 from .controller import Lead
 
-
-class RadarTarget(NamedTuple):
-    rel_position: float
-    rel_speed: float
-    lane_offset: int
+# A (rel_position m, rel_speed m/s, lane_offset) radar target.
+RadarTarget = tuple[float, float, int]
 
 
 class RadarFrame(NamedTuple):
@@ -74,21 +75,21 @@ def synthesize_radar(
     perturbs rel_speed.
     """
     kept = sorted(candidates, key=_RANGE_THEN_ID)[: cfg.max_targets]
-    noisy = cfg.noise_sigma > 0.0
-    targets = []
-    for rel, _, speed, lane_offset in kept:
-        rel_speed = speed - v_ego
-        if noisy:
-            rel_speed += rng.gauss(0.0, cfg.noise_sigma)
-        targets.append(RadarTarget(rel, rel_speed, lane_offset))
-    return RadarFrame(now, tuple(targets))
+    sigma = cfg.noise_sigma
+    if sigma > 0.0:
+        gauss = rng.gauss
+        targets = [(rel, speed - v_ego + gauss(0.0, sigma), lane) for rel, _, speed, lane in kept]
+    else:
+        targets = [(rel, speed - v_ego, lane) for rel, _, speed, lane in kept]
+    # tuple.__new__ skips the Python frame of RadarFrame's __new__.
+    return tuple.__new__(RadarFrame, (now, tuple(targets)))
 
 
 def lead_vehicle(frame: RadarFrame, v_ego: float) -> Optional[Lead]:
-    """Nearest ego-lane target, as an absolute-speed Lead, or None."""
-    for target in frame.targets:
-        if target.lane_offset == 0:
-            return Lead(target.rel_position, v_ego + target.rel_speed)
+    """Nearest ego-lane target, as an absolute-speed (gap, speed) Lead, or None."""
+    for rel, rel_speed, lane in frame.targets:
+        if lane == 0:
+            return (rel, v_ego + rel_speed)
     return None
 
 
@@ -110,24 +111,19 @@ class EstimatorConfig:
 _EXACT_SHIFT = 1074
 
 
-def _exact(speed: float) -> int:
-    """speed * 2**_EXACT_SHIFT, exactly; the denominator of a finite
-    float's ratio is a power of two."""
-    num, den = speed.as_integer_ratio()
-    return num << (_EXACT_SHIFT + 1 - den.bit_length())
-
-
 @dataclass
 class PrevailingSpeedEstimator:
     """Rolling-window mean of faster-than-ego target speeds.
 
-    Samples are (timestamp, exact speed) pairs, the speed as _exact scales
-    it; a sample is admitted only when the target's relative speed is
-    strictly positive, so every speed in the window exceeded the ego speed
-    at its admission time. Samples age out once they are window_s or older
-    than the newest frame. The window's exact sum is kept as an integer, so
-    each tick adds and removes only the samples that enter and leave, and
-    the mean is the correctly rounded mean of the window's speeds.
+    Samples are (timestamp, exact speed) pairs, the speed times
+    2**_EXACT_SHIFT as an integer, which is exact because the denominator
+    of a finite float's ratio is a power of two. A sample is admitted only
+    when the target's relative speed is strictly positive, so every speed
+    in the window exceeded the ego speed at its admission time. Samples age
+    out once they are window_s or older than the newest frame. The window's
+    exact sum is kept as an integer, so each tick adds and removes only the
+    samples that enter and leave, and the mean is the correctly rounded
+    mean of the window's speeds.
     """
 
     cfg: EstimatorConfig = field(default_factory=EstimatorConfig)
@@ -135,18 +131,19 @@ class PrevailingSpeedEstimator:
     exact_sum: int = 0
 
     def update_prevailing(self, frame: RadarFrame, v_ego: float) -> float:
-        samples = self.samples
-        for target in frame.targets:
-            if not self.cfg.include_adjacent and target.lane_offset != 0:
-                continue
-            if target.rel_speed > 0.0:
-                exact = _exact(v_ego + target.rel_speed)
-                samples.append((frame.timestamp, exact))
-                self.exact_sum += exact
-        cutoff = frame.timestamp - self.cfg.window_s
+        cfg, samples, exact_sum = self.cfg, self.samples, self.exact_sum
+        now, adjacent = frame.timestamp, cfg.include_adjacent
+        for _, rel_speed, lane in frame.targets:
+            if rel_speed > 0.0 and (adjacent or lane == 0):
+                num, den = (v_ego + rel_speed).as_integer_ratio()
+                exact = num << (_EXACT_SHIFT + 1 - den.bit_length())
+                samples.append((now, exact))
+                exact_sum += exact
+        cutoff = now - cfg.window_s
         while samples and samples[0][0] <= cutoff:
-            self.exact_sum -= samples.popleft()[1]
-        if len(samples) < self.cfg.min_count:
+            exact_sum -= samples.popleft()[1]
+        self.exact_sum = exact_sum
+        if len(samples) < cfg.min_count:
             return 0.0
         # Python's int true division rounds correctly.
-        return self.exact_sum / (len(samples) << _EXACT_SHIFT)
+        return exact_sum / (len(samples) << _EXACT_SHIFT)

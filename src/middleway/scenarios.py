@@ -23,7 +23,7 @@ from array import array
 from itertools import compress, cycle
 from typing import TYPE_CHECKING, NamedTuple, Sequence
 
-from .controller import ControlInputs, ControllerConfig, select_setpoint
+from .controller import ControllerConfig, step_controller
 from .infrastructure import FeedConfig
 from .perception import RadarConfig
 from .simulation import (
@@ -160,8 +160,8 @@ def check_string(cfg: ScenarioConfig) -> None:
             f"radar.max_range: must be under twice the {spacing:g} m string spacing"
         )
     posted = cfg.vsl.min_mph if cfg.vsl_static_mph is None else cfg.vsl_static_mph
-    inputs = ControlInputs(cav01.driver_setpoint, cav01.v0, mph_to_mps(posted), pace0.v0)
-    v_des = select_setpoint(inputs, cfg.controller)
+    v_des = step_controller(cav01.driver_setpoint, cav01.v0, mph_to_mps(posted), pace0.v0, None,
+                            cav01.v0, cfg.controller, cfg.dt).v_des
     horizon = min(cfg.duration_s, measurement_window(n)[1])
     if max(spacing, spacing + (pace0.v0 - v_des) * horizon) > max_range:
         raise ValueError(

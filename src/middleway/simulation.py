@@ -38,7 +38,7 @@ from operator import mod
 from pathlib import Path
 from typing import Optional
 
-from .controller import ControlInputs, ControllerConfig, step_controller
+from .controller import ControllerConfig, step_controller
 from .infrastructure import (
     GANTRY_IDS,
     GANTRY_MM,
@@ -341,12 +341,16 @@ class _PhantomStream:
         self.spec = spec
         self.origin = spec.phase_m
         self.speed = spec.initial_speed
+        # Every target id of the stream starts with this.
+        self.id_prefix = f"phantom_{spec.lane:+d}_"
 
     def update_speed(self, t: float, mainline_mean: Optional[float]) -> None:
         if self.spec.wave is not None:
             self.speed = triangle_speed(t, *self.spec.wave)
         elif self.spec.mirror_bias_mps is not None and mainline_mean is not None:
-            self.speed = max(0.0, mainline_mean + self.spec.mirror_bias_mps)
+            # As max(0.0, speed), with the builtin's result in every case.
+            speed = mainline_mean + self.spec.mirror_bias_mps
+            self.speed = speed if speed > 0.0 else 0.0
 
     def advance(self, dt: float) -> None:
         self.origin += self.speed * dt
@@ -355,10 +359,11 @@ class _PhantomStream:
         """Radar candidates of a mainline ego at x: the nearest max_targets + 1
         targets at x < position <= x_hi, to rounding (a frame's worth if the
         first rounds to rel_position 0), with the stream's lane as their lane offset."""
-        spacing, lane = self.spec.spacing_m, self.spec.lane
-        name = f"phantom_{lane:+d}_"
+        spacing, lane, name = self.spec.spacing_m, self.spec.lane, self.id_prefix
         k_lo = math.ceil((x - self.origin) / spacing)
-        k_hi = min(math.floor((x_hi - self.origin) / spacing), k_lo + max_targets)
+        k_hi = math.floor((x_hi - self.origin) / spacing)
+        if k_hi > k_lo + max_targets:
+            k_hi = k_lo + max_targets
         return [(self.origin + k * spacing - x, f"{name}{k}", self.speed, lane)
                 for k in range(k_lo, k_hi + 1)]
 
@@ -488,15 +493,16 @@ class World:
         delivered = agent.feed.poll(now)
         v_gr = delivered if gantry_id is not None else None
 
-        inputs = ControlInputs(agent.driver_setpoint, v, v_gr, v_pr, lead)
-        out = step_controller(inputs, agent.v_ramp, cfg.controller, cfg.dt)
+        out = step_controller(agent.driver_setpoint, v, v_gr, v_pr, lead, agent.v_ramp,
+                              cfg.controller, cfg.dt)
         agent.v_ramp = out.v_ramp
 
         if out.h is not None and out.h < self.log.min_h:
             self.log.min_h = out.h
         if logged:
             log = self.log
-            log.mode.append(out.mode.value)
+            # _value_ is the label itself; the .value property is a call.
+            log.mode.append(out.mode._value_)
             log.v_des.append(out.v_des)
             log.v_gr.append(math.nan if v_gr is None else v_gr)
             log.v_pr.append(v_pr)
@@ -538,8 +544,11 @@ class World:
                 u = idm_accel(v, xs[lead] - x, vs[lead], human)
             for bn in bottlenecks:
                 if bn.x_start <= x <= bn.x_end:
-                    v_next = max(bn.speed_cap, v - bn.decel * dt)
-                    u = min(u, (v_next - v) / dt)
+                    # As u = min(u, (max(cap, v - decel * dt) - v) / dt).
+                    v_next = v - bn.decel * dt
+                    v_next = v_next if v_next > bn.speed_cap else bn.speed_cap
+                    u_cap = (v_next - v) / dt
+                    u = u_cap if u_cap < u else u
                     break
             if u < HUMAN_BRAKE_FLOOR:
                 u = HUMAN_BRAKE_FLOOR

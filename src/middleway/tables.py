@@ -6,7 +6,7 @@ from __future__ import annotations
 import csv
 import math
 from pathlib import Path
-from typing import IO, Iterable, Sequence
+from typing import IO, Any, Iterable, Sequence
 
 
 def write_table(path: str | Path, header: Sequence, rows: Iterable[Sequence]) -> None:
@@ -18,9 +18,13 @@ def write_table(path: str | Path, header: Sequence, rows: Iterable[Sequence]) ->
         writer.writerows(rows)
 
 
-def clip(cell: str) -> str:
-    """cell quoted for an error message, cut to its first 40 characters."""
-    return repr(cell[:40]) + ("..." if len(cell) > 40 else "")
+def clip(value: Any) -> str:
+    """value quoted for an error message, cut to 40 characters: a string's
+    first 40, quoted, or the first 40 of any other value's repr."""
+    if isinstance(value, str):
+        return repr(value[:40]) + ("..." if len(value) > 40 else "")
+    text = repr(value)
+    return text[:40] + ("..." if len(text) > 40 else "")
 
 
 def read_header(fh: IO[str], columns: Sequence[str], name: str) -> None:

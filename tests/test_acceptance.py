@@ -14,22 +14,8 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from middleway.controller import (
-    ControlInputs,
-    ControllerConfig,
-    Lead,
-    barrier_margin,
-    cbf_limit,
-    middleway,
-    nominal,
-    step_controller,
-)
-from middleway.perception import (
-    EstimatorConfig,
-    PrevailingSpeedEstimator,
-    RadarFrame,
-    RadarTarget,
-)
+from middleway.controller import ControllerConfig, middleway, step_controller
+from middleway.perception import EstimatorConfig, PrevailingSpeedEstimator, RadarFrame
 from middleway.rds import RdsGrid, TrajectoryPoint, error_stats, latency_study
 from middleway.scenarios import (
     canonical_scenario,
@@ -157,20 +143,11 @@ def test_02_safety_filter_invariance():
         target = py_rng.uniform(0.0, 35.0)
         g = py_rng.uniform(0.1, 120.0)
         vl = py_rng.uniform(0.0, 35.0)
-        u_safe = cbf_limit(barrier_margin(g, vv, cfg), vv, vl, cfg)
-        expected = min(max(min(nominal(target, vv, cfg), u_safe), cfg.u_min), cfg.u_max)
-        out = step_controller(
-            ControlInputs(
-                driver_setpoint=target,
-                v=vv,
-                v_gr=None,
-                v_pr=0.0,
-                lead=Lead(gap=g, speed=vl),
-            ),
-            target,
-            cfg,
-            dt,
-        )
+        out = step_controller(target, vv, None, 0.0, (g, vl), target, cfg, dt)
+        h = g - (cfg.t_min * vv + cfg.s_min)
+        u_safe = (cfg.k_cbf / cfg.t_min) * h + (vl - vv) / cfg.t_min
+        assert (out.h, out.u_safe, out.u_nom) == (h, u_safe, cfg.k_p * (target - vv))
+        expected = min(max(min(out.u_nom, out.u_safe), cfg.u_min), cfg.u_max)
         assert out.u == expected
     _passed(2, "safety filter invariance", time.monotonic() - t0, 30.0)
 
@@ -314,18 +291,14 @@ def test_08_estimator_contract_fuzz():
         t += rng.uniform(0.05, 1.0)
         v_ego = rng.uniform(0.0, 35.0)
         targets = tuple(
-            RadarTarget(
-                rel_position=rng.uniform(5.0, 120.0),
-                rel_speed=rng.uniform(-10.0, 10.0),
-                lane_offset=rng.choice((-1, 0, 1)),
-            )
+            (rng.uniform(5.0, 120.0), rng.uniform(-10.0, 10.0), rng.choice((-1, 0, 1)))
             for _ in range(rng.randint(0, 8))
         )
         got = estimator.update_prevailing(RadarFrame(t, targets), v_ego)
 
-        for target in targets:
-            if target.rel_speed > 0.0:
-                shadow.append((t, v_ego + target.rel_speed))
+        for _, rel_speed, _ in targets:
+            if rel_speed > 0.0:
+                shadow.append((t, v_ego + rel_speed))
         while shadow and shadow[0][0] <= t - cfg.window_s:
             shadow.popleft()
         if len(shadow) < cfg.min_count:

@@ -1131,6 +1131,31 @@ class TestCli:
         err = capsys.readouterr().err
         assert where in err and len(err.encode()) < 1024
 
+    # A long input value that a config error echoes is quoted through
+    # tables.clip: a config file's field value or scenario kind, an rds
+    # latency that is not a number, and a repeated sweep value.
+    @pytest.mark.parametrize("case, where", [
+        ("config_value", "controller.v_offset: expected float, got 'xxx"),
+        ("scenario_kind", "scenario.kind: unknown kind 'xxx"),
+        ("latencies", "latencies: 'xxx"),
+        ("repeated_value", "values: 'xxx"),
+    ])
+    def test_long_input_value_is_quoted_briefly(self, tmp_path, capsys, case, where):
+        keys = {"config_value": "controller:\n  v_offset", "scenario_kind": "scenario:\n  kind"}
+        if case in keys:
+            path = tmp_path / "cfg.yaml"
+            path.write_text(f"{keys[case]}: {'x' * 200_000}\n")
+            argv = ["run", "--config", str(path), "--out", str(tmp_path / "out")]
+        elif case == "latencies":
+            traj = f"{TRAJECTORY_HEADER}130.000,60.200000,21.000000\n"
+            argv = [*rds_args(tmp_path, traj), "--latencies", "x" * 100_000]
+        else:
+            value = "x" * 60_000
+            argv = ["sweep", "--values", f"{value},{value}", "--out", str(tmp_path / "s")]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert f"config error: {where}" in err and len(err.encode()) < 1024
+
     @pytest.mark.parametrize("column", [0, 3, 7])
     @pytest.mark.parametrize("command", ["rds", "sweep_replay"])
     def test_long_run_log_cell_names_its_t_briefly(self, short_log, tmp_path, capsys, command,

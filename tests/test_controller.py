@@ -7,19 +7,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from middleway.controller import (
-    ControlInputs,
     ControllerConfig,
-    Lead,
+    ControllerOutput,
     Mode,
-    barrier_margin,
-    cbf_limit,
-    classify_mode,
     middleway,
-    nominal,
-    ramp,
-    select_setpoint,
     step_controller,
 )
+
+import controller_reference as reference
 
 
 # The controller tick of the default scenario.
@@ -28,6 +23,22 @@ DT = 0.05
 
 def cfg_with(**kw) -> ControllerConfig:
     return ControllerConfig(**kw)
+
+
+def tick(cfg: ControllerConfig, dt: float = DT, *, driver_setpoint=33.5, v=13.4, v_gr=13.4,
+         v_pr=0.0, lead=None, v_ramp_prev=13.4) -> ControllerOutput:
+    """One step_controller tick; by default a steady tick at the posted speed."""
+    return step_controller(driver_setpoint, v, v_gr, v_pr, lead, v_ramp_prev, cfg, dt)
+
+
+def ramp(v_des: float, v_ramp_prev: float, cfg: ControllerConfig, dt: float) -> float:
+    """The ramp speed a tick moves to from v_ramp_prev toward the setpoint v_des."""
+    return tick(cfg, dt, driver_setpoint=v_des, v_gr=None, v_ramp_prev=v_ramp_prev).v_ramp
+
+
+def nominal(v_ramp: float, v: float, cfg: ControllerConfig) -> float:
+    """The P-law's u_nom of a tick whose ramp speed stays at v_ramp."""
+    return tick(cfg, driver_setpoint=v_ramp, v=v, v_gr=None, v_ramp_prev=v_ramp).u_nom
 
 
 speeds = st.floats(min_value=0.0, max_value=45.0, allow_nan=False)
@@ -123,14 +134,14 @@ class TestNominal:
 
 
 def gap_limit(gap: float, v: float, v_lead: float, cfg: ControllerConfig) -> float:
-    """The barrier filter's bound at a bumper gap, as step_controller takes it."""
-    return cbf_limit(barrier_margin(gap, v, cfg), v, v_lead, cfg)
+    """The barrier filter's bound u_safe at a bumper gap."""
+    return tick(cfg, v=v, lead=(gap, v_lead)).u_safe
 
 
 class TestCbfLimit:
     def test_zero_on_barrier_matched_speed(self):
         cfg = cfg_with()
-        assert barrier_margin(35.0, 10.0, cfg) == 0.0
+        assert tick(cfg, v=10.0, lead=(35.0, 10.0)).h == 0.0
         assert gap_limit(35.0, 10.0, 10.0, cfg) == pytest.approx(0.0, abs=1e-12)
 
     def test_slack_cancels_closing_speed(self):
@@ -156,52 +167,23 @@ class TestSelectSetpoint:
     @pytest.mark.parametrize("driver_setpoint", [33.5, 31.3])
     def test_no_advisory_uses_driver_setpoint(self, driver_setpoint):
         # Outside the corridor or without a fresh advisory, v_gr is None.
-        inputs = ControlInputs(
-            driver_setpoint=driver_setpoint,
-            v=20.0,
-            v_gr=None,
-            v_pr=25.0,
-        )
-        v_des = select_setpoint(inputs, cfg_with())
-        assert v_des == driver_setpoint
+        out = tick(cfg_with(), driver_setpoint=driver_setpoint, v=20.0, v_gr=None, v_pr=25.0)
+        assert out.v_des == driver_setpoint
 
     def test_engaged_in_corridor_blends(self):
-        inputs = ControlInputs(
-            driver_setpoint=33.5,
-            v=20.0,
-            v_gr=13.4,
-            v_pr=25.0,
-        )
-        v_des = select_setpoint(inputs, cfg_with(v_offset=2.0))
-        assert v_des == pytest.approx(23.0, abs=1e-12)
+        out = tick(cfg_with(v_offset=2.0), driver_setpoint=33.5, v=20.0, v_gr=13.4, v_pr=25.0)
+        assert out.v_des == pytest.approx(23.0, abs=1e-12)
 
     def test_driver_setpoint_caps_blend_when_no_explicit_cap(self):
         """With v_des_max unset the blend never exceeds the HUD setpoint."""
-        inputs = ControlInputs(
-            driver_setpoint=24.0,
-            v=20.0,
-            v_gr=13.4,
-            v_pr=35.0,
-        )
-        v_des = select_setpoint(inputs, cfg_with(v_des_max=None))
-        assert v_des == 24.0
+        out = tick(cfg_with(v_des_max=None), driver_setpoint=24.0, v=20.0, v_gr=13.4, v_pr=35.0)
+        assert out.v_des == 24.0
 
 
 class TestClassifyModeAndStep:
-    def make_inputs(self, **kw) -> ControlInputs:
-        base = dict(
-            driver_setpoint=33.5,
-            v=13.4,
-            v_gr=13.4,
-            v_pr=0.0,
-            lead=None,
-        )
-        base.update(kw)
-        return ControlInputs(**base)
-
     def test_steady_vsl_tick(self):
         cfg = cfg_with()
-        out = step_controller(self.make_inputs(), 13.4, cfg, DT)
+        out = tick(cfg)
         assert out.u == pytest.approx(0.0, abs=1e-12)
         assert out.mode is Mode.VSL
         assert out.v_des == pytest.approx(13.4)
@@ -209,37 +191,30 @@ class TestClassifyModeAndStep:
 
     def test_filter_binding_gives_cbf_mode(self):
         cfg = cfg_with()
-        inputs = self.make_inputs(
-            v=10.0, v_gr=12.0, lead=Lead(gap=20.0, speed=12.0)
-        )
-        out = step_controller(inputs, 12.0, cfg, DT)
+        out = tick(cfg, v=10.0, v_gr=12.0, lead=(20.0, 12.0), v_ramp_prev=12.0)
         assert out.u_nom == pytest.approx(1.6, abs=1e-12)
         assert out.u_safe == pytest.approx(0.25, abs=1e-12)
-        assert out.h == barrier_margin(20.0, 10.0, cfg) == -15.0
+        assert out.h == -15.0
         assert out.u == pytest.approx(0.25, abs=1e-12)
         assert out.mode is Mode.CBF
 
     def test_traffic_speedup_moves_vsl_to_middleway(self):
         cfg = cfg_with()
-        out = step_controller(self.make_inputs(v_pr=0.0), 13.4, cfg, DT)
+        out = tick(cfg, v_pr=0.0)
         assert out.mode is Mode.VSL
-        out = step_controller(self.make_inputs(v_pr=20.0), out.v_ramp, cfg, DT)
+        out = tick(cfg, v_pr=20.0, v_ramp_prev=out.v_ramp)
         assert out.mode is Mode.MIDDLEWAY
 
     def test_normal_mode_without_advisory(self):
         cfg = cfg_with()
-        out = step_controller(
-            self.make_inputs(v_gr=None, v=30.0, v_pr=25.0), 30.0, cfg, DT
-        )
+        out = tick(cfg, v_gr=None, v=30.0, v_pr=25.0, v_ramp_prev=30.0)
         assert out.mode is Mode.NORMAL
 
     def test_output_clamped_to_actuation_envelope(self):
         cfg = cfg_with()
-        out = step_controller(self.make_inputs(v=5.0, v_pr=40.0), 35.0, cfg, DT)
+        out = tick(cfg, v=5.0, v_pr=40.0, v_ramp_prev=35.0)
         assert out.u == cfg.u_max
-        out = step_controller(
-            self.make_inputs(v=35.0, v_pr=0.0, driver_setpoint=5.0), 5.0, cfg, DT
-        )
+        out = tick(cfg, v=35.0, v_pr=0.0, driver_setpoint=5.0, v_ramp_prev=5.0)
         assert out.u == cfg.u_min
 
     @given(
@@ -250,11 +225,7 @@ class TestClassifyModeAndStep:
         ramp0=speeds,
         lead=st.one_of(
             st.none(),
-            st.builds(
-                Lead,
-                gap=st.floats(min_value=0.5, max_value=200.0),
-                speed=speeds,
-            ),
+            st.tuples(st.floats(min_value=0.5, max_value=200.0), speeds),
         ),
     )
     @settings(max_examples=300)
@@ -262,14 +233,7 @@ class TestClassifyModeAndStep:
         self, v, v_gr, v_pr, setpoint, ramp0, lead
     ):
         cfg = cfg_with()
-        inputs = ControlInputs(
-            driver_setpoint=setpoint,
-            v=v,
-            v_gr=v_gr,
-            v_pr=v_pr,
-            lead=lead,
-        )
-        out = step_controller(inputs, ramp0, cfg, DT)
+        out = step_controller(setpoint, v, v_gr, v_pr, lead, ramp0, cfg, DT)
 
         assert cfg.u_min <= out.u <= cfg.u_max
         assert abs(out.v_ramp - ramp0) <= cfg.ramp_rate * DT + 1e-12
@@ -282,6 +246,57 @@ class TestClassifyModeAndStep:
             assert out.u_safe is not None and out.u_safe < out.u_nom
         if lead is not None:
             assert out.u <= max(out.u_safe, cfg.u_min) + 1e-12
+
+
+# Values that tie with each other, with the blend's offset and with the
+# config's limits, next to NaN, the infinities and both signed zeros.
+EDGES = (0.0, -0.0, 1.0, 2.0, 13.4, 15.4, 33.5, math.nan, math.inf, -math.inf)
+any_float = st.one_of(st.sampled_from(EDGES), st.floats())
+# Every cap ControllerConfig accepts: a positive one, inf or NaN, or None.
+caps_or_none = st.one_of(st.none(), st.sampled_from([x for x in EDGES if not x <= 0.0]),
+                         st.floats(min_value=1e-3, max_value=50.0))
+positives = st.one_of(st.sampled_from((0.05, 0.1, 0.8, 1.5, 2.0, math.inf)),
+                      st.floats(min_value=1e-3, max_value=50.0))
+
+
+def bits(out: ControllerOutput) -> tuple:
+    """out with each float as float.hex, so a signed zero or NaN compares exactly."""
+    return tuple(x if x is None or isinstance(x, Mode) else float.hex(x) for x in out)
+
+
+class TestFoldIsExact:
+    """step_controller's straight-line body against the one-line helpers
+    it folds (controller_reference), composed with builtin min and max."""
+
+    @given(
+        driver_setpoint=any_float, v=any_float, v_pr=any_float, ramp0=any_float,
+        v_gr=st.one_of(st.none(), any_float),
+        lead=st.one_of(st.none(), st.tuples(any_float, any_float)),
+        v_offset=st.one_of(st.sampled_from((0.0, 2.0)), st.floats(min_value=0.0)),
+        v_des_max=caps_or_none,
+        k_p=positives, k_cbf=positives, t_min=positives, ramp_rate=positives,
+        s_min=st.one_of(st.sampled_from((0.0, 15.0)), st.floats(min_value=0.0, max_value=1e3)),
+        u_min=st.sampled_from((-3.0, -0.5, -math.inf)),
+        u_max=st.sampled_from((2.0, 0.5, math.inf)),
+        dt=st.one_of(st.sampled_from((0.05, 0.001, 0.1)), positives),
+    )
+    @settings(max_examples=1000)
+    def test_bit_for_bit(self, driver_setpoint, v, v_pr, ramp0, v_gr, lead, dt, **limits):
+        cfg = ControllerConfig(**limits)
+        got = step_controller(driver_setpoint, v, v_gr, v_pr, lead, ramp0, cfg, dt)
+        inputs = reference.ControlInputs(driver_setpoint, v, v_gr, v_pr,
+                                         None if lead is None else reference.Lead(*lead))
+        want = reference.step_reference(inputs, ramp0, cfg, dt)
+        assert type(got) is ControllerOutput and got.mode is want.mode
+        assert bits(got) == bits(want)
+
+    @given(v_pr=any_float, v_gr=any_float, v_offset=st.sampled_from((0.0, 2.0)),
+           v_des_max=caps_or_none)
+    @settings(max_examples=300)
+    def test_blend_bit_for_bit(self, v_pr, v_gr, v_offset, v_des_max):
+        cfg = ControllerConfig(v_offset=v_offset, v_des_max=v_des_max)
+        got, want = middleway(v_pr, v_gr, cfg), reference.middleway(v_pr, v_gr, cfg)
+        assert float.hex(got) == float.hex(want)
 
 
 def test_config_validation_names_offending_field():

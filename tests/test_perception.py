@@ -14,19 +14,14 @@ from middleway.perception import (
     PrevailingSpeedEstimator,
     RadarConfig,
     RadarFrame,
-    RadarTarget,
     lead_vehicle,
     synthesize_radar,
 )
 
 
 def make_frame(t, specs):
-    """specs: list of (rel_position, rel_speed, lane_offset)."""
-    targets = tuple(
-        RadarTarget(rel_position=p, rel_speed=s, lane_offset=lane)
-        for p, s, lane in specs
-    )
-    return RadarFrame(timestamp=t, targets=targets)
+    """specs: list of (rel_position, rel_speed, lane_offset) targets."""
+    return RadarFrame(timestamp=t, targets=tuple(specs))
 
 
 class TestSynthesizeRadar:
@@ -42,9 +37,8 @@ class TestSynthesizeRadar:
         frame = synthesize_radar(20.0, candidates, self.cfg, 3.0, random.Random(0))
         assert frame.timestamp == 3.0
         assert len(frame.targets) == 16
-        rels = [t.rel_position for t in frame.targets]
-        assert rels == [2.0 * (i + 1) for i in range(16)]
-        assert all(t.rel_speed == 2.0 for t in frame.targets)
+        assert frame.targets == tuple((2.0 * (i + 1), 2.0, 0) for i in range(16))
+        assert all(type(t) is tuple for t in frame.targets)
 
     def test_max_targets_bounds(self):
         # The world builds up to max_targets + 1 candidates per phantom
@@ -58,19 +52,19 @@ class TestSynthesizeRadar:
     def test_range_tie_breaks_on_vehicle_id(self):
         candidates = [(40.0, "bbb", 22.0, 1), (40.0, "aaa", 24.0, -1)]
         frame = synthesize_radar(20.0, candidates, self.cfg, 0.0, random.Random(0))
-        assert frame.targets == (RadarTarget(40.0, 4.0, -1), RadarTarget(40.0, 2.0, 1))
+        assert frame.targets == ((40.0, 4.0, -1), (40.0, 2.0, 1))
 
     def test_tie_break_keeps_targets_at_the_cap(self):
         cfg = RadarConfig(max_targets=2)
         candidates = [(30.0, "c", 20.0, 0), (10.0, "z", 20.0, 1), (30.0, "b", 21.0, -1)]
         frame = synthesize_radar(20.0, candidates, cfg, 0.0, random.Random(0))
-        assert frame.targets == (RadarTarget(10.0, 0.0, 1), RadarTarget(30.0, 1.0, -1))
+        assert frame.targets == ((10.0, 0.0, 1), (30.0, 1.0, -1))
 
     def test_keeps_what_it_is_given(self):
         # Range, lane and ego tests belong to World._radar_candidates.
         candidates = [(-5.0, "behind", 25.0, 0), (500.0, "far", 25.0, 2)]
         frame = synthesize_radar(20.0, candidates, self.cfg, 0.0, random.Random(0))
-        assert frame.targets == (RadarTarget(-5.0, 5.0, 0), RadarTarget(500.0, 5.0, 2))
+        assert frame.targets == ((-5.0, 5.0, 0), (500.0, 5.0, 2))
 
     def test_noise_is_reproducible_and_zero_mean_ish(self):
         cfg = RadarConfig(noise_sigma=0.5, max_targets=2)
@@ -80,7 +74,7 @@ class TestSynthesizeRadar:
         assert f1 == synthesize_radar(20.0, candidates, cfg, 0.0, random.Random(7))
         # One draw per kept target, nearest first, and none for the rest.
         draws = random.Random(7)
-        assert [t.rel_speed for t in f1.targets] == [
+        assert [rel_speed for _, rel_speed, _ in f1.targets] == [
             5.0 + draws.gauss(0.0, 0.5),
             6.0 + draws.gauss(0.0, 0.5),
         ]
@@ -105,10 +99,7 @@ class TestLeadVehicle:
         frame = make_frame(
             0.0, [(12.0, 3.0, 1), (20.0, -2.0, 0), (35.0, 1.0, 0)]
         )
-        lead = lead_vehicle(frame, v_ego=20.0)
-        assert lead is not None
-        assert lead.gap == pytest.approx(20.0)
-        assert lead.speed == pytest.approx(18.0)
+        assert lead_vehicle(frame, v_ego=20.0) == (20.0, 18.0)
 
     def test_no_ego_lane_target_means_no_lead(self):
         frame = make_frame(0.0, [(12.0, 3.0, 1), (30.0, 1.0, -1)])

@@ -18,7 +18,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from middleway.perception import RadarConfig, RadarFrame, RadarTarget, synthesize_radar
+from middleway.infrastructure import FeedConfig
+from middleway.perception import RadarConfig, RadarFrame, synthesize_radar
 from middleway.scenarios import (
     canonical_scenario,
     check_string,
@@ -286,7 +287,7 @@ def radar_frame_oracle(world, j, now, rng):
         rel_speed = speed - ego_v
         if radar.noise_sigma > 0.0:
             rel_speed += rng.gauss(0.0, radar.noise_sigma)
-        targets.append(RadarTarget(rel, rel_speed, lane))
+        targets.append((rel, rel_speed, lane))
     return RadarFrame(now, tuple(targets))
 
 
@@ -826,10 +827,21 @@ def one_lane_noisy_scenario():
     )
 
 
+def string_noisy_scenario():
+    """The four-vehicle string for 60 s with radar noise and a lossy, late
+    feed: each tick, four radars and four feeds draw from one generator,
+    so the order of the draws across vehicles and stages shows in the log."""
+    cfg = string_scenario(n_controlled=4)
+    return dataclasses.replace(cfg, duration_s=60.0,
+                               radar=dataclasses.replace(cfg.radar, noise_sigma=0.5),
+                               feed=FeedConfig(dropout=0.3, latency_s=0.5))
+
+
 # sha256 of run_log.csv, each recorded on the source before the change it
 # guards: the first two before the streamed writer replaced csv.writer, the
 # one-lane one before the world's per-lane position indexes gave way to one
-# fixed position order. The builtin float sum rounds differently from
+# fixed position order, the noisy string before the controller tick became
+# one straight-line body. The builtin float sum rounds differently from
 # Python 3.12 on; TestRunLogGoldensUnderCompensatedSum shows that none
 # reaches the simulation.
 GOLDEN_SHA256 = {
@@ -838,6 +850,7 @@ GOLDEN_SHA256 = {
     "one_lane_noisy_seed0_120s": (
         "27a5dc1d1efb197df3f9bdcf795afb943d300e77ffb2c2627d77a2ae25241e8a"
     ),
+    "string_noisy_n4": "1dd8db8f9bc0106d8a80e8bc62637f1b457650f58a89c7269929dd05d0d5708a",
 }
 
 
@@ -847,6 +860,7 @@ GOLDEN_SCENARIOS = {
     ),
     "string_n6": lambda: string_scenario(n_controlled=6),
     "one_lane_noisy_seed0_120s": one_lane_noisy_scenario,
+    "string_noisy_n4": string_noisy_scenario,
 }
 
 
@@ -1151,7 +1165,7 @@ class TestRadarCandidates:
         assert len(seen) == 17
         frame = synthesize_radar(world.v[0], seen, world.cfg.radar, 0.0, random.Random(0))
         assert frame == radar_frame_oracle(world, 0, 0.0, random.Random(0))
-        assert [t.rel_position for t in frame.targets] == [35.0 + 45.0 * k for k in range(16)]
+        assert [t[0] for t in frame.targets] == [35.0 + 45.0 * k for k in range(16)]
 
 
 class TestDeterminism:
