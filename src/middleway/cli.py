@@ -1,12 +1,12 @@
-"""Command-line harness: run scenarios, sweep parameters, analyze grids.
+"""Command-line harness: run scenarios, sweep parameters, score feed latency.
 
 Subcommands:
   run    simulate one scenario; write run_log.csv, events.jsonl, report.json,
          and for scenario.kind=string string_traces.csv, string_summary.csv
   sweep  rerun a scenario across parameter values, or replay offsets
          open-loop over a recorded log; write an aggregated CSV
-  rds    score a trajectory against stale sensor-grid reports per latency,
-         or a run log's controlled rows against reports of its own traffic
+  rds    score a run log's controlled rows against stale sensor-grid
+         reports of its own traffic, per latency
 
 Every command's files appear together or not at all (see _staged); a
 resimulating sweep's run directories each do, as run's, then its tables.
@@ -124,6 +124,8 @@ def _non_negative_floats(raw: str, name: str, field: str) -> list[float]:
             floats.append(float(value))
         except (TypeError, ValueError):
             raise ConfigError(f"{name}: {clip(value)} is not a number") from None
+        except OverflowError:
+            raise ConfigError(f"{name}: {clip(value)} is too large for a float") from None
     if not all(map(math.isfinite, floats)):
         raise ConfigError(f"{name}: values must be finite")
     if any(k < 0 for k in floats):
@@ -284,52 +286,27 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 def cmd_rds(args: argparse.Namespace) -> int:
     # rds loads numpy; no other command imports it.
-    from .rds import (
-        error_stats,
-        latency_study,
-        read_grid,
-        read_trajectory,
-        write_error_report,
-        write_grid,
-        write_trajectory,
-    )
+    from .rds import error_stats, latency_study, write_error_report
 
-    given = tuple(path is not None for path in (args.run_log, args.grid, args.trajectory))
-    if given not in ((True, False, False), (False, True, True)):
-        raise ConfigError("rds: takes either --run-log, or --grid with --trajectory")
     latencies = _non_negative_floats(args.latencies, "latencies", "latencies")  # before the read
     if not (math.isfinite(args.bin_width_mph) and args.bin_width_mph > 0):
         raise ConfigError("bin-width-mph: must be positive and finite")
-    if args.run_log is not None:
-        source = args.run_log
-        grid, trajectory = read_input(lambda p: latency_study(read_run_log(p)), source)
-    else:
-        source = f"{args.trajectory} against {args.grid}"
-        grid = read_input(read_grid, args.grid)
-        trajectory = read_input(read_trajectory, args.trajectory)
+    grid, trajectory = read_input(lambda p: latency_study(read_run_log(p)), args.run_log)
     try:
         stats = error_stats(trajectory, grid, latencies, args.bin_width_mph)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     # A run that scores nothing would report a perfect zero error.
     if not any(s.n for s in stats.values()):
-        raise ConfigError(f"{source}: no point is scored at any latency")
+        raise ConfigError(f"{args.run_log}: no point is scored at any latency")
     out = Path(args.out)
-    names = ("error_stats.csv", "error_hist.csv")
-    if args.run_log is not None:
-        names += ("grid.csv", "trajectory.csv")
-    with _staged(out, names) as stage:
+    with _staged(out, ("error_stats.csv", "error_hist.csv")) as stage:
         write_error_report(stats, stage / "error_stats.csv", stage / "error_hist.csv")
-        if args.run_log is not None:
-            write_grid(grid, stage / "grid.csv")
-            write_trajectory(trajectory, stage / "trajectory.csv")
     for latency in latencies:
         s = stats[latency]
         print(f"latency {latency:6.1f} s: n={s.n:5d} "
               f"mean={s.mean_mps:+.3f} m/s std={s.std_mps:.3f} m/s")
     print(f"wrote {out / 'error_stats.csv'} and {out / 'error_hist.csv'}")
-    if args.run_log is not None:
-        print(f"wrote {out / 'grid.csv'} and {out / 'trajectory.csv'}")
     return 0
 
 
@@ -365,11 +342,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.set_defaults(func=cmd_sweep)
 
     p_rds = sub.add_parser("rds", help="sensor-grid latency error stats")
-    p_rds.add_argument("--run-log", default=None,
-                       help="recorded run_log.csv path; also writes its grid "
-                            "and trajectory")
-    p_rds.add_argument("--grid", default=None, help="grid CSV path")
-    p_rds.add_argument("--trajectory", default=None, help="trajectory CSV path")
+    p_rds.add_argument("--run-log", required=True, help="recorded run_log.csv path")
     p_rds.add_argument("--latencies", default="0,30,60,120",
                        help="comma-separated latencies in seconds")
     p_rds.add_argument("--bin-width-mph", type=float, default=1.0)

@@ -135,8 +135,8 @@ def _check_section(name: str, raw: Any) -> dict:
 
 
 def _check_type(name: str, value: Any, hint: Any) -> None:
-    """Reject a value that does not fit its field's annotated type, and any
-    non-finite float."""
+    """Reject a value that does not fit its field's annotated type, any
+    non-finite float, and any int too large for a float."""
     if get_origin(hint) is Union:
         members = get_args(hint)
         if value is None and type(None) in members:
@@ -146,8 +146,14 @@ def _check_type(name: str, value: Any, hint: Any) -> None:
     # bool is an int subclass, so it fits only a bool field.
     if isinstance(value, bool) != (hint is bool) or not isinstance(value, accepted):
         raise ConfigError(f"{name}: expected {hint.__name__}, got {clip(value)}")
-    if isinstance(value, float) and not math.isfinite(value):
-        raise ConfigError(f"{name}: must be finite, got {clip(value)}")
+    # Ints meet floats in the run's arithmetic, so each must fit a float.
+    if isinstance(value, (int, float)):
+        try:
+            finite = math.isfinite(value)
+        except OverflowError:  # an int too large for a float
+            raise ConfigError(f"{name}: {clip(value)} is too large for a float") from None
+        if not finite:
+            raise ConfigError(f"{name}: must be finite, got {clip(value)}")
 
 
 def build_scenario(data: dict) -> LoadedScenario:

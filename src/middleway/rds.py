@@ -27,7 +27,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .simulation import MAX_DURATION_S, RunLog
-from .tables import read_rows, write_table
+from .tables import write_table
 from .units import MPS_PER_MPH
 
 
@@ -243,57 +243,6 @@ def latency_study(log: RunLog) -> tuple[RdsGrid, list[Point]]:
     ts = chain.from_iterable(map(repeat, log.t, repeat(n)))
     spec = GridSpec(default_sensors(), n_reports=int(log.t[-1] // 30.0) + 1)
     return build_grid(zip(ts, log.mm, log.v), spec), trajectory
-
-
-def write_grid(grid: RdsGrid, path: str | Path) -> None:
-    def rows():
-        for i, mm in enumerate(grid.spec.sensor_mm):
-            for k in range(grid.spec.n_reports):
-                v = grid.speeds[i, k]
-                yield (f"{mm:.3f}", repr(grid.spec.origin_s + k * grid.spec.cell_duration_s),
-                       "" if math.isnan(v) else f"{v:.6f}")
-
-    write_table(path, ("sensor_mm", "report_start_s", "mean_speed_mps"), rows())
-
-
-def read_grid(path: str | Path) -> RdsGrid:
-    """A grid as write_grid writes it, one row for each (sensor_mm, report_start_s)
-    cell, an empty speed a missing report; any other file raises ValueError."""
-    with open(path, newline="", encoding="utf-8") as fh:
-        rows = list(read_rows(fh, ("sensor_mm", "report_start_s", "mean_speed_mps"), "grid",
-                              optional="mean_speed_mps"))
-    if not rows:
-        raise ValueError("grid has no rows")
-    sensors = tuple(sorted({mm for mm, _, _ in rows}))
-    starts = sorted({start for _, start, _ in rows})
-    if not len({row[:2] for row in rows}) == len(rows) == len(sensors) * len(starts):
-        raise ValueError("grid must hold each (sensor_mm, report_start_s) cell exactly once")
-    # The cell width is the step between starts; one start does not give it.
-    if len(starts) < 2:
-        raise ValueError("grid: need at least two report starts")
-    origin = starts[0]
-    cell_duration = starts[1] - origin
-    # Column k is the report starting at origin + k * cell_duration, so the
-    # starts must be that evenly spaced lattice, to float rounding.
-    for k, start in enumerate(starts):
-        if abs(start - (origin + k * cell_duration)) > 1e-6 * cell_duration:
-            raise ValueError(f"report_start_s {start:g}: not on the "
-                             f"{cell_duration:g} s lattice from {origin:g}")
-    spec = GridSpec(sensors, origin, cell_duration, n_reports=len(starts))
-    # Each cell is one row, so the sorted rows fill the grid row-major.
-    speeds = np.array([v for _, _, v in sorted(rows)]).reshape(len(sensors), len(starts))
-    return RdsGrid(spec, speeds)
-
-
-def write_trajectory(points: Sequence[Point], path: str | Path) -> None:
-    write_table(path, ("t_s", "mile_marker", "speed_mps"), (
-        (f"{t:.3f}", f"{mm:.6f}", f"{v:.6f}") for t, mm, v in points
-    ))
-
-
-def read_trajectory(path: str | Path) -> list[Point]:
-    with open(path, newline="", encoding="utf-8") as fh:
-        return list(read_rows(fh, ("t_s", "mile_marker", "speed_mps"), "trajectory"))
 
 
 def write_error_report(

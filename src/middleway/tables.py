@@ -1,10 +1,9 @@
-"""The one CSV table writer (not the run log's), header check and row
-reader. No cell the package reads back is quoted, so readers split on commas."""
+"""The one CSV table writer (not the run log's), the run log reader's header
+check, and clip, which quotes a value briefly in an error message."""
 
 from __future__ import annotations
 
 import csv
-import math
 from pathlib import Path
 from typing import IO, Any, Iterable, Sequence
 
@@ -28,26 +27,8 @@ def clip(value: Any) -> str:
 
 
 def read_header(fh: IO[str], columns: Sequence[str], name: str) -> None:
-    """Read fh's first line; any but the columns raises ValueError."""
+    """Read fh's first line; any but the columns raises ValueError. No cell
+    the package reads back is quoted, so the header splits on commas."""
     header = fh.readline().rstrip("\r\n")
     if header.split(",") != list(columns):
         raise ValueError(f"{name} line 1: unexpected header {clip(header)}")
-
-
-def read_rows(fh: IO[str], columns: Sequence[str], name: str, optional: str = ""):
-    """Check fh's header, then yield each later line's cells as floats, an
-    empty cell of column optional as NaN. A line of another width, or with any
-    other cell not a finite number, raises ValueError naming it; the header is line 1."""
-    read_header(fh, columns, name)
-    for no, line in enumerate(fh, 2):
-        cells = line.rstrip("\r\n").split(",")
-        if len(cells) != len(columns):
-            raise ValueError(f"{name} line {no}: {len(cells)} cells, not {len(columns)}")
-        for col, cell in zip(columns, cells):
-            try:
-                finite = math.isfinite(float(cell))
-            except ValueError:
-                finite = col == optional and not cell
-            if not finite:
-                raise ValueError(f"{name} line {no}: {col} {clip(cell)} is not a finite number")
-        yield tuple(float(cell) if cell else math.nan for cell in cells)

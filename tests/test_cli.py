@@ -14,7 +14,6 @@ import tempfile
 from pathlib import Path
 from typing import get_type_hints
 
-import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
@@ -33,16 +32,7 @@ from middleway.config import (
     load_config,
     set_dotted,
 )
-from middleway.rds import (
-    GridSpec,
-    RdsGrid,
-    TrajectoryPoint,
-    error_stats,
-    read_grid,
-    read_trajectory,
-    write_grid,
-    write_trajectory,
-)
+from middleway.rds import error_stats, latency_study
 from middleway.scenarios import MAX_ROSTER, canonical_scenario
 from middleway.simulation import (
     HUMAN_BRAKE_FLOOR,
@@ -257,22 +247,6 @@ def short_log(tmp_path_factory):
     path = tmp_path_factory.mktemp("log") / "run_log.csv"
     write_run_log(log, path)
     return path
-
-
-TRAJECTORY_HEADER = "t_s,mile_marker,speed_mps\n"
-
-
-# Three sensors and ten 30 s reports.
-SMALL_SPEC = GridSpec(sensor_mm=(60.0, 60.5, 61.0), duration_s=300.0)
-
-
-def rds_args(tmp_path, trajectory_text):
-    """Write a constant 20 m/s grid and the given trajectory CSV; return the
-    `middleway rds` arguments that read them."""
-    write_grid(RdsGrid(SMALL_SPEC, np.full((3, 10), 20.0)), tmp_path / "grid.csv")
-    (tmp_path / "traj.csv").write_text(trajectory_text)
-    return ["rds", "--grid", str(tmp_path / "grid.csv"),
-            "--trajectory", str(tmp_path / "traj.csv"), "--out", str(tmp_path / "rds")]
 
 
 # Runs run, a string study and a resimulating sweep in one fresh process, then
@@ -669,138 +643,37 @@ class TestCli:
             assert math.isfinite(steady[("10", vid)])
             assert steady[("10", vid)] == pytest.approx(steady[("1", vid)], abs=0.05)
 
-    def test_rds_static_grid_zero_stats(self, tmp_path):
-        write_grid(RdsGrid(SMALL_SPEC, np.full((3, 10), 20.0)), tmp_path / "grid.csv")
-        traj = [TrajectoryPoint(120.0 + 10.0 * i, 60.2, 20.0) for i in range(6)]
-        write_trajectory(traj, tmp_path / "traj.csv")
-        out = tmp_path / "rds"
-        code = main(
-            ["rds", "--grid", str(tmp_path / "grid.csv"),
-             "--trajectory", str(tmp_path / "traj.csv"),
-             "--latencies", "0,60", "--out", str(out)]
-        )
-        assert code == 0
-        with open(out / "error_stats.csv", newline="") as fh:
-            rows = list(csv.DictReader(fh))
-        assert len(rows) == 2
-        for row in rows:
-            assert float(row["mean_err_mps"]) == 0.0
-            assert float(row["std_err_mps"]) == 0.0
-
-    @pytest.mark.parametrize(
-        "row", ["120.000,60.200000", "nan,60.200000,20.000000", "inf,60.200000,20.000000",
-                '"120.000",60.200000,20.000000']
-        + [pytest.param(f"120.000,{cell},20.000000", id=f"long_{name}_cell")
-           for name, cell in (("digits", "9" * 200_000), ("letters", "x" * 200_000))]
-    )
-    def test_rds_malformed_trajectory_exits_2(self, tmp_path, capsys, row):
-        code = main(
-            rds_args(tmp_path, f"{TRAJECTORY_HEADER}130.000,60.200000,20.000000\n{row}\n")
-        )
-        assert code == 2
-        assert "traj.csv" in capsys.readouterr().err
-
-    @pytest.mark.parametrize(
-        "grid_text",
-        ["", "sensor_mm,report_start_s,mean_speed_mps\n", "a,b\n"]
-        + [f"sensor_mm,report_start_s,mean_speed_mps\n{rows}\n" for rows in (
-            "60.000,0.0,inf\n60.500,0.0,20.0",
-            "60.000,0.0,nan\n60.500,0.0,20.0",
-            "inf,0.0,20.0\n60.500,0.0,20.0",
-            "60.000,nan,20.0\n60.500,nan,20.0",
-            "60.000,inf,20.0\n60.500,inf,20.0",
-        )]
-        # What write_grid never writes: a missing cell, a diagonal (every
-        # row a new sensor and start), a quoted cell and a 200,000-character one.
-        + [pytest.param(f"sensor_mm,report_start_s,mean_speed_mps\n{rows}\n", id=name)
-           for name, rows in (
-            ("missing_cell", "60.0,0.0,10\n60.0,30.0,10\n61.0,0.0,10"),
-            ("diagonal", "60.0,0.0,10\n61.0,30.0,10\n62.0,60.0,10"),
-            ("quoted_cell", '"60.0",0.0,10\n60.0,30.0,10\n61.0,0.0,10\n61.0,30.0,10'),
-            ("long_cell", f"60.0,0.0,{'9' * 200_000}\n60.0,30.0,10"),
-        )],
-    )
-    def test_rds_malformed_grid_exits_2(self, tmp_path, capsys, grid_text):
-        args = rds_args(tmp_path, f"{TRAJECTORY_HEADER}10.000,60.200000,21.000000\n")
-        (tmp_path / "grid.csv").write_text(grid_text)
-        code = main(args)
-        assert code == 2
-        assert "grid.csv" in capsys.readouterr().err
-
-    @pytest.mark.parametrize("rows", [
-        # Starts 0, 30 and 90 s: the 90 s report would be scored as the
-        # 60-90 s window, a -10 m/s mean error where the reports give 0.
-        "60.0,0.0,10\n60.0,30.0,10\n60.0,90.0,30\n61.0,0.0,10\n61.0,30.0,10\n61.0,90.0,30",
-        # Two reports for one (sensor, start) cell.
-        "60.0,0.0,10\n60.0,0.0,30\n61.0,0.0,10",
-    ], ids=["uneven_starts", "duplicate_cell"])
-    def test_rds_grid_off_lattice_exits_2(self, tmp_path, capsys, rows):
-        args = rds_args(tmp_path, f"{TRAJECTORY_HEADER}45.0,60.5,10.0\n")
-        (tmp_path / "grid.csv").write_text(
-            f"sensor_mm,report_start_s,mean_speed_mps\n{rows}\n"
-        )
-        assert main([*args, "--latencies", "0,30"]) == 2
-        assert "grid.csv" in capsys.readouterr().err
-
-    def test_rds_one_start_grid_exits_2(self, tmp_path, capsys):
-        # One report start gives no cell width, so the grid scores nothing.
-        args = rds_args(tmp_path, f"{TRAJECTORY_HEADER}45.0,60.5,10.0\n")
-        (tmp_path / "grid.csv").write_text(
-            "sensor_mm,report_start_s,mean_speed_mps\n60.0,0.0,10\n61.0,0.0,10\n"
-        )
-        assert main(args) == 2
-        err = capsys.readouterr().err
-        assert "grid.csv" in err and "at least two report starts" in err
-
     @pytest.mark.parametrize(
         "flag, value", [("--latencies", "abc"), ("--latencies", ".nan"),
                         ("--latencies", ","), ("--latencies", "0,0,60"),
+                        pytest.param("--latencies", str(10**400), id="--latencies-10**400"),
                         ("--bin-width-mph", "0"), ("--bin-width-mph", "nan")]
     )
-    def test_rds_bad_numbers_exit_2(self, tmp_path, capsys, flag, value):
-        traj = f"{TRAJECTORY_HEADER}130.000,60.200000,21.000000\n"
-        code = main([*rds_args(tmp_path, traj), flag, value])
+    def test_rds_bad_numbers_exit_2(self, short_log, tmp_path, capsys, flag, value):
+        out = tmp_path / "rds"
+        code = main(["rds", "--run-log", str(short_log), flag, value, "--out", str(out)])
         assert code == 2
-        assert flag.lstrip("-") in capsys.readouterr().err
-
-    def test_rds_nothing_scored_exits_2(self, tmp_path, capsys):
-        # The grid spans mile markers 60.0-61.0; a zero error over no
-        # points is no result.
-        rows = "120.000,80.400000,20.000000\n130.000,80.500000,20.000000\n"
-        assert main(rds_args(tmp_path, TRAJECTORY_HEADER + rows)) == 2
-        assert "no point is scored" in capsys.readouterr().err
-        assert not (tmp_path / "rds").exists()
-
-    def test_rds_tiny_bin_width_exits_2(self, tmp_path, capsys):
-        # Drawn speeds' nonzero errors over a 1e-310 mph bin overflow to an
-        # infinite bin index.
-        rng = np.random.default_rng(0)
-        write_grid(RdsGrid(SMALL_SPEC, rng.uniform(5.0, 35.0, (3, 10))), tmp_path / "grid.csv")
-        write_trajectory([TrajectoryPoint(t, mm, 20.0) for t, mm in zip(
-            rng.uniform(0.0, 270.0, 20).tolist(), rng.uniform(60.0, 61.0, 20).tolist())],
-            tmp_path / "traj.csv")
-        code = main(
-            ["rds", "--grid", str(tmp_path / "grid.csv"),
-             "--trajectory", str(tmp_path / "traj.csv"),
-             "--bin-width-mph", "1e-310", "--out", str(tmp_path / "rds")]
-        )
-        assert code == 2
-        assert "bin_width_mph" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and err.count("\n") == 1
+        assert flag.lstrip("-") in err
+        assert not out.exists()
 
     def test_rds_scores_its_run_log(self, short_log, tmp_path, capsys):
         # A 60 s log gives two 30 s reports; its 1,200 controlled rows are
-        # the trajectory, and the study's files score as rds scores them.
+        # the trajectory, and rds writes the study's two tables alone.
         out = tmp_path / "latency"
         assert main(["rds", "--run-log", str(short_log), "--latencies", "0,15",
                      "--out", str(out)]) == 0
-        grid, trajectory = read_grid(out / "grid.csv"), read_trajectory(out / "trajectory.csv")
+        assert sorted(os.listdir(out)) == ["error_hist.csv", "error_stats.csv"]
+        grid, trajectory = latency_study(read_run_log(short_log))
         assert (len(grid.spec.sensor_mm), grid.spec.n_reports) == (35, 2)
         assert len(trajectory) == 1200
         with open(out / "error_stats.csv", newline="") as fh:
             n = {float(r["latency_s"]): int(r["n"]) for r in csv.DictReader(fh)}
         assert n[0.0] > 0
         assert n == {lat: s.n for lat, s in error_stats(trajectory, grid, [0.0, 15.0]).items()}
-        assert f"wrote {out / 'grid.csv'} and {out / 'trajectory.csv'}" in capsys.readouterr().out
+        assert capsys.readouterr().out.endswith(
+            f"wrote {out / 'error_stats.csv'} and {out / 'error_hist.csv'}\n")
 
     @pytest.mark.parametrize("edit", [
         "first_30s", "no_rows", "nan_speed", "inf_mile_marker", "last_t_past_a_day",
@@ -836,42 +709,23 @@ class TestCli:
         assert "run_log.csv" in err and message in err
         assert not out.exists()
 
-    def test_rds_reads_back_its_run_log_files(self, short_log, tmp_path, capsys):
-        # The grid and trajectory files hold 6-decimal speeds, so the
-        # scores they give agree with the run log's to rounding.
-        def scores(argv, out):
-            assert main([*argv, "--latencies", "0,15,30", "--out", str(out)]) == 0
-            with open(out / "error_stats.csv", newline="") as fh:
-                return {float(r["latency_s"]): (int(r["n"]), float(r["mean_err_mps"]),
-                                                float(r["std_err_mps"]))
-                        for r in csv.DictReader(fh)}
-
-        logged = scores(["rds", "--run-log", str(short_log)], tmp_path / "log")
-        read = scores(["rds", "--grid", str(tmp_path / "log" / "grid.csv"),
-                       "--trajectory", str(tmp_path / "log" / "trajectory.csv")],
-                      tmp_path / "files")
-        assert logged[0.0][0] > 0
-        assert logged.keys() == read.keys()
-        for latency, (n, mean, std) in logged.items():
-            assert read[latency][0] == n
-            assert read[latency][1:] == pytest.approx((mean, std), abs=1e-5)
-
-    @pytest.mark.parametrize("inputs", [
-        ["--run-log", "{log}", "--grid", "{grid}"],
-        ["--run-log", "{log}", "--trajectory", "{traj}"],
-        ["--grid", "{grid}"],
-        ["--trajectory", "{traj}"],
-        [],
+    @pytest.mark.parametrize("inputs, message", [
+        (["--run-log", "{log}", "--grid", "x"], "unrecognized arguments: --grid x"),
+        (["--run-log", "{log}", "--trajectory", "y"], "unrecognized arguments: --trajectory y"),
+        (["--grid", "x"], "the following arguments are required: --run-log"),
+        (["--trajectory", "y"], "the following arguments are required: --run-log"),
+        ([], "the following arguments are required: --run-log"),
     ], ids=["run_log_and_grid", "run_log_and_trajectory", "grid_alone",
             "trajectory_alone", "no_input"])
-    def test_rds_inputs_exit_2(self, short_log, tmp_path, capsys, inputs):
-        # Exactly one input: a run log, or a grid with its trajectory.
-        rds_args(tmp_path, f"{TRAJECTORY_HEADER}45.0,60.5,10.0\n")
-        paths = {"log": short_log, "grid": tmp_path / "grid.csv", "traj": tmp_path / "traj.csv"}
-        argv = [arg.format(**paths) for arg in inputs]
+    def test_rds_inputs_exit_2(self, short_log, tmp_path, capsys, inputs, message):
+        # rds reads a run log and nothing else; any other input is a usage
+        # error, which argparse ends with exit 2.
+        argv = [arg.format(log=short_log) for arg in inputs]
         out = tmp_path / "rds"
-        assert main(["rds", *argv, "--out", str(out)]) == 2
-        assert "rds: takes either --run-log, or --grid with --trajectory" in capsys.readouterr().err
+        with pytest.raises(SystemExit) as exc:
+            main(["rds", *argv, "--out", str(out)])
+        assert exc.value.code == 2
+        assert message in capsys.readouterr().err
         assert not out.exists()
 
     def test_rds_run_log_tiny_bin_width_exits_2(self, short_log, tmp_path, capsys):
@@ -894,7 +748,7 @@ class TestCli:
             "string": ["run", "--override", "scenario.kind=string"],
             "sweep": ["sweep", "--values", "2,4", "--override", "scenario.duration_s=1"],
             "sweep_replay": ["sweep", "--values", "2", "--replay", str(short_log)],
-            "rds": rds_args(tmp_path, f"{TRAJECTORY_HEADER}130.000,60.200000,21.000000\n"),
+            "rds": ["rds", "--run-log", str(short_log)],
         }[command]
         assert main([*argv, "--out", str(out)]) == 2
         assert "afile" in capsys.readouterr().err
@@ -907,8 +761,6 @@ class TestCli:
         ("sweep_string", "sweep_summary.csv"),
         ("sweep_string", "string_convergence.csv"),
         ("sweep_replay", "replay_v_des.csv"),
-        *(("rds_run_log", name)
-          for name in ("error_stats.csv", "error_hist.csv", "grid.csv", "trajectory.csv")),
         ("rds", "error_stats.csv"),
         ("rds", "error_hist.csv"),
     ])
@@ -926,8 +778,7 @@ class TestCli:
             "sweep_string": ["sweep", "--parameter", "scenario.n_controlled",
                              "--values", "2,3", "--override", "scenario.kind=string"],
             "sweep_replay": ["sweep", "--values", "2", "--replay", str(short_log)],
-            "rds_run_log": ["rds", "--run-log", str(short_log)],
-            "rds": rds_args(tmp_path, f"{TRAJECTORY_HEADER}130.000,60.200000,21.000000\n"),
+            "rds": ["rds", "--run-log", str(short_log)],
         }[command]
         out = tmp_path / "q"
         (out / name).mkdir(parents=True)
@@ -1064,6 +915,16 @@ class TestCli:
         assert code == 2
         assert "k_cbf: must be finite" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("key", ["controller.k_p", "scenario.log_every"])
+    def test_int_too_large_for_a_float_exits_2(self, tmp_path, capsys, key):
+        # Not an OverflowError where the run first mixes it with a float.
+        out = tmp_path / "out"
+        assert main(["run", "--override", f"{key}={10**400}", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: {key}: 1000") and err.count("\n") == 1
+        assert err.endswith("... is too large for a float\n")
+        assert not out.exists()
+
     # PyYAML's constructors raise ValueError on a bad date, and its composer
     # RecursionError on deep nesting, not only YAMLError.
     @pytest.mark.parametrize("content", [
@@ -1086,13 +947,14 @@ class TestCli:
         pytest.param("sweep", "2024-13-45", id="sweep_bad_date"),
         pytest.param("rds", "2024-13-45", id="rds_bad_date"),
     ])
-    def test_unparseable_value_list_exits_2(self, tmp_path, capsys, command, values):
+    def test_unparseable_value_list_exits_2(self, short_log, tmp_path, capsys, command,
+                                            values):
         if command == "sweep":
             argv = ["sweep", "--parameter", "scenario.seed", "--values", values,
                     "--out", str(tmp_path)]
         else:
-            traj = f"{TRAJECTORY_HEADER}130.000,60.200000,21.000000\n"
-            argv = [*rds_args(tmp_path, traj), "--latencies", values]
+            argv = ["rds", "--run-log", str(short_log), "--latencies", values,
+                    "--out", str(tmp_path / "rds")]
         assert main(argv) == 2
         assert "unparseable YAML" in capsys.readouterr().err
 
@@ -1105,32 +967,6 @@ class TestCli:
         assert f"override '{override}': unparseable YAML" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
-    # A 200,000-character header or cell, or a row a cell short or long: the
-    # message quotes at most 40 characters of a cell and names the line.
-    @pytest.mark.parametrize("grid_text, traj_text, where", [
-        (None, "t" * 200_000 + "\n", "traj.csv: trajectory line 1:"),
-        (None, f"{TRAJECTORY_HEADER}10.0,{'x' * 200_000},10.0\n", "traj.csv: trajectory line 2:"),
-        (None, f"{TRAJECTORY_HEADER}10.0,60.5,10.0\n10.0,60.5\n", "traj.csv: trajectory line 3:"),
-        (None, f"{TRAJECTORY_HEADER}10.0,60.5,10.0,1\n", "traj.csv: trajectory line 2:"),
-        ("s" * 200_000 + "\n", None, "grid.csv: grid line 1:"),
-        (f"sensor_mm,report_start_s,mean_speed_mps\n60.0,0.0,{'x' * 200_000}\n", None,
-         "grid.csv: grid line 2:"),
-        ("sensor_mm,report_start_s,mean_speed_mps\n60.0,0.0,10\n60.0,30.0\n", None,
-         "grid.csv: grid line 3:"),
-        ("sensor_mm,report_start_s,mean_speed_mps\n60.0,0.0,10,10\n", None,
-         "grid.csv: grid line 2:"),
-    ], ids=["trajectory_long_header", "trajectory_long_cell", "trajectory_short_row",
-            "trajectory_long_row", "grid_long_header", "grid_long_cell", "grid_short_row",
-            "grid_long_row"])
-    def test_bad_grid_or_trajectory_line_is_named_briefly(self, tmp_path, capsys, grid_text,
-                                                          traj_text, where):
-        args = rds_args(tmp_path, traj_text or f"{TRAJECTORY_HEADER}10.0,60.5,10.0\n")
-        if grid_text is not None:
-            (tmp_path / "grid.csv").write_text(grid_text)
-        assert main(args) == 2
-        err = capsys.readouterr().err
-        assert where in err and len(err.encode()) < 1024
-
     # A long input value that a config error echoes is quoted through
     # tables.clip: a config file's field value or scenario kind, an rds
     # latency that is not a number, and a repeated sweep value.
@@ -1140,15 +976,16 @@ class TestCli:
         ("latencies", "latencies: 'xxx"),
         ("repeated_value", "values: 'xxx"),
     ])
-    def test_long_input_value_is_quoted_briefly(self, tmp_path, capsys, case, where):
+    def test_long_input_value_is_quoted_briefly(self, short_log, tmp_path, capsys, case,
+                                                where):
         keys = {"config_value": "controller:\n  v_offset", "scenario_kind": "scenario:\n  kind"}
         if case in keys:
             path = tmp_path / "cfg.yaml"
             path.write_text(f"{keys[case]}: {'x' * 200_000}\n")
             argv = ["run", "--config", str(path), "--out", str(tmp_path / "out")]
         elif case == "latencies":
-            traj = f"{TRAJECTORY_HEADER}130.000,60.200000,21.000000\n"
-            argv = [*rds_args(tmp_path, traj), "--latencies", "x" * 100_000]
+            argv = ["rds", "--run-log", str(short_log), "--latencies", "x" * 100_000,
+                    "--out", str(tmp_path / "rds")]
         else:
             value = "x" * 60_000
             argv = ["sweep", "--values", f"{value},{value}", "--out", str(tmp_path / "s")]
@@ -1256,7 +1093,9 @@ class TestCli:
         assert code == 2
         assert "directory" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("values", ["abc", "2,.inf", "[1]"])
+    @pytest.mark.parametrize(
+        "values", ["abc", "2,.inf", "[1]", pytest.param(str(10**400), id="10**400")]
+    )
     def test_replay_bad_values_exit_2(self, short_log, tmp_path, capsys, values):
         code = main(
             ["sweep", "--values", values, "--replay", str(short_log),
@@ -1280,13 +1119,10 @@ class TestCli:
         assert extra[0] in capsys.readouterr().err
         assert not out.exists()
 
-    def test_rds_missing_grid_exits_2(self, tmp_path, capsys):
-        code = main(
-            ["rds", "--grid", str(tmp_path / "g.csv"),
-             "--trajectory", str(tmp_path / "t.csv"), "--out", str(tmp_path)]
-        )
+    def test_rds_missing_run_log_exits_2(self, tmp_path, capsys):
+        code = main(["rds", "--run-log", str(tmp_path / "x.csv"), "--out", str(tmp_path)])
         assert code == 2
-        assert "g.csv" in capsys.readouterr().err
+        assert "x.csv" in capsys.readouterr().err
 
 
 # Every field a config may set: each section's, and the scenario's run and
@@ -1360,7 +1196,7 @@ class TestOverrideFuzz:
 # Extreme values of every type, as override text.
 EXTREME_TEXT = [
     "0", "-1", "1", "5e-324", "1e-300", "1e20", "1e308", "-1e308", str(2**31),
-    str(10**18), "true", "null", "x",
+    str(10**18), str(10**400), "true", "null", "x",
 ]
 
 
@@ -1393,6 +1229,9 @@ class TestConfigSurface:
     # A radar noise whose draws could overflow to an infinite target speed;
     # it is now a config error.
     @example(key="radar.noise_sigma", text="1e308")
+    # An int too large for a float, in a float field: a config error, not an
+    # OverflowError in the tick.
+    @example(key="controller.k_p", text=str(10**400))
     def test_one_extreme_field_exits_in_time(self, key, text):
         def hang(signum, frame):
             raise _Hang(f"{key}={text} ran over {self.BUDGET_S} s")

@@ -34,10 +34,6 @@ COMMANDS = (
     ]),
     ("sweep_replay", ["sweep", "--values", "0,2,4", "--replay", "{root}/run_noisy/run_log.csv"]),
     ("latency", ["rds", "--run-log", "{root}/run_noisy/run_log.csv"]),
-    ("rds", [
-        "rds", "--grid", "{root}/latency/grid.csv",
-        "--trajectory", "{root}/latency/trajectory.csv",
-    ]),
 )
 
 # The first 16 hex digits of each output's sha256, keyed by its path under
@@ -46,15 +42,13 @@ COMMANDS = (
 # changed only each report.json (no "direction" line) and events.jsonl (no
 # t = 0 engagement event per controlled vehicle). Each report.json was
 # recorded again when the config echo's controller block lost its copy of
-# the scenario dt. The latency and rds entries were recorded again when the
-# study stopped sampling a synthetic wave field and scored run_noisy's log.
-# The latency entry is `rds --run-log`, and the rds entry reads its grid and
-# trajectory back: the rds entry was recorded again when its default
-# latencies became 0,30,60,120, and both score alike. The string entry's
-# stdout was recorded again when the study became `run --override
-# scenario.kind=string`, which prints run's three lines before the steady
-# setpoints; its files are unchanged, and each string sweep run directory
-# gained the study's two files.
+# the scenario dt. The latency entry, `rds --run-log` on run_noisy's log, was
+# recorded again when the study stopped sampling a synthetic wave field, and
+# its stdout again when rds stopped writing the log's grid and trajectory
+# files, which dropped their "wrote" line. The string entry's stdout was
+# recorded again when the study became `run --override scenario.kind=string`,
+# which prints run's three lines before the steady setpoints; its files are
+# unchanged, and each string sweep run directory gained the study's two files.
 GOLDEN = {
     "run": {
         "stdout": "2a306063fb7e5f6e",
@@ -106,14 +100,7 @@ GOLDEN = {
         "replay_v_des.csv": "430e160f49fbd229",
     },
     "latency": {
-        "stdout": "52cc63987c906937",
-        "error_hist.csv": "f37b211add53819c",
-        "error_stats.csv": "5b2bebfbae0670c2",
-        "grid.csv": "474d0db4d715b133",
-        "trajectory.csv": "bfa0251499f1c69d",
-    },
-    "rds": {
-        "stdout": "06caa7c755c89b3a",
+        "stdout": "6f0e04aaf170dbaf",
         "error_hist.csv": "f37b211add53819c",
         "error_stats.csv": "5b2bebfbae0670c2",
     },

@@ -20,11 +20,7 @@ from middleway.rds import (
     default_sensors,
     error_stats,
     latency_study,
-    read_grid,
-    read_trajectory,
     write_error_report,
-    write_grid,
-    write_trajectory,
 )
 from middleway.scenarios import (
     OffsetReplay,
@@ -33,7 +29,6 @@ from middleway.scenarios import (
     string_scenario,
 )
 from middleway.simulation import (
-    MAX_DURATION_S,
     RUN_LOG_COLUMNS,
     VehicleInit,
     VehicleKind,
@@ -683,102 +678,16 @@ class TestPointsUntracked:
     """A point is a plain tuple of floats, which the cyclic collector stops
     tracking, so holding a log's worth of them adds nothing to a collection."""
 
-    def test_points_are_untracked_after_a_collection(self, tmp_path):
+    def test_points_are_untracked_after_a_collection(self):
         _, trajectory = latency_study(
             run(dataclasses.replace(canonical_scenario(), duration_s=60.0)))
-        path = tmp_path / "trajectory.csv"
-        write_trajectory(trajectory, path)
-        points = [TrajectoryPoint(1.0, 60.0, 20.0), *trajectory, *read_trajectory(path)]
-        assert len(points) > 2 * 1000
+        points = [TrajectoryPoint(1.0, 60.0, 20.0), *trajectory]
+        assert len(points) > 1000
         gc.collect()
         assert not any(map(gc.is_tracked, points))
 
 
-@st.composite
-def round_trip_grids(draw):
-    """Grids the grid file holds exactly: markers with three decimals,
-    speeds with six or missing, and two or more report starts, since one
-    start leaves the cell width unwritten."""
-    markers = draw(st.sets(st.integers(50_000, 75_000), min_size=2, max_size=6))
-    n_reports = draw(st.integers(2, 12))
-    spec = GridSpec(
-        sensor_mm=tuple(k / 1000 for k in sorted(markers)),
-        origin_s=draw(st.floats(-1000.0, 1000.0)),
-        cell_duration_s=draw(st.floats(0.05, 60.0)),
-        n_reports=n_reports,
-    )
-    speed = st.one_of(st.just(math.nan), st.integers(0, 40_000_000).map(lambda k: k / 1e6))
-    n_cells = len(markers) * n_reports
-    speeds = draw(st.lists(speed, min_size=n_cells, max_size=n_cells))
-    return RdsGrid(spec, np.reshape(speeds, (len(markers), n_reports)))
-
-
 class TestSerialization:
-    def test_grid_round_trip(self, tmp_path):
-        spec = small_spec()
-        grid = drawn_grid(np.random.default_rng(0), spec)
-        grid.speeds[1, 2] = np.nan
-        path = tmp_path / "grid.csv"
-        write_grid(grid, path)
-        loaded = read_grid(path)
-        assert loaded.spec.sensor_mm == spec.sensor_mm
-        assert loaded.spec.cell_duration_s == pytest.approx(30.0)
-        assert np.allclose(loaded.speeds, grid.speeds, equal_nan=True, atol=1e-6)
-
-    def test_tenth_second_cells_read_back(self, tmp_path):
-        # 3 * 0.1 is 0.30000000000000004, and 0.3 s spans four 0.1 s cells.
-        spec = GridSpec(sensor_mm=(60.0, 60.5), cell_duration_s=0.1, duration_s=0.3)
-        grid = drawn_grid(np.random.default_rng(1), spec)
-        path = tmp_path / "grid.csv"
-        write_grid(grid, path)
-        loaded = read_grid(path)
-        assert loaded.spec.n_reports == 3
-        assert np.array_equal(loaded.speeds, grid.speeds)
-
-    def test_quarter_second_origin_read_back(self, tmp_path):
-        spec = GridSpec(sensor_mm=(60.0, 60.5), origin_s=0.25, duration_s=90.0)
-        path = tmp_path / "grid.csv"
-        write_grid(drawn_grid(np.random.default_rng(2), spec), path)
-        assert read_grid(path).spec.origin_s == 0.25
-
-    @settings(max_examples=100, deadline=None)
-    @given(grid=round_trip_grids())
-    def test_grid_round_trip_property(self, tmp_path_factory, grid):
-        path = tmp_path_factory.mktemp("grid") / "grid.csv"
-        write_grid(grid, path)
-        loaded = read_grid(path)
-        assert loaded.spec.sensor_mm == grid.spec.sensor_mm
-        assert loaded.spec.origin_s == grid.spec.origin_s
-        assert loaded.spec.cell_duration_s == pytest.approx(grid.spec.cell_duration_s)
-        assert loaded.spec.n_reports == grid.spec.n_reports
-        np.testing.assert_array_equal(loaded.speeds, grid.speeds)
-
-    def test_trajectory_round_trip(self, tmp_path):
-        traj = drawn_trajectory(np.random.default_rng(3), 20, (0.0, 100.0), (69.0, 69.5))
-        path = tmp_path / "traj.csv"
-        write_trajectory(traj, path)
-        loaded = read_trajectory(path)
-        assert len(loaded) == len(traj)
-        for (t, mm, v), (t_read, mm_read, v_read) in zip(traj, loaded):
-            assert t_read == pytest.approx(t, abs=1e-3)
-            assert mm_read == pytest.approx(mm, abs=1e-6)
-            assert v_read == pytest.approx(v, abs=1e-6)
-
-    @settings(max_examples=200, deadline=None)
-    @given(points=st.lists(st.builds(
-        TrajectoryPoint,
-        st.one_of(st.just(-0.0), st.floats(-MAX_DURATION_S, MAX_DURATION_S)),
-        st.one_of(st.just(-0.0), st.floats(-1e4, 1e4)),
-        st.one_of(st.just(-0.0), st.floats(-100.0, 100.0)),
-    ), max_size=8))
-    def test_trajectory_rewrite_gives_the_same_bytes(self, tmp_path_factory, points):
-        # Times up to a day, mile markers up to 1e4 and speeds up to 100.
-        first = tmp_path_factory.mktemp("traj") / "first.csv"
-        second = first.with_name("second.csv")
-        write_trajectory(points, first)
-        write_trajectory(read_trajectory(first), second)
-        assert second.read_bytes() == first.read_bytes()
-
     def test_error_report_files(self, tmp_path):
         grid = constant_grid(20.0, small_spec())
         traj = [TrajectoryPoint(40.0, 60.25, 20.0), TrajectoryPoint(50.0, 60.5, 20.0)]
@@ -791,44 +700,3 @@ class TestSerialization:
         assert len(lines) == 3
         assert hist.read_text().splitlines()[0] == "latency_s,bin_lo_mph,count"
 
-
-GRID_HEADER = "sensor_mm,report_start_s,mean_speed_mps\n"
-# Cells longer than csv's 131,072-character field limit.
-LONG_CELLS = {"long_digits": "9" * 200_000, "long_letters": "x" * 200_000}
-
-
-class TestReaderRules:
-    """read_grid reads only what write_grid writes, and both readers split
-    lines on commas, so a malformed file raises ValueError, never csv.Error."""
-
-    @pytest.mark.parametrize("rows", [
-        "60.0,0.0,10\n60.0,30.0,10\n61.0,0.0,10\n",
-        "60.0,0.0,10\n61.0,30.0,10\n62.0,60.0,10\n",
-        "60.0,0.0,10\n60.0,30.0,10\n61.0,0.0,10\n61.0,0.0,10\n",
-    ], ids=["missing_cell", "diagonal", "missing_and_repeated_cell"])
-    def test_grid_misses_or_repeats_a_cell(self, tmp_path, rows):
-        path = tmp_path / "grid.csv"
-        path.write_text(GRID_HEADER + rows)
-        with pytest.raises(ValueError, match="cell exactly once"):
-            read_grid(path)
-
-    @pytest.mark.parametrize("cell", ['"60.0"', *LONG_CELLS.values()],
-                             ids=["quoted", *LONG_CELLS])
-    def test_grid_cell_not_a_number(self, tmp_path, cell):
-        path = tmp_path / "grid.csv"
-        path.write_text(f"{GRID_HEADER}{cell},0.0,10\n60.0,30.0,10\n61.0,0.0,10\n61.0,30.0,10\n")
-        with pytest.raises(ValueError):
-            read_grid(path)
-
-    @pytest.mark.parametrize("cell", LONG_CELLS.values(), ids=LONG_CELLS)
-    def test_trajectory_long_cell(self, tmp_path, cell):
-        path = tmp_path / "traj.csv"
-        path.write_text(f"t_s,mile_marker,speed_mps\n10.0,{cell},10.0\n")
-        with pytest.raises(ValueError):
-            read_trajectory(path)
-
-    def test_rows_in_any_order_fill_the_grid(self, tmp_path):
-        # An empty speed cell is a missing report.
-        path = tmp_path / "grid.csv"
-        path.write_text(GRID_HEADER + "61.0,30.0,\n60.0,0.0,10\n61.0,0.0,11\n60.0,30.0,12\n")
-        np.testing.assert_array_equal(read_grid(path).speeds, [[10.0, 12.0], [11.0, np.nan]])
