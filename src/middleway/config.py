@@ -36,11 +36,11 @@ class ConfigError(Exception):
 
 
 # ScenarioConfig's dataclass fields are the sections and its scalars the run
-# fields; its lists (roster, bottlenecks, phantoms) are the generators' alone.
+# fields; its tuples (roster, bottlenecks, phantoms) are the generators' alone.
 _HINTS = get_type_hints(ScenarioConfig)
 SECTION_TYPES = {name: hint for name, hint in _HINTS.items() if dataclasses.is_dataclass(hint)}
 RUN_FIELDS = tuple(name for name, hint in _HINTS.items()
-                   if name not in SECTION_TYPES and get_origin(hint) is not list)
+                   if name not in SECTION_TYPES and get_origin(hint) is not tuple)
 
 GENERATORS = {"canonical": canonical_scenario, "string": string_scenario}
 
@@ -205,10 +205,13 @@ def build_scenario(data: dict) -> LoadedScenario:
         except ValueError as exc:
             raise ConfigError(f"{section}.{exc}") from exc
 
-    if replacements:
-        cfg = dataclasses.replace(cfg, **replacements)
     try:
-        cfg.validate()
+        if replacements:
+            cfg = dataclasses.replace(cfg, **replacements)
+        # Checked here, not by the config: a later stage may set either side.
+        if cfg.vsl_static_mph is not None and not (
+                cfg.vsl.min_mph <= cfg.vsl_static_mph <= cfg.vsl.max_mph):
+            raise ValueError("vsl_static_mph: outside posting range")
         if kind == "string":
             check_string(cfg)
     except ValueError as exc:

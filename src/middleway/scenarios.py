@@ -59,7 +59,7 @@ def canonical_scenario(seed: int = 0, n_humans: int = 25) -> ScenarioConfig:
     vehicles.append(
         VehicleInit("cav", VehicleKind.CONTROLLED, -400.0, 16.0, driver_setpoint=33.5)
     )
-    phantoms = [
+    phantoms = (
         PhantomStreamSpec(lane=1, spacing_m=45.0, wave=(90.0, 5.0, 22.0), phase_m=10.0),
         PhantomStreamSpec(
             lane=-1,
@@ -68,22 +68,16 @@ def canonical_scenario(seed: int = 0, n_humans: int = 25) -> ScenarioConfig:
             phase_m=-12.0,
             initial_speed=18.0,
         ),
-    ]
+    )
     return ScenarioConfig(
         duration_s=560.0,
         seed=seed,
         feed=FeedConfig(latency_s=0.5),
         human=IdmParams(v0=36.0),
-        vehicles=vehicles,
-        bottlenecks=[
-            Bottleneck(
-                x_start=2200.0,
-                x_end=2800.0,
-                t_start=20.0,
-                t_end=230.0,
-                speed_cap=2.5,
-            )
-        ],
+        vehicles=tuple(vehicles),
+        bottlenecks=(
+            Bottleneck(x_start=2200.0, x_end=2800.0, t_start=20.0, t_end=230.0, speed_cap=2.5),
+        ),
         phantoms=phantoms,
     )
 
@@ -128,7 +122,7 @@ def string_scenario(
         duration_s=measurement_window(n_controlled)[1] + 5.0,
         controller=ControllerConfig(v_offset=v_offset),
         radar=RadarConfig(max_range=350.0),
-        vehicles=vehicles,
+        vehicles=tuple(vehicles),
         vsl_static_mph=posted_mph,
     )
 

@@ -30,7 +30,7 @@ import random
 from array import array
 from collections import Counter
 from collections.abc import Sequence
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, is_dataclass
 from enum import Enum
 from functools import cached_property
 from itertools import chain, cycle, groupby, islice, pairwise, repeat
@@ -194,8 +194,12 @@ def triangle_speed(t: float, period_s: float, lo: float, hi: float) -> float:
     return hi
 
 
-@dataclass
+@dataclass(frozen=True)
 class ScenarioConfig:
+    """A scenario's run fields, section configs and rosters: frozen, and
+    checked when built, so each dataclasses.replace variant is checked too.
+    Whether vsl_static_mph lies in the vsl range is build_scenario's rule."""
+
     duration_s: float = 600.0
     dt: float = 0.05
     seed: int = 0
@@ -207,12 +211,12 @@ class ScenarioConfig:
     vsl: VslConfig = field(default_factory=VslConfig)
     feed: FeedConfig = field(default_factory=FeedConfig)
     human: IdmParams = field(default_factory=IdmParams)
-    vehicles: list[VehicleInit] = field(default_factory=list)
-    bottlenecks: list[Bottleneck] = field(default_factory=list)
-    phantoms: list[PhantomStreamSpec] = field(default_factory=list)
+    vehicles: tuple[VehicleInit, ...] = ()
+    bottlenecks: tuple[Bottleneck, ...] = ()
+    phantoms: tuple[PhantomStreamSpec, ...] = ()
     vsl_static_mph: Optional[int] = None
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if not (MIN_DT_S <= self.dt <= 0.1):
             raise ValueError(f"dt: must be in [{MIN_DT_S:g}, 0.1] s")
         if not 0.0 <= self.duration_s <= MAX_DURATION_S:
@@ -233,9 +237,6 @@ class ScenarioConfig:
         xs = sorted(v.x0 for v in self.vehicles)
         if any(b - a <= 0.0 for a, b in pairwise(xs)):
             raise ValueError("vehicles: overlapping positions")
-        if self.vsl_static_mph is not None:
-            if not (self.vsl.min_mph <= self.vsl_static_mph <= self.vsl.max_mph):
-                raise ValueError("vsl_static_mph: outside posting range")
 
 
 _floats = functools.partial(array, "d")
@@ -391,7 +392,6 @@ class World:
     """
 
     def __init__(self, cfg: ScenarioConfig):
-        cfg.validate()
         self.cfg = cfg
         self.log = RunLog([v.vehicle_id for v in cfg.vehicles],
                           [v.kind.value for v in cfg.vehicles], config_echo=config_echo(cfg))
@@ -694,7 +694,8 @@ def _write_chunks(log: RunLog, fh, source, pipe) -> None:
 def config_echo(cfg: ScenarioConfig) -> dict:
     """The config as report.json echoes it: the roster, bottlenecks and
     phantom streams by count, and the corridor's extent."""
-    echo = asdict(replace(cfg, vehicles=[], bottlenecks=[], phantoms=[]))
+    echo = {f.name: asdict(value) if is_dataclass(value := getattr(cfg, f.name)) else value
+            for f in fields(cfg)}
     echo.update(vehicles=len(cfg.vehicles), bottlenecks=len(cfg.bottlenecks),
                 phantoms=len(cfg.phantoms),
                 corridor={"mm_lo": MM_LO, "mm_hi": MM_HI, "gantries": len(GANTRY_IDS)})
@@ -712,7 +713,7 @@ def _write_steps(log: RunLog, fh) -> None:
     """Write every logged step of log to the text file fh as CSV lines
     ending in CRLF, as write_table's lines do, a step at a time. Text cells
     are written as they are, so they must hold no comma, quote, CR or LF
-    (ScenarioConfig.validate rejects such vehicle ids). Each vehicle has one
+    (a ScenarioConfig rejects such vehicle ids). Each vehicle has one
     % template; a controlled vehicle's also takes its controller cells, of
     which a None mode and a NaN float are written empty."""
     n, slots = len(log.vehicle_ids), log.controlled

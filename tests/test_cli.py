@@ -117,6 +117,24 @@ class TestConfig:
             with pytest.raises(ConfigError, match=f"{section}.{field}"):
                 build_scenario({section: {field: value}})
 
+    @pytest.mark.parametrize("data, static_mph", [
+        ({"scenario": {"kind": "string", "posted_mph": 100}, "vsl": {"max_mph": 120}}, 100),
+        ({"scenario": {"kind": "string", "posted_mph": 100, "vsl_static_mph": None}}, None),
+        ({"scenario": {"kind": "string", "posted_mph": 25}, "vsl": {"min_mph": 20}}, 25),
+    ])
+    def test_posting_is_checked_once_composed(self, data, static_mph):
+        # The string generator posts posted_mph; a vsl section or a run field
+        # given with it brings the posting into range, or drops it.
+        assert build_scenario(data).cfg.vsl_static_mph == static_mph
+
+    @pytest.mark.parametrize("data", [
+        {"scenario": {"vsl_static_mph": 75}},
+        {"scenario": {"kind": "string"}, "vsl": {"min_mph": 35}},
+    ])
+    def test_posting_outside_range_rejected(self, data):
+        with pytest.raises(ConfigError, match="vsl_static_mph: outside posting range"):
+            build_scenario(data)
+
     @pytest.mark.parametrize("kind", sorted(GENERATORS))
     def test_duration_bound(self, kind):
         loaded = build_scenario({"scenario": {"kind": kind, "duration_s": MAX_DURATION_S}})
@@ -1198,6 +1216,22 @@ EXTREME_TEXT = [
     "0", "-1", "1", "5e-324", "1e-300", "1e20", "1e308", "-1e308", str(2**31),
     str(10**18), str(10**400), "true", "null", "x",
 ]
+
+
+@pytest.mark.parametrize("text", [*EXTREME_TEXT, ".nan", "[1]"])
+@pytest.mark.parametrize("key", CONFIG_FIELDS)
+@pytest.mark.parametrize("base", [{"duration_s": 5}, {"kind": "string", "n_controlled": 3}],
+                         ids=["canonical", "string"])
+def test_every_field_builds_or_is_a_config_error(base, key, text):
+    """Every config field at every extreme value, on both scenario kinds,
+    builds a config or raises ConfigError, and nothing else."""
+    data = {"scenario": dict(base)}
+    try:
+        apply_override(data, f"{key}={text}")
+        loaded = build_scenario(data)
+    except ConfigError:
+        return
+    assert isinstance(loaded, LoadedScenario)
 
 
 class _Hang(Exception):

@@ -423,29 +423,33 @@ class TestIntegration:
 
 class TestScenarioValidation:
     def test_overlapping_positions_rejected(self):
-        cfg = ScenarioConfig(
-            vehicles=[human("a", 0.0, 10.0), human("b", 0.0, 10.0)]
-        )
         with pytest.raises(ValueError, match="overlapping positions"):
-            cfg.validate()
+            ScenarioConfig(vehicles=[human("a", 0.0, 10.0), human("b", 0.0, 10.0)])
 
     def test_duplicate_ids_rejected(self):
-        cfg = ScenarioConfig(
-            vehicles=[human("a", 0.0, 10.0), human("a", 50.0, 10.0)]
-        )
         with pytest.raises(ValueError, match="unique"):
-            cfg.validate()
+            ScenarioConfig(vehicles=[human("a", 0.0, 10.0), human("a", 50.0, 10.0)])
 
     @pytest.mark.parametrize("v0", [-5.0, math.nan, math.inf])
     def test_bad_initial_speed_rejected(self, v0):
-        cfg = ScenarioConfig(vehicles=[human("a", 0.0, 10.0), human("b", 50.0, v0)])
         with pytest.raises(ValueError, match="initial speeds"):
-            cfg.validate()
+            ScenarioConfig(vehicles=[human("a", 0.0, 10.0), human("b", 50.0, v0)])
 
     def test_dt_range_enforced(self):
-        cfg = ScenarioConfig(dt=0.2, vehicles=[human("a", 0.0, 10.0)])
         with pytest.raises(ValueError, match="dt"):
-            cfg.validate()
+            ScenarioConfig(dt=0.2, vehicles=[human("a", 0.0, 10.0)])
+
+    @pytest.mark.parametrize("cfg", [canonical_scenario(), string_scenario()],
+                             ids=["canonical", "string"])
+    def test_config_is_a_frozen_value_checked_on_replace(self, cfg):
+        # A variant is a new config, checked again; no config changes in place.
+        with pytest.raises(ValueError, match="dt: must be in"):
+            dataclasses.replace(cfg, dt=0.5)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            cfg.dt = 0.5
+        assert cfg.dt == 0.05
+        for roster in (cfg.vehicles, cfg.bottlenecks, cfg.phantoms):
+            assert type(roster) is tuple
 
     @pytest.mark.parametrize("n", [1, 12])
     def test_check_string_accepts_the_generator_configs(self, n):
@@ -504,7 +508,8 @@ def run_slowing_leader(cfg, leader_id, t_start, t_end, speed_cap):
     leader = world.log.vehicle_ids.index(leader_id)
     for _ in range(int(round(cfg.duration_s / cfg.dt))):
         x = world.x[leader]
-        cfg.bottlenecks[:] = [Bottleneck(x, x, t_start, t_end, speed_cap)]
+        world.cfg = dataclasses.replace(
+            world.cfg, bottlenecks=(Bottleneck(x, x, t_start, t_end, speed_cap),))
         assert all(p < x for j, p in enumerate(world.x) if j != leader)
         world.step()
         assert world.log.collision is None
@@ -673,9 +678,8 @@ class TestRunLogWriterOracle:
     def test_ids_needing_quotes(self):
         # The writer does not quote cells, so such ids are rejected up front.
         for vid in ("truck,big", 'say "hi"', "a\rb", "a\nb"):
-            cfg = ScenarioConfig(vehicles=[human(vid, 0.0, 10.0)])
             with pytest.raises(ValueError, match="vehicles: an id may not hold"):
-                cfg.validate()
+                ScenarioConfig(vehicles=[human(vid, 0.0, 10.0)])
 
     def test_signed_zero_times_and_percent_ids(self, tmp_path):
         # A step at -0.0 next to one at 0.0, which compare equal but format
